@@ -1057,36 +1057,26 @@ def _matrix_spec(args):
         candidates = list(DEFAULT_GRID)
     for candidate in candidates:
         parse_policy_spec(candidate)  # fail fast on a bad spec
-    devices_path = getattr(args, "devices", None)
-    fleet_size = getattr(args, "fleet_size", None)
-    if devices_path or fleet_size:
-        from repro.devices import (fleet_matrix_campaign, generate_fleet,
-                                   load_fleet)
+    devices = None
+    if args.devices and args.fleet_size:
+        raise ValueError("--devices and --fleet-size are exclusive")
+    if args.devices:
+        from repro.devices import load_fleet
 
-        if devices_path and fleet_size:
-            raise ValueError("--devices and --fleet-size are exclusive")
-        if devices_path:
-            fleet = load_fleet(devices_path)
-        else:
-            fleet = generate_fleet(fleet_size,
-                                   getattr(args, "fleet_seed", 0))
-        return fleet_matrix_campaign(fleet, candidates, baseline=baseline,
-                                     scenario=scenario)
+        devices = load_fleet(args.devices)
+    elif args.fleet_size:
+        from repro.devices import generate_fleet
+
+        devices = generate_fleet(args.fleet_size, args.fleet_seed)
     return policy_matrix_campaign(candidates, baseline=baseline,
-                                  scenario=scenario)
+                                  scenario=scenario, devices=devices)
 
 
 def _matrix_finish(spec, values, args):
     """Fold, render, persist, and gate a completed matrix campaign."""
-    from repro.devices.fleetmatrix import FLEET_TASK_FN, fleet_from_values
     from repro.fleet.diffmatrix import matrix_from_values
 
-    # The spec's task fn says which matrix this is; both folds share
-    # the document/render/violations surface.
-    if spec.tasks and spec.tasks[0].fn == FLEET_TASK_FN:
-        matrix = fleet_from_values(spec, values)
-    else:
-        matrix = matrix_from_values(spec, values)
+    matrix = matrix_from_values(spec, values)
     if args.matrix_out:
         import os
 
@@ -1116,7 +1106,7 @@ def _cmd_sweep_matrix(args):
 
     try:
         spec = _matrix_spec(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     printer = ProgressPrinter() if args.progress else None
@@ -1319,7 +1309,7 @@ def _cmd_submit(args):
     try:
         try:
             spec = _load_spec(args)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         client = _service_client(args)

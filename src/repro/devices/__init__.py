@@ -8,9 +8,11 @@ self-calibration"):
 - :mod:`repro.devices.calibrate` — Sesame-style
   :class:`OnlineCalibrator` recovering per-component power models from
   coarse SmartBattery readings, with injectable mid-run drift.
-- :mod:`repro.devices.fleetmatrix` — per-device × per-policy
-  robustness campaigns over the fleet/service substrate
-  (``repro sweep --fleet-size N --diff-against ...``).
+
+The per-device × per-policy robustness matrix (``repro sweep
+--fleet-size N --diff-against ...``) is the policy diff matrix with a
+device axis, :mod:`repro.fleet.diffmatrix`;
+:mod:`repro.devices.fleetmatrix` keeps its fleet-named aliases.
 """
 
 from repro.devices.calibrate import (
@@ -21,12 +23,10 @@ from repro.devices.calibrate import (
     schedule_drift,
 )
 from repro.devices.fleetmatrix import (
-    FLEET_TASK_FN,
     FleetMatrix,
     fleet_from_result,
     fleet_from_values,
     fleet_matrix_campaign,
-    fleet_matrix_row,
 )
 from repro.devices.profile import (
     DEFAULT_COMPONENTS,
@@ -41,14 +41,12 @@ __all__ = [
     "CalibratedPowerFeed",
     "DEFAULT_COMPONENTS",
     "DeviceProfile",
-    "FLEET_TASK_FN",
     "FleetMatrix",
     "LearnedPowerModel",
     "OnlineCalibrator",
     "fleet_from_result",
     "fleet_from_values",
     "fleet_matrix_campaign",
-    "fleet_matrix_row",
     "generate_device",
     "generate_fleet",
     "load_fleet",

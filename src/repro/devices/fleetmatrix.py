@@ -1,295 +1,31 @@
-"""Per-device × per-policy robustness matrix over a heterogeneous fleet.
+"""Fleet-matrix names kept for callers of the per-device matrix.
 
-EMaaS-style (PAPERS.md): instead of asking "how do policies differ on
-*the* ThinkPad?" (the policy diff matrix, PR 9), ask "which policies
-stay well-behaved across a fleet of *non-identical* devices?" — each
-device's components run hotter or cooler than the nominal table and
-its battery holds more or less than the controller believes.
-
-The construction reuses the policy-matrix machinery wholesale: one
-fleet task per (device, policy) pair plus a per-device baseline
-self-row; each task injects its ``device`` profile into the shared
-scenario params and delegates to
-:func:`repro.fleet.diffmatrix.policy_matrix_row`, so the diff
-semantics are *candidate-on-device-D vs baseline-on-device-D* and the
-per-worker baseline memo applies per device.  The fold adds a
-per-policy robustness summary (divergence count and energy-delta
-spread across devices).  Rows are pure functions of their params, so
-the document stays byte-identical across serial, ``--jobs N``,
-cache-warm, and service-submitted runs.
+The device axis lives in :mod:`repro.fleet.diffmatrix`: a
+:class:`~repro.fleet.diffmatrix.PolicyMatrix` built with ``devices`` is
+the fleet matrix.  These are aliases onto that single implementation.
 """
 
 from __future__ import annotations
 
 from repro.fleet.diffmatrix import (
-    BASELINE_LABEL,
-    SCENARIO_KEYS,
-    _normalize_candidates,
-    parse_policy_spec,
-    policy_label,
-    policy_matrix_row,
+    PolicyMatrix as FleetMatrix,
+    matrix_from_result as fleet_from_result,
+    matrix_from_values as fleet_from_values,
+    policy_matrix_campaign,
 )
-from repro.fleet.spec import CampaignSpec, Task, canonical_json
 
 __all__ = [
-    "FLEET_MATRIX_KIND",
-    "FLEET_MATRIX_VERSION",
-    "FLEET_TASK_FN",
     "FleetMatrix",
-    "fleet_matrix_row",
     "fleet_matrix_campaign",
     "fleet_from_values",
     "fleet_from_result",
 ]
 
-FLEET_MATRIX_KIND = "fleet-matrix"
-FLEET_MATRIX_VERSION = 1
-FLEET_TASK_FN = "repro.devices.fleetmatrix:fleet_matrix_row"
-
-
-# ----------------------------------------------------------------------
-# the worker side: one row per (device, policy)
-# ----------------------------------------------------------------------
-def fleet_matrix_row(label, device, candidate=None, baseline=None,
-                     scenario=None, gap=0):
-    """Fleet task: diff one policy against the baseline *on one device*.
-
-    ``device`` is a :class:`~repro.devices.profile.DeviceProfile` dict;
-    it joins the shared scenario params, so both the candidate and the
-    baseline simulate on the same miscalibrated hardware (and the
-    per-process record memo keys on it automatically).
-    """
-    scenario = dict(scenario or {})
-    scenario["device"] = dict(device)
-    row = policy_matrix_row(label, candidate=candidate, baseline=baseline,
-                            scenario=scenario, gap=gap)
-    row["device"] = device["device_id"]
-    return row
-
-
-# ----------------------------------------------------------------------
-# campaign construction and the matrix fold
-# ----------------------------------------------------------------------
-def _device_dict(device):
-    record = device.to_dict() if hasattr(device, "to_dict") else dict(device)
-    if not record.get("device_id"):
-        raise ValueError("device profile missing device_id")
-    return record
-
 
 def fleet_matrix_campaign(devices, candidates, baseline=None, scenario=None,
-                          name="fleet-matrix", gap=0):
-    """One baseline self-row plus one row per candidate, per device.
-
-    Task ids are ``row/{device_id}/{label}``; row order is device-major
-    in the given fleet order, baseline first within each device — the
-    fold preserves spec order, so this is also the document order.
-    """
-    if isinstance(baseline, str):
-        baseline = parse_policy_spec(baseline)
-    baseline = dict(baseline or {})
-    scenario = dict(scenario or {})
-    unknown = set(scenario) - SCENARIO_KEYS
-    if unknown:
-        raise ValueError(f"unknown scenario key(s): "
-                         f"{', '.join(sorted(unknown))}")
-    device_dicts = [_device_dict(device) for device in devices]
-    if not device_dicts:
-        raise ValueError("fleet must contain at least one device")
-    seen = set()
-    for record in device_dicts:
-        if record["device_id"] in seen:
-            raise ValueError(f"duplicate device_id {record['device_id']!r}")
-        seen.add(record["device_id"])
-    normalized = _normalize_candidates(candidates)
-
-    def make_task(device, label, params):
-        task_params = {
-            "label": label,
-            "device": device,
-            "candidate": params,
-            "baseline": baseline,
-            "scenario": scenario,
-        }
-        if gap:
-            task_params["gap"] = gap
-        return Task(id=f"row/{device['device_id']}/{label}",
-                    fn=FLEET_TASK_FN, params=task_params)
-
-    tasks = []
-    for device in device_dicts:
-        tasks.append(make_task(device, BASELINE_LABEL, dict(baseline)))
-        for label, params in normalized:
-            tasks.append(make_task(device, label, params))
-    return CampaignSpec(name=name, tasks=tuple(tasks))
-
-
-def _robustness(rows):
-    """Per-policy summary across devices (pure fold, document-stable)."""
-    by_policy = {}
-    order = []
-    for row in rows:
-        policy = row["policy"]
-        if policy == BASELINE_LABEL:
-            continue
-        if policy not in by_policy:
-            by_policy[policy] = []
-            order.append(policy)
-        by_policy[policy].append(row)
-    summary = {}
-    for policy in order:
-        group = by_policy[policy]
-        deltas = [row["energy_delta_j"] for row in group]
-        summary[policy] = {
-            "devices": len(group),
-            "diverged": sum(1 for row in group if not row["identical"]),
-            "goal_missed": sum(1 for row in group if not row["goal_met"]),
-            "energy_delta_min_j": min(deltas),
-            "energy_delta_max_j": max(deltas),
-            "energy_delta_spread_j": max(deltas) - min(deltas),
-            "shape_distance_max": max(row["shape_distance"]
-                                      for row in group),
-        }
-    return summary
-
-
-class FleetMatrix:
-    """The folded fleet scorecard: device-major rows plus robustness.
-
-    Mirrors :class:`repro.fleet.diffmatrix.PolicyMatrix` (``document``/
-    ``violations``/``render``), so the CLI's fold/gate/output path
-    works on either, and adds the cross-device robustness block.
-    """
-
-    def __init__(self, campaign, baseline, scenario, devices, rows):
-        self.campaign = campaign
-        self.baseline = dict(baseline)
-        self.scenario = dict(scenario)
-        self.devices = [dict(device) for device in devices]
-        self.rows = list(rows)
-
-    def to_dict(self):
-        return {
-            "kind": FLEET_MATRIX_KIND,
-            "version": FLEET_MATRIX_VERSION,
-            "campaign": self.campaign,
-            "baseline": dict(self.baseline),
-            "scenario": dict(self.scenario),
-            "devices": [dict(device) for device in self.devices],
-            "rows": [dict(row) for row in self.rows],
-            "robustness": _robustness(self.rows),
-        }
-
-    @classmethod
-    def from_dict(cls, record):
-        if record.get("kind") != FLEET_MATRIX_KIND:
-            raise ValueError("not a fleet-matrix document")
-        if record.get("version") != FLEET_MATRIX_VERSION:
-            raise ValueError(
-                f"fleet-matrix version {record.get('version')} "
-                f"!= supported {FLEET_MATRIX_VERSION}"
-            )
-        return cls(record["campaign"], record["baseline"],
-                   record.get("scenario", {}), record.get("devices", []),
-                   record["rows"])
-
-    def document(self):
-        """Canonical JSON text + trailing newline — the blessed bytes."""
-        return canonical_json(self.to_dict()) + "\n"
-
-    @property
-    def candidate_rows(self):
-        return [row for row in self.rows
-                if row["policy"] != BASELINE_LABEL]
-
-    def violations(self, max_windows=None, max_abs_delta_j=None,
-                   max_shape_distance=None):
-        """CI-gate check; same semantics as the policy matrix, with the
-        device id folded into the offending row's name."""
-        thresholds = (max_windows is not None
-                      or max_abs_delta_j is not None
-                      or max_shape_distance is not None)
-        problems = []
-        for row in self.candidate_rows:
-            label = f"{row['device']}/{row['policy']}"
-            if not thresholds:
-                if not row["identical"]:
-                    problems.append(
-                        f"{label}: diverges from baseline "
-                        f"({row['windows']} window(s), "
-                        f"{row['energy_delta_j']:+.1f} J)"
-                    )
-                continue
-            if max_windows is not None and row["windows"] > max_windows:
-                problems.append(
-                    f"{label}: {row['windows']} divergence window(s) "
-                    f"> {max_windows}"
-                )
-            if (max_abs_delta_j is not None
-                    and abs(row["energy_delta_j"]) > max_abs_delta_j):
-                problems.append(
-                    f"{label}: |energy delta| "
-                    f"{abs(row['energy_delta_j']):.1f} J "
-                    f"> {max_abs_delta_j:g} J"
-                )
-            if (max_shape_distance is not None
-                    and row["shape_distance"] > max_shape_distance):
-                problems.append(
-                    f"{label}: shape distance "
-                    f"{row['shape_distance']:.4f} "
-                    f"> {max_shape_distance:g}"
-                )
-        return problems
-
-    def render(self):
-        """Human table: one line per (device, policy) row."""
-        from repro.analysis import render_table
-
-        rows = []
-        for row in self.rows:
-            first = row["first_divergence_did"]
-            rows.append([
-                row["device"],
-                row["policy"],
-                f"{row['energy_total_j']:.1f}",
-                f"{row['energy_delta_j']:+.1f}",
-                str(row["windows"]),
-                str(first) if first is not None else "-",
-                "met" if row["goal_met"] else "MISSED",
-                f"{row['shape_distance']:.4f}",
-            ])
-        title = (f"fleet robustness matrix — {self.campaign} "
-                 f"({len(self.devices)} device(s), baseline: "
-                 f"{policy_label(self.baseline)})")
-        return render_table(
-            ["device", "policy", "energy (J)", "ΔJ", "windows",
-             "first div", "goal", "shape dist"],
-            rows, title=title,
-        )
-
-
-def fleet_from_values(spec, values):
-    """Fold per-task rows into a :class:`FleetMatrix` (spec order)."""
-    baseline = {}
-    scenario = {}
-    if spec.tasks:
-        baseline = dict(spec.tasks[0].params.get("baseline", {}))
-        scenario = dict(spec.tasks[0].params.get("scenario", {}))
-    devices = []
-    seen = set()
-    for task in spec.tasks:
-        device = task.params.get("device")
-        if device and device["device_id"] not in seen:
-            seen.add(device["device_id"])
-            devices.append(dict(device))
-    rows = []
-    for task in spec.tasks:
-        value = values.get(task.id)
-        if isinstance(value, dict) and "policy" in value:
-            rows.append(value)
-    return FleetMatrix(spec.name, baseline, scenario, devices, rows)
-
-
-def fleet_from_result(result):
-    """Fold a completed :class:`~repro.fleet.runner.CampaignResult`."""
-    return fleet_from_values(result.spec, result.values)
+                          name=None, gap=0):
+    """:func:`~repro.fleet.diffmatrix.policy_matrix_campaign` with the
+    fleet first."""
+    return policy_matrix_campaign(candidates, baseline=baseline,
+                                  scenario=scenario, name=name, gap=gap,
+                                  devices=devices)

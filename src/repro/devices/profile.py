@@ -192,13 +192,19 @@ def load_fleet(path):
     """Load a fleet calibration file written by :func:`write_fleet`."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    if payload.get("kind") != FLEET_KIND:
+    if not isinstance(payload, dict) or payload.get("kind") != FLEET_KIND:
         raise ValueError(f"not a device-fleet file: {path}")
     if payload.get("version") != FLEET_VERSION:
         raise ValueError(
             f"unsupported device-fleet version {payload.get('version')}")
-    devices = [DeviceProfile.from_dict(entry)
-               for entry in payload.get("devices", ())]
+    entries = payload.get("devices", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"fleet file devices must be a list: {path}")
+    devices = []
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "device_id" not in entry:
+            raise ValueError(f"device {index} in {path} has no device_id")
+        devices.append(DeviceProfile.from_dict(entry))
     if not devices:
         raise ValueError(f"fleet file has no devices: {path}")
     seen = set()

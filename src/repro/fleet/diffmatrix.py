@@ -23,11 +23,20 @@ a campaign:
    canonical JSON document, rendered table, and threshold checks for
    CI gating.
 
+An optional device axis (EMaaS-style, PAPERS.md) asks which policies
+stay well-behaved across a fleet of *non-identical* devices: given
+``devices``, the campaign lays the same rows once per
+:class:`~repro.devices.profile.DeviceProfile`, each row simulating both
+candidate and baseline on that device (so the diff is
+candidate-on-D vs baseline-on-D), and the folded document becomes a
+``fleet-matrix`` with the device block and a per-policy robustness
+summary across devices.
+
 Because each row is a pure function of ``(candidate, baseline,
-scenario)`` params and the fold is keyed on task ids, the matrix
-document is byte-identical across serial, parallel, cache-warm, and
-service-submitted runs — the same invariant the fleet holds for every
-other campaign.
+scenario, device)`` params and the fold is keyed on task ids, the
+matrix document is byte-identical across serial, parallel, cache-warm,
+and service-submitted runs — the same invariant the fleet holds for
+every other campaign.
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ from repro.fleet.spec import CampaignSpec, Task, canonical_json
 __all__ = [
     "MATRIX_KIND",
     "MATRIX_VERSION",
+    "FLEET_MATRIX_KIND",
+    "FLEET_MATRIX_VERSION",
     "MATRIX_TASK_FN",
     "POLICY_KEYS",
     "SCENARIO_KEYS",
@@ -52,6 +63,11 @@ __all__ = [
 
 MATRIX_KIND = "policy-matrix"
 MATRIX_VERSION = 1
+#: Document kind of a matrix with a device axis.
+FLEET_MATRIX_KIND = "fleet-matrix"
+FLEET_MATRIX_VERSION = 1
+_VERSIONS = {MATRIX_KIND: MATRIX_VERSION,
+             FLEET_MATRIX_KIND: FLEET_MATRIX_VERSION}
 MATRIX_TASK_FN = "repro.fleet.diffmatrix:policy_matrix_row"
 
 #: Builder params a policy variant may set (everything here is a
@@ -109,7 +125,7 @@ def parse_policy_spec(text, allowed=None):
             raise ValueError(f"malformed policy spec item {item!r} "
                              f"(expected key=value)")
         if key == "hysteresis":
-            if _parse_bool(value):
+            if _parse_bool(key, value):
                 params.pop("variable_fraction", None)
                 params.pop("constant_fraction", None)
             else:
@@ -122,21 +138,28 @@ def parse_policy_spec(text, allowed=None):
                 f"{', '.join(sorted(allowed))}, plus 'hysteresis')"
             )
         if key in _BOOL_KEYS:
-            params[key] = _parse_bool(value)
-        elif key in _INT_KEYS:
-            params[key] = int(value)
+            params[key] = _parse_bool(key, value)
         else:
-            params[key] = float(value)
+            params[key] = _parse_number(key, value)
     return params
 
 
-def _parse_bool(value):
+def _parse_bool(key, value):
     lowered = value.lower()
     if lowered in ("on", "true", "yes", "1"):
         return True
     if lowered in ("off", "false", "no", "0"):
         return False
-    raise ValueError(f"not a boolean: {value!r} (use on/off)")
+    raise ValueError(f"{key} expects on/off, got {value!r}")
+
+
+def _parse_number(key, value):
+    kind, cast = (("an integer", int) if key in _INT_KEYS
+                  else ("a number", float))
+    try:
+        return cast(value)
+    except ValueError:
+        raise ValueError(f"{key} expects {kind}, got {value!r}") from None
 
 
 def policy_label(params):
@@ -204,18 +227,24 @@ def _traced_record(params):
 
 
 def policy_matrix_row(label, candidate=None, baseline=None, scenario=None,
-                      gap=0):
+                      gap=0, device=None):
     """Fleet task: diff one candidate policy against the baseline.
 
     Runs both policies on the shared scenario (baseline runs are
     memoized per process) and reduces the pair to one scorecard row.
-    All inputs are plain JSON, so the task is cacheable and
-    service-submittable; the row is a pure function of its params.
+    ``device`` (a :class:`~repro.devices.profile.DeviceProfile` dict)
+    joins the scenario params, so candidate and baseline simulate on
+    the same miscalibrated hardware and the memo keys on it; the row
+    is stamped with its ``device_id``.  All inputs are plain JSON, so
+    the task is cacheable and service-submittable; the row is a pure
+    function of its params.
     """
     from repro.obs.diff import diff_row
     from repro.obs.signature import signature_distance
 
     scenario = dict(scenario or {})
+    if device is not None:
+        scenario["device"] = dict(device)
     candidate_params = dict(scenario, **dict(candidate or {}))
     baseline_params = dict(scenario, **dict(baseline or {}))
     cand = _traced_record(candidate_params)
@@ -235,6 +264,8 @@ def policy_matrix_row(label, candidate=None, baseline=None, scenario=None,
         "shape_distance": shape["shape_distance"],
         "behaviour_match": shape["behaviour_match"],
     })
+    if device is not None:
+        row["device"] = device["device_id"]
     return row
 
 
@@ -257,8 +288,26 @@ def _normalize_candidates(candidates):
     return normalized
 
 
+def _device_dicts(devices):
+    """Plain device dicts with unique, non-empty ids, in fleet order."""
+    records = []
+    seen = set()
+    for device in devices:
+        record = (device.to_dict() if hasattr(device, "to_dict")
+                  else dict(device))
+        if not record.get("device_id"):
+            raise ValueError("device profile missing device_id")
+        if record["device_id"] in seen:
+            raise ValueError(f"duplicate device_id {record['device_id']!r}")
+        seen.add(record["device_id"])
+        records.append(record)
+    if not records:
+        raise ValueError("fleet must contain at least one device")
+    return records
+
+
 def policy_matrix_campaign(candidates, baseline=None, scenario=None,
-                           name="policy-matrix", gap=0):
+                           name=None, gap=0, devices=None):
     """Build the matrix campaign: a baseline self-row plus one row per
     candidate, in the given order.
 
@@ -268,6 +317,12 @@ def policy_matrix_campaign(candidates, baseline=None, scenario=None,
     or spec string); ``scenario`` sizes the shared run (e.g.
     ``goal_seconds``/``initial_energy``).  Duplicate labels raise, as
     any duplicate task id does.
+
+    With ``devices`` (profiles or their dicts), the rows repeat per
+    device under ids ``row/{device_id}/{label}``: device-major in the
+    given fleet order, baseline first within each device — the fold
+    preserves spec order, so this is also the document order.  ``name``
+    defaults to the document kind.
     """
     if isinstance(baseline, str):
         baseline = parse_policy_spec(baseline)
@@ -277,8 +332,10 @@ def policy_matrix_campaign(candidates, baseline=None, scenario=None,
     if unknown:
         raise ValueError(f"unknown scenario key(s): "
                          f"{', '.join(sorted(unknown))}")
+    rows = [(BASELINE_LABEL, dict(baseline))]
+    rows.extend(_normalize_candidates(candidates))
 
-    def make_task(label, params):
+    def make_task(device, label, params):
         task_params = {
             "label": label,
             "candidate": params,
@@ -289,17 +346,50 @@ def policy_matrix_campaign(candidates, baseline=None, scenario=None,
         # keys) stay stable if a gap axis is never used.
         if gap:
             task_params["gap"] = gap
-        return Task(id=f"row/{label}", fn=MATRIX_TASK_FN,
-                    params=task_params)
+        if device is None:
+            task_id = f"row/{label}"
+        else:
+            task_params["device"] = device
+            task_id = f"row/{device['device_id']}/{label}"
+        return Task(id=task_id, fn=MATRIX_TASK_FN, params=task_params)
 
-    tasks = [make_task(BASELINE_LABEL, dict(baseline))]
-    for label, params in _normalize_candidates(candidates):
-        tasks.append(make_task(label, params))
+    fleet = [None] if devices is None else _device_dicts(devices)
+    tasks = [make_task(device, label, params)
+             for device in fleet for label, params in rows]
+    if name is None:
+        name = MATRIX_KIND if devices is None else FLEET_MATRIX_KIND
     return CampaignSpec(name=name, tasks=tuple(tasks))
+
+
+def _robustness(rows):
+    """Per-policy summary across devices (pure fold, document-stable)."""
+    groups = {}
+    for row in rows:
+        if row["policy"] != BASELINE_LABEL:
+            groups.setdefault(row["policy"], []).append(row)
+    summary = {}
+    for policy, group in groups.items():
+        deltas = [row["energy_delta_j"] for row in group]
+        summary[policy] = {
+            "devices": len(group),
+            "diverged": sum(1 for row in group if not row["identical"]),
+            "goal_missed": sum(1 for row in group if not row["goal_met"]),
+            "energy_delta_min_j": min(deltas),
+            "energy_delta_max_j": max(deltas),
+            "energy_delta_spread_j": max(deltas) - min(deltas),
+            "shape_distance_max": max(row["shape_distance"]
+                                      for row in group),
+        }
+    return summary
 
 
 class PolicyMatrix:
     """The folded scorecard: one row per policy, baseline first.
+
+    ``devices`` is ``None`` for a single-device matrix; a list makes it
+    a fleet matrix, whose rows run device-major and whose document
+    (kind ``fleet-matrix``) adds the device block and the cross-device
+    robustness summary.
 
     ``document()`` is the byte-comparable artifact (canonical JSON +
     trailing newline, the :func:`repro.service.jobs.results_document`
@@ -307,14 +397,16 @@ class PolicyMatrix:
     the CI gate.
     """
 
-    def __init__(self, campaign, baseline, scenario, rows):
+    def __init__(self, campaign, baseline, scenario, rows, devices=None):
         self.campaign = campaign
         self.baseline = dict(baseline)
         self.scenario = dict(scenario)
         self.rows = list(rows)
+        self.devices = (None if devices is None
+                        else [dict(device) for device in devices])
 
     def to_dict(self):
-        return {
+        record = {
             "kind": MATRIX_KIND,
             "version": MATRIX_VERSION,
             "campaign": self.campaign,
@@ -322,18 +414,31 @@ class PolicyMatrix:
             "scenario": dict(self.scenario),
             "rows": [dict(row) for row in self.rows],
         }
+        if self.devices is not None:
+            record.update({
+                "kind": FLEET_MATRIX_KIND,
+                "version": FLEET_MATRIX_VERSION,
+                "devices": [dict(device) for device in self.devices],
+                "robustness": _robustness(self.rows),
+            })
+        return record
 
     @classmethod
     def from_dict(cls, record):
-        if record.get("kind") != MATRIX_KIND:
-            raise ValueError("not a policy-matrix document")
-        if record.get("version") != MATRIX_VERSION:
+        kind = record.get("kind")
+        if kind not in _VERSIONS:
+            raise ValueError(f"not a policy- or fleet-matrix document "
+                             f"(kind {kind!r})")
+        if record.get("version") != _VERSIONS[kind]:
             raise ValueError(
-                f"policy-matrix version {record.get('version')} "
-                f"!= supported {MATRIX_VERSION}"
+                f"{kind} version {record.get('version')} "
+                f"!= supported {_VERSIONS[kind]}"
             )
+        devices = (record.get("devices", []) if kind == FLEET_MATRIX_KIND
+                   else None)
         return cls(record["campaign"], record["baseline"],
-                   record.get("scenario", {}), record["rows"])
+                   record.get("scenario", {}), record["rows"],
+                   devices=devices)
 
     def document(self):
         """Canonical JSON text + trailing newline — the blessed bytes."""
@@ -352,7 +457,8 @@ class PolicyMatrix:
         With no thresholds, any divergence at all is a violation (the
         ``repro diff --fail-on-divergence`` semantics).  Each threshold
         relaxes its own axis: a row only violates when it exceeds a
-        given bound.  Returns a list of human-readable strings.
+        given bound.  Rows with a device are named ``device/policy``.
+        Returns a list of human-readable strings.
         """
         thresholds = (max_windows is not None
                       or max_abs_delta_j is not None
@@ -360,6 +466,8 @@ class PolicyMatrix:
         problems = []
         for row in self.candidate_rows:
             label = row["policy"]
+            if "device" in row:
+                label = f"{row['device']}/{label}"
             if not thresholds:
                 if not row["identical"]:
                     problems.append(
@@ -390,13 +498,17 @@ class PolicyMatrix:
         return problems
 
     def render(self):
-        """Human table: one line per policy row."""
+        """Human table: one line per row, led by its device if any."""
         from repro.analysis import render_table
 
+        fleet = self.devices is not None
+        headers = ["policy", "energy (J)", "ΔJ", "Δ%", "windows",
+                   "first div", "goal", "shape dist"]
         rows = []
         for row in self.rows:
             first = row["first_divergence_did"]
-            rows.append([
+            rows.append([row["device"]] if fleet else [])
+            rows[-1].extend([
                 row["policy"],
                 f"{row['energy_total_j']:.1f}",
                 f"{row['energy_delta_j']:+.1f}",
@@ -406,13 +518,16 @@ class PolicyMatrix:
                 "met" if row["goal_met"] else "MISSED",
                 f"{row['shape_distance']:.4f}",
             ])
-        title = (f"policy diff matrix — {self.campaign} "
-                 f"(baseline: {policy_label(self.baseline)})")
-        return render_table(
-            ["policy", "energy (J)", "ΔJ", "Δ%", "windows",
-             "first div", "goal", "shape dist"],
-            rows, title=title,
-        )
+        baseline = policy_label(self.baseline)
+        if fleet:
+            headers.insert(0, "device")
+            title = (f"fleet robustness matrix — {self.campaign} "
+                     f"({len(self.devices)} device(s), "
+                     f"baseline: {baseline})")
+        else:
+            title = (f"policy diff matrix — {self.campaign} "
+                     f"(baseline: {baseline})")
+        return render_table(headers, rows, title=title)
 
 
 def matrix_from_values(spec, values):
@@ -422,19 +537,25 @@ def matrix_from_values(spec, values):
     runner (``CampaignResult.values``) and the service result payload
     expose, so both drivers fold — and serialize — identically.  Rows
     keep spec order; tasks without a value (permanent failures) are
-    skipped, mirroring how partial sweeps render partial tables.
+    skipped, mirroring how partial sweeps render partial tables.  The
+    device block comes from the task params, in first-seen order.
     """
     baseline = {}
     scenario = {}
     if spec.tasks:
         baseline = dict(spec.tasks[0].params.get("baseline", {}))
         scenario = dict(spec.tasks[0].params.get("scenario", {}))
+    devices = {}
     rows = []
     for task in spec.tasks:
+        device = task.params.get("device")
+        if device:
+            devices.setdefault(device["device_id"], device)
         value = values.get(task.id)
         if isinstance(value, dict) and "policy" in value:
             rows.append(value)
-    return PolicyMatrix(spec.name, baseline, scenario, rows)
+    return PolicyMatrix(spec.name, baseline, scenario, rows,
+                        devices=list(devices.values()) if devices else None)
 
 
 def matrix_from_result(result):

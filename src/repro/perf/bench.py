@@ -472,7 +472,7 @@ def bench_fleet_matrix_fold(quick, repeats):
     simulations that produce real rows.
     """
     from repro.devices import DeviceProfile
-    from repro.devices.fleetmatrix import FleetMatrix
+    from repro.fleet.diffmatrix import PolicyMatrix
 
     n_devices = 100 if quick else 400
     policies = ("baseline", "hysteresis=off", "lookahead=on",
@@ -497,7 +497,7 @@ def bench_fleet_matrix_fold(quick, repeats):
             })
 
     def fold():
-        matrix = FleetMatrix("bench", {}, {}, devices, rows)
+        matrix = PolicyMatrix("bench", {}, {}, rows, devices=devices)
         return len(matrix.document())
 
     seconds, document_bytes = _best_of(

@@ -208,22 +208,23 @@ def fleet_matrix_golden_path():
 
 def fleet_matrix_campaign_spec():
     """The pinned fleet-matrix campaign the golden is blessed from."""
-    from repro.devices import fleet_matrix_campaign, generate_fleet
+    from repro.devices import generate_fleet
+    from repro.fleet.diffmatrix import policy_matrix_campaign
 
-    return fleet_matrix_campaign(
-        generate_fleet(FLEET_SIZE, FLEET_SEED), FLEET_CANDIDATES,
-        baseline={}, scenario=dict(FLEET_SCENARIO),
+    return policy_matrix_campaign(
+        FLEET_CANDIDATES, baseline={}, scenario=dict(FLEET_SCENARIO),
         name=FLEET_MATRIX_GOLDEN,
+        devices=generate_fleet(FLEET_SIZE, FLEET_SEED),
     )
 
 
 def run_fleet_matrix_scenario(jobs=1, cache=None):
-    """Run the pinned fleet campaign; return the ``FleetMatrix``."""
-    from repro.devices import fleet_from_result
+    """Run the pinned fleet campaign; return its ``PolicyMatrix``."""
+    from repro.fleet.diffmatrix import matrix_from_result
     from repro.fleet.runner import FleetRunner
 
     runner = FleetRunner(jobs=jobs, cache=cache)
-    return fleet_from_result(runner.run(fleet_matrix_campaign_spec()))
+    return matrix_from_result(runner.run(fleet_matrix_campaign_spec()))
 
 
 # ----------------------------------------------------------------------

@@ -2,99 +2,39 @@
 
 The committed ``tests/goldens/policy-matrix.json`` is the canonical
 N-way diff document for the pinned candidate grid (see
-``tests/golden_scenarios.py``).  These tests assert the freshly
-computed document is *byte-identical* to the golden across every
-driver the matrix can run under — serial, parallel workers, a warm
-result cache, and a service-submitted job — so any controller drift,
-diff-algorithm change, or serialization wobble fails loudly with the
-offending rows.  Intentional changes are re-blessed with
-``python scripts/regen_goldens.py --matrix``.
+``tests/golden_scenarios.py``).  The shared golden suite
+(``tests/matrix_golden_suite.py``) asserts the freshly computed
+document is *byte-identical* to it under every driver; the tests here
+pin what is specific to the single-device matrix.  Intentional changes
+are re-blessed with ``python scripts/regen_goldens.py --matrix``.
 """
 
 import json
-import os
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
-from repro.service import CampaignService
-from tests.golden_scenarios import (
-    MATRIX_CANDIDATES,
-    matrix_campaign_spec,
-    matrix_golden_path,
-    run_matrix_scenario,
-)
-
-REBLESS_HINT = (
-    "\n\nIf this behaviour change is intentional, re-bless with: "
-    "PYTHONPATH=src python scripts/regen_goldens.py --matrix"
+from tests.golden_scenarios import MATRIX_CANDIDATES
+from tests.matrix_golden_suite import (  # noqa: F401 — collected here
+    POLICY_GOLDEN,
+    test_cache_warm_matches_golden,
+    test_document_round_trips,
+    test_from_dict_rejects_unknown_kind_and_version,
+    test_golden_grid_would_trip_ci_gate,
+    test_parallel_matches_golden,
+    test_serial_matches_golden,
+    test_service_submission_matches_golden,
 )
 
 
-def golden_document():
-    path = matrix_golden_path()
-    assert os.path.exists(path), (
-        f"missing golden {path}; generate it with "
-        f"scripts/regen_goldens.py --matrix"
-    )
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
-
-
-def assert_matches_golden(document, driver):
-    golden = golden_document()
-    if document == golden:
-        return
-    got = json.loads(document)["rows"]
-    want = json.loads(golden)["rows"]
-    drifted = [r["policy"] for r, g in zip(got, want) if r != g]
-    raise AssertionError(
-        f"matrix document under {driver} is not byte-identical to the "
-        f"golden (drifted rows: {drifted or 'serialization only'})"
-        + REBLESS_HINT
-    )
-
-
-def test_serial_matches_golden():
-    assert_matches_golden(run_matrix_scenario().document(), "serial")
-
-
-def test_parallel_matches_golden():
-    assert_matches_golden(run_matrix_scenario(jobs=2).document(),
-                          "jobs=2")
-
-
-def test_cache_warm_matches_golden(tmp_path):
-    cache = tmp_path / "cache"
-    cold = run_matrix_scenario(cache=cache)
-    warm = run_matrix_scenario(cache=cache)
-    assert_matches_golden(cold.document(), "cache-cold")
-    assert_matches_golden(warm.document(), "cache-warm")
-
-
-def test_service_submission_matches_golden(tmp_path):
-    """A matrix campaign through the persistent service folds to the
-    same bytes as the one-shot runner."""
-    from repro.fleet.diffmatrix import matrix_from_values
-
-    spec = matrix_campaign_spec()
-    svc = CampaignService(workers=2, cache=tmp_path / "cache",
-                          poll_s=0.02, backoff_s=0.01,
-                          tracer=NULL_TRACER, metrics=MetricsRegistry())
-    with svc:
-        job_id = svc.submit(spec)
-        status = svc.wait(job_id, timeout=120)
-        assert status["state"] == "done"
-        payload = svc.result(job_id)
-    matrix = matrix_from_values(spec, payload["values"])
-    assert_matches_golden(matrix.document(), "service")
+@pytest.fixture
+def matrix_golden():
+    return POLICY_GOLDEN
 
 
 def test_golden_rows_are_meaningful():
     """Every candidate in the golden actually diverges — the matrix
     pins real policy differences, not a wall of zeros."""
-    golden = json.loads(golden_document())
+    golden = json.loads(POLICY_GOLDEN.document())
     rows = {r["policy"]: r for r in golden["rows"]}
     baseline = rows.pop("baseline")
     assert baseline["identical"] is True
@@ -123,30 +63,8 @@ def test_perturbed_policy_fails_golden(monkeypatch):
     from repro.fleet import diffmatrix
 
     monkeypatch.setattr(diffmatrix, "_RECORD_MEMO", {})
-    document = run_matrix_scenario().document()
-    assert document != golden_document(), (
+    document = POLICY_GOLDEN.run().document()
+    assert document != POLICY_GOLDEN.document(), (
         "perturbing the controller did not change the matrix document"
         " — the golden would not catch real drift"
     )
-
-
-def test_document_round_trips():
-    """from_dict(to_dict) reproduces the exact document bytes."""
-    from repro.fleet.diffmatrix import PolicyMatrix
-
-    golden = golden_document()
-    matrix = PolicyMatrix.from_dict(json.loads(golden))
-    assert matrix.document() == golden
-
-
-@pytest.mark.parametrize("flag", ["--max-windows", "--max-delta-j"])
-def test_golden_grid_would_trip_ci_gate(flag):
-    """The CI gate thresholds are meaningful against this golden: a
-    zero bound trips on every candidate, a huge bound on none."""
-    from repro.fleet.diffmatrix import PolicyMatrix
-
-    matrix = PolicyMatrix.from_dict(json.loads(golden_document()))
-    kwargs = {"--max-windows": "max_windows",
-              "--max-delta-j": "max_abs_delta_j"}[flag]
-    assert len(matrix.violations(**{kwargs: 0})) == len(MATRIX_CANDIDATES)
-    assert matrix.violations(**{kwargs: 10**9}) == []

@@ -148,3 +148,17 @@ def test_label_parse_round_trip():
         label = policy_label(params)
         assert parse_policy_spec(label) == params
         assert policy_label(parse_policy_spec(label)) == label
+
+
+@pytest.mark.parametrize("text,message", [
+    ("beam_width=1.5", "beam_width expects an integer, got '1.5'"),
+    ("beam_depth=two", "beam_depth expects an integer, got 'two'"),
+    ("horizon=abc", "horizon expects a number, got 'abc'"),
+    ("lookahead=maybe", "lookahead expects on/off, got 'maybe'"),
+    ("hysteresis=sometimes", "hysteresis expects on/off, got 'sometimes'"),
+])
+def test_bad_value_names_its_key(text, message):
+    """A bad value's error names the key and the expected type."""
+    with pytest.raises(ValueError) as excinfo:
+        parse_policy_spec(text)
+    assert str(excinfo.value) == message

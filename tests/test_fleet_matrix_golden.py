@@ -3,103 +3,41 @@
 The committed ``tests/goldens/fleet-matrix.json`` is the canonical
 per-device × per-policy document for the pinned generated fleet
 (4 devices, seed 7 — the ``repro sweep --fleet-size 4 --fleet-seed 7
---diff-against default`` campaign).  These tests assert the freshly
-computed document is *byte-identical* to the golden across every
-driver — serial, parallel workers, a warm result cache, and a
-service-submitted job — so device-profile generation drift, calibrated
-machine construction drift, or fold/serialization wobble fails loudly.
-Intentional changes are re-blessed with
-``python scripts/regen_goldens.py --fleet-matrix``.
+--diff-against default`` campaign).  The shared golden suite
+(``tests/matrix_golden_suite.py``) asserts the freshly computed
+document is *byte-identical* to it under every driver; the tests here
+pin what the device axis adds: the generated device block, per-device
+baseline rows, and the robustness fold.  Intentional changes are
+re-blessed with ``python scripts/regen_goldens.py --fleet-matrix``.
 """
 
 import json
-import os
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
-from repro.service import CampaignService
-from tests.golden_scenarios import (
-    FLEET_CANDIDATES,
-    FLEET_SEED,
-    FLEET_SIZE,
-    fleet_matrix_campaign_spec,
-    fleet_matrix_golden_path,
-    run_fleet_matrix_scenario,
-)
-
-REBLESS_HINT = (
-    "\n\nIf this behaviour change is intentional, re-bless with: "
-    "PYTHONPATH=src python scripts/regen_goldens.py --fleet-matrix"
+from tests.golden_scenarios import FLEET_CANDIDATES, FLEET_SEED, FLEET_SIZE
+from tests.matrix_golden_suite import (  # noqa: F401 — collected here
+    FLEET_GOLDEN,
+    test_cache_warm_matches_golden,
+    test_document_round_trips,
+    test_from_dict_rejects_unknown_kind_and_version,
+    test_golden_grid_would_trip_ci_gate,
+    test_parallel_matches_golden,
+    test_serial_matches_golden,
+    test_service_submission_matches_golden,
 )
 
 
-def golden_document():
-    path = fleet_matrix_golden_path()
-    assert os.path.exists(path), (
-        f"missing golden {path}; generate it with "
-        f"scripts/regen_goldens.py --fleet-matrix"
-    )
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
-
-
-def assert_matches_golden(document, driver):
-    golden = golden_document()
-    if document == golden:
-        return
-    got = json.loads(document)["rows"]
-    want = json.loads(golden)["rows"]
-    drifted = [f"{r.get('device')}/{r.get('policy')}"
-               for r, g in zip(got, want) if r != g]
-    raise AssertionError(
-        f"fleet matrix document under {driver} is not byte-identical to "
-        f"the golden (drifted rows: {drifted or 'serialization only'})"
-        + REBLESS_HINT
-    )
-
-
-def test_serial_matches_golden():
-    assert_matches_golden(run_fleet_matrix_scenario().document(), "serial")
-
-
-def test_parallel_matches_golden():
-    assert_matches_golden(run_fleet_matrix_scenario(jobs=2).document(),
-                          "jobs=2")
-
-
-def test_cache_warm_matches_golden(tmp_path):
-    cache = tmp_path / "cache"
-    cold = run_fleet_matrix_scenario(cache=cache)
-    warm = run_fleet_matrix_scenario(cache=cache)
-    assert_matches_golden(cold.document(), "cache-cold")
-    assert_matches_golden(warm.document(), "cache-warm")
-
-
-def test_service_submission_matches_golden(tmp_path):
-    """A fleet campaign through the persistent service folds to the
-    same bytes as the one-shot runner."""
-    from repro.devices import fleet_from_values
-
-    spec = fleet_matrix_campaign_spec()
-    svc = CampaignService(workers=2, cache=tmp_path / "cache",
-                          poll_s=0.02, backoff_s=0.01,
-                          tracer=NULL_TRACER, metrics=MetricsRegistry())
-    with svc:
-        job_id = svc.submit(spec)
-        status = svc.wait(job_id, timeout=240)
-        assert status["state"] == "done"
-        payload = svc.result(job_id)
-    matrix = fleet_from_values(spec, payload["values"])
-    assert_matches_golden(matrix.document(), "service")
+@pytest.fixture
+def matrix_golden():
+    return FLEET_GOLDEN
 
 
 def test_golden_devices_are_the_generated_fleet():
     """The golden's device block is exactly generate_fleet(4, 7)."""
     from repro.devices import generate_fleet
 
-    golden = json.loads(golden_document())
+    golden = json.loads(FLEET_GOLDEN.document())
     expected = [d.to_dict() for d in generate_fleet(FLEET_SIZE, FLEET_SEED)]
     assert golden["devices"] == expected
 
@@ -108,7 +46,7 @@ def test_golden_rows_are_meaningful():
     """Per device: the baseline self-row is exact, and the
     no-hysteresis candidate actually diverges on at least one
     miscalibrated device — the fleet axis carries signal."""
-    golden = json.loads(golden_document())
+    golden = json.loads(FLEET_GOLDEN.document())
     by_device = {}
     for row in golden["rows"]:
         by_device.setdefault(row["device"], {})[row["policy"]] = row
@@ -129,7 +67,7 @@ def test_golden_rows_are_meaningful():
 
 def test_golden_robustness_block_is_consistent():
     """The robustness summary is a pure fold of the rows."""
-    golden = json.loads(golden_document())
+    golden = json.loads(FLEET_GOLDEN.document())
     robustness = golden["robustness"]
     assert set(robustness) == set(FLEET_CANDIDATES)
     for policy, summary in robustness.items():
@@ -151,27 +89,8 @@ def test_perturbed_profile_generation_fails_golden(monkeypatch):
 
     monkeypatch.setattr(profile_mod, "MULTIPLIER_RANGE", (0.85, 1.20))
     monkeypatch.setattr(diffmatrix, "_RECORD_MEMO", {})
-    document = run_fleet_matrix_scenario().document()
-    assert document != golden_document(), (
+    document = FLEET_GOLDEN.run().document()
+    assert document != FLEET_GOLDEN.document(), (
         "perturbing fleet generation did not change the matrix document"
         " — the golden would not catch real drift"
     )
-
-
-def test_document_round_trips():
-    """from_dict(to_dict) reproduces the exact document bytes."""
-    from repro.devices import FleetMatrix
-
-    golden = golden_document()
-    matrix = FleetMatrix.from_dict(json.loads(golden))
-    assert matrix.document() == golden
-
-
-@pytest.mark.parametrize("flag", ["max_windows", "max_abs_delta_j"])
-def test_golden_grid_would_trip_ci_gate(flag):
-    """A zero bound trips on every diverged row; a huge bound on none."""
-    from repro.devices import FleetMatrix
-
-    matrix = FleetMatrix.from_dict(json.loads(golden_document()))
-    assert matrix.violations(**{flag: 0}), "zero bound trips nothing"
-    assert matrix.violations(**{flag: 10**9}) == []

@@ -166,3 +166,35 @@ class TestSubmitExitCode:
             "--endpoint", "http://127.0.0.1:1", "--wait",
         ])
         assert code == 2
+
+
+def write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+BAD_INPUTS = {
+    "missing-devices-file": lambda tmp: [
+        "sweep", "--diff-against", "default",
+        "--devices", str(tmp / "missing.json")],
+    "fleet-file-is-a-list": lambda tmp: [
+        "sweep", "--diff-against", "default",
+        "--devices", write_json(tmp / "fleet.json", [])],
+    "device-without-id": lambda tmp: [
+        "sweep", "--diff-against", "default",
+        "--devices", write_json(tmp / "fleet.json", {
+            "kind": "device-fleet", "version": 1,
+            "devices": [{"battery_scale": 0.9}]})],
+    "missing-submit-spec": lambda tmp: [
+        "submit", "--spec", str(tmp / "missing.json")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_two_with_one_error_line(case, tmp_path, capsys):
+    """Unreadable or misshapen input files are usage errors: exit 2
+    with a single ``error:`` line, never a traceback."""
+    code = cli.main(BAD_INPUTS[case](tmp_path))
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
