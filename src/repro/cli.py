@@ -306,8 +306,12 @@ def _cmd_diff(args):
     from repro.obs.diff import diff_traces
     from repro.obs.export import read_events_jsonl
 
-    events_a = read_events_jsonl(args.left)
-    events_b = read_events_jsonl(args.right)
+    try:
+        events_a = read_events_jsonl(args.left)
+        events_b = read_events_jsonl(args.right)
+    except (OSError, ValueError) as exc:
+        print(f"diff: {exc}", file=sys.stderr)
+        return 2
     diff = diff_traces(
         events_a, events_b,
         label_a=args.left, label_b=args.right,

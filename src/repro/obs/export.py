@@ -30,6 +30,7 @@ correlation story applied to our own simulator.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 __all__ = [
     "write_events_jsonl",
@@ -46,6 +47,14 @@ __all__ = [
 #: Chrome trace-event phases this exporter emits / the validator accepts.
 _PHASES = frozenset("IBEXCM")
 
+#: The one JSONL line encoder, shared with
+#: :class:`~repro.obs.tracer.JsonlSink`.  ``json.dumps(record,
+#: sort_keys=True)`` builds a new encoder per call; this one is built
+#: once and writes the same bytes through the C encoder.
+JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+_by_ts = itemgetter(0)
+
 
 def _as_dict(event):
     return event if isinstance(event, dict) else event.to_dict()
@@ -56,23 +65,36 @@ def _as_dict(event):
 # ----------------------------------------------------------------------
 def write_events_jsonl(events, path):
     """Write one JSON object per event, in emit order; returns the count."""
-    count = 0
+    encode = JSONL_ENCODER.encode
+    lines = [encode(_as_dict(event)) for event in events]
     with open(path, "w", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(json.dumps(_as_dict(event), sort_keys=True))
-            handle.write("\n")
-            count += 1
-    return count
+        if lines:
+            handle.write("\n".join(lines) + "\n")
+    return len(lines)
 
 
 def read_events_jsonl(path):
-    """Load a JSONL event log back into a list of dicts."""
+    """Load a JSONL event log back into a list of dicts.
+
+    Raises :class:`ValueError` naming ``path:line`` for a line that is
+    not a JSON object, so a truncated or foreign log fails with one
+    clear message.
+    """
     records = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not JSON ({exc.msg} at "
+                                 f"column {exc.colno})") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object, "
+                                 f"got {type(record).__name__}")
+            records.append(record)
     return records
 
 
@@ -88,52 +110,52 @@ def chrome_trace(events):
     so a trace assembled from several sources (or several simulators)
     still satisfies per-track monotonicity.
     """
-    records = [_as_dict(e) for e in events]
-    pids = {}
-    tids = {}
-    for record in records:
-        cat = record.get("cat") or "trace"
-        track = record.get("track") or cat
-        if cat not in pids:
-            pids[cat] = len(pids) + 1
-        if (cat, track) not in tids:
-            tids[(cat, track)] = sum(1 for c, _t in tids if c == cat) + 1
-
-    trace_events = []
-    for cat, pid in pids.items():
-        trace_events.append({
-            "ph": "M", "name": "process_name", "pid": pid,
-            "args": {"name": cat},
-        })
-    for (cat, track), tid in tids.items():
-        trace_events.append({
-            "ph": "M", "name": "thread_name", "pid": pids[cat], "tid": tid,
-            "args": {"name": track},
-        })
-
-    def sort_key(indexed):
-        index, record = indexed
-        cat = record.get("cat") or "trace"
-        track = record.get("track") or cat
-        return (pids[cat], tids[(cat, track)], record["ts"], index)
-
-    for _index, record in sorted(enumerate(records), key=sort_key):
-        cat = record.get("cat") or "trace"
-        track = record.get("track") or cat
-        entry = {
-            "name": record["name"],
-            "cat": cat,
-            "ph": record["ph"],
-            "ts": record["ts"] * 1e6,
-            "pid": pids[cat],
-            "tid": tids[(cat, track)],
-        }
-        if record["ph"] == "X":
-            entry["dur"] = (record.get("dur") or 0.0) * 1e6
-        args = record.get("args")
+    pids = {}     # cat -> pid, in first-appearance order
+    threads = {}  # (cat, track) -> (pid, tid, bucket), first appearance
+    tracks = {}   # cat -> its buckets, in tid order
+    for event in events:
+        if isinstance(event, dict):
+            get = event.get
+            name, ph, ts = event["name"], event["ph"], event["ts"]
+            cat, track, dur, args = (get("cat"), get("track"), get("dur"),
+                                     get("args"))
+        else:
+            name, ph, ts = event.name, event.ph, event.ts
+            cat, track = event.cat, event.track
+            dur, args = event.dur, event.args
+        cat = cat or "trace"
+        key = (cat, track or cat)
+        thread = threads.get(key)
+        if thread is None:
+            buckets = tracks.setdefault(cat, [])
+            buckets.append([])
+            thread = threads[key] = (pids.setdefault(cat, len(pids) + 1),
+                                     len(buckets), buckets[-1])
+        pid, tid, bucket = thread
+        entry = {"name": name, "cat": cat, "ph": ph, "ts": ts * 1e6,
+                 "pid": pid, "tid": tid}
+        if ph == "X":
+            entry["dur"] = (dur or 0.0) * 1e6
         if args is not None:
             entry["args"] = args
-        trace_events.append(entry)
+        bucket.append((ts, entry))
+
+    trace_events = [
+        {"ph": "M", "name": "process_name", "pid": pid,
+         "args": {"name": cat}}
+        for cat, pid in pids.items()
+    ]
+    trace_events += [
+        {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
+         "args": {"name": track}}
+        for (_cat, track), (pid, tid, _bucket) in threads.items()
+    ]
+    # Buckets are in (pid, tid) order and already in emit order, so a
+    # stable sort on ts yields the (pid, tid, ts, emit index) order.
+    for buckets in tracks.values():
+        for bucket in buckets:
+            bucket.sort(key=_by_ts)
+            trace_events += [entry for _ts, entry in bucket]
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
@@ -150,8 +172,11 @@ def write_chrome_trace(events, path):
         raise ValueError(
             "generated Chrome trace is invalid: " + "; ".join(problems)
         )
+    # json.dumps, not json.dump: dumping to a handle always takes the
+    # pure-Python encoder; dumps uses the C one for the same bytes.
+    text = json.dumps(trace)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(trace, handle)
+        handle.write(text)
         handle.write("\n")
     return len(trace["traceEvents"])
 
@@ -163,7 +188,8 @@ def validate_chrome_trace(trace):
     (``name``/``ph``, plus ``ts``/``pid``/``tid`` for non-metadata
     events and a non-negative ``dur`` for complete events), a known
     phase, and non-decreasing ``ts`` within each ``(pid, tid)`` track.
-    An empty list means the trace is valid.
+    An empty list means the trace is valid.  Malformed values are
+    reported as problems; the validator never raises on its input.
     """
     problems = []
     if not isinstance(trace, dict) or "traceEvents" not in trace:
@@ -178,13 +204,15 @@ def validate_chrome_trace(trace):
             problems.append(f"{where}: not an object")
             continue
         ph = event.get("ph")
-        if ph not in _PHASES:
+        if not isinstance(ph, str) or ph not in _PHASES:
             problems.append(f"{where}: unknown phase {ph!r}")
             continue
         if "name" not in event:
             problems.append(f"{where}: missing 'name'")
         if ph == "M":
-            if "pid" not in event or "name" not in event.get("args", {}):
+            args = event.get("args")
+            if ("pid" not in event or not isinstance(args, dict)
+                    or "name" not in args):
                 problems.append(f"{where}: metadata event needs pid and "
                                 f"args.name")
             continue
@@ -196,10 +224,19 @@ def validate_chrome_trace(trace):
         if not isinstance(ts, (int, float)):
             problems.append(f"{where}: ts must be a number, got {ts!r}")
             continue
-        if ph == "X" and event.get("dur", 0) < 0:
-            problems.append(f"{where}: negative dur")
+        if ph == "X":
+            dur = event.get("dur", 0)
+            if not isinstance(dur, (int, float)):
+                problems.append(f"{where}: dur must be a number, got {dur!r}")
+            elif dur < 0:
+                problems.append(f"{where}: negative dur")
         key = (event["pid"], event["tid"])
-        previous = last_ts.get(key)
+        try:
+            previous = last_ts.get(key)
+        except TypeError:
+            problems.append(f"{where}: pid and tid must be numbers or "
+                            f"strings, got {key!r}")
+            continue
         if previous is not None and ts < previous:
             problems.append(
                 f"{where}: ts {ts} goes backwards on track {key} "
@@ -242,7 +279,12 @@ def power_spans(events, branch=None):
     """
     spans = {}
     for event in events:
-        record = _as_dict(event)
+        if isinstance(event, dict):
+            record = event
+        elif event.cat == "power" and event.name == "span":
+            record = event.to_dict()
+        else:
+            continue
         if record.get("cat") != "power" or record.get("name") != "span":
             continue
         args = record.get("args") or {}
@@ -274,7 +316,12 @@ def join_power(events):
     spans = power_spans(events)
     joined = []
     for event in events:
-        record = _as_dict(event)
+        if isinstance(event, dict):
+            record = event
+        elif "power_span" in (event.args or {}):
+            record = event.to_dict()
+        else:
+            continue
         args = record.get("args") or {}
         if "power_span" not in args:
             continue

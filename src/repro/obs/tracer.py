@@ -37,10 +37,11 @@ Exporters map ``ts`` to microseconds for the Chrome trace format.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from contextlib import contextmanager
+
+from repro.obs.export import JSONL_ENCODER
 
 __all__ = [
     "TraceEvent",
@@ -137,8 +138,7 @@ class JsonlSink:
         self.count = 0
 
     def write(self, event):
-        self._handle.write(json.dumps(event.to_dict(), sort_keys=True))
-        self._handle.write("\n")
+        self._handle.write(JSONL_ENCODER.encode(event.to_dict()) + "\n")
         self.count += 1
 
     def flush(self):

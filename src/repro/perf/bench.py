@@ -510,6 +510,49 @@ def bench_fleet_matrix_fold(quick, repeats):
     }
 
 
+def bench_trace_export(quick, repeats):
+    """Export one pre-recorded goal trace: JSONL, Chrome trace, join.
+
+    The goal run is traced once, untimed, under a frozen wall clock, so
+    the timed region is only what ``repro trace goal`` spends after the
+    simulation: the JSONL log, the validated Chrome trace, and the
+    event↔energy join with its summary.
+    """
+    import os
+    import tempfile
+
+    from repro.experiments import run_goal_experiment
+    from repro.obs import Tracer, installed
+    from repro.obs.export import (join_power, join_summary,
+                                  write_chrome_trace, write_events_jsonl)
+
+    goal, energy = (60.0, 900.0) if quick else (197.0, 3_000.0)
+    tracer = Tracer(clock=lambda: 0.0)
+    with installed(tracer):
+        run_goal_experiment(goal, initial_energy=energy)
+        tracer.flush()
+    events = list(tracer.events)
+
+    with tempfile.TemporaryDirectory() as out_dir:
+        prefix = os.path.join(out_dir, "goal")
+
+        def export():
+            write_events_jsonl(events, prefix + ".jsonl")
+            trace_events = write_chrome_trace(events, prefix + ".trace.json")
+            return trace_events, join_summary(join_power(events))
+
+        seconds, (trace_events, join) = _best_of(
+            export, max(repeats, _MIN_CHEAP_REPEATS))
+    return {
+        "seconds": seconds,
+        "events": len(events),
+        "events_per_s": len(events) / seconds if seconds else 0.0,
+        "trace_events": trace_events,
+        "joins_resolved": join["resolved"],
+        "joins_total": join["total"],
+    }
+
+
 _BENCHES = {
     "calibration": bench_calibration,
     "engine_events": bench_engine_events,
@@ -524,6 +567,7 @@ _BENCHES = {
     "fork_lookahead": bench_fork_lookahead,
     "calibrator_fit": bench_calibrator_fit,
     "fleet_matrix_fold": bench_fleet_matrix_fold,
+    "trace_export": bench_trace_export,
 }
 
 BENCH_NAMES = tuple(_BENCHES)
@@ -696,6 +740,11 @@ def _detail(name, metrics):
         return (f"{metrics['rows']} rows -> "
                 f"{metrics['rows_per_s']:,.0f} rows/s "
                 f"({metrics['document_bytes']:,} bytes)")
+    if name == "trace_export":
+        return (f"{metrics['events']:,} events -> "
+                f"{metrics['events_per_s']:,.0f} events/s, "
+                f"{metrics['joins_resolved']}/{metrics['joins_total']} "
+                f"joins resolved")
     return ""
 
 

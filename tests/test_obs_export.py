@@ -1,10 +1,16 @@
 """Tests for the repro.obs exporters and the Chrome-trace validator."""
 
+import hashlib
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.obs import MetricsRegistry, Tracer
+from repro.cli import main as cli_main
+from repro.obs import MetricsRegistry, Tracer, installed
 from repro.obs.export import (
     chrome_trace,
     join_power,
@@ -123,6 +129,24 @@ class TestValidator:
         ]}
         assert any("negative dur" in p for p in validate_chrome_trace(bad))
 
+    @pytest.mark.parametrize("event, expected", [
+        ({"ph": "X", "name": "x", "ts": 0, "pid": 1, "tid": 1, "dur": None},
+         "dur must be a number"),
+        ({"ph": "X", "name": "x", "ts": 0, "pid": 1, "tid": 1, "dur": "1"},
+         "dur must be a number"),
+        ({"ph": "M", "name": "process_name", "pid": 1, "args": None},
+         "metadata event needs pid and args.name"),
+        ({"ph": ["X"], "name": "x", "ts": 0, "pid": 1, "tid": 1},
+         "unknown phase"),
+        ({"ph": "I", "name": "x", "ts": 0, "pid": [1], "tid": 1},
+         "pid and tid must be"),
+    ], ids=["null-dur", "string-dur", "null-metadata-args", "list-phase",
+            "list-pid"])
+    def test_malformed_values_reported_not_raised(self, event, expected):
+        problems = validate_chrome_trace({"traceEvents": [event]})
+        assert len(problems) == 1
+        assert expected in problems[0]
+
 
 class TestPowerJoin:
     def test_power_spans_indexes_by_sid(self):
@@ -203,3 +227,185 @@ class TestJoinSummary:
         summary = join_summary(join_power(tracer.events))
         assert summary["unresolved"] == 1
         assert summary["unresolved_sids"] == [3]
+
+
+# ----------------------------------------------------------------------
+# byte identity: pinned digests and the exporters' reference semantics
+# ----------------------------------------------------------------------
+#: sha256 of the JSONL and Chrome trace of a 30 s / 450 J goal run under
+#: a frozen wall clock.  The exporters may get faster; these bytes may
+#: not move (re-pin only for an intended format change).
+PINNED_GOAL_JSONL_SHA256 = (
+    "c2358ce143537f6867157e6a5dd11bb6736747ce1f73d98e19964253a57aaf75")
+PINNED_GOAL_TRACE_SHA256 = (
+    "9cc43bec007e667d5c57c2e9009061f44d4cccbc13373ddf63ff7372deca7bb7")
+
+
+def _sha256(path):
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+class TestPinnedBytes:
+    def test_goal_run_exports_match_pinned_digests(self, tmp_path):
+        from repro.experiments import run_goal_experiment
+
+        tracer = Tracer(clock=lambda: 0.0)
+        with installed(tracer):
+            run_goal_experiment(30.0, initial_energy=450.0)
+            tracer.flush()
+        jsonl = tmp_path / "goal.jsonl"
+        trace = tmp_path / "goal.trace.json"
+        write_events_jsonl(tracer.events, jsonl)
+        write_chrome_trace(tracer.events, trace)
+        assert _sha256(jsonl) == PINNED_GOAL_JSONL_SHA256
+        assert _sha256(trace) == PINNED_GOAL_TRACE_SHA256
+
+
+def _reference_order(records):
+    """The exporter's documented order: ``(pid, tid, ts, emit index)``,
+    with pids and tids numbered in first-appearance order."""
+    pids, tids = {}, {}
+    for record in records:
+        cat = record.get("cat") or "trace"
+        track = record.get("track") or cat
+        pids.setdefault(cat, len(pids) + 1)
+        if (cat, track) not in tids:
+            tids[(cat, track)] = sum(1 for c, _t in tids if c == cat) + 1
+
+    def key(indexed):
+        index, record = indexed
+        cat = record.get("cat") or "trace"
+        track = record.get("track") or cat
+        return (pids[cat], tids[(cat, track)], record["ts"], index)
+
+    ordered = []
+    for _index, record in sorted(enumerate(records), key=key):
+        cat = record.get("cat") or "trace"
+        track = record.get("track") or cat
+        ordered.append((record["name"], pids[cat], tids[(cat, track)],
+                        record["ts"] * 1e6))
+    return ordered
+
+
+def _power_args(sid, kind):
+    if kind == "span":
+        return {"sid": sid, "watts": 5.0, "joules": 2.5 * sid,
+                "process": "Idle"}
+    if kind == "branch-span":
+        return {"sid": sid, "watts": 7.0, "joules": 1.0, "branch": 1}
+    if kind == "ref":
+        return {"power_span": sid}
+    return None
+
+
+@st.composite
+def _event_streams(draw):
+    """Mixed dict/TraceEvent streams over several categories and tracks,
+    with ``ts`` ties and out-of-order stamps."""
+    from repro.obs.tracer import TraceEvent
+
+    size = draw(st.integers(min_value=0, max_value=40))
+    events = []
+    for index in range(size):
+        cat = draw(st.sampled_from(["sim", "power", "core", None]))
+        track = draw(st.sampled_from(["engine", "machine", "video", None]))
+        ph = draw(st.sampled_from("IBEXC"))
+        ts = draw(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.25, 3.0]))
+        dur = (draw(st.sampled_from([None, 0.0, 0.75]))
+               if ph == "X" else None)
+        kind = draw(st.sampled_from(["span", "branch-span", "ref", None]))
+        sid = draw(st.integers(min_value=1, max_value=4))
+        name = "span" if kind in ("span", "branch-span") else f"e{index}"
+        if kind in ("span", "branch-span"):
+            cat, ph = "power", "X"
+        event = TraceEvent(ts, 0.0, cat, name, ph, track, dur,
+                           _power_args(sid, kind))
+        events.append(event.to_dict() if draw(st.booleans()) else event)
+    return draw(st.permutations(events))
+
+
+def _dicts(events):
+    return [e if isinstance(e, dict) else e.to_dict() for e in events]
+
+
+class TestExportProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_event_streams())
+    def test_chrome_order_is_pid_tid_ts_index(self, events):
+        trace = chrome_trace(events)
+        assert not validate_chrome_trace(trace)
+        body = [(e["name"], e["pid"], e["tid"], e["ts"])
+                for e in trace["traceEvents"] if e["ph"] != "M"]
+        assert body == _reference_order(_dicts(events))
+        assert trace == chrome_trace(_dicts(events))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_event_streams())
+    def test_written_files_equal_the_reference_encoding(self, events):
+        with tempfile.TemporaryDirectory() as out_dir:
+            trace_path = os.path.join(out_dir, "t.trace.json")
+            jsonl_path = os.path.join(out_dir, "t.jsonl")
+            write_chrome_trace(events, trace_path)
+            write_events_jsonl(events, jsonl_path)
+            with open(trace_path, encoding="utf-8") as handle:
+                written_trace = handle.read()
+            with open(jsonl_path, encoding="utf-8") as handle:
+                written_jsonl = handle.read()
+        assert written_trace == json.dumps(chrome_trace(events)) + "\n"
+        assert written_jsonl == "".join(
+            json.dumps(record, sort_keys=True) + "\n"
+            for record in _dicts(events))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_event_streams())
+    def test_join_is_indifferent_to_input_shape(self, events):
+        records = _dicts(events)
+        assert power_spans(events) == power_spans(records)
+        assert power_spans(events, branch=1) == power_spans(records,
+                                                            branch=1)
+        assert join_power(events) == join_power(records)
+
+
+# ----------------------------------------------------------------------
+# input boundary: malformed logs fail with one line, never a traceback
+# ----------------------------------------------------------------------
+class TestReadEventsJsonl:
+    @pytest.mark.parametrize("line", ["not json", "[1, 2]", "7", '"s"'])
+    def test_bad_line_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"ts": 0}\n\n' + line + "\n")
+        with pytest.raises(ValueError, match=r"bad\.jsonl:3: "):
+            read_events_jsonl(path)
+
+
+def _good_log(tmp_path):
+    path = tmp_path / "good.jsonl"
+    write_events_jsonl(_sample_tracer().events, path)
+    return str(path)
+
+
+def _garbled_log(tmp_path):
+    path = tmp_path / "garbled.jsonl"
+    path.write_text('{"ts": 0.0, "cat": "core"}\n{truncated\n')
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (lambda tmp: ["diff", str(tmp / "missing.jsonl"), _good_log(tmp)],
+     "missing.jsonl"),
+    (lambda tmp: ["diff", _good_log(tmp), _garbled_log(tmp)],
+     "garbled.jsonl:2: "),
+    (lambda tmp: ["verify-profile", _garbled_log(tmp), "--against",
+                  os.path.join(os.path.dirname(__file__), "goldens",
+                               "goal-default.sig.json")],
+     "garbled.jsonl:2: "),
+], ids=["diff-missing-file", "diff-malformed-line",
+        "verify-profile-malformed-line"])
+def test_cli_bad_event_log_exits_2_with_one_line(tmp_path, capsys, argv,
+                                                 expected):
+    assert cli_main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert expected in err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

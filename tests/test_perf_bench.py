@@ -100,6 +100,15 @@ class TestRunner:
         assert metrics["advances"] == 5_000
         assert metrics["energy_total"] > 0
 
+    def test_trace_export_bench_runs(self):
+        results = run_benchmarks(quick=True, only=["trace_export"])
+        metrics = results["benches"]["trace_export"]
+        assert metrics["events"] > 1_000
+        # Process/thread metadata on top of one entry per event.
+        assert metrics["trace_events"] > metrics["events"]
+        assert metrics["joins_total"] > 0
+        assert metrics["joins_resolved"] == metrics["joins_total"]
+
     def test_bench_names_stable(self):
         assert "fig22_longduration" in BENCH_NAMES
         assert "calibration" in BENCH_NAMES
