@@ -260,6 +260,9 @@ class GoalDirectedController:
             # power feed (the monitor does not serialize callables).
             self.monitor.subscribe(self._on_power_sample)
             self._subscribed = True
+        # None unless a decision was pending at capture: a stale handle
+        # from a reused stack must not pass for one.
+        self._entry = None
         for when, seq, kind in ctx.events():
             if kind != "decide":
                 raise ValueError(f"unexpected goal event kind {kind!r}")

@@ -180,17 +180,36 @@ def policy_label(params):
 # ----------------------------------------------------------------------
 # the worker side: one row per candidate
 # ----------------------------------------------------------------------
-#: Per-process memo of traced runs, keyed on canonical builder params.
-#: Each worker simulates the shared baseline (and any repeated policy)
-#: once; results are pure functions of the params, so memoization can
-#: never change a row — only skip a re-simulation.
+#: Per-process memo of traced runs, keyed on builder params with the
+#: builder's defaults filled in (see :func:`_memo_key`).  Each worker
+#: simulates the shared baseline (and any repeated policy) once;
+#: results are pure functions of the params, so memoization can never
+#: change a row — only skip a re-simulation.
 _RECORD_MEMO = {}
 _RECORD_MEMO_MAX = 16
 
 
+def _memo_key(params, builder):
+    """Canonical params with ``builder``'s defaults filled in, so ``{}``
+    and ``{"lookahead": false}`` (the same scenario) share one entry.
+    Process-local only: task, cache and snapshot keys keep the params
+    as given."""
+    import inspect
+
+    full = {
+        name: parameter.default
+        for name, parameter in inspect.signature(builder).parameters.items()
+        if name not in ("tracer", "metrics")
+    }
+    full.update(params)
+    return canonical_json(full)
+
+
 def _traced_record(params):
     """Run one traced pulse scenario; return its reduced artifacts."""
-    key = canonical_json(params)
+    from repro.snapshot.scenario import build_pulse_scenario
+
+    key = _memo_key(params, build_pulse_scenario)
     record = _RECORD_MEMO.get(key)
     if record is not None:
         return record
@@ -200,7 +219,6 @@ def _traced_record(params):
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.signature import compute_signature
     from repro.obs.tracer import Tracer
-    from repro.snapshot.scenario import build_pulse_scenario
 
     # A private tracer (not process-installed) so matrix tasks compose
     # with worker-trace rings and nested tooling; the machine registers

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import json
 
+from repro.hardware.battery import Battery, ExternalSupply
 from repro.hardware.component import HardwareError
 from repro.obs.metrics import current_metrics
 from repro.sim.resources import Resource
@@ -276,6 +277,11 @@ class Machine:
 
         self._last_update = sim.now
         self.energy_total = 0.0
+        # Split grid (see split_at_grid): the next grid instant not yet
+        # integrated, or None when no sampler has handed its ticks over.
+        self._grid_next = None
+        self._grid_period = 0.0
+        self._grid_last = None
         self._energy_by_process = {}
         self._energy_by_procedure = {}
         self._energy_by_component = {}
@@ -444,7 +450,9 @@ class Machine:
         this runs before every state, context, or overlay change —
         which components and context methods guarantee.  The elapsed
         span joins the segment journal: it extends the open segment
-        when nothing changed, and opens a new one otherwise.
+        when nothing changed, and opens a new one otherwise.  With a
+        split grid set (:meth:`split_at_grid`), the span is first split
+        at every grid instant it contains.
         """
         now = self.sim.now
         t0 = self._last_update
@@ -452,6 +460,11 @@ class Machine:
         if dt <= 0.0:
             self._last_update = now
             return
+        grid = self._grid_next
+        if grid is not None and grid < now:
+            self._advance_grid(now)
+            t0 = self._last_update
+            dt = now - t0
         self._last_update = now
         if self._power_dirty:
             self._refresh_power()
@@ -488,6 +501,122 @@ class Machine:
         self._m_segments.inc()
         if (len(journal) - self._fold_index > self.AUTO_FOLD_SEGMENTS):
             self._fold()
+
+    # ------------------------------------------------------------------
+    # split grid (open-loop runs without sampler ticks)
+    # ------------------------------------------------------------------
+    def split_at_grid(self, when, period):
+        """Split integration at ``when``, ``when + period``, ... from now on.
+
+        A periodic sampler whose samples nobody reads can stop ticking
+        and hand its pending tick here instead.  Its ticks did one thing
+        the machine's accounts see: each advanced the machine at its
+        instant, which splits the float sums of :attr:`energy_total` and
+        the supply drain there.  With the grid set, :meth:`advance`
+        replays those splits, so every account stays bit-identical to
+        the ticking run.  The instants are generated as the sampler
+        generates them (``g + period``), not as ``when + k * period``.
+        """
+        self._grid_next = when
+        self._grid_period = period
+        self._grid_last = None
+
+    def release_grid(self):
+        """Stop splitting; return ``(next_when, last_when)``.
+
+        Integrates up to the current instant first.  ``next_when`` is
+        the first grid instant after now, where the sampler's next tick
+        belongs; ``last_when`` is the last instant at or before now (the
+        sampler's last sample), or None if the grid passed none.  An
+        instant equal to now counts as passed, as a tick due then has
+        fired by the end of a bounded run.
+        """
+        self.advance()
+        now = self.sim.now
+        period = self._grid_period
+        g = self._grid_next
+        last = self._grid_last
+        while g <= now:
+            last = g
+            g += period
+        self._grid_next = None
+        self._grid_last = None
+        return g, last
+
+    def _advance_extends(self):
+        """Would :meth:`advance` only extend the open segment and drain
+        a plain supply?  Loops that replay advances on locals (the grid
+        below, the online monitor's fused ticks) run only while this
+        holds: clean cached power, an open segment matching the current
+        state, and a Battery or ExternalSupply without note_power or
+        recover hooks, whose drain those loops inline."""
+        if (self._power_dirty or self._supply_note_power is not None
+                or self._supply_recover is not None
+                or type(self.supply) not in (Battery, ExternalSupply)):
+            return False
+        journal = self._journal
+        if len(journal) <= self._fold_index:
+            return False
+        last = journal[-1]
+        return (last.power == self._power
+                and last.context is self._context
+                and last.overlays is self._overlays_snapshot
+                and last.comp_powers is self._comp_powers)
+
+    def _advance_grid(self, now):
+        """Integrate at every grid instant below ``now``.
+
+        Power is constant on ``[_last_update, now)`` (every change
+        advances first), so each instant's arithmetic is the tick's:
+        ``power * (g - last)`` into the total, the same drain and
+        battery clamp, the open segment extended to ``g``.  Until
+        :meth:`_advance_extends` holds, an instant runs through the
+        ordinary :meth:`advance` with the clock parked on it (that
+        refreshes dirty power and opens the new segment exactly as the
+        tick would have); the rest run in one loop over locals.
+        """
+        sim = self.sim
+        period = self._grid_period
+        g = self._grid_next
+        # Parked while the clock is: the nested advance must not
+        # re-enter the grid.
+        self._grid_next = None
+        while g < now and not self._advance_extends():
+            sim.now = g
+            try:
+                self.advance()
+            finally:
+                sim.now = now
+            self._grid_last = g
+            g += period
+        if g < now:
+            power = self._power
+            last = self._last_update
+            total = self.energy_total
+            supply = self.supply
+            drawn = supply.drawn
+            if type(supply) is Battery:
+                capacity = supply.capacity
+                while g < now:
+                    energy = power * (g - last)
+                    total += energy
+                    drained = drawn + energy
+                    drawn = capacity if capacity <= drained else drained
+                    last = g
+                    g += period
+            else:
+                while g < now:
+                    energy = power * (g - last)
+                    total += energy
+                    drawn += energy
+                    last = g
+                    g += period
+            self._last_update = last
+            self.energy_total = total
+            supply.drawn = drawn
+            self._journal[-1].t1 = last
+            self._grid_last = last
+        self._grid_next = g
 
     # ------------------------------------------------------------------
     # segment journal
@@ -766,6 +895,11 @@ class Machine:
             raise HardwareError(
                 "cannot snapshot a machine while its journal is pinned"
             )
+        if self._grid_next is not None:
+            raise HardwareError(
+                "cannot snapshot a machine while it splits on a sampler's "
+                "grid; release the grid first"
+            )
         self._seal_closed()
         suffix = self._journal[self._sealed_len:]
         journal_ref = ctx.share("journal", _SharedJournal(
@@ -906,6 +1040,8 @@ class Machine:
                 last.overlays = self._overlays_snapshot
             if last.comp_powers == self._comp_powers:
                 last.comp_powers = self._comp_powers
+        self._grid_next = None
+        self._grid_last = None
         self._fold_index = int(state["fold_index"])
         self._folded_journal_energy = state["folded_journal_energy"]
         self._sid = int(state["sid"])

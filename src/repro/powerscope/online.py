@@ -12,9 +12,8 @@ supply accounting and demand predictor).
 Fused sampling
 --------------
 Sampling every 100 ms makes the monitor tick the hottest event in a
-goal run — lookahead branch advances are almost nothing but ticks.
-When a bounded run is in charge (``sim.run(until=...)`` or the pulse
-scenario's step loop), power is piecewise constant, and the single
+goal run.  When a bounded run is in charge (``sim.run(until=...)`` or
+the pulse scenario's step loop), power is piecewise constant, and the single
 subscriber is the goal controller's sample hook, consecutive ticks up
 to the next foreign heap event are arithmetically independent of any
 other code — so :meth:`OnlinePowerMonitor._tick` computes them in one
@@ -23,6 +22,20 @@ end.  The loop performs the *same float operations in the same order*
 as the per-event path (one sequence number per tick included), so
 fused and unfused runs are byte-identical — the golden-trace and
 snapshot determinism suites pin this down.
+
+Open-loop runs: no ticks at all
+-------------------------------
+A lookahead branch makes no decisions, so nothing reads its samples
+before it ends; its ticks matter only because each one advances the
+machine, splitting the float sums of ``energy_total`` and the battery
+drain at the tick's instant.  :meth:`OnlinePowerMonitor.hand_off_ticks`
+cancels the pending tick and hands the grid ``(instant, period)`` to
+the machine, whose :meth:`~repro.hardware.machine.Machine.advance`
+then integrates at every grid instant it passes with the tick's own
+float operations; :meth:`OnlinePowerMonitor.take_back_ticks` re-pushes
+the tick at the grid's next instant.  The sums, the journal and so the
+branch verdicts stay bit-identical to a ticking branch
+(``tests/test_lookahead_grid.py``).
 """
 
 from __future__ import annotations
@@ -30,27 +43,32 @@ from __future__ import annotations
 import heapq
 import math
 
-from repro.hardware.battery import Battery, ExternalSupply
-from repro.hardware.machine import Machine
-
 __all__ = ["OnlinePowerMonitor"]
 
 # Resolved lazily: repro.core.odyssey imports this module, so a
-# module-level import of repro.core here would cycle.
+# module-level import of repro.core here would cycle; so would one of
+# repro.hardware (hardware.machine -> sim -> obs -> powerscope -> here).
 _GOAL_SAMPLE_HOOK = None
 _SUPPLY_TYPE = None
 _PREDICTOR_TYPE = None
+_MACHINE_TYPE = None
+_BATTERY_TYPE = None
 
 
 def _resolve_fuse_types():
     global _GOAL_SAMPLE_HOOK, _SUPPLY_TYPE, _PREDICTOR_TYPE
+    global _MACHINE_TYPE, _BATTERY_TYPE
     from repro.core.demand import DemandPredictor
     from repro.core.goal import GoalDirectedController
     from repro.core.supply import EnergySupply
+    from repro.hardware.battery import Battery
+    from repro.hardware.machine import Machine
 
     _GOAL_SAMPLE_HOOK = GoalDirectedController._on_power_sample
     _SUPPLY_TYPE = EnergySupply
     _PREDICTOR_TYPE = DemandPredictor
+    _MACHINE_TYPE = Machine
+    _BATTERY_TYPE = Battery
 
 
 class OnlinePowerMonitor:
@@ -111,6 +129,41 @@ class OnlinePowerMonitor:
                 args={"last_power": self.last_power},
             )
 
+    def hand_off_ticks(self):
+        """Stop ticking and let the machine split on the tick grid.
+
+        For open-loop runs, where no subscriber's state is read before
+        :meth:`take_back_ticks`: the pending tick is cancelled and its
+        instant handed to :meth:`Machine.split_at_grid
+        <repro.hardware.machine.Machine.split_at_grid>`, which replays
+        the one effect a tick has on the machine's accounts.
+        Subscribers receive no samples meanwhile.  Returns whether a
+        tick was handed off.
+        """
+        entry = self._entry
+        if not self._running or entry is None:
+            return False
+        self.sim.cancel(entry)
+        self._entry = None
+        self.machine.split_at_grid(entry[0], self.period)
+        return True
+
+    def take_back_ticks(self):
+        """Resume ticking after :meth:`hand_off_ticks`.
+
+        Call at the end of a bounded run, before any capture.  The next
+        tick is pushed at exactly the grid's next instant: ``schedule``
+        (or ``schedule_at``) would recompute it as ``now + delay`` and
+        could round off the grid.
+        """
+        when, last = self.machine.release_grid()
+        if last is not None:
+            self._last_sample_time = last
+        sim = self.sim
+        seq = sim._next_seq
+        sim._next_seq = seq + 1
+        self._entry = sim.restore_entry(when, seq, self._tick)
+
     def _tick(self, _time):
         if not self._running:
             return
@@ -149,35 +202,25 @@ class OnlinePowerMonitor:
         ctrl = getattr(callback, "__self__", None)
         if ctrl is None:
             return False
-        key = (callback, supply, ctrl.supply, ctrl.predictor)
+        key = (callback, ctrl.supply, ctrl.predictor)
         if key != self._fuse_key:
             self._fuse_key = key
-            self._fuse_static = self._fuse_static_ok(callback, ctrl, machine,
-                                                     supply)
+            self._fuse_static = self._fuse_static_ok(callback, ctrl, machine)
         if not self._fuse_static:
             return False
         predictor = ctrl.predictor
         if ctrl.running and (predictor.smoothed_watts is None
                              or ctrl.goal_time is None):
             return False
-        if machine._power_dirty:
+        if type(supply) is _BATTERY_TYPE and supply.drawn >= supply.capacity:
             return False
-        if type(supply) is Battery and supply.drawn >= supply.capacity:
-            return False
-        journal = machine._journal
-        if len(journal) <= machine._fold_index:
-            return False
-        last = journal[-1]
-        return (last.power == machine._power
-                and last.context is machine._context
-                and last.overlays is machine._overlays_snapshot
-                and last.comp_powers is machine._comp_powers)
+        return machine._advance_extends()
 
-    def _fuse_static_ok(self, callback, ctrl, machine, supply):
+    def _fuse_static_ok(self, callback, ctrl, machine):
         """Identity-stable half of :meth:`_fusable`: the subscriber is
         the unmodified goal-controller hook over unmodified supply and
-        predictor types, the machine is a plain :class:`Machine` with an
-        ideal supply and no note_power/recover hooks."""
+        predictor types, and the machine is a plain :class:`Machine`
+        (whose :meth:`Machine._advance_extends` vets the supply)."""
         if _GOAL_SAMPLE_HOOK is None:
             _resolve_fuse_types()
         if getattr(callback, "__func__", None) is not _GOAL_SAMPLE_HOOK:
@@ -186,12 +229,7 @@ class OnlinePowerMonitor:
             return False
         if type(ctrl.predictor) is not _PREDICTOR_TYPE:
             return False
-        if type(machine) is not Machine:
-            return False
-        if (machine._supply_note_power is not None
-                or machine._supply_recover is not None):
-            return False
-        return type(supply) in (Battery, ExternalSupply)
+        return type(machine) is _MACHINE_TYPE
 
     def _run_fused(self, sim, machine):
         """Run consecutive ticks ahead of the event loop; returns the
@@ -232,7 +270,7 @@ class OnlinePowerMonitor:
         watts = machine._power
         supply = machine.supply
         drawn = supply.drawn
-        is_battery = type(supply) is Battery
+        is_battery = type(supply) is _BATTERY_TYPE
         capacity = supply.capacity if is_battery else 0.0
         sample_t = self._last_sample_time
         running = controller.running

@@ -32,6 +32,25 @@ branch run under a *real* tracer cannot pollute the trunk's energy
 fold — :func:`repro.obs.export.power_spans` indexes trunk spans only
 unless a branch is named explicitly.
 
+Open-loop branches
+------------------
+Every branch is forked from a capture taken inside the trunk's
+decision callback, whose already-fired entry the capture drops, so a
+branch never decides: it runs open-loop.  Its monitor's 100 ms samples
+would feed only the branch controller's supply and predictor, which
+nothing reads.  What the ticks do change is where the machine splits
+its energy sums: floating-point addition is not associative, so
+``E += P*(t1-t0)`` per tick differs in the last bits from one product
+over the whole span.  A branch therefore runs without ticks and has
+the machine integrate on the tick grid instead, with each tick's exact
+float operations (:meth:`repro.hardware.machine.Machine.split_at_grid`).
+Verdicts are bit-identical to ticking branches (pinned digests in
+``tests/test_lookahead_grid.py``) at a fraction of the cost: no heap
+event per tick, no fused-loop re-entry after each pulse edge.  Before
+a beam stage is re-captured the tick goes back on the heap at the
+grid's next instant, so stage snapshots fork as before.  A branch
+whose capture still held a pending decision keeps ticking.
+
 Beam search
 -----------
 :class:`BeamLookaheadController` generalizes the two-branch evaluation
@@ -90,14 +109,60 @@ class WhatIfEvaluator:
         snapshot = Snapshot.capture(self.sim)
         horizon = min(self.horizon, remaining)
         self.evaluations += 1
-        return {
-            action: self._run_branch(snapshot, action, residual, remaining,
-                                     horizon, did, trace)
-            for action in actions
-        }
+        verdicts = {}
+        for action in actions:
+            t0, energy, _ = self._branch(snapshot, action, horizon, did)
+            rate = energy / horizon if horizon > 0 else 0.0
+            margin = ((residual - energy)
+                      - rate * max(0.0, remaining - horizon))
+            verdict = {
+                "action": action,
+                "energy_j": energy,
+                "rate_w": rate,
+                "margin_j": margin,
+                "horizon_s": horizon,
+            }
+            if trace is not None:
+                trace.instant(t0, "branch", f"branch.{action}",
+                              track="branch", args=dict(verdict, did=did))
+            verdicts[action] = verdict
+        return verdicts
 
-    def _run_branch(self, snapshot, action, residual, remaining, horizon,
-                    did, trace):
+    def expand(self, snapshot, action, stage_s, did=None):
+        """Fork, apply ``action``, advance one beam stage, re-capture.
+
+        Returns ``(energy_j, stage_snapshot)``, or ``None`` when the
+        branch cannot perform ``action`` (ladder exhausted in that
+        direction).  The re-capture is a fork-of-a-fork: the stage
+        snapshot shares the branch's sealed journal blocks, so chaining
+        stages stays O(changes per stage).
+        """
+        measured = self._branch(snapshot, action, stage_s, did, stage=True)
+        if measured is None:
+            return None
+        _t0, energy, stage_snapshot = measured
+        return energy, stage_snapshot
+
+    def _branch(self, snapshot, action, seconds, did, stage=False):
+        """Fork ``snapshot``, apply ``action``, run ``seconds`` ahead.
+
+        Returns ``(t0, joules spent, stage snapshot)``.  A beam
+        ``stage`` is re-captured at its end and skipped (``None``) when
+        the action cannot apply; a plain branch runs regardless, and
+        then measures holding, which is what would happen.
+
+        Branches are captured inside the trunk's decision callback,
+        whose fired entry the capture drops, so a branch makes no
+        decisions: it runs open-loop, and its monitor's samples would
+        feed only the controller's supply and predictor, which nothing
+        reads.  The monitor therefore hands its ticks to the machine as
+        a split grid for the run, which keeps the per-tick float splits
+        of the machine's energy sums, so the joules are bit-identical
+        to a ticking run (see
+        :meth:`repro.hardware.machine.Machine.split_at_grid`).  A stage
+        takes the ticks back before its re-capture.  A branch that does
+        hold a pending decision keeps its ticks.
+        """
         # Branches are plain-policy (no nested lookahead) and private:
         # an explicit null tracer keeps the branch sim from resolving
         # the process-installed tracer, and the evaluator-private
@@ -111,66 +176,34 @@ class WhatIfEvaluator:
         # from the trunk's if the fork is ever run under a real tracer
         # (power_spans indexes trunk spans only by default).
         scenario.machine.branch_id = f"did{did}.{action}"
-        if action == DEGRADE:
-            scenario.viceroy.degrade_once(decision_id=did)
-        elif action == UPGRADE:
-            scenario.viceroy.upgrade_once(decision_id=did)
-        machine = scenario.machine
-        t0 = scenario.sim.now
-        start_energy = machine.finish()
-        scenario.sim.run(until=t0 + horizon)
-        energy = machine.finish() - start_energy
-        rate = energy / horizon if horizon > 0 else 0.0
-        margin = (residual - energy) - rate * max(0.0, remaining - horizon)
-        self.branches_run += 1
-        verdict = {
-            "action": action,
-            "energy_j": energy,
-            "rate_w": rate,
-            "margin_j": margin,
-            "horizon_s": horizon,
-        }
-        if trace is not None:
-            trace.instant(t0, "branch", f"branch.{action}", track="branch",
-                          args=dict(verdict, did=did))
-        if len(self._branch_pool) < self.POOL_MAX:
-            self._branch_pool.append(scenario)
-        return verdict
-
-    def expand(self, snapshot, action, stage_s, did=None):
-        """Fork, apply ``action``, advance one beam stage, re-capture.
-
-        Returns ``(energy_j, stage_snapshot)``, or ``None`` when the
-        branch cannot perform ``action`` (ladder exhausted in that
-        direction).  The re-capture is a fork-of-a-fork: the stage
-        snapshot shares the branch's sealed journal blocks, so chaining
-        stages stays O(changes per stage).
-        """
-        reuse = self._branch_pool.pop() if self._branch_pool else None
-        scenario = snapshot.fork(
-            reuse=reuse, lookahead=False, tracer=NULL_TRACER,
-            metrics=self._branch_metrics,
-        )
-        scenario.machine.branch_id = f"did{did}.{action}"
         applied = True
         if action == DEGRADE:
             applied = scenario.viceroy.degrade_once(decision_id=did) is not None
         elif action == UPGRADE:
             applied = scenario.viceroy.upgrade_once(decision_id=did) is not None
-        if not applied:
-            if len(self._branch_pool) < self.POOL_MAX:
-                self._branch_pool.append(scenario)
-            return None
-        machine = scenario.machine
-        t0 = scenario.sim.now
-        start_energy = machine.finish()
-        scenario.sim.run(until=t0 + stage_s)
-        energy = machine.finish() - start_energy
-        stage_snapshot = Snapshot.capture(scenario.sim)
-        self.branches_run += 1
+        measured = None
+        if applied or not stage:
+            machine = scenario.machine
+            monitor = scenario.monitor
+            sim = scenario.sim
+            t0 = sim.now
+            start_energy = machine.finish()
+            open_loop = (scenario.controller._entry is None
+                         and monitor.hand_off_ticks())
+            sim.run(until=t0 + seconds)
+            energy = machine.finish() - start_energy
+            stage_snapshot = None
+            if stage:
+                if open_loop:
+                    monitor.take_back_ticks()
+                stage_snapshot = Snapshot.capture(sim)
+            self.branches_run += 1
+            measured = (t0, energy, stage_snapshot)
+        # A pooled scenario left split on the grid is fine: restore
+        # clears the grid and re-pushes the captured tick.
         if len(self._branch_pool) < self.POOL_MAX:
             self._branch_pool.append(scenario)
-        return energy, stage_snapshot
+        return measured
 
 
 class LookaheadGoalController(GoalDirectedController):

@@ -68,3 +68,31 @@ def test_perturbed_policy_fails_golden(monkeypatch):
         "perturbing the controller did not change the matrix document"
         " — the golden would not catch real drift"
     )
+
+
+def test_memo_keys_on_builder_defaults(monkeypatch):
+    """The baseline ``{}`` and a candidate spelling out a default
+    (``{"lookahead": false}``, the default grid's
+    ``hysteresis=on,lookahead=off`` row) are one scenario: the pair
+    simulates once and the row is identical."""
+    import functools
+
+    from repro.fleet import diffmatrix
+    from repro.snapshot import scenario as pulse
+
+    builds = []
+    build = pulse.build_pulse_scenario
+
+    @functools.wraps(build)  # keeps the signature the memo key reads
+    def counting_build(**params):
+        builds.append(params)
+        return build(**params)
+
+    monkeypatch.setattr(pulse, "build_pulse_scenario", counting_build)
+    monkeypatch.setattr(diffmatrix, "_RECORD_MEMO", {})
+    row = diffmatrix.policy_matrix_row(
+        "hysteresis=on,lookahead=off", candidate={"lookahead": False},
+        baseline={}, scenario={"goal_seconds": 30.0, "initial_energy": 250.0},
+    )
+    assert len(builds) == 1
+    assert row["identical"] and row["energy_delta_j"] == 0.0
