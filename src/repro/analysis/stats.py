@@ -2,6 +2,16 @@
 
 The paper reports each value as the mean of five (or ten) trials with
 90 % confidence intervals; these helpers reproduce that reporting.
+
+The interval's Student-t quantile is exact and stdlib-only.  The upper
+tail is ``P(T > t) = ½·I_x(v/2, ½)`` with ``x = v/(v + t²)``; the
+regularized incomplete beta ``I`` comes from ``math.lgamma`` and a
+modified-Lentz continued fraction, and Newton steps on the t density
+invert it.  One and two degrees of freedom use their closed forms.
+``tests/test_analysis.py`` pins every quantile for 1–200 degrees of
+freedom at 80/90/95/99 % confidence to within 1e-12 relative of a
+committed table of reference values (the error grows slowly with the
+degrees of freedom: ~6e-14 at 10^4, ~3e-12 at 10^6).
 """
 
 from __future__ import annotations
@@ -9,34 +19,98 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-try:  # scipy gives exact small-sample t quantiles when available
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - scipy is an install-time given
-    _scipy_stats = None
-
 __all__ = ["TrialStats", "summarize", "t_quantile"]
 
-# Two-sided 90% t quantiles by degrees of freedom (fallback table).
-_T90 = {
-    1: 6.314, 2: 2.920, 3: 2.353, 4: 2.132, 5: 2.015, 6: 1.943,
-    7: 1.895, 8: 1.860, 9: 1.833, 10: 1.812, 15: 1.753, 20: 1.725,
-    30: 1.697, 60: 1.671,
-}
+#: Lentz's floor for a vanishing numerator or denominator.
+_TINY = 1e-300
 
 
 def t_quantile(dof, confidence=0.90):
-    """Two-sided Student-t quantile for a confidence interval."""
-    if dof < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
-    if confidence != 0.90:
-        raise ValueError("fallback table only covers 90% confidence")
-    keys = sorted(_T90)
-    for key in keys:
-        if dof <= key:
-            return _T90[key]
-    return 1.645
+    """Two-sided Student-t quantile: ``t`` with ``P(|T| < t) = confidence``."""
+    if not 1 <= dof < math.inf:
+        raise ValueError(
+            f"degrees of freedom must be a finite number >= 1, got {dof!r}")
+    _check_confidence(confidence)
+    v = float(dof)
+    p = 0.5 + confidence / 2.0
+    q = 1.0 - p  # the upper-tail mass; exact, since ½ <= p < 1
+    if v == 1.0:  # tan(π(p − ½)), written to stay exact as p → 1
+        return 1.0 / math.tan(math.pi * q)
+    if v == 2.0:
+        return (2.0 * p - 1.0) / math.sqrt(2.0 * p * q)
+    if q >= 0.5:  # confidence below half an ulp of ½
+        return 0.0
+    a = v / 2.0
+    log_beta = _log_beta_half(a)
+    log_pdf0 = -log_beta - 0.5 * math.log(v)
+    t = _initial_guess(v, q)
+    for _ in range(200):
+        pdf = math.exp(log_pdf0 - (a + 0.5) * math.log1p(t * t / v))
+        step = (_upper_tail(t, v, log_beta) - q) / pdf
+        t = t + step if t + step > 0.0 else t / 2.0
+        # Convergence is quadratic: after a 1e-10 step the error is
+        # already below the tail's own rounding.
+        if abs(step) <= 1e-10 * t:
+            break
+    return t
+
+
+def _check_confidence(confidence):
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(
+            f"confidence must lie strictly in (0, 1), got {confidence!r}")
+
+
+def _log_beta_half(a):
+    """``log B(a, ½)``; an asymptotic series avoids cancellation past 20."""
+    if a < 20.0:
+        return math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+    x = 1.0 / (a * a)
+    return (0.5 * math.log(math.pi / a)
+            + (1 / 8 - x * (1 / 192 - x * (1 / 640 - x * 17 / 14336))) / a)
+
+
+def _initial_guess(v, q):
+    """A start for Newton: normal quantile plus Cornish-Fisher terms."""
+    s = math.sqrt(-2.0 * math.log(q))
+    z = s - ((2.515517 + 0.802853 * s + 0.010328 * s * s)
+             / (1.0 + s * (1.432788 + s * (0.189269 + 0.001308 * s))))
+    z2 = z * z
+    return max(z * (1.0 + (z2 + 1.0) / (4.0 * v)
+                    + (5.0 * z2 * z2 + 16.0 * z2 + 3.0) / (96.0 * v * v)),
+               1e-3)
+
+
+def _upper_tail(t, v, log_beta):
+    """``P(T > t)`` for ``t > 0``: ``½·I_x(v/2, ½)``, ``x = v/(v+t²)``."""
+    a = v / 2.0
+    t2 = t * t
+    x = v / (v + t2)
+    y = t2 / (v + t2)
+    front = math.exp(-a * math.log1p(t2 / v) + 0.5 * math.log(y) - log_beta)
+    if x < (a + 1.0) / (a + 2.5):
+        return 0.5 * front * _beta_fraction(a, 0.5, x) / a
+    return 0.5 - front * _beta_fraction(0.5, a, y)
+
+
+def _beta_fraction(a, b, x):
+    """Continued fraction of ``I_x(a, b)`` by the modified Lentz method."""
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    for m in range(1, 10_000):
+        m2 = 2 * m
+        for num in (m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+                    -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _TINY else _TINY
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction diverged at a={a}, x={x}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +140,7 @@ def summarize(values, confidence=0.90):
     values = list(values)
     if not values:
         raise ValueError("cannot summarize zero trials")
+    _check_confidence(confidence)
     n = len(values)
     mean = sum(values) / n
     if n == 1:

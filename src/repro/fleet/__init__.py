@@ -6,18 +6,15 @@ pool with per-task timeouts, bounded retries, an on-disk result cache,
 and live telemetry.  Serial (``jobs=1``) and parallel runs produce
 bit-identical aggregates; failures become recorded partial results,
 never silent drops.  See docs/architecture.md ("Fleet").
+
+The prebuilt Section-3 campaigns (``run_sweep``, ``energy_table`` …)
+resolve on first use: :mod:`repro.fleet.campaigns` pulls in the whole
+experiment suite, which the snapshot and service layers never need.
 """
 
+import importlib
+
 from repro.fleet.cache import ResultCache
-from repro.fleet.campaigns import (
-    APPS,
-    energy_table,
-    energy_table_campaign,
-    figures_campaign,
-    run_sweep,
-    sweep_campaign,
-    tables_from_result,
-)
 from repro.fleet.diffmatrix import (
     DEFAULT_GRID,
     PolicyMatrix,
@@ -75,3 +72,19 @@ __all__ = [
     "matrix_from_values",
     "matrix_from_result",
 ]
+
+_CAMPAIGN_NAMES = frozenset({
+    "APPS",
+    "energy_table",
+    "energy_table_campaign",
+    "figures_campaign",
+    "run_sweep",
+    "sweep_campaign",
+    "tables_from_result",
+})
+
+
+def __getattr__(name):
+    if name in _CAMPAIGN_NAMES:
+        return getattr(importlib.import_module("repro.fleet.campaigns"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

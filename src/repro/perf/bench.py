@@ -1,7 +1,11 @@
 """Benchmark definitions, runner, and baseline comparison.
 
 Each benchmark is a function returning a metrics dict that includes
-``seconds`` (the min over its repeats — the noise-robust statistic).
+``seconds``: the process CPU time of one workload run, as the min over
+its repeats (the noise-robust statistic).  Every repeat is a timed
+region of at least 100 ms that runs a short workload back to back as
+often as that takes, so one scheduler hiccup cannot dominate a
+millisecond region, and time spent descheduled is not counted.
 The ``calibration`` benchmark is a fixed pure-Python spin used to
 normalize timings between machines: a box that runs Python 1.4x slower
 runs every benchmark about 1.4x slower, so CI compares the *ratio* to
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import time
 
 __all__ = [
@@ -44,18 +49,35 @@ class _BenchSupply:
         self.drained += joules
 
 
+#: Shortest timed region, in seconds.
+_MIN_REGION_S = 0.1
+
+
 def _best_of(fn, repeats):
-    """Run ``fn`` ``repeats`` times; return (min seconds, last result)."""
-    best = None
-    result = None
-    for _ in range(repeats):
-        gc.collect()
-        t0 = time.perf_counter()
-        result = fn()
-        dt = time.perf_counter() - t0
-        if best is None or dt < best:
-            best = dt
+    """Time ``fn`` over ``repeats`` regions: (min s per call, last result).
+
+    Each region calls ``fn`` back to back often enough to last at least
+    :data:`_MIN_REGION_S`.  The loop count grows until a region does,
+    and that sizing region is the first of the ``repeats``.
+    """
+    loops = 1
+    per_call, result = _timed_region(fn, loops)
+    while per_call * loops < _MIN_REGION_S:
+        loops = max(loops + 1, math.ceil(1.25 * _MIN_REGION_S / per_call))
+        per_call, result = _timed_region(fn, loops)
+    best = per_call
+    for _ in range(repeats - 1):
+        per_call, result = _timed_region(fn, loops)
+        best = min(best, per_call)
     return best, result
+
+
+def _timed_region(fn, loops):
+    gc.collect()
+    t0 = time.process_time()
+    for _ in range(loops):
+        result = fn()
+    return (time.process_time() - t0) / loops, result
 
 
 # ----------------------------------------------------------------------

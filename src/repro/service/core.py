@@ -227,7 +227,10 @@ class CampaignService:
             return summary
 
     def workers(self):
-        return self.pool.snapshot()
+        # Under the lock, a worker shown holding a task is always shown
+        # registered, with its pid: dispatch cannot interleave the read.
+        with self._lock:
+            return self.pool.snapshot()
 
     def wait(self, job_id, timeout=None, poll_s=0.05):
         """Block until ``job_id`` is terminal; returns its status."""

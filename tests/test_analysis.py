@@ -1,6 +1,9 @@
 """Unit tests for the analysis helpers."""
 
+import json
 import math
+import os
+from statistics import NormalDist
 
 import pytest
 
@@ -50,8 +53,71 @@ class TestSummarize:
         assert t_quantile(1) > t_quantile(5) > t_quantile(50)
 
     def test_t_quantile_invalid_dof(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="degrees of freedom"):
             t_quantile(0)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0])
+    def test_t_quantile_invalid_confidence(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            t_quantile(4, confidence)
+
+    def test_summarize_invalid_confidence(self):
+        with pytest.raises(ValueError, match="confidence"):
+            summarize([1.0, 2.0, 3.0], confidence=1.5)
+
+
+T_QUANTILES = os.path.join(os.path.dirname(__file__), "data",
+                           "t_quantiles.json")
+
+
+class TestTQuantile:
+    """The stdlib quantile against pinned reference values.
+
+    ``tests/data/t_quantiles.json`` maps each confidence to the two-sided
+    quantiles for 1..200 degrees of freedom, written with scipy 1.17.1::
+
+        python -c "import json; from scipy.stats import t; \
+    print(json.dumps({c: [float(t.ppf(0.5 + float(c) / 2, d)) \
+    for d in range(1, 201)] for c in ('0.80', '0.90', '0.95', '0.99')}, \
+    indent=0))" > tests/data/t_quantiles.json
+    """
+
+    def test_matches_reference_table(self):
+        with open(T_QUANTILES, encoding="utf-8") as handle:
+            table = json.load(handle)
+        assert sorted(table) == ["0.80", "0.90", "0.95", "0.99"]
+        for confidence, quantiles in table.items():
+            assert len(quantiles) == 200
+            for dof, expected in enumerate(quantiles, start=1):
+                got = t_quantile(dof, float(confidence))
+                assert abs(got - expected) <= 1e-12 * expected, (
+                    dof, confidence, got, expected)
+
+    def test_dof_eleven_is_not_the_old_table_value(self):
+        # A coarse lookup table once answered 1.753 (its dof-15 entry)
+        # for dof 11-14, a 90% interval 2.4% too narrow.
+        assert t_quantile(11) == pytest.approx(1.7959, abs=5e-5)
+        assert t_quantile(11) - 1.753 > 0.04
+
+    def test_closed_forms(self):
+        assert t_quantile(1, 0.5) == pytest.approx(1.0, rel=1e-15)
+        assert t_quantile(2, 0.5) == pytest.approx(math.sqrt(2) / math.sqrt(3),
+                                                   rel=1e-15)
+        # A confidence that rounds 0.5 + c/2 to exactly 0.5.
+        assert t_quantile(5, 1e-17) == 0.0
+
+    @pytest.mark.parametrize("confidence", [0.80, 0.90, 0.95, 0.99])
+    def test_large_dof_follows_cornish_fisher(self, confidence):
+        v = 10_000
+        z = NormalDist().inv_cdf(0.5 + confidence / 2)
+        expected = (z + (z**3 + z) / (4 * v)
+                    + (5 * z**5 + 16 * z**3 + 3 * z) / (96 * v**2)
+                    + (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z)
+                    / (384 * v**3))
+        assert t_quantile(v, confidence) == pytest.approx(expected, rel=1e-12)
+
+    def test_non_integer_dof_lies_between_neighbours(self):
+        assert t_quantile(4) > t_quantile(4.5) > t_quantile(5)
 
 
 class TestLinearFit:
