@@ -2,12 +2,15 @@
 
 import csv
 import io
+import pathlib
 
 import pytest
 
 from repro.analysis.export import energy_table_csv, timeline_csv, write_csv
 from repro.cli import build_parser, main
 from repro.sim import Timeline
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 class TestEnergyTableCsv:
@@ -84,6 +87,13 @@ class TestCli:
         assert text.startswith("time,category,label,value")
         assert "supply" in text
         assert "fidelity" in text or "video" in text
+
+    def test_goal_csv_matches_the_committed_trace(self, tmp_path, capsys):
+        path = tmp_path / "goal.csv"
+        code = main(["goal", "--goal", "197", "--energy", "3000",
+                     "--no-chart", "--csv", str(path)])
+        assert code == 0
+        assert path.read_bytes() == (DATA / "goal-197-3000.csv").read_bytes()
 
     def test_fig13_command_prints_and_exports(self, tmp_path, capsys):
         path = tmp_path / "fig13.csv"

@@ -1,6 +1,7 @@
 """Tests for the figure-data export layer."""
 
 import csv
+import hashlib
 import io
 import os
 
@@ -43,6 +44,19 @@ class TestFigureBundles:
         for text in bundles.values():
             assert "supply" in text and "demand" in text
             assert "video" in text  # fidelity records
+        # The exact bytes are pinned: the series are the controller's
+        # and viceroy's own readings, so any drift in what they record
+        # (or when) shows here.
+        digests = {
+            name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in bundles.items()
+        }
+        assert digests == {
+            "fig19_trace_short": "c59a969e1c0fe5065a3508f50bbdbcfd"
+                                 "36af905856c66705d0eec8bb2d3da8a4",
+            "fig19_trace_long": "6693fb34772d8512c711096e0b7b4015"
+                                "a846f31bcb20db30a459956cdc944c16",
+        }
 
     def test_export_writes_files(self, tmp_path):
         written = export_figures(str(tmp_path), figures=["fig06"])
