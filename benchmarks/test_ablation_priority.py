@@ -29,8 +29,9 @@ VARIANTS = {
 
 def final_fidelities(result):
     levels = {}
-    for record in result.timeline.category("fidelity"):
-        levels[record.label] = record.value[1]  # normalized 0..1
+    for _t, category, app, _level, normalized in result.series:
+        if category == "fidelity":
+            levels[app] = normalized  # 0..1
     return levels
 
 

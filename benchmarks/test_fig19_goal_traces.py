@@ -47,8 +47,9 @@ def test_fig19_goal_traces(benchmark, report):
         f"paper analogues 1167s and 1626s on 12 kJ)"
     )
     for label, result in results.items():
-        times, supply = result.timeline.series("energy", "supply")
-        _t, demand = result.timeline.series("energy", "demand")
+        times = [row[0] for row in result.series if row[2] == "supply"]
+        supply = [row[3] for row in result.series if row[2] == "supply"]
+        demand = [row[3] for row in result.series if row[2] == "demand"]
         rows = [
             [f"{t:.0f}", f"{s:.0f}", f"{d:.0f}"]
             for (t, s), (_t2, d) in zip(
@@ -62,8 +63,9 @@ def test_fig19_goal_traces(benchmark, report):
                   f"(met: {result.goal_met}, residue {result.residual_energy:.0f} J)",
         ))
         final_fidelity = {}
-        for record in result.timeline.category("fidelity"):
-            final_fidelity[record.label] = record.value[0]
+        for _t, category, app, level, _normalized in result.series:
+            if category == "fidelity":
+                final_fidelity[app] = level
         report(f"final fidelities: {final_fidelity}")
         report(f"adaptations: {result.adaptations}")
 
@@ -77,10 +79,10 @@ def test_fig19_goal_traces(benchmark, report):
     # degradation (the paper's 26-minute run holds three applications
     # at lowest fidelity; the 20-minute run degrades only slightly).
     def mean_normalized_fidelity(result):
-        records = result.timeline.category("fidelity")
         last = {}
-        for record in records:
-            last[record.label] = record.value[1]
+        for _t, category, app, _level, normalized in result.series:
+            if category == "fidelity":
+                last[app] = normalized
         return sum(last.values()) / len(last)
 
     assert mean_normalized_fidelity(results["long"]) <= (

@@ -37,11 +37,13 @@ def main():
     for app, count in sorted(result.adaptations.items()):
         print(f"  {app:8} {count}")
 
-    # The viceroy's trace shows how fidelity evolved (Figure 19 style).
+    # The run's Figure 19 series: (time, category, label, value, extra)
+    # rows, where each fidelity step names the app and its new level.
     print("final fidelity levels:")
     final = {}
-    for record in result.timeline.category("fidelity"):
-        final[record.label] = record.value[0]
+    for _time, category, app, level, _normalized in result.series:
+        if category == "fidelity":
+            final[app] = level
     for app, level in sorted(final.items()):
         print(f"  {app:8} {level}")
 

@@ -27,24 +27,16 @@ def energy_table_csv(energies_by_config, object_names=None):
     return buffer.getvalue()
 
 
-def timeline_csv(timeline, categories=None):
-    """Render a :class:`~repro.sim.Timeline` as CSV text.
+def timeline_csv(rows):
+    """Render ``(time, category, label, value, extra)`` rows as CSV text.
 
-    ``categories`` filters which record categories are exported; by
-    default everything is.  Tuple values (the fidelity records) are
-    flattened into separate columns.
+    The rows are a goal run's Figure 19 series
+    (:attr:`~repro.experiments.GoalResult.series`).
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["time", "category", "label", "value", "extra"])
-    for record in timeline:
-        if categories is not None and record.category not in categories:
-            continue
-        value, extra = record.value, ""
-        if isinstance(value, tuple):
-            value, *rest = value
-            extra = ";".join(str(r) for r in rest)
-        writer.writerow([record.time, record.category, record.label, value, extra])
+    writer.writerows(rows)
     return buffer.getvalue()
 
 

@@ -48,6 +48,13 @@ def _positive_int(text):
     return value
 
 
+def _positive_float(text):
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
+    return value
+
+
 def _nonnegative_int(text):
     value = int(text)
     if value < 0:
@@ -100,8 +107,12 @@ def _cmd_goal(args):
     if not args.no_chart:
         from repro.analysis import ascii_chart
 
-        supply = result.timeline.series("energy", "supply")
-        demand = result.timeline.series("energy", "demand")
+        series = {"supply": ([], []), "demand": ([], [])}
+        for time, category, label, value, _extra in result.series:
+            if category == "energy":
+                series[label][0].append(time)
+                series[label][1].append(value)
+        supply, demand = series["supply"], series["demand"]
         if supply[0]:
             print()
             print(ascii_chart(
@@ -110,8 +121,12 @@ def _cmd_goal(args):
                 title="supply vs predicted demand (Figure 19 style)",
             ))
     if args.csv:
-        write_csv(args.csv, timeline_csv(result.timeline,
-                                         categories={"energy", "fidelity"}))
+        try:
+            write_csv(args.csv, timeline_csv(result.series))
+        except OSError as exc:
+            print(f"error: cannot write {args.csv}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
         print(f"wrote {args.csv}")
     return 0 if result.goal_met else 1
 
@@ -461,11 +476,11 @@ def build_parser():
         add_obs_flags(p)
 
     p = sub.add_parser("goal", help="run one goal-directed experiment")
-    p.add_argument("--energy", type=float, default=6000.0,
+    p.add_argument("--energy", type=_positive_float, default=6000.0,
                    help="initial energy in joules")
-    p.add_argument("--goal", type=float, default=None,
+    p.add_argument("--goal", type=_positive_float, default=None,
                    help="battery-duration goal in seconds (derived if omitted)")
-    p.add_argument("--halflife", type=float, default=0.10,
+    p.add_argument("--halflife", type=_positive_float, default=0.10,
                    help="smoothing half-life fraction")
     p.add_argument("--csv", help="write the supply/demand/fidelity trace as CSV")
     p.add_argument("--no-chart", action="store_true",
@@ -496,10 +511,10 @@ def build_parser():
                    choices=("sim", "power", "core", "powerscope", "fleet",
                             "branch", "service", "workload", "calibration"),
                    help="restrict tracing to these categories")
-    p.add_argument("--goal", type=float, default=None,
+    p.add_argument("--goal", type=_positive_float, default=None,
                    help="goal seconds (goal/bursty; default 400, "
                         "or 290 with --pulse/--lookahead)")
-    p.add_argument("--energy", type=float, default=None,
+    p.add_argument("--energy", type=_positive_float, default=None,
                    help="initial energy in joules (goal; default 6000, "
                         "or 2400 with --pulse/--lookahead)")
     p.add_argument("--pulse", action="store_true",

@@ -40,16 +40,17 @@ class GoalDirectedController:
         Seconds between adaptation decisions (paper: 0.5).
     upgrade_min_interval:
         Minimum seconds between fidelity improvements (paper: 15).
-    timeline:
-        Optional :class:`~repro.sim.Timeline`; receives ``supply`` and
-        ``demand`` series for Figure 19-style traces.
+
+    Each decision emits ``supply_j``/``demand_j`` counters on the
+    ``core`` trace gate; that is the only record of the series
+    (Figure 19 traces read them back through the gate).
     """
 
     def __init__(self, viceroy, monitor, initial_energy, goal_seconds,
                  halflife_fraction=0.10, decision_period=0.5,
                  upgrade_min_interval=15.0, variable_fraction=0.05,
                  constant_fraction=0.01, safety_fraction=0.03,
-                 timeline=None, on_infeasible=None):
+                 on_infeasible=None):
         if goal_seconds <= 0:
             raise ValueError(f"goal must be positive, got {goal_seconds}")
         self.viceroy = viceroy
@@ -66,7 +67,6 @@ class GoalDirectedController:
         self.goal_seconds = goal_seconds
         self.decision_period = decision_period
         self.upgrade_min_interval = upgrade_min_interval
-        self.timeline = timeline
         self.on_infeasible = on_infeasible
 
         self.start_time = None
@@ -153,9 +153,6 @@ class GoalDirectedController:
             return
         demand = self.predicted_demand()
         residual = self.supply.residual
-        if self.timeline is not None:
-            self.timeline.record(now, "energy", "supply", residual)
-            self.timeline.record(now, "energy", "demand", demand)
         self.decisions += 1
         # Stable decision id: decisions fire on a fixed period from
         # :meth:`start`, so the k-th decision of two runs under

@@ -11,7 +11,6 @@ from __future__ import annotations
 from repro.core.goal import GoalDirectedController
 from repro.core.viceroy import Viceroy
 from repro.powerscope.online import OnlinePowerMonitor
-from repro.sim.timeline import Timeline
 
 __all__ = ["Odyssey", "MEASURED_OVERHEAD_W"]
 
@@ -24,15 +23,14 @@ MEASURED_OVERHEAD_W = 0.004
 class Odyssey:
     """Energy-aware adaptation platform bound to one client machine."""
 
-    def __init__(self, machine, sample_period=0.1, timeline=None,
-                 model_overhead=False, monitor=None):
+    def __init__(self, machine, sample_period=0.1, model_overhead=False,
+                 monitor=None):
         self.machine = machine
         self.sim = machine.sim
-        self.timeline = timeline if timeline is not None else Timeline()
         # The viceroy shares the machine's metrics registry and stamps
         # its trace events with the machine's power-journal span ids.
         self.viceroy = Viceroy(
-            self.sim, timeline=self.timeline, machine=machine,
+            self.sim, machine=machine,
             metrics=getattr(machine, "metrics", None),
         )
         self.metrics = self.viceroy.metrics
@@ -72,7 +70,6 @@ class Odyssey:
             self.monitor,
             initial_energy=initial_energy,
             goal_seconds=goal_seconds,
-            timeline=self.timeline,
             **controller_kwargs,
         )
         return self.controller

@@ -45,9 +45,8 @@ class Viceroy:
     (see :mod:`repro.obs.export`).
     """
 
-    def __init__(self, sim, timeline=None, machine=None, metrics=None):
+    def __init__(self, sim, machine=None, metrics=None):
         self.sim = sim
-        self.timeline = timeline
         self.machine = machine
         self.wardens = {}
         self.ladder = PriorityLadder()
@@ -168,10 +167,6 @@ class Viceroy:
             self._trace.instant(
                 self.sim.now, "core", "fidelity", track=app.name,
                 args=args,
-            )
-        if self.timeline is not None:
-            self.timeline.record(
-                self.sim.now, "fidelity", app.name, (level, normalized),
             )
 
     # ------------------------------------------------------------------

@@ -123,9 +123,7 @@ def figure_19(initial_energy=6_000.0):
     bundles = {}
     for label, goal in (("short", goals[0]), ("long", goals[-1])):
         result = run_goal_experiment(goal, initial_energy=initial_energy)
-        bundles[f"fig19_trace_{label}"] = timeline_csv(
-            result.timeline, categories={"energy", "fidelity"}
-        )
+        bundles[f"fig19_trace_{label}"] = timeline_csv(result.series)
     return bundles
 
 

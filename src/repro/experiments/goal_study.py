@@ -50,7 +50,10 @@ class GoalResult:
     residual_energy: float
     survived_seconds: float
     adaptations: dict = field(default_factory=dict)
-    timeline: object = None
+    #: Figure 19 rows ``(time, category, label, value, extra)``: one
+    #: ``("energy", "supply"|"demand", joules, None)`` pair per decision
+    #: and one ``("fidelity", app, level, normalized)`` per step.
+    series: list = field(default_factory=list)
     infeasible_reported: bool = False
     profile: object = None  # EnergyProfile when profiling was requested
 
@@ -77,20 +80,61 @@ def _spawn_workload(rig, horizon):
     return composite
 
 
+class _SeriesTracer:
+    """The goal rig's tracer: keeps the Figure 19 rows off ``core``.
+
+    The controller's ``supply_j``/``demand_j`` counters and the
+    viceroy's ``fidelity`` instants are the only record of those
+    series, so this wrapper is always the ``core`` gate: it keeps the
+    rows whatever tracer the user installed, and forwards each call to
+    the real ``core`` gate when one is open.  Every other category (and
+    attribute) is the wrapped tracer's.
+    """
+
+    _ENERGY = {"supply_j": "supply", "demand_j": "demand"}
+
+    def __init__(self, tracer):
+        self._tracer = tracer
+        self._core = tracer.gate("core")
+        self.rows = []
+
+    def __getattr__(self, name):
+        return getattr(self._tracer, name)
+
+    def gate(self, category):
+        return self if category == "core" else self._tracer.gate(category)
+
+    def counter(self, ts, cat, name, value, track=None):
+        label = self._ENERGY.get(name)
+        if label is not None:
+            self.rows.append((ts, "energy", label, value, None))
+        if self._core is not None:
+            self._core.counter(ts, cat, name, value, track)
+
+    def instant(self, ts, cat, name, track=None, args=None):
+        if name == "fidelity":
+            self.rows.append((ts, "fidelity", args["application"],
+                              args["level"], args["normalized"]))
+        if self._core is not None:
+            self._core.instant(ts, cat, name, track, args)
+
+
 def build_goal_rig(initial_energy=DEFAULT_INITIAL_ENERGY_J, costs=None,
                    priorities=None, supply=None, monitor_factory=None):
     """Rig with a finite battery and all four applications registered.
 
     ``monitor_factory(machine)`` overrides the power-measurement source
     (e.g. the SmartBattery gauge of Section 5.1.1); ``supply`` overrides
-    the ideal battery (e.g. a Peukert model).
+    the ideal battery (e.g. a Peukert model).  ``rig.sim.tracer.rows``
+    holds the run's Figure 19 rows (see :attr:`GoalResult.series`).
     """
     battery = supply if supply is not None else Battery(initial_energy)
     rig = build_rig(
         pm_enabled=True, costs=costs, supply=battery, priorities=priorities
     )
     monitor = monitor_factory(rig.machine) if monitor_factory else None
-    odyssey = Odyssey(rig.machine, timeline=rig.timeline, monitor=monitor)
+    rig.sim.tracer = _SeriesTracer(rig.sim.tracer)
+    odyssey = Odyssey(rig.machine, monitor=monitor)
     for name in ("speech", "video", "map", "web"):
         odyssey.register_application(rig.apps[name])
     return rig, odyssey, battery
@@ -142,7 +186,7 @@ def run_goal_experiment(goal_seconds, initial_energy=DEFAULT_INITIAL_ENERGY_J,
         residual_energy=max(0.0, battery.residual),
         survived_seconds=failed_at if failed_at is not None else rig.sim.now,
         adaptations=odyssey.viceroy.adaptation_counts(),
-        timeline=rig.timeline,
+        series=rig.sim.tracer.rows,
         infeasible_reported=controller.infeasible_reported,
     )
 
@@ -329,7 +373,7 @@ def run_bursty_experiment(seed, goal_seconds, extension=(0.0, 0.0),
         residual_energy=max(0.0, battery.residual),
         survived_seconds=failed_at if failed_at is not None else rig.sim.now,
         adaptations=odyssey.viceroy.adaptation_counts(),
-        timeline=rig.timeline,
+        series=rig.sim.tracer.rows,
         infeasible_reported=controller.infeasible_reported,
         profile=profile,
     )

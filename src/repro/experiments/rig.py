@@ -25,7 +25,7 @@ from repro.apps import (
 from repro.hardware import PowerManager, build_machine
 from repro.hardware.battery import ExternalSupply
 from repro.net import Link, RpcChannel, Server
-from repro.sim import Simulator, Timeline
+from repro.sim import Simulator
 from repro.workloads.thinktime import DEFAULT_THINK_S, FixedThinkTime
 
 __all__ = ["Rig", "build_rig"]
@@ -39,7 +39,6 @@ class Rig:
 
     sim: object
     machine: object
-    timeline: object
     link: object
     xserver: object
     power_manager: object
@@ -98,7 +97,6 @@ def build_rig(pm_enabled=True, display_policy="bright", costs=None,
     costs = costs or DEFAULT_COSTS
     priorities = priorities or {"speech": 1, "video": 2, "map": 3, "web": 4}
     sim = Simulator()
-    timeline = Timeline()
     scheduler = None
     if cpu_quantum is not None:
         from repro.sim.scheduler import QuantumScheduler
@@ -107,7 +105,6 @@ def build_rig(pm_enabled=True, display_policy="bright", costs=None,
     machine = build_machine(
         sim,
         supply=supply if supply is not None else ExternalSupply(),
-        timeline=timeline,
         zoned=zoned,
         scheduler=scheduler,
     )
@@ -159,7 +156,6 @@ def build_rig(pm_enabled=True, display_policy="bright", costs=None,
     return Rig(
         sim=sim,
         machine=machine,
-        timeline=timeline,
         link=link,
         xserver=xserver,
         power_manager=power_manager,

@@ -197,12 +197,11 @@ class Machine:
     AUTO_FOLD_SEGMENTS = 4096
 
     def __init__(self, sim, supply, voltage=16.0, correction=None,
-                 timeline=None, scheduler=None, metrics=None, profile=None):
+                 scheduler=None, metrics=None, profile=None):
         self.sim = sim
         self.supply = supply
         self.voltage = voltage
         self.correction = correction or (lambda machine: 0.0)
-        self.timeline = timeline
         # Optional repro.devices.DeviceProfile: scales the wattage table
         # of every subsequently attached component.  Construction-time
         # identity (like `correction`), not snapshotted state — forks
@@ -310,12 +309,6 @@ class Machine:
         self.components[component.name] = component
         component._pre_change = self.power_will_change
         self._power_dirty = True
-        if self.timeline is not None:
-            component.observe(
-                lambda comp, old, new: self.timeline.record(
-                    self.sim.now, "hardware", comp.name, new
-                )
-            )
         return component
 
     def __getitem__(self, name):

@@ -98,8 +98,7 @@ def superlinear_correction(machine):
     return 0.11 + extra
 
 
-def build_machine(sim, supply=None, timeline=None, zoned=None, scheduler=None,
-                  profile=None):
+def build_machine(sim, supply=None, zoned=None, scheduler=None, profile=None):
     """Assemble a calibrated ThinkPad 560X model.
 
     Parameters
@@ -109,8 +108,6 @@ def build_machine(sim, supply=None, timeline=None, zoned=None, scheduler=None,
     supply:
         Energy supply; defaults to an :class:`ExternalSupply` (the
         paper removed the battery during measurement).
-    timeline:
-        Optional :class:`~repro.sim.Timeline` to record state changes.
     zoned:
         ``None`` for the stock display, or ``(rows, cols)`` for the
         Section 4 zoned-backlighting projection (``(2, 2)`` = 4 zones,
@@ -128,7 +125,6 @@ def build_machine(sim, supply=None, timeline=None, zoned=None, scheduler=None,
         supply=supply if supply is not None else ExternalSupply(),
         voltage=VOLTAGE,
         correction=superlinear_correction,
-        timeline=timeline,
         scheduler=scheduler,
         profile=profile,
     )

@@ -7,7 +7,10 @@ Public surface:
   waitable primitives
 * :class:`~repro.sim.process.Process` — generator-based processes
 * :class:`~repro.sim.resources.Resource` — FIFO contention
-* :class:`~repro.sim.timeline.Timeline` — trace recording
+
+Events are recorded by the tracer (:mod:`repro.obs`), which the
+simulator resolves at construction; the kernel keeps no record of its
+own.
 """
 
 from repro.sim.engine import Event, Simulator, Timeout, Waitable
@@ -21,7 +24,6 @@ from repro.sim.errors import (
 from repro.sim.process import Process
 from repro.sim.resources import Resource, ResourceGrant
 from repro.sim.scheduler import QuantumScheduler
-from repro.sim.timeline import Timeline, TraceRecord
 
 __all__ = [
     "Simulator",
@@ -32,8 +34,6 @@ __all__ = [
     "Resource",
     "ResourceGrant",
     "QuantumScheduler",
-    "Timeline",
-    "TraceRecord",
     "SimulationError",
     "SchedulingError",
     "ProcessError",

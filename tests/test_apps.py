@@ -192,16 +192,15 @@ class TestMapViewer:
 
     def test_nic_standby_during_think_time_with_pm(self):
         rig = build_rig(pm_enabled=True, think_time_s=10.0)
+        nic_states = []
+        rig.machine["wavelan"].observe(
+            lambda _comp, _old, new: nic_states.append(new)
+        )
         viewer = rig.apps["map"]
         proc = rig.sim.spawn(viewer.view(MAPS[1]))
         rig.run_until_complete(proc)
         # The NIC woke for the fetch RPC and fell back to standby for
         # the think period (paper: standby except during RPCs).
-        nic_states = [
-            r.value
-            for r in rig.timeline.category("hardware")
-            if r.label == "wavelan"
-        ]
         assert WaveLan.RECV in nic_states or WaveLan.XMIT in nic_states
         assert nic_states[-1] == WaveLan.STANDBY
         assert rig.machine["wavelan"].state == WaveLan.STANDBY

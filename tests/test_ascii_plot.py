@@ -82,11 +82,11 @@ class TestAsciiStaircase:
 
         result = run_goal_experiment(200.0, initial_energy=3000.0)
         records = [
-            r for r in result.timeline.category("fidelity")
-            if r.label == "video"
+            row for row in result.series
+            if row[1] == "fidelity" and row[2] == "video"
         ]
-        times = [r.time for r in records]
-        levels = [r.value[0] for r in records]
+        times = [row[0] for row in records]
+        levels = [row[3] for row in records]
         text = ascii_staircase(times, levels, VIDEO_LEVELS,
                                title="video fidelity")
         assert "baseline" in text and "#" in text

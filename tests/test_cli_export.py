@@ -8,7 +8,6 @@ import pytest
 
 from repro.analysis.export import energy_table_csv, timeline_csv, write_csv
 from repro.cli import build_parser, main
-from repro.sim import Timeline
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -43,21 +42,14 @@ class TestEnergyTableCsv:
 
 class TestTimelineCsv:
     def test_exports_records(self):
-        timeline = Timeline()
-        timeline.record(1.0, "energy", "supply", 100.0)
-        timeline.record(1.5, "fidelity", "video", ("baseline", 1.0))
-        text = timeline_csv(timeline)
+        text = timeline_csv([
+            (1.0, "energy", "supply", 100.0, None),
+            (1.5, "fidelity", "video", "baseline", 1.0),
+        ])
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["time", "category", "label", "value", "extra"]
         assert rows[1] == ["1.0", "energy", "supply", "100.0", ""]
         assert rows[2] == ["1.5", "fidelity", "video", "baseline", "1.0"]
-
-    def test_category_filter(self):
-        timeline = Timeline()
-        timeline.record(1.0, "energy", "supply", 100.0)
-        timeline.record(2.0, "hardware", "disk", "standby")
-        text = timeline_csv(timeline, categories={"energy"})
-        assert "disk" not in text
 
     def test_write_csv(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -94,6 +86,34 @@ class TestCli:
                      "--no-chart", "--csv", str(path)])
         assert code == 0
         assert path.read_bytes() == (DATA / "goal-197-3000.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["goal", "--goal", "0"],
+        ["goal", "--goal", "-5"],
+        ["goal", "--energy", "0"],
+        ["goal", "--energy", "nan"],
+        ["goal", "--halflife", "0"],
+        ["goal", "--halflife", "inf"],
+        ["trace", "bursty", "--goal", "0"],
+        ["trace", "goal", "--energy", "-1"],
+    ])
+    def test_nonpositive_numbers_exit_2_with_one_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines()
+                    if "error:" in line]) == 1
+        assert "must be > 0 and finite" in err
+
+    def test_goal_csv_to_missing_directory_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        code = main(["goal", "--goal", "20", "--energy", "3000",
+                     "--no-chart", "--csv", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and str(path) in err
 
     def test_fig13_command_prints_and_exports(self, tmp_path, capsys):
         path = tmp_path / "fig13.csv"

@@ -12,7 +12,8 @@ from repro.core import (
 )
 from repro.hardware import Machine, ExternalSupply, PowerComponent, build_machine
 from repro.powerscope import OnlinePowerMonitor
-from repro.sim import Simulator, Timeline
+from repro.obs import Tracer
+from repro.sim import Simulator
 
 
 class StubApp:
@@ -56,17 +57,17 @@ class StubApp:
         return self.ladder.normalized()
 
 
-def make_adaptive_rig(initial_energy, goal_seconds, levels=None, **kwargs):
+def make_adaptive_rig(initial_energy, goal_seconds, levels=None,
+                      tracer=None, **kwargs):
     """Machine with one adaptive load + controller, ready to start."""
     levels = levels or {"low": 2.0, "mid": 5.0, "high": 8.0}
-    sim = Simulator()
+    sim = Simulator(tracer=tracer)
     machine = Machine(sim, ExternalSupply())
     machine.attach(PowerComponent("base", {"on": 2.0}, "on"))
     load = machine.attach(
         PowerComponent("load", dict(levels), list(levels)[-1])
     )
-    timeline = Timeline()
-    viceroy = Viceroy(sim, timeline=timeline)
+    viceroy = Viceroy(sim)
     app = StubApp("app", 1, load, levels)
     viceroy.register_application(app)
     monitor = OnlinePowerMonitor(machine, period=0.1)
@@ -74,7 +75,6 @@ def make_adaptive_rig(initial_energy, goal_seconds, levels=None, **kwargs):
         viceroy, monitor,
         initial_energy=initial_energy,
         goal_seconds=goal_seconds,
-        timeline=timeline,
         **kwargs,
     )
     return sim, machine, app, controller
@@ -120,16 +120,16 @@ class TestViceroy:
         assert viceroy.degrade_once() is None
 
     def test_fidelity_recorded_on_timeline(self):
-        sim = Simulator()
-        timeline = Timeline()
+        tracer = Tracer()
+        sim = Simulator(tracer=tracer)
         machine = Machine(sim, ExternalSupply())
         comp = machine.attach(PowerComponent("load", {"a": 1.0, "b": 2.0}, "b"))
-        viceroy = Viceroy(sim, timeline=timeline)
+        viceroy = Viceroy(sim)
         viceroy.register_application(StubApp("app", 1, comp, {"a": 1.0, "b": 2.0}))
         viceroy.degrade_once()
-        records = timeline.category("fidelity")
+        records = [e for e in tracer.events if e.name == "fidelity"]
         assert len(records) == 2  # registration + degrade
-        assert records[-1].value[0] == "a"
+        assert records[-1].args["level"] == "a"
 
 
 class TestGoalDirectedController:
@@ -213,11 +213,16 @@ class TestGoalDirectedController:
             controller.extend_goal(-5.0)
 
     def test_timeline_records_supply_and_demand_series(self):
-        sim, machine, app, controller = make_adaptive_rig(1000.0, 60.0)
+        tracer = Tracer(categories={"core"})
+        sim, machine, app, controller = make_adaptive_rig(
+            1000.0, 60.0, tracer=tracer,
+        )
         controller.start()
         sim.run(until=61.0)
-        times, supply = controller.timeline.series("energy", "supply")
-        _times, demand = controller.timeline.series("energy", "demand")
+        events = list(tracer.events)
+        times = [e.ts for e in events if e.name == "supply_j"]
+        supply = [e.args["value"] for e in events if e.name == "supply_j"]
+        demand = [e.args["value"] for e in events if e.name == "demand_j"]
         assert len(times) > 50
         assert supply[0] > supply[-1]  # monotone drain
         # Demand tracks supply closely once adaptation settles (Fig 19).

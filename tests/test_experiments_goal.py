@@ -12,6 +12,7 @@ from repro.experiments import (
     run_bursty_experiment,
     run_goal_experiment,
 )
+from repro.obs import NULL_TRACER, Tracer, installed
 
 ENERGY = 5_000.0  # small supply -> short experiments (paper used 12 kJ)
 
@@ -59,8 +60,9 @@ class TestGoalDirectedAdaptation:
         goals = derive_goals(*bounds)
         result = run_goal_experiment(goals[0], initial_energy=ENERGY)
         fidelity = {}
-        for record in result.timeline.category("fidelity"):
-            fidelity[record.label] = record.value[1]  # normalized
+        for _t, category, app, _level, normalized in result.series:
+            if category == "fidelity":
+                fidelity[app] = normalized
         assert result.goal_met
         assert fidelity["web"] >= fidelity["speech"]
 
@@ -68,8 +70,8 @@ class TestGoalDirectedAdaptation:
         """Figure 19 top graph: estimated demand tracks supply closely."""
         goals = derive_goals(*bounds)
         result = run_goal_experiment(goals[1], initial_energy=ENERGY)
-        _t, supply = result.timeline.series("energy", "supply")
-        _t, demand = result.timeline.series("energy", "demand")
+        supply = [row[3] for row in result.series if row[2] == "supply"]
+        demand = [row[3] for row in result.series if row[2] == "demand"]
         # Compare trailing halves (the estimator needs warm-up).
         half = len(supply) // 2
         for s, d in zip(supply[half:], demand[half:]):
@@ -86,8 +88,9 @@ class TestGoalDirectedAdaptation:
         result = run_goal_experiment(t_hi * 0.4, initial_energy=ENERGY)
         assert result.goal_met
         final = {}
-        for record in result.timeline.category("fidelity"):
-            final[record.label] = record.value[1]
+        for _t, category, app, _level, normalized in result.series:
+            if category == "fidelity":
+                final[app] = normalized
         assert final["web"] == 1.0
         assert final["video"] >= 0.75
 
@@ -101,6 +104,23 @@ class TestGoalDirectedAdaptation:
         )
         assert result.goal_seconds == pytest.approx(base_goal + extension[1])
         assert result.goal_met
+
+    def test_series_do_not_depend_on_the_installed_tracer(self):
+        """Figure 19 rows are kept whatever the user traces, and the
+        real tracer still receives every ``core`` event."""
+        full = Tracer()
+        runs = []
+        for tracer in (NULL_TRACER, full,
+                       Tracer(capacity=50, categories={"sim"})):
+            with installed(tracer):
+                runs.append(run_goal_experiment(197.0, initial_energy=3000.0))
+        rows = runs[0].series
+        assert rows == runs[1].series == runs[2].series
+        assert {row[1] for row in rows} == {"energy", "fidelity"}
+        traced = [(e.ts, e.args["value"]) for e in full.events
+                  if e.name == "supply_j"]
+        assert traced == [(row[0], row[3]) for row in rows
+                          if row[2] == "supply"]
 
     def test_adaptation_counts_by_app(self, bounds):
         goals = derive_goals(*bounds)

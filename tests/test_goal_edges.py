@@ -5,7 +5,7 @@ import pytest
 from repro.core import GoalDirectedController, Viceroy
 from repro.hardware import ExternalSupply, Machine, PowerComponent
 from repro.powerscope import OnlinePowerMonitor
-from repro.sim import Simulator, Timeline
+from repro.sim import Simulator
 
 
 def bare_controller(goal_seconds=60.0, initial_energy=1000.0, **kwargs):
@@ -16,7 +16,7 @@ def bare_controller(goal_seconds=60.0, initial_energy=1000.0, **kwargs):
     monitor = OnlinePowerMonitor(machine, period=0.1)
     controller = GoalDirectedController(
         viceroy, monitor, initial_energy=initial_energy,
-        goal_seconds=goal_seconds, timeline=Timeline(), **kwargs,
+        goal_seconds=goal_seconds, **kwargs,
     )
     return sim, machine, controller
 

@@ -16,7 +16,7 @@ from repro.hardware import (
     build_machine,
 )
 from repro.hardware import thinkpad560x as tp
-from repro.sim import Simulator, Timeline
+from repro.sim import Simulator
 
 
 def simple_machine(sim, supply=None):
@@ -351,10 +351,14 @@ class TestPowerManager:
             PowerManager(machine, enabled=True, display_policy="sepia")
 
     def test_timeline_records_state_changes(self):
-        sim = Simulator()
-        timeline = Timeline()
-        machine = build_machine(sim, timeline=timeline)
+        sim = Simulator(start_time=3.0)
+        machine = build_machine(sim)
+        timeline = []
+        for component in machine.components.values():
+            component.observe(
+                lambda comp, old, new: timeline.append(
+                    (sim.now, comp.name, old, new)
+                )
+            )
         machine["display"].dim()
-        changes = timeline.category("hardware")
-        assert changes and changes[-1].label == "display"
-        assert changes[-1].value == Display.DIM
+        assert timeline == [(3.0, "display", Display.BRIGHT, Display.DIM)]

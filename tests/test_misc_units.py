@@ -1,54 +1,11 @@
-"""Unit tests for small pieces: timeline queries, X server, servers."""
+"""Unit tests for small pieces: X server, servers."""
 
 import pytest
 
 from repro.apps import XServer
 from repro.experiments import build_rig
 from repro.net import Server
-from repro.sim import Simulator, Timeline
-
-
-class TestTimeline:
-    def make(self):
-        timeline = Timeline()
-        timeline.record(1.0, "energy", "supply", 100.0)
-        timeline.record(2.0, "energy", "demand", 90.0)
-        timeline.record(3.0, "energy", "supply", 80.0)
-        timeline.record(4.0, "fidelity", "video", ("baseline", 1.0))
-        return timeline
-
-    def test_len_and_iter(self):
-        timeline = self.make()
-        assert len(timeline) == 4
-        assert [r.category for r in timeline] == [
-            "energy", "energy", "energy", "fidelity",
-        ]
-
-    def test_category_filter(self):
-        timeline = self.make()
-        assert len(timeline.category("energy")) == 3
-        assert timeline.category("ghost") == []
-
-    def test_series_with_label(self):
-        timeline = self.make()
-        times, values = timeline.series("energy", "supply")
-        assert times == [1.0, 3.0]
-        assert values == [100.0, 80.0]
-
-    def test_series_without_label_takes_all(self):
-        timeline = self.make()
-        times, _values = timeline.series("energy")
-        assert times == [1.0, 2.0, 3.0]
-
-    def test_last(self):
-        timeline = self.make()
-        assert timeline.last("energy", "supply").value == 80.0
-        assert timeline.last("nothing") is None
-
-    def test_between(self):
-        timeline = self.make()
-        records = timeline.between(2.0, 4.0)
-        assert [r.time for r in records] == [2.0, 3.0]
+from repro.sim import Simulator
 
 
 class TestXServer:

@@ -13,7 +13,7 @@ import repro
 SURFACES = {
     "repro.sim": [
         "Simulator", "Timeout", "Event", "Waitable", "Process", "Resource",
-        "QuantumScheduler", "Timeline", "TraceRecord", "SimulationError",
+        "QuantumScheduler", "SimulationError",
         "SchedulingError", "ProcessError", "ResourceError", "Interrupted",
     ],
     "repro.hardware": [

@@ -225,7 +225,9 @@ class TestGoalAdaptationOnGauge:
             ),
         )
         # Battery ground truth and believed residual agree within 5%.
-        _times, supply_series = result.timeline.series("energy", "supply")
+        supply_series = [
+            row[3] for row in result.series if row[2] == "supply"
+        ]
         assert supply_series[-1] == pytest.approx(
             result.residual_energy, abs=0.05 * energy
         )
