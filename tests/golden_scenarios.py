@@ -35,6 +35,10 @@ BURSTY_GOAL_SECONDS = 240.0
 PULSE_GOAL_SECONDS = 290.0
 PULSE_ENERGY_J = 2400.0
 LOOKAHEAD_HORIZON_S = 12.0
+#: ``repro trace goal --beam 4 --depth 2``: the beam controller on the
+#: same pulse sizing and horizon as the lookahead golden.
+BEAM_WIDTH = 4
+BEAM_DEPTH = 2
 
 
 def _run_goal(**controller_kwargs):
@@ -73,12 +77,22 @@ def _run_pulse_lookahead():
                    lookahead=True, horizon=LOOKAHEAD_HORIZON_S)
 
 
+def _run_pulse_beam():
+    from repro.snapshot.scenario import run_pulse_goal
+
+    run_pulse_goal(goal_seconds=PULSE_GOAL_SECONDS,
+                   initial_energy=PULSE_ENERGY_J,
+                   lookahead=True, horizon=LOOKAHEAD_HORIZON_S,
+                   beam_width=BEAM_WIDTH, beam_depth=BEAM_DEPTH)
+
+
 SCENARIOS = {
     "goal-default": _run_goal_default,
     "goal-hysteresis-off": _run_goal_hysteresis_off,
     "bursty-supply": _run_bursty,
     "goal-pulse": _run_pulse,
     "goal-lookahead": _run_pulse_lookahead,
+    "goal-beam": _run_pulse_beam,
 }
 
 
@@ -99,11 +113,12 @@ def run_scenario(name):
 # Energy-signature goldens: per-phase joule vectors over the spine
 # ----------------------------------------------------------------------
 #: Scenarios with blessed ``*.sig.json`` energy signatures.  The
-#: lookahead scenario is included: branch vetting forks stamp a
-#: ``branch`` id on their power spans and ``power_spans`` folds the
-#: trunk only, so the signature is clean even when forks trace.
+#: lookahead and beam scenarios are included: their what-if branches
+#: never write to the trunk's power journal, so the signature folds
+#: the trunk's own spans only.
 SIGNATURE_SCENARIOS = ("goal-default", "goal-hysteresis-off",
-                       "bursty-supply", "goal-pulse", "goal-lookahead")
+                       "bursty-supply", "goal-pulse", "goal-lookahead",
+                       "goal-beam")
 
 
 def signature_path(name):

@@ -154,21 +154,47 @@ def _digest(rows):
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-def test_lookahead_branch_verdicts_pinned():
+def _branch_rows(**params):
     """``(did, action, repr(energy_j), repr(margin_j))`` per branch of a
-    90 s / 780 J lookahead run, from the branch-track instants."""
+    90 s / 780 J lookahead run, from the branch-track instants, plus
+    the run's ``branches_run`` count."""
     tracer = Tracer(clock=lambda: 0.0)
     with installed(tracer):
         summary = run_pulse_goal(lookahead=True, goal_seconds=90.0,
-                                 initial_energy=780.0)
+                                 initial_energy=780.0, **params)
     rows = [(e.args["did"], e.args["action"], repr(e.args["energy_j"]),
              repr(e.args["margin_j"]))
             for e in tracer.events
             if e.cat == "branch" and e.name.startswith("branch.")]
-    assert len(rows) == summary["lookahead"]["branches_run"] == 160
+    return rows, summary["lookahead"]["branches_run"]
+
+
+def test_lookahead_branch_verdicts_pinned():
+    rows, branches_run = _branch_rows()
+    assert len(rows) == branches_run == 160
     assert _digest(rows) == (
         "00d7f90c3d658b4ef455cfee6948529cfe0ad1d7b5f781d6fdb67237c5ab284f"
     )
+
+
+# The same run on each generated seed-7 device (scaled wattages move
+# every edge's power) and on a coarser sample grid.
+@pytest.mark.parametrize("params,count,digest", [
+    ({"device": DEVICES[1]}, 190,
+     "7838ae303a00e2d64b8d03e47a0ba988c4402e88aec3f851903287bdace5a16f"),
+    ({"device": DEVICES[2]}, 286,
+     "fe31a55f15f239a179e85cefd5093c63bd70dc9c3f6b8f6b91ab2b987360d87c"),
+    ({"device": DEVICES[3]}, 180,
+     "c224fae8a84379532c52d6f017b482f9c1e9f5c9bd31790d319cb20fb87dc0a3"),
+    ({"device": DEVICES[4]}, 172,
+     "fbc0451f8d381f9c4d81b86328bb75a89edfb516946d689f676ede26a72a0402"),
+    ({"sample_period": 0.25}, 186,
+     "b45399210391aa4841bb3d847eb3b6f150c7379943cfe832cafc465c7d37bf11"),
+], ids=["dev00", "dev01", "dev02", "dev03", "sample-0.25"])
+def test_branch_verdicts_pinned_per_device_and_grid(params, count, digest):
+    rows, branches_run = _branch_rows(**params)
+    assert len(rows) == branches_run == count
+    assert _digest(rows) == digest
 
 
 def test_beam_branch_verdicts_pinned(monkeypatch):
