@@ -55,6 +55,14 @@ def _positive_float(text):
     return value
 
 
+def _nonnegative_float(text):
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 and finite, got {text}")
+    return value
+
+
 def _nonnegative_int(text):
     value = int(text)
     if value < 0:
@@ -521,10 +529,10 @@ def build_parser():
                    help="run the snapshot-capable pulse scenario instead "
                         "of the generator-based goal rig (goal only)")
     p.add_argument("--lookahead", action="store_true",
-                   help="vet adaptation decisions with forked what-if "
+                   help="vet adaptation decisions with what-if "
                         "branches (implies --pulse); branch verdicts "
                         "are traced on the 'branch' category")
-    p.add_argument("--horizon", type=float, default=12.0,
+    p.add_argument("--horizon", type=_positive_float, default=12.0,
                    help="lookahead branch horizon in seconds (default 12)")
     p.add_argument("--beam", type=_positive_int, default=None, metavar="W",
                    help="beam-search adaptation schedules with width W "
@@ -716,15 +724,15 @@ def build_parser():
                         "(pinned snapshots always survive)")
     p.add_argument("--dry-run", action="store_true",
                    help="gc: report what would be deleted without deleting")
-    p.add_argument("--at", type=float, default=120.0,
+    p.add_argument("--at", type=_nonnegative_float, default=120.0,
                    help="capture / extension instant in sim seconds "
                         "(default 120)")
     p.add_argument("--lookahead", action="store_true",
                    help="roundtrip: use the lookahead controller; "
                         "sweep: add the lookahead policy as a second axis")
-    p.add_argument("--horizon", type=float, default=12.0,
+    p.add_argument("--horizon", type=_positive_float, default=12.0,
                    help="lookahead branch horizon in seconds (default 12)")
-    p.add_argument("--extensions", nargs="*", type=float,
+    p.add_argument("--extensions", nargs="*", type=_nonnegative_float,
                    default=(0.0, 20.0, 40.0),
                    help="goal extensions in seconds to sweep (default "
                         "0 20 40)")

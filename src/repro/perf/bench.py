@@ -421,11 +421,12 @@ def bench_cow_capture_scaling(quick, repeats):
 
 
 def bench_fork_lookahead(quick, repeats):
-    """One full lookahead-policy goal run: fork + branch-advance bound.
+    """One full lookahead-policy goal run: what-if evaluation bound.
 
-    The dominant cost is the per-decision what-if evaluation (capture,
-    two forks, two horizon advances); ``branches_per_s`` is the
-    end-to-end throughput including the parent's own simulation.
+    Each proposal folds a hold and an acted lane over the horizon (the
+    name predates lanes, when each branch was a fork);
+    ``branches_per_s`` is the end-to-end throughput including the
+    parent's own simulation.
     """
     from repro.snapshot.scenario import run_pulse_goal
 

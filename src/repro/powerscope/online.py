@@ -22,20 +22,6 @@ end.  The loop performs the *same float operations in the same order*
 as the per-event path (one sequence number per tick included), so
 fused and unfused runs are byte-identical — the golden-trace and
 snapshot determinism suites pin this down.
-
-Open-loop runs: no ticks at all
--------------------------------
-A lookahead branch makes no decisions, so nothing reads its samples
-before it ends; its ticks matter only because each one advances the
-machine, splitting the float sums of ``energy_total`` and the battery
-drain at the tick's instant.  :meth:`OnlinePowerMonitor.hand_off_ticks`
-cancels the pending tick and hands the grid ``(instant, period)`` to
-the machine, whose :meth:`~repro.hardware.machine.Machine.advance`
-then integrates at every grid instant it passes with the tick's own
-float operations; :meth:`OnlinePowerMonitor.take_back_ticks` re-pushes
-the tick at the grid's next instant.  The sums, the journal and so the
-branch verdicts stay bit-identical to a ticking branch
-(``tests/test_lookahead_grid.py``).
 """
 
 from __future__ import annotations
@@ -128,41 +114,6 @@ class OnlinePowerMonitor:
                 self.sim.now, "powerscope", "online.stop", track="online",
                 args={"last_power": self.last_power},
             )
-
-    def hand_off_ticks(self):
-        """Stop ticking and let the machine split on the tick grid.
-
-        For open-loop runs, where no subscriber's state is read before
-        :meth:`take_back_ticks`: the pending tick is cancelled and its
-        instant handed to :meth:`Machine.split_at_grid
-        <repro.hardware.machine.Machine.split_at_grid>`, which replays
-        the one effect a tick has on the machine's accounts.
-        Subscribers receive no samples meanwhile.  Returns whether a
-        tick was handed off.
-        """
-        entry = self._entry
-        if not self._running or entry is None:
-            return False
-        self.sim.cancel(entry)
-        self._entry = None
-        self.machine.split_at_grid(entry[0], self.period)
-        return True
-
-    def take_back_ticks(self):
-        """Resume ticking after :meth:`hand_off_ticks`.
-
-        Call at the end of a bounded run, before any capture.  The next
-        tick is pushed at exactly the grid's next instant: ``schedule``
-        (or ``schedule_at``) would recompute it as ``now + delay`` and
-        could round off the grid.
-        """
-        when, last = self.machine.release_grid()
-        if last is not None:
-            self._last_sample_time = last
-        sim = self.sim
-        seq = sim._next_seq
-        sim._next_seq = seq + 1
-        self._entry = sim.restore_entry(when, seq, self._tick)
 
     def _tick(self, _time):
         if not self._running:

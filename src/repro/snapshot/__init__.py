@@ -12,9 +12,10 @@ The subsystem has four layers:
 * :mod:`repro.snapshot.disk` — :class:`SnapshotStore`: the versioned,
   sha256-addressed on-disk format fleet campaigns warm-start from.
 * :mod:`repro.snapshot.lookahead` — :class:`WhatIfEvaluator` and
-  :class:`LookaheadGoalController`: fork a branch per candidate
-  fidelity action at each adaptation decision, advance a horizon, and
-  score predicted energy against the goal.
+  :class:`LookaheadGoalController`: measure a branch per candidate
+  fidelity action at each adaptation decision over a horizon (as
+  side-by-side lanes over the trunk's schedule, or on forks where lanes
+  cannot model the stack), and score predicted energy against the goal.
 
 :mod:`repro.snapshot.scenario` provides the snapshot-capable goal rig
 (timer-driven workloads — no generator processes), and

@@ -1,13 +1,12 @@
-"""Lookahead what-if evaluation: vet adaptation decisions on forks.
+"""Lookahead what-if evaluation: vet adaptation decisions ahead of time.
 
 The goal-directed controller's hysteresis trigger extrapolates demand
 from *smoothed history*; a pulsed workload can therefore talk it into
 degrading during a transient burst or upgrading right before one.  The
 :class:`WhatIfEvaluator` replaces extrapolation with *measurement*: at
-each non-hold proposal it captures the whole stack, forks one branch
-per candidate action, advances each a configurable horizon under a
-private null tracer, and scores the branch's measured energy against
-the goal.
+each non-hold proposal it integrates, per candidate action, the joules
+the stack would spend over a configurable horizon, and scores each
+branch's energy against the goal.
 
 Scoring
 -------
@@ -22,34 +21,57 @@ margin is negative (holding would miss the goal); an UPGRADE proposal
 only when the *upgraded* branch's margin is non-negative (the richer
 fidelity still makes the goal).
 
-Branch runs are invisible to the parent's metrics and decision spine:
-they fork with ``NULL_TRACER`` plus a fresh registry, and the parent
-emits their verdicts on the ``branch`` category/track, which
+Branches are invisible to the parent's metrics and decision spine: the
+parent emits their verdicts on the ``branch`` category/track, which
 :func:`repro.obs.diff.decision_spine` (``core`` only) never reads.
-As belt and braces, every forked machine is stamped with a branch id
-(``did<n>.<action>``) that rides on its ``power/span`` args, so even a
-branch run under a *real* tracer cannot pollute the trunk's energy
-fold — :func:`repro.obs.export.power_spans` indexes trunk spans only
-unless a branch is named explicitly.
 
-Open-loop branches
-------------------
-Every branch is forked from a capture taken inside the trunk's
-decision callback, whose already-fired entry the capture drops, so a
-branch never decides: it runs open-loop.  Its monitor's 100 ms samples
-would feed only the branch controller's supply and predictor, which
-nothing reads.  What the ticks do change is where the machine splits
-its energy sums: floating-point addition is not associative, so
-``E += P*(t1-t0)`` per tick differs in the last bits from one product
-over the whole span.  A branch therefore runs without ticks and has
-the machine integrate on the tick grid instead, with each tick's exact
-float operations (:meth:`repro.hardware.machine.Machine.split_at_grid`).
-Verdicts are bit-identical to ticking branches (pinned digests in
-``tests/test_lookahead_grid.py``) at a fraction of the cost: no heap
-event per tick, no fused-loop re-entry after each pulse edge.  Before
-a beam stage is re-captured the tick goes back on the heap at the
-grid's next instant, so stage snapshots fork as before.  A branch
-whose capture still held a pending decision keeps ticking.
+Open-loop lanes
+---------------
+A what-if asked from inside the trunk's decision callback (whose entry
+has already fired) decides nothing over its horizon: it runs open-loop.
+Its future is a fixed schedule of pulse edges and monitor sample
+instants, and the candidates differ only in the watts each app's
+component draws between those instants.  A *lane* folds one candidate
+over that schedule: a float accumulator, the candidate's fidelity
+levels, and per-app edge cursors.  It reads the trunk's live state —
+the machine's ``energy_total``, ``_last_update`` and cached power, the
+monitor's pending tick and period (the grid origin), each
+:class:`~repro.snapshot.scenario.PulsedApp`'s pending entry, activity,
+level, period and burst, and each component's ``states`` table — and
+never captures, forks or advances it.  Each lane does exactly the
+float operations the machine of a forked, ticking branch does:
+
+* the first add, ``total += P * (now - last)`` at the trunk's power,
+  comes before the action and is shared by every lane (when the cached
+  power is dirty it is summed afresh from the component states);
+* then at every grid instant strictly before the next edge (generated
+  ``g += period``, as the monitor generates them), at the edge, and at
+  the horizon: ``total += P * (s - last)``, only when ``s - last > 0``;
+* edges fire while ``when <= until``, in ``(when, seq)`` order, and
+  chain the next edge at ``when + burst`` or ``when + (period - burst)``,
+  as ``schedule`` computes ``now + delay``;
+* power is ``0.0 + w1 + w2 + ...`` in ``machine.components`` order plus
+  the default correction's ``0.0``, as ``Machine._refresh_power`` sums it;
+* a level change takes effect at once only while its app is active,
+  and the app picked follows the priority ladder's degrade/upgrade
+  order over the lane's own levels.
+
+So lane joules are bit-identical to a ticking fork's (the property test
+and pinned verdict digests in ``tests/test_lookahead_grid.py``).  The
+two-branch evaluator folds hold and the proposal side by side in one
+pass; a beam stage folds one candidate and hands its lane on.
+
+A stack lanes cannot model is still forked (:meth:`Snapshot.fork`) and
+run with its ticks: one with a live pending controller decision (a
+what-if asked outside the decision callback, which must decide), an
+app that is not a ``PulsedApp``, a supply with ``note_power``/
+``recover`` hooks, a non-default correction, or any other pending
+event.  Forks run under a private null tracer and registry, and each
+forked machine is stamped with a branch id (``did<n>.<action>``) that
+rides on its ``power/span`` args, so even a fork run under a *real*
+tracer cannot pollute the trunk's energy fold —
+:func:`repro.obs.export.power_spans` indexes trunk spans only unless a
+branch is named explicitly.
 
 Beam search
 -----------
@@ -57,19 +79,22 @@ Beam search
 to *schedules*: the horizon is split into ``beam_depth`` stages, each
 stage expands every surviving branch with the feasible actions (hold,
 degrade, upgrade), and only the ``beam_width`` best-margin branches
-survive to the next stage.  Stage boundaries re-capture the branch —
-forking a fork — which is exactly the O(changes) case the copy-on-write
-journal exists for.  The chosen schedule's *first* action is what the
-parent actually takes; the rest is lookahead scaffolding, re-planned at
-the next trigger.
+survive to the next stage.  Each stage carries its lane state (or, for
+a forked stack, a re-capture of the fork) to the next.  The chosen
+schedule's *first* action is what the parent actually takes; the rest
+is lookahead scaffolding, re-planned at the next trigger.
 """
 
 from __future__ import annotations
 
 from repro.core.goal import GoalDirectedController
 from repro.core.hysteresis import DEGRADE, HOLD, UPGRADE
+from repro.hardware.component import PowerComponent
+from repro.hardware.machine import Machine, zero_correction
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
+from repro.powerscope.online import OnlinePowerMonitor
+from repro.snapshot.scenario import BUILDER_PATH, PulsedApp
 from repro.snapshot.state import Snapshot
 
 __all__ = [
@@ -79,39 +104,274 @@ __all__ = [
 ]
 
 
-class WhatIfEvaluator:
-    """Fork-and-measure evaluation of candidate adaptation actions."""
+class _LaneModel:
+    """The fixed part of a trunk's open-loop future.
 
-    #: Branch scenarios retained for reuse; branches run sequentially,
-    #: so a couple cover the steady state (beam stages briefly spike).
+    ``slots`` follows ``machine.components``: ``(app, watts)`` with
+    ``app`` the index of the pulsed app driving that component, or -1
+    for a component whose constant ``watts`` nothing changes.
+    """
+
+    __slots__ = ("slots", "level_watts", "idle_watts", "top", "burst",
+                 "rest", "period", "degrade_order", "upgrade_order")
+
+    def __init__(self, slots, level_watts, idle_watts, burst, rest, period,
+                 degrade_order, upgrade_order):
+        self.slots = slots
+        self.level_watts = level_watts
+        self.idle_watts = idle_watts
+        self.top = [len(watts) - 1 for watts in level_watts]
+        self.burst = burst
+        self.rest = rest
+        self.period = period
+        self.degrade_order = degrade_order
+        self.upgrade_order = upgrade_order
+
+    def power(self, pulses, levels):
+        """Machine power for one lane, summed as ``_refresh_power`` does."""
+        total = 0.0
+        for app, watts in self.slots:
+            if app < 0:
+                total += watts
+            else:
+                _when, _seq, active, off = pulses[app]
+                total += self.level_watts[app][levels[app]] if active else off
+        # The default correction's 0.0, added as the machine adds it.
+        return total + 0.0
+
+    def act(self, levels, action):
+        """The levels after ``action``, or None when no app can take it.
+
+        Picks the app as :class:`~repro.core.priority.PriorityLadder`
+        does; any action other than degrade/upgrade holds.
+        """
+        if action == DEGRADE:
+            for app in self.degrade_order:
+                if levels[app] < self.top[app]:
+                    return levels[:app] + (levels[app] + 1,) + levels[app + 1:]
+            return None
+        if action == UPGRADE:
+            for app in self.upgrade_order:
+                if levels[app] > 0:
+                    return levels[:app] + (levels[app] - 1,) + levels[app + 1:]
+            return None
+        return levels
+
+
+class _LaneState:
+    """A lane at one instant: the schedule cursors every lane shares
+    there, plus this lane's ``energy`` (the machine's ``energy_total``)
+    and fidelity ``levels``.  The first add has been made, so the
+    machine's last update is ``now``.
+
+    ``pulses`` holds one ``(when, seq, active, off_watts)`` per app:
+    its pending edge (``when`` None if it has none) and the watts its
+    component draws while the app is idle.
+    """
+
+    __slots__ = ("model", "now", "grid", "next_seq", "pulses", "energy",
+                 "levels")
+
+    def __init__(self, model, now, grid, next_seq, pulses, energy, levels):
+        self.model = model
+        self.now = now
+        self.grid = grid
+        self.next_seq = next_seq
+        self.pulses = pulses
+        self.energy = energy
+        self.levels = levels
+
+
+def _lane_start(sim):
+    """The trunk's open-loop future as a lane, or None if a lane
+    cannot model it (see "Open-loop lanes" above)."""
+    objects = sim._snapshottables
+    machine = objects.get("machine")
+    monitor = objects.get("monitor")
+    viceroy = objects.get("viceroy")
+    builder = sim.snapshot_builder
+    if (builder is None or builder[0] != BUILDER_PATH
+            or type(machine) is not Machine
+            or type(monitor) is not OnlinePowerMonitor
+            or monitor.machine is not machine or viceroy is None
+            or machine.correction is not zero_correction
+            or machine._supply_note_power is not None
+            or machine._supply_recover is not None):
+        return None
+    cancelled = sim._cancelled
+    live = {seq for _when, seq, _callback in sim._heap
+            if seq not in cancelled}
+    expected = set()
+    grid = None
+    tick = monitor._entry
+    if monitor._running and tick is not None and tick[1] in live:
+        expected.add(tick[1])
+        grid = tick[0]
+
+    apps = viceroy.ladder.applications
+    components = machine.components
+    owner = {}
+    level_watts = []
+    idle_watts = []
+    bursts = []
+    rests = []
+    pulses = []
+    for index, app in enumerate(apps):
+        component = app.component
+        states = component.states
+        if (type(app) is not PulsedApp or app.sim is not sim
+                or app.machine is not machine
+                or type(component) is not PowerComponent
+                or components.get(component.name) is not component
+                or component.name in owner or "idle" not in states
+                or any(level not in states for level in app.levels)
+                or (app._active and component.state != app.fidelity_level)):
+            return None
+        owner[component.name] = index
+        level_watts.append([states[level] for level in app.levels])
+        idle_watts.append(states["idle"])
+        # As PulsedApp schedules its edges: burst, then period - burst.
+        burst = app.burst
+        bursts.append(burst)
+        rests.append(app.period - burst)
+        entry = app._entry
+        if entry is not None and entry[1] in live:
+            expected.add(entry[1])
+            when, seq = entry[0], entry[1]
+        else:
+            when = seq = None
+        pulses.append((when, seq, app._active, component.power))
+    if live != expected:
+        # A pending decision (or anything else) would act mid-horizon.
+        return None
+    ladder = viceroy.ladder
+    position = {id(app): index for index, app in enumerate(apps)}
+    model = _LaneModel(
+        [(owner.get(name, -1), component.power)
+         for name, component in components.items()],
+        level_watts, idle_watts, bursts, rests, monitor.period,
+        [position[id(app)] for app in ladder.by_priority(ascending=True)],
+        [position[id(app)] for app in ladder.by_priority(ascending=False)],
+    )
+
+    pulses = tuple(pulses)
+    levels = tuple(app.level_index for app in apps)
+    now = sim.now
+    energy = machine.energy_total
+    span = now - machine._last_update
+    if span > 0.0:
+        power = (model.power(pulses, levels) if machine._power_dirty
+                 else machine._power)
+        energy += power * span
+    return _LaneState(model, now, grid, sim._next_seq, pulses, energy,
+                      levels)
+
+
+def _fold(state, lanes, until):
+    """Integrate ``lanes`` (one levels tuple each) from ``state`` to
+    ``until`` in one pass over the shared schedule.
+
+    Returns ``(energies, next_state_fields)``: each lane's final
+    ``energy_total``, and the ``(grid, next_seq, pulses)`` cursors at
+    ``until``.
+    """
+    model = state.model
+    period = model.period
+    burst = model.burst
+    rest = model.rest
+    pulses = list(state.pulses)
+    count = len(lanes)
+    lane_range = range(count)
+    energy = [state.energy] * count
+    power = [model.power(pulses, levels) for levels in lanes]
+    grid = state.grid
+    last = state.now
+    seq = state.next_seq
+    while True:
+        edge = None
+        for app, pulse in enumerate(pulses):
+            when = pulse[0]
+            if (when is not None and when <= until
+                    and (edge is None or pulse[:2] < pulses[edge][:2])):
+                edge = app
+        bound = until if edge is None else pulses[edge][0]
+        if grid is not None:
+            while grid < bound:
+                span = grid - last
+                if span > 0.0:
+                    for i in lane_range:
+                        energy[i] += power[i] * span
+                    last = grid
+                grid += period
+        span = bound - last
+        if span > 0.0:
+            for i in lane_range:
+                energy[i] += power[i] * span
+            last = bound
+        if edge is None:
+            return energy, (grid, seq, tuple(pulses))
+        when, _seq, active, off = pulses[edge]
+        if active:
+            pulses[edge] = (when + rest[edge], seq, False,
+                            model.idle_watts[edge])
+        else:
+            pulses[edge] = (when + burst[edge], seq, True, off)
+        seq += 1
+        power = [model.power(pulses, levels) for levels in lanes]
+
+
+class WhatIfEvaluator:
+    """Measure candidate adaptation actions over a horizon: side by side
+    as lanes when the stack runs open-loop, on forks otherwise."""
+
+    #: Fork scenarios retained for reuse; forks run sequentially, so a
+    #: couple cover the steady state (beam stages briefly spike).
     POOL_MAX = 4
 
     def __init__(self, sim, horizon=12.0):
-        if horizon <= 0:
+        if not horizon > 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         self.sim = sim
         self.horizon = horizon
         self.evaluations = 0
         self.branches_run = 0
-        # Branch runs share one registry (never read; a fresh one per
-        # fork would just burn construction time) and recycle built
+        # Forks share one registry (never read; a fresh one per fork
+        # would just burn construction time) and recycle built
         # scenarios through Snapshot.restore(reuse=...) — the builder
         # is ~half the cost of a cold fork.
         self._branch_metrics = MetricsRegistry()
         self._branch_pool = []
 
+    def start(self):
+        """Where the trunk's branches start: a lane state, or a
+        :class:`Snapshot` to fork when lanes cannot model the stack."""
+        return _lane_start(self.sim) or Snapshot.capture(self.sim)
+
     def evaluate(self, actions, residual, remaining, did=None, trace=None):
-        """Run one branch per action; return ``{action: verdict}``.
+        """Measure one branch per action; return ``{action: verdict}``.
 
         Each verdict carries the branch's measured joules over the
         (goal-clamped) horizon and the projected margin at the goal.
+        A branch whose action cannot apply measures holding, which is
+        what would happen.
         """
-        snapshot = Snapshot.capture(self.sim)
         horizon = min(self.horizon, remaining)
         self.evaluations += 1
+        start = self.start()
+        if type(start) is _LaneState:
+            model = start.model
+            lanes = []
+            for action in actions:
+                levels = model.act(start.levels, action)
+                lanes.append(start.levels if levels is None else levels)
+            ends, _cursors = _fold(start, lanes, start.now + horizon)
+            measured = [(start.now, end - start.energy) for end in ends]
+            self.branches_run += len(lanes)
+        else:
+            measured = [self._fork(start, action, horizon, did)[:2]
+                        for action in actions]
         verdicts = {}
-        for action in actions:
-            t0, energy, _ = self._branch(snapshot, action, horizon, did)
+        for action, (t0, energy) in zip(actions, measured):
             rate = energy / horizon if horizon > 0 else 0.0
             margin = ((residual - energy)
                       - rate * max(0.0, remaining - horizon))
@@ -129,50 +389,44 @@ class WhatIfEvaluator:
         return verdicts
 
     def expand(self, snapshot, action, stage_s, did=None):
-        """Fork, apply ``action``, advance one beam stage, re-capture.
+        """Apply ``action``, advance one beam stage from ``snapshot``.
 
-        Returns ``(energy_j, stage_snapshot)``, or ``None`` when the
-        branch cannot perform ``action`` (ladder exhausted in that
-        direction).  The re-capture is a fork-of-a-fork: the stage
-        snapshot shares the branch's sealed journal blocks, so chaining
-        stages stays O(changes per stage).
+        ``snapshot`` is what :meth:`start` or a previous ``expand``
+        returned.  Returns ``(energy_j, next)``, where ``next`` starts
+        the following stage, or ``None`` when the branch cannot perform
+        ``action`` (ladder exhausted in that direction).
         """
-        measured = self._branch(snapshot, action, stage_s, did, stage=True)
-        if measured is None:
+        if type(snapshot) is not _LaneState:
+            measured = self._fork(snapshot, action, stage_s, did, stage=True)
+            return None if measured is None else measured[1:]
+        levels = snapshot.model.act(snapshot.levels, action)
+        if levels is None:
             return None
-        _t0, energy, stage_snapshot = measured
-        return energy, stage_snapshot
+        until = snapshot.now + stage_s
+        (end,), cursors = _fold(snapshot, [levels], until)
+        self.branches_run += 1
+        return end - snapshot.energy, _LaneState(
+            snapshot.model, until, *cursors, end, levels,
+        )
 
-    def _branch(self, snapshot, action, seconds, did, stage=False):
+    def _fork(self, snapshot, action, seconds, did, stage=False):
         """Fork ``snapshot``, apply ``action``, run ``seconds`` ahead.
 
         Returns ``(t0, joules spent, stage snapshot)``.  A beam
         ``stage`` is re-captured at its end and skipped (``None``) when
         the action cannot apply; a plain branch runs regardless, and
-        then measures holding, which is what would happen.
-
-        Branches are captured inside the trunk's decision callback,
-        whose fired entry the capture drops, so a branch makes no
-        decisions: it runs open-loop, and its monitor's samples would
-        feed only the controller's supply and predictor, which nothing
-        reads.  The monitor therefore hands its ticks to the machine as
-        a split grid for the run, which keeps the per-tick float splits
-        of the machine's energy sums, so the joules are bit-identical
-        to a ticking run (see
-        :meth:`repro.hardware.machine.Machine.split_at_grid`).  A stage
-        takes the ticks back before its re-capture.  A branch that does
-        hold a pending decision keeps its ticks.
+        then measures holding.
         """
-        # Branches are plain-policy (no nested lookahead) and private:
-        # an explicit null tracer keeps the branch sim from resolving
-        # the process-installed tracer, and the evaluator-private
-        # registry keeps its counters out of the parent's metrics.
+        # Forks are plain-policy (no nested lookahead) and private: an
+        # explicit null tracer keeps the fork from resolving the
+        # process-installed tracer, and the evaluator-private registry
+        # keeps its counters out of the parent's metrics.
         reuse = self._branch_pool.pop() if self._branch_pool else None
         scenario = snapshot.fork(
             reuse=reuse, lookahead=False, tracer=NULL_TRACER,
             metrics=self._branch_metrics,
         )
-        # Stamp the branch machine so its power/span stream disentangles
+        # Stamp the fork's machine so its power/span stream disentangles
         # from the trunk's if the fork is ever run under a real tracer
         # (power_spans indexes trunk spans only by default).
         scenario.machine.branch_id = f"did{did}.{action}"
@@ -184,36 +438,27 @@ class WhatIfEvaluator:
         measured = None
         if applied or not stage:
             machine = scenario.machine
-            monitor = scenario.monitor
             sim = scenario.sim
             t0 = sim.now
             start_energy = machine.finish()
-            open_loop = (scenario.controller._entry is None
-                         and monitor.hand_off_ticks())
             sim.run(until=t0 + seconds)
             energy = machine.finish() - start_energy
-            stage_snapshot = None
-            if stage:
-                if open_loop:
-                    monitor.take_back_ticks()
-                stage_snapshot = Snapshot.capture(sim)
+            stage_snapshot = Snapshot.capture(sim) if stage else None
             self.branches_run += 1
             measured = (t0, energy, stage_snapshot)
-        # A pooled scenario left split on the grid is fine: restore
-        # clears the grid and re-pushes the captured tick.
         if len(self._branch_pool) < self.POOL_MAX:
             self._branch_pool.append(scenario)
         return measured
 
 
 class LookaheadGoalController(GoalDirectedController):
-    """Goal controller that vets trigger proposals on forked branches.
+    """Goal controller that vets trigger proposals on what-if branches.
 
-    HOLD proposals pass through untouched (no forking on the steady
+    HOLD proposals pass through untouched (no branches on the steady
     path), as do upgrades still inside the rate limit.  Every other
-    proposal is measured: the trigger proposes, the evaluator forks a
-    hold branch and an acted branch, and the proposal only stands when
-    the margins say it should.
+    proposal is measured: the trigger proposes, the evaluator measures
+    a hold branch and an acted branch, and the proposal only stands
+    when the margins say it should.
     """
 
     def __init__(self, viceroy, monitor, initial_energy, goal_seconds,
@@ -234,7 +479,7 @@ class LookaheadGoalController(GoalDirectedController):
         if proposal == HOLD or self.sim.snapshot_builder is None:
             return proposal
         if proposal == UPGRADE and not self._upgrade_allowed(now):
-            # The rate limit will veto it anyway; don't pay for forks.
+            # The rate limit will veto it anyway; don't pay for branches.
             return proposal
         remaining = self.time_remaining
         if min(self.horizon, remaining) <= self.decision_period:
@@ -334,7 +579,7 @@ class BeamLookaheadController(LookaheadGoalController):
         if proposal == HOLD or self.sim.snapshot_builder is None:
             return proposal
         if proposal == UPGRADE and not self._upgrade_allowed(now):
-            # The rate limit will veto it anyway; don't pay for forks.
+            # The rate limit will veto it anyway; don't pay for branches.
             return proposal
         remaining = self.time_remaining
         horizon = min(self.horizon, remaining)
@@ -366,7 +611,7 @@ class BeamLookaheadController(LookaheadGoalController):
         stage_s = horizon / self.beam_depth
         evaluator = self.evaluator
         beam = [{
-            "snapshot": Snapshot.capture(self.sim),
+            "state": evaluator.start(),
             "energy": 0.0,
             "elapsed": 0.0,
             "schedule": (),
@@ -381,19 +626,19 @@ class BeamLookaheadController(LookaheadGoalController):
                             and not self._upgrade_allowed(now)):
                         continue
                     expanded = evaluator.expand(
-                        item["snapshot"], action, stage_s, did=did,
+                        item["state"], action, stage_s, did=did,
                     )
                     if expanded is None:
                         continue
                     self.beam_expansions += 1
-                    energy, snap = expanded
+                    energy, state = expanded
                     total = item["energy"] + energy
                     elapsed = item["elapsed"] + stage_s
                     rate = total / elapsed
                     margin = ((residual - total)
                               - rate * max(0.0, remaining - elapsed))
                     candidates.append({
-                        "snapshot": snap,
+                        "state": state,
                         "energy": total,
                         "elapsed": elapsed,
                         "schedule": item["schedule"] + (action,),

@@ -107,6 +107,27 @@ class TestCli:
                     if "error:" in line]) == 1
         assert "must be > 0 and finite" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["trace", "goal", "--lookahead", "--horizon", "0"], "> 0"),
+        (["trace", "goal", "--lookahead", "--horizon", "-2"], "> 0"),
+        (["trace", "goal", "--lookahead", "--horizon", "nan"], "> 0"),
+        (["snapshot", "roundtrip", "--lookahead", "--horizon", "0"], "> 0"),
+        (["snapshot", "roundtrip", "--at", "-5"], ">= 0"),
+        (["snapshot", "sweep", "--at", "nan"], ">= 0"),
+        (["snapshot", "sweep", "--extensions", "-5"], ">= 0"),
+        (["snapshot", "sweep", "--extensions", "nan"], ">= 0"),
+    ])
+    def test_bad_lookahead_and_snapshot_numbers_exit_2(self, argv, message,
+                                                       capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"must be {message} and finite" in errors[0]
+
     def test_goal_csv_to_missing_directory_exits_2(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.csv"
         code = main(["goal", "--goal", "20", "--energy", "3000",

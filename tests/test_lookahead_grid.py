@@ -1,10 +1,12 @@
-"""Open-loop lookahead branches integrate on the monitor's sample grid.
+"""Open-loop lookahead branches fold as lanes, bit-identical to forks.
 
-A what-if branch makes no decisions, so its monitor hands its ticks to
-the machine as a split grid for the run (see
-``OnlinePowerMonitor.hand_off_ticks`` and ``Machine.split_at_grid``).
-The grid must reproduce every float split the ticks made, so branch
-joules and journals are bit-identical to a ticking run.
+A what-if asked inside the trunk's decision callback decides nothing
+over its horizon, so :mod:`repro.snapshot.lookahead` folds each
+candidate as a lane over the trunk's fixed schedule of pulse edges and
+monitor sample instants instead of forking the stack.  A lane must
+reproduce every float operation of a forked branch that ticks, so
+branch joules are bit-identical; the digests below were recorded from
+forked branches.
 """
 
 import hashlib
@@ -15,8 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core.hysteresis import DEGRADE, HOLD, UPGRADE
 from repro.devices import generate_fleet
-from repro.hardware.component import HardwareError
-from repro.hardware.machine import _segment_row
 from repro.obs import Tracer, installed
 from repro.powerscope.online import OnlinePowerMonitor
 from repro.snapshot import Snapshot
@@ -26,33 +26,35 @@ from repro.snapshot.scenario import build_pulse_scenario, run_pulse_goal
 DEVICES = [None] + [device.to_dict() for device in generate_fleet(4, 7)]
 
 
-def _open_loop_fork(snapshot, action=HOLD):
-    """Fork ``snapshot`` with any pending decision dropped, as a branch
-    captured inside the trunk's decision callback has it."""
-    scenario = snapshot.fork()
+def _drop_decision(scenario):
+    """Cancel the pending decision, as a capture taken inside the
+    trunk's decision callback has it dropped."""
     controller = scenario.controller
     if controller._entry is not None:
         scenario.sim.cancel(controller._entry)
         controller._entry = None
-    if action == DEGRADE:
-        scenario.viceroy.degrade_once()
-    elif action == UPGRADE:
-        scenario.viceroy.upgrade_once()
     return scenario
 
 
-def _advance(scenario, horizon, on_grid):
+def _ticking_fork(snapshot, action=HOLD):
+    """Fork ``snapshot`` open-loop and apply ``action``; returns the
+    fork and whether the action applied."""
+    scenario = _drop_decision(snapshot.fork())
+    applied = True
+    if action == DEGRADE:
+        applied = scenario.viceroy.degrade_once() is not None
+    elif action == UPGRADE:
+        applied = scenario.viceroy.upgrade_once() is not None
+    return scenario, applied
+
+
+def _advance(scenario, horizon):
+    """Run a fork ``horizon`` seconds, ticking; return its joules."""
     machine = scenario.machine
-    monitor = scenario.monitor
     t0 = scenario.sim.now
     start = machine.finish()
-    if on_grid:
-        assert monitor.hand_off_ticks()
     scenario.sim.run(until=t0 + horizon)
-    energy = machine.finish() - start
-    if on_grid:
-        monitor.take_back_ticks()
-    return energy
+    return machine.finish() - start
 
 
 # Quarter-second multiples put the capture (and, for the coarse
@@ -62,54 +64,54 @@ capture_times = st.one_of(
     st.integers(1, 800).map(lambda k: k / 4),
     st.floats(0.05, 200.0, allow_nan=False),
 )
+actions = st.sampled_from([HOLD, DEGRADE, UPGRADE])
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     capture_t=capture_times,
     device=st.sampled_from(DEVICES),
-    action=st.sampled_from([HOLD, DEGRADE, UPGRADE]),
+    stage_actions=st.tuples(actions, actions),
     horizon=st.one_of(st.integers(1, 48).map(lambda k: k / 4),
                       st.floats(0.01, 15.0, allow_nan=False)),
     sample_period=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
 )
-def test_grid_matches_live_ticks(capture_t, device, action, horizon,
-                                 sample_period):
+def test_lanes_match_live_ticks(capture_t, device, stage_actions, horizon,
+                                sample_period):
     trunk = build_pulse_scenario(sample_period=sample_period, device=device)
     trunk.start()
     trunk.sim.run(until=capture_t)
-    snapshot = Snapshot.capture(trunk.sim)
+    snapshot = Snapshot.capture(_drop_decision(trunk).sim)
+    evaluator = WhatIfEvaluator(trunk.sim, horizon=horizon)
+    state = evaluator.start()
+    assert not isinstance(state, Snapshot), "lanes should model this stack"
 
-    ticking = _open_loop_fork(snapshot, action)
-    gridded = _open_loop_fork(snapshot, action)
-    # Two stages, as a depth-2 beam runs them: the second forks a
-    # re-capture taken after the ticks came back.
-    for _stage in range(2):
-        live_j = _advance(ticking, horizon, on_grid=False)
-        grid_j = _advance(gridded, horizon, on_grid=True)
+    # Two lanes side by side: hold and the first action.
+    first = stage_actions[0]
+    verdicts = evaluator.evaluate((HOLD, first), residual=1000.0,
+                                  remaining=1e9)
+    for action in (HOLD, first):
+        fork, _applied = _ticking_fork(snapshot, action)
+        assert (repr(verdicts[action]["energy_j"])
+                == repr(_advance(fork, horizon)))
 
-        assert repr(grid_j) == repr(live_j)
-        assert ([_segment_row(s) for s in gridded.machine.journal]
-                == [_segment_row(s) for s in ticking.machine.journal])
-        assert repr(gridded.battery.drawn) == repr(ticking.battery.drawn)
-        # The tick comes back at exactly the instant the ticking run
-        # has it pending, after the same last sample.
-        assert gridded.monitor._entry[0] == ticking.monitor._entry[0]
-        assert (gridded.monitor._last_sample_time
-                == ticking.monitor._last_sample_time)
-        ticking = _open_loop_fork(Snapshot.capture(ticking.sim))
-        gridded = _open_loop_fork(Snapshot.capture(gridded.sim))
+    # Two chained stages, as a depth-2 beam runs them: the second
+    # stage forks a re-capture of the first stage's fork.
+    stage_snapshot = snapshot
+    for action in stage_actions:
+        ticking, applied = _ticking_fork(stage_snapshot, action)
+        live_j = _advance(ticking, horizon)
+        expanded = evaluator.expand(state, action, horizon)
+        assert (expanded is not None) == applied
+        if expanded is None:
+            expanded = evaluator.expand(state, HOLD, horizon)
+        lane_j, state = expanded
+        assert repr(lane_j) == repr(live_j)
+        assert repr(state.energy) == repr(ticking.machine.energy_total)
+        stage_snapshot = Snapshot.capture(ticking.sim)
 
-
-def test_machine_refuses_capture_while_split():
-    scenario = build_pulse_scenario().start()
-    scenario.sim.run(until=5.0)
-    scenario.controller.stop()
-    assert scenario.monitor.hand_off_ticks()
-    with pytest.raises(HardwareError, match="grid"):
-        Snapshot.capture(scenario.sim)
-    scenario.monitor.take_back_ticks()
-    Snapshot.capture(scenario.sim)
+    # The lanes read the trunk and never wrote to it.
+    assert Snapshot.capture(trunk.sim).payload == snapshot.payload
 
 
 def _count_branch_ticks(monkeypatch):

@@ -180,6 +180,13 @@ def test_whatif_evaluator_rejects_bad_horizon():
         WhatIfEvaluator(Simulator(), horizon=0.0)
 
 
+def test_whatif_evaluator_rejects_nan_horizon():
+    from repro.snapshot.lookahead import WhatIfEvaluator
+
+    with pytest.raises(ValueError, match="horizon"):
+        WhatIfEvaluator(Simulator(), horizon=float("nan"))
+
+
 def test_lookahead_runs_and_counts_branches():
     scenario = build_pulse_scenario(lookahead=True).start().run()
     summary = scenario.summary()
