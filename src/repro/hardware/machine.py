@@ -508,61 +508,6 @@ class Machine:
                 and last.overlays is self._overlays_snapshot
                 and last.comp_powers is self._comp_powers)
 
-    def _advance_grid(self, now):
-        """Integrate at every grid instant below ``now``.
-
-        Power is constant on ``[_last_update, now)`` (every change
-        advances first), so each instant's arithmetic is the tick's:
-        ``power * (g - last)`` into the total, the same drain and
-        battery clamp, the open segment extended to ``g``.  Until
-        :meth:`_advance_extends` holds, an instant runs through the
-        ordinary :meth:`advance` with the clock parked on it (that
-        refreshes dirty power and opens the new segment exactly as the
-        tick would have); the rest run in one loop over locals.
-        """
-        sim = self.sim
-        period = self._grid_period
-        g = self._grid_next
-        # Parked while the clock is: the nested advance must not
-        # re-enter the grid.
-        self._grid_next = None
-        while g < now and not self._advance_extends():
-            sim.now = g
-            try:
-                self.advance()
-            finally:
-                sim.now = now
-            self._grid_last = g
-            g += period
-        if g < now:
-            power = self._power
-            last = self._last_update
-            total = self.energy_total
-            supply = self.supply
-            drawn = supply.drawn
-            if type(supply) is Battery:
-                capacity = supply.capacity
-                while g < now:
-                    energy = power * (g - last)
-                    total += energy
-                    drained = drawn + energy
-                    drawn = capacity if capacity <= drained else drained
-                    last = g
-                    g += period
-            else:
-                while g < now:
-                    energy = power * (g - last)
-                    total += energy
-                    drawn += energy
-                    last = g
-                    g += period
-            self._last_update = last
-            self.energy_total = total
-            supply.drawn = drawn
-            self._journal[-1].t1 = last
-            self._grid_last = last
-        self._grid_next = g
-
     # ------------------------------------------------------------------
     # segment journal
     # ------------------------------------------------------------------

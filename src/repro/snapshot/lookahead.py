@@ -64,9 +64,10 @@ pass; a beam stage folds one candidate and hands its lane on.
 A stack lanes cannot model is still forked (:meth:`Snapshot.fork`) and
 run with its ticks: one with a live pending controller decision (a
 what-if asked outside the decision callback, which must decide), an
-app that is not a ``PulsedApp``, a supply with ``note_power``/
-``recover`` hooks, a non-default correction, or any other pending
-event.  Forks run under a private null tracer and registry, and each
+app that is not a ``PulsedApp`` (or drives a component that is not a
+plain ``PowerComponent``), a machine or monitor of another type, a
+supply with ``note_power``/``recover`` hooks, a non-default
+correction, or any other pending event.  Forks run under a private null tracer and registry, and each
 forked machine is stamped with a branch id (``did<n>.<action>``) that
 rides on its ``power/span`` args, so even a fork run under a *real*
 tracer cannot pollute the trunk's energy fold —
@@ -94,7 +95,7 @@ from repro.hardware.machine import Machine, zero_correction
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.powerscope.online import OnlinePowerMonitor
-from repro.snapshot.scenario import BUILDER_PATH, PulsedApp
+from repro.snapshot.scenario import PulsedApp
 from repro.snapshot.state import Snapshot
 
 __all__ = [
@@ -189,9 +190,7 @@ def _lane_start(sim):
     machine = objects.get("machine")
     monitor = objects.get("monitor")
     viceroy = objects.get("viceroy")
-    builder = sim.snapshot_builder
-    if (builder is None or builder[0] != BUILDER_PATH
-            or type(machine) is not Machine
+    if (type(machine) is not Machine
             or type(monitor) is not OnlinePowerMonitor
             or monitor.machine is not machine or viceroy is None
             or machine.correction is not zero_correction
@@ -219,13 +218,8 @@ def _lane_start(sim):
     for index, app in enumerate(apps):
         component = app.component
         states = component.states
-        if (type(app) is not PulsedApp or app.sim is not sim
-                or app.machine is not machine
-                or type(component) is not PowerComponent
-                or components.get(component.name) is not component
-                or component.name in owner or "idle" not in states
-                or any(level not in states for level in app.levels)
-                or (app._active and component.state != app.fidelity_level)):
+        if (type(app) is not PulsedApp
+                or type(component) is not PowerComponent):
             return None
         owner[component.name] = index
         level_watts.append([states[level] for level in app.levels])

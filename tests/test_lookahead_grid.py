@@ -21,7 +21,8 @@ from repro.obs import Tracer, installed
 from repro.powerscope.online import OnlinePowerMonitor
 from repro.snapshot import Snapshot
 from repro.snapshot.lookahead import WhatIfEvaluator
-from repro.snapshot.scenario import build_pulse_scenario, run_pulse_goal
+from repro.snapshot.scenario import (PulsedApp, build_pulse_scenario,
+                                     run_pulse_goal)
 
 DEVICES = [None] + [device.to_dict() for device in generate_fleet(4, 7)]
 
@@ -112,6 +113,33 @@ def test_lanes_match_live_ticks(capture_t, device, stage_actions, horizon,
 
     # The lanes read the trunk and never wrote to it.
     assert Snapshot.capture(trunk.sim).payload == snapshot.payload
+
+
+class _SubclassedApp(PulsedApp):
+    pass
+
+
+def _subclass_app(scenario):
+    scenario.apps[0].__class__ = _SubclassedApp
+
+
+def _custom_correction(scenario):
+    scenario.machine.correction = lambda machine: 0.0
+
+
+def _supply_hook(scenario):
+    scenario.machine._supply_note_power = lambda watts: None
+
+
+@pytest.mark.parametrize("perturb", [_subclass_app, _custom_correction,
+                                     _supply_hook])
+def test_stacks_lanes_cannot_model_are_forked(perturb):
+    scenario = _drop_decision(build_pulse_scenario().start())
+    scenario.sim.run(until=30.0)
+    evaluator = WhatIfEvaluator(scenario.sim)
+    assert not isinstance(evaluator.start(), Snapshot)
+    perturb(scenario)
+    assert isinstance(evaluator.start(), Snapshot)
 
 
 def _count_branch_ticks(monkeypatch):
