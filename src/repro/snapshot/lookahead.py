@@ -351,21 +351,19 @@ class WhatIfEvaluator:
         """
         horizon = min(self.horizon, remaining)
         self.evaluations += 1
+        t0 = self.sim.now
         start = self.start()
         if type(start) is _LaneState:
-            model = start.model
-            lanes = []
-            for action in actions:
-                levels = model.act(start.levels, action)
-                lanes.append(start.levels if levels is None else levels)
-            ends, _cursors = _fold(start, lanes, start.now + horizon)
-            measured = [(start.now, end - start.energy) for end in ends]
+            lanes = [start.model.act(start.levels, action) or start.levels
+                     for action in actions]
+            ends, _cursors = _fold(start, lanes, t0 + horizon)
+            measured = [end - start.energy for end in ends]
             self.branches_run += len(lanes)
         else:
-            measured = [self._fork(start, action, horizon, did)[:2]
+            measured = [self._fork(start, action, horizon, did)[0]
                         for action in actions]
         verdicts = {}
-        for action, (t0, energy) in zip(actions, measured):
+        for action, energy in zip(actions, measured):
             rate = energy / horizon if horizon > 0 else 0.0
             margin = ((residual - energy)
                       - rate * max(0.0, remaining - horizon))
@@ -391,8 +389,7 @@ class WhatIfEvaluator:
         ``action`` (ladder exhausted in that direction).
         """
         if type(snapshot) is not _LaneState:
-            measured = self._fork(snapshot, action, stage_s, did, stage=True)
-            return None if measured is None else measured[1:]
+            return self._fork(snapshot, action, stage_s, did, stage=True)
         levels = snapshot.model.act(snapshot.levels, action)
         if levels is None:
             return None
@@ -406,7 +403,7 @@ class WhatIfEvaluator:
     def _fork(self, snapshot, action, seconds, did, stage=False):
         """Fork ``snapshot``, apply ``action``, run ``seconds`` ahead.
 
-        Returns ``(t0, joules spent, stage snapshot)``.  A beam
+        Returns ``(joules spent, stage snapshot)``.  A beam
         ``stage`` is re-captured at its end and skipped (``None``) when
         the action cannot apply; a plain branch runs regardless, and
         then measures holding.
@@ -439,7 +436,7 @@ class WhatIfEvaluator:
             energy = machine.finish() - start_energy
             stage_snapshot = Snapshot.capture(sim) if stage else None
             self.branches_run += 1
-            measured = (t0, energy, stage_snapshot)
+            measured = (energy, stage_snapshot)
         if len(self._branch_pool) < self.POOL_MAX:
             self._branch_pool.append(scenario)
         return measured

@@ -139,7 +139,10 @@ def test_stacks_lanes_cannot_model_are_forked(perturb):
     evaluator = WhatIfEvaluator(scenario.sim)
     assert not isinstance(evaluator.start(), Snapshot)
     perturb(scenario)
-    assert isinstance(evaluator.start(), Snapshot)
+    start = evaluator.start()
+    assert isinstance(start, Snapshot)
+    energy_j, stage = evaluator.expand(start, HOLD, 2.0)
+    assert energy_j > 0.0 and isinstance(stage, Snapshot)
 
 
 def _count_branch_ticks(monkeypatch):
