@@ -424,9 +424,8 @@ def bench_fork_lookahead(quick, repeats):
     """One full lookahead-policy goal run: what-if evaluation bound.
 
     Each proposal folds a hold and an acted lane over the horizon (the
-    name predates lanes, when each branch was a fork);
-    ``branches_per_s`` is the end-to-end throughput including the
-    parent's own simulation.
+    name stays the ``BENCH_core.json`` key); ``branches_per_s`` is the
+    end-to-end throughput including the parent's own simulation.
     """
     from repro.snapshot.scenario import run_pulse_goal
 
