@@ -30,9 +30,11 @@ correlation story applied to our own simulator.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 
 __all__ = [
+    "jsonl_line",
     "write_events_jsonl",
     "read_events_jsonl",
     "chrome_trace",
@@ -47,29 +49,109 @@ __all__ = [
 #: Chrome trace-event phases this exporter emits / the validator accepts.
 _PHASES = frozenset("IBEXCM")
 
-#: The one JSONL line encoder, shared with
-#: :class:`~repro.obs.tracer.JsonlSink`.  ``json.dumps(record,
-#: sort_keys=True)`` builds a new encoder per call; this one is built
-#: once and writes the same bytes through the C encoder.
+#: The JSONL fallback encoder: what ``json.dumps(record,
+#: sort_keys=True)`` writes, for events the shape templates decline.
 JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
 
+#: ``args`` encoder of the template path, called as ``(args, 0)`` for
+#: the chunks: ``JSONL_ENCODER``'s settings in one C encoder built once,
+#: with no circular-reference markers.  A circular payload overflows the
+#: recursion limit here and is re-encoded by the fallback, which raises
+#: what ``json.dumps`` raises.
+_ARGS_ENCODER = (
+    c_make_encoder(None, JSONL_ENCODER.default, encode_basestring_ascii,
+                   None, ": ", ", ", True, False, True)
+    if c_make_encoder is not None else JSONL_ENCODER.iterencode
+)
+
+#: Compiled JSONL line templates, keyed on an event's shape; ``None``
+#: marks a shape the templates cannot reproduce exactly.
+_TEMPLATES = {}
+#: The template cache is cleared when it reaches this many shapes.
+_MAX_TEMPLATES = 4096
+
+_INF, _NINF = float("inf"), float("-inf")
 _by_ts = itemgetter(0)
-
-
-def _as_dict(event):
-    return event if isinstance(event, dict) else event.to_dict()
 
 
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
+def _line_template(cat, name, ph, track, has_args, has_dur):
+    """The sorted-key line for one event shape, stamps left as ``%``
+    fields, or ``None`` when a label is not exactly a ``str``."""
+    labels = (cat, name, ph) if track is None else (cat, name, ph, track)
+    if any(type(label) is not str for label in labels):
+        return None
+
+    def quoted(text):
+        return encode_basestring_ascii(text).replace("%", "%%")
+
+    fields = ['"args": %s'] if has_args else []
+    fields.append('"cat": ' + quoted(cat))
+    if has_dur:
+        fields.append('"dur": %r')
+    fields += ['"name": ' + quoted(name), '"ph": ' + quoted(ph)]
+    if track is not None:
+        fields.append('"track": ' + quoted(track))
+    fields += ['"ts": %r', '"wall": %r']
+    return "{" + ", ".join(fields) + "}\n"
+
+
+def _fallback_line(event):
+    record = event if isinstance(event, dict) else event.to_dict()
+    return JSONL_ENCODER.encode(record) + "\n"
+
+
+def jsonl_line(event):
+    """One JSONL line, newline included: ``json.dumps(record,
+    sort_keys=True) + "\\n"`` for the event's ``to_dict`` record.
+
+    A :class:`~repro.obs.tracer.TraceEvent` whose labels are ``str`` and
+    whose ``ts``/``wall``/``dur`` are finite, exactly-``float`` stamps is
+    rendered from its shape's template: only the stamps (by
+    ``float.__repr__``) and ``args`` are encoded.  Dict inputs and every
+    other event take :data:`JSONL_ENCODER`.
+    """
+    if isinstance(event, dict):
+        return _fallback_line(event)
+    ts, wall, dur, args = event.ts, event.wall, event.dur, event.args
+    if (type(ts) is not float or type(wall) is not float
+            or not _NINF < ts < _INF or not _NINF < wall < _INF):
+        return _fallback_line(event)
+    shape = (event.cat, event.name, event.ph, event.track,
+             args is not None, dur is not None)
+    try:
+        template = _TEMPLATES[shape]
+    except KeyError:
+        if len(_TEMPLATES) >= _MAX_TEMPLATES:
+            _TEMPLATES.clear()
+        template = _TEMPLATES[shape] = _line_template(*shape)
+    except TypeError:  # an unhashable label
+        return _fallback_line(event)
+    if template is None:
+        return _fallback_line(event)
+    if dur is None:
+        stamps = (ts, wall)
+    elif type(dur) is float and _NINF < dur < _INF:
+        stamps = (dur, ts, wall)
+    else:
+        return _fallback_line(event)
+    if args is None:
+        return template % stamps
+    try:
+        encoded = "".join(_ARGS_ENCODER(args, 0))
+    except RecursionError:  # a circular payload: let json.dumps say so
+        return _fallback_line(event)
+    return template % ((encoded,) + stamps)
+
+
 def write_events_jsonl(events, path):
-    """Write one JSON object per event, in emit order; returns the count."""
-    encode = JSONL_ENCODER.encode
-    lines = [encode(_as_dict(event)) for event in events]
+    """Write one JSON object per event (a :func:`jsonl_line` each), in
+    emit order; returns the count."""
+    lines = list(map(jsonl_line, events))
     with open(path, "w", encoding="utf-8") as handle:
-        if lines:
-            handle.write("\n".join(lines) + "\n")
+        handle.write("".join(lines))
     return len(lines)
 
 
@@ -132,10 +214,12 @@ def chrome_trace(events):
             thread = threads[key] = (pids.setdefault(cat, len(pids) + 1),
                                      len(buckets), buckets[-1])
         pid, tid, bucket = thread
-        entry = {"name": name, "cat": cat, "ph": ph, "ts": ts * 1e6,
+        # A bool stamp passes through unscaled for the validator to flag.
+        entry = {"name": name, "cat": cat, "ph": ph,
+                 "ts": ts if type(ts) is bool else ts * 1e6,
                  "pid": pid, "tid": tid}
         if ph == "X":
-            entry["dur"] = (dur or 0.0) * 1e6
+            entry["dur"] = dur if type(dur) is bool else (dur or 0.0) * 1e6
         if args is not None:
             entry["args"] = args
         bucket.append((ts, entry))
@@ -187,7 +271,10 @@ def validate_chrome_trace(trace):
     Enforced: the ``traceEvents`` envelope, per-event required keys
     (``name``/``ph``, plus ``ts``/``pid``/``tid`` for non-metadata
     events and a non-negative ``dur`` for complete events), a known
-    phase, and non-decreasing ``ts`` within each ``(pid, tid)`` track.
+    phase, ``ts``/``dur`` that are finite numbers and not ``bool`` (a
+    NaN or infinity would be written as ``NaN``/``Infinity``, which is
+    not JSON), and non-decreasing ``ts`` within each ``(pid, tid)``
+    track.
     An empty list means the trace is valid.  Malformed values are
     reported as problems; the validator never raises on its input.
     """
@@ -198,52 +285,68 @@ def validate_chrome_trace(trace):
     if not isinstance(events, list):
         return ["'traceEvents' must be a list"]
     last_ts = {}
+    # Problem strings are formatted only once a problem is found.
     for index, event in enumerate(events):
-        where = f"traceEvents[{index}]"
         if not isinstance(event, dict):
-            problems.append(f"{where}: not an object")
+            problems.append(f"traceEvents[{index}]: not an object")
             continue
         ph = event.get("ph")
         if not isinstance(ph, str) or ph not in _PHASES:
-            problems.append(f"{where}: unknown phase {ph!r}")
+            problems.append(f"traceEvents[{index}]: unknown phase {ph!r}")
             continue
         if "name" not in event:
-            problems.append(f"{where}: missing 'name'")
+            problems.append(f"traceEvents[{index}]: missing 'name'")
         if ph == "M":
             args = event.get("args")
             if ("pid" not in event or not isinstance(args, dict)
                     or "name" not in args):
-                problems.append(f"{where}: metadata event needs pid and "
-                                f"args.name")
+                problems.append(f"traceEvents[{index}]: metadata event "
+                                f"needs pid and args.name")
             continue
-        missing = [key for key in ("ts", "pid", "tid") if key not in event]
-        if missing:
-            problems.append(f"{where}: missing {', '.join(missing)}")
+        if "ts" not in event or "pid" not in event or "tid" not in event:
+            missing = [key for key in ("ts", "pid", "tid")
+                       if key not in event]
+            problems.append(f"traceEvents[{index}]: missing "
+                            f"{', '.join(missing)}")
             continue
         ts = event["ts"]
-        if not isinstance(ts, (int, float)):
-            problems.append(f"{where}: ts must be a number, got {ts!r}")
-            continue
+        if type(ts) is not float or not _NINF < ts < _INF:
+            problem = _stamp_problem("ts", ts)
+            if problem:
+                problems.append(f"traceEvents[{index}]: {problem}")
+                continue
         if ph == "X":
             dur = event.get("dur", 0)
-            if not isinstance(dur, (int, float)):
-                problems.append(f"{where}: dur must be a number, got {dur!r}")
+            problem = None
+            if type(dur) is not float or not _NINF < dur < _INF:
+                problem = _stamp_problem("dur", dur)
+            if problem:
+                problems.append(f"traceEvents[{index}]: {problem}")
             elif dur < 0:
-                problems.append(f"{where}: negative dur")
+                problems.append(f"traceEvents[{index}]: negative dur")
         key = (event["pid"], event["tid"])
         try:
             previous = last_ts.get(key)
         except TypeError:
-            problems.append(f"{where}: pid and tid must be numbers or "
-                            f"strings, got {key!r}")
+            problems.append(f"traceEvents[{index}]: pid and tid must be "
+                            f"numbers or strings, got {key!r}")
             continue
         if previous is not None and ts < previous:
             problems.append(
-                f"{where}: ts {ts} goes backwards on track {key} "
-                f"(previous {previous})"
+                f"traceEvents[{index}]: ts {ts} goes backwards on track "
+                f"{key} (previous {previous})"
             )
         last_ts[key] = ts
     return problems
+
+
+def _stamp_problem(key, value):
+    """Why ``value`` is not a valid ``ts``/``dur``, or ``None``."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        return f"{key} must be a number, got {value!r}"
+    if isinstance(value, float) and not _NINF < value < _INF:
+        return f"{key} must be finite, got {value!r}"
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -280,22 +383,25 @@ def power_spans(events, branch=None):
     spans = {}
     for event in events:
         if isinstance(event, dict):
-            record = event
+            if event.get("cat") != "power" or event.get("name") != "span":
+                continue
+            ts, dur = event["ts"], event.get("dur", 0.0)
+            args = event.get("args") or {}
         elif event.cat == "power" and event.name == "span":
-            record = event.to_dict()
+            ts, dur = event.ts, event.dur
+            if dur is None:
+                dur = 0.0
+            args = event.args or {}
         else:
             continue
-        if record.get("cat") != "power" or record.get("name") != "span":
-            continue
-        args = record.get("args") or {}
         if args.get("branch") != branch:
             continue
         sid = args.get("sid")
         if sid is None:
             continue
         spans[sid] = {
-            "t0": record["ts"],
-            "dur": record.get("dur", 0.0),
+            "t0": ts,
+            "dur": dur,
             "watts": args.get("watts"),
             "joules": args.get("joules"),
             "process": args.get("process"),
@@ -316,17 +422,12 @@ def join_power(events):
     spans = power_spans(events)
     joined = []
     for event in events:
-        if isinstance(event, dict):
-            record = event
-        elif "power_span" in (event.args or {}):
-            record = event.to_dict()
-        else:
-            continue
-        args = record.get("args") or {}
+        is_dict = isinstance(event, dict)
+        args = (event.get("args") if is_dict else event.args) or {}
         if "power_span" not in args:
             continue
         joined.append({
-            "event": record,
+            "event": event if is_dict else event.to_dict(),
             "span": spans.get(args["power_span"]),
         })
     return joined

@@ -41,7 +41,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 
-from repro.obs.export import JSONL_ENCODER
+from repro.obs.export import jsonl_line
 
 __all__ = [
     "TraceEvent",
@@ -127,9 +127,11 @@ class JsonlSink:
     Attach to a :class:`Tracer` via its ``sink=`` parameter and every
     event reaches disk *at emit time*, before any ring-buffer eviction
     — so an unbounded Figure-22-length run can be traced (and later
-    diffed) with a small ring, without losing the prefix.  The on-disk
-    format is exactly :func:`repro.obs.export.write_events_jsonl`'s:
-    one sorted-key JSON object per line, in emit order.
+    diffed) with a small ring, without losing the prefix.  Each line
+    comes from :func:`repro.obs.export.jsonl_line`, the function
+    :func:`~repro.obs.export.write_events_jsonl` maps over a recorded
+    stream, so a streamed file is byte-identical to a buffered one: one
+    sorted-key JSON object per line, in emit order.
     """
 
     def __init__(self, path):
@@ -138,7 +140,7 @@ class JsonlSink:
         self.count = 0
 
     def write(self, event):
-        self._handle.write(JSONL_ENCODER.encode(event.to_dict()) + "\n")
+        self._handle.write(jsonl_line(event))
         self.count += 1
 
     def flush(self):
@@ -177,6 +179,13 @@ class Tracer:
         when it has a ``flush`` method.
     clock:
         Wall clock; injectable for tests.
+
+    Every emit method builds its :class:`TraceEvent` with ``wall``
+    stamped inline and hands it to one appender bound at construction:
+    the event list's own ``append`` for an unbounded tracer with no
+    sink, else :meth:`_emit`, which counts ring drops and forwards to
+    the sink.  ``sink`` and ``capacity`` are therefore fixed once the
+    tracer exists.
     """
 
     enabled = True
@@ -193,6 +202,8 @@ class Tracer:
         self._clock = clock
         self.t0_wall = clock()
         self._flush_hooks = []
+        self._append = (self.events.append
+                        if capacity is None and sink is None else self._emit)
 
     # ------------------------------------------------------------------
     # gating
@@ -216,44 +227,49 @@ class Tracer:
     # emission
     # ------------------------------------------------------------------
     def _emit(self, event):
+        """The appender of a ring or sink tracer: count the drop, keep
+        the event, forward it to the sink."""
         events = self.events
         if self.capacity is not None and len(events) == self.capacity:
             self.dropped += 1
         events.append(event)
         if self.sink is not None:
             self.sink.write(event)
-        return event
 
     def instant(self, ts, cat, name, track=None, args=None):
         """Record a point event."""
-        return self._emit(
-            TraceEvent(ts, self.wall(), cat, name, INSTANT, track, None, args)
-        )
+        event = TraceEvent(ts, self._clock() - self.t0_wall, cat, name,
+                           INSTANT, track, None, args)
+        self._append(event)
+        return event
 
     def counter(self, ts, cat, name, value, track=None):
         """Record a counter sample (a time series point)."""
-        return self._emit(
-            TraceEvent(ts, self.wall(), cat, name, COUNTER, track, None,
-                       {"value": value})
-        )
+        event = TraceEvent(ts, self._clock() - self.t0_wall, cat, name,
+                           COUNTER, track, None, {"value": value})
+        self._append(event)
+        return event
 
     def begin(self, ts, cat, name, track=None, args=None):
         """Open a span on ``track`` (close it with :meth:`end`)."""
-        return self._emit(
-            TraceEvent(ts, self.wall(), cat, name, BEGIN, track, None, args)
-        )
+        event = TraceEvent(ts, self._clock() - self.t0_wall, cat, name,
+                           BEGIN, track, None, args)
+        self._append(event)
+        return event
 
     def end(self, ts, cat, name, track=None, args=None):
         """Close the most recent open span of ``name`` on ``track``."""
-        return self._emit(
-            TraceEvent(ts, self.wall(), cat, name, END, track, None, args)
-        )
+        event = TraceEvent(ts, self._clock() - self.t0_wall, cat, name,
+                           END, track, None, args)
+        self._append(event)
+        return event
 
     def complete(self, ts, cat, name, dur, track=None, args=None):
         """Record a finished span: start ``ts``, duration ``dur`` seconds."""
-        return self._emit(
-            TraceEvent(ts, self.wall(), cat, name, COMPLETE, track, dur, args)
-        )
+        event = TraceEvent(ts, self._clock() - self.t0_wall, cat, name,
+                           COMPLETE, track, dur, args)
+        self._append(event)
+        return event
 
     def replay(self, record, cat=None, name=None, track=None):
         """Re-emit a previously exported event dict (``to_dict`` shape).
@@ -266,15 +282,17 @@ class Tracer:
         tracks, without colliding with the coordinator's sim-domain
         tracks.
         """
-        return self._emit(TraceEvent(
-            record["ts"], self.wall(),
+        event = TraceEvent(
+            record["ts"], self._clock() - self.t0_wall,
             cat if cat is not None else record.get("cat"),
             name if name is not None else record.get("name"),
             record.get("ph", INSTANT),
             track if track is not None else record.get("track"),
             record.get("dur"),
             record.get("args"),
-        ))
+        )
+        self._append(event)
+        return event
 
     # ------------------------------------------------------------------
     # lifecycle

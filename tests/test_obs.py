@@ -223,6 +223,60 @@ class TestJsonlSink:
 
         assert streamed.read_bytes() == buffered.read_bytes()
 
+    @staticmethod
+    def _emit_mixed(tracer, clock):
+        """Every emit method, templated shapes and fallback cases alike:
+        odd labels, int/bool/non-finite stamps, a non-str category, a
+        stepping wall clock with long float reprs."""
+        nan, inf = float("nan"), float("inf")
+        for k in range(3):
+            clock.t += 0.1 + 0.2 * k
+            tracer.instant(k * 0.1, "sim", "dispatch", track="engine",
+                           args={"seq": k})
+            tracer.counter(k * 0.1, "power", "watts", 5.0 + k, track="watts")
+            tracer.complete(k * 0.1, "power", "span", 0.1, track="machine",
+                            args={"sid": k, "components": {"cpu": 1 / 3}})
+            tracer.begin(k * 0.5, "core", "100% \"odd\" \\ énergie")
+            tracer.end(k * 0.5, "core", "100% \"odd\" \\ énergie",
+                       track="ü%s")
+        tracer.instant(2, "sim", "int-ts")
+        tracer.instant(True, "sim", "bool-ts")
+        tracer.instant(nan, "sim", "nan-ts", args={"x": nan})
+        tracer.complete(1.0, "power", "inf-dur", inf, track="machine")
+        tracer.complete(1.0, "power", "int-dur", 2)
+        tracer.instant(-inf, "sim", "neg-inf-ts")
+        tracer.replay({"ts": 2.0, "cat": None, "name": "no-cat",
+                       "ph": "I", "dur": 0.5})
+        clock.t = 7  # a frozen integer clock from here on
+        tracer.instant(3.0, "core", "int-wall", args={"seq": 3})
+
+    def test_streamed_mixed_shapes_match_batch_export(self, tmp_path):
+        """Streaming and batch export share one line function: for every
+        event shape, fallback cases included, the files are
+        byte-identical and equal ``json.dumps(record, sort_keys=True)``."""
+        import json
+
+        from repro.obs import JsonlSink
+        from repro.obs.export import write_events_jsonl
+
+        streamed = tmp_path / "streamed.jsonl"
+        with JsonlSink(streamed) as sink:
+            clock = FakeClock(0)
+            ring = Tracer(capacity=4, sink=sink, clock=clock)
+            self._emit_mixed(ring, clock)
+            ring.flush()
+
+        clock = FakeClock(0)
+        unbounded = Tracer(clock=clock)
+        self._emit_mixed(unbounded, clock)
+        buffered = tmp_path / "buffered.jsonl"
+        write_events_jsonl(unbounded.events, buffered)
+
+        assert streamed.read_bytes() == buffered.read_bytes()
+        assert buffered.read_text(encoding="utf-8") == "".join(
+            json.dumps(event.to_dict(), sort_keys=True) + "\n"
+            for event in unbounded.events)
+
     def test_flush_flushes_sink(self, tmp_path):
         from repro.obs import JsonlSink
 

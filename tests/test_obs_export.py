@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -35,6 +36,12 @@ def _sample_tracer():
     return tracer
 
 
+def _circular_args():
+    loop = {}
+    loop["self"] = loop
+    return loop
+
+
 class TestJsonl:
     def test_round_trip(self, tmp_path):
         tracer = _sample_tracer()
@@ -46,6 +53,21 @@ class TestJsonl:
         assert records[0]["name"] == "dispatch"
         assert records[1]["dur"] == 2.0
         assert records[2]["args"]["power_span"] == 1
+
+    @pytest.mark.parametrize("make_args", [
+        lambda: {"x": object()},
+        lambda: {(1, 2): 1},
+        _circular_args,
+    ], ids=["unserializable", "tuple-key", "circular"])
+    def test_bad_args_raise_what_json_dumps_raises(self, tmp_path,
+                                                   make_args):
+        tracer = Tracer(clock=lambda: 0.0)
+        event = tracer.instant(0.0, "sim", "x", args=make_args())
+        with pytest.raises((TypeError, ValueError)) as expected:
+            json.dumps(event.to_dict(), sort_keys=True)
+        with pytest.raises(type(expected.value),
+                           match=re.escape(str(expected.value))):
+            write_events_jsonl(tracer.events, tmp_path / "t.jsonl")
 
 
 class TestChromeTrace:
@@ -89,6 +111,45 @@ class TestChromeTrace:
         loaded = json.loads(path.read_text())
         assert len(loaded["traceEvents"]) == count
         assert not validate_chrome_trace(loaded)
+
+
+class TestNonFiniteStamps:
+    @pytest.mark.parametrize("emit", [
+        lambda tracer: tracer.instant(float("nan"), "sim", "x"),
+        lambda tracer: tracer.complete(0.0, "power", "span",
+                                       dur=float("inf")),
+        lambda tracer: tracer.instant(True, "sim", "x"),
+    ], ids=["nan-ts", "inf-dur", "bool-ts"])
+    def test_write_chrome_trace_refuses_the_stamp(self, tmp_path, emit):
+        tracer = Tracer(clock=lambda: 0.0)
+        tracer.instant(0.0, "sim", "ok")
+        emit(tracer)
+        with pytest.raises(ValueError, match="generated Chrome trace is "
+                                             "invalid"):
+            write_chrome_trace(tracer.events, tmp_path / "t.trace.json")
+        assert not (tmp_path / "t.trace.json").exists()
+        # The JSONL log still writes what json.dumps writes.
+        path = tmp_path / "t.jsonl"
+        write_events_jsonl(tracer.events, path)
+        assert path.read_text() == "".join(
+            json.dumps(event.to_dict(), sort_keys=True) + "\n"
+            for event in tracer.events)
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("ts", float("nan"), "ts must be finite, got nan"),
+        ("ts", float("inf"), "ts must be finite, got inf"),
+        ("ts", float("-inf"), "ts must be finite, got -inf"),
+        ("ts", True, "ts must be a number, got True"),
+        ("dur", float("nan"), "dur must be finite, got nan"),
+        ("dur", float("-inf"), "dur must be finite, got -inf"),
+        ("dur", False, "dur must be a number, got False"),
+    ])
+    def test_validator_reports_one_problem(self, key, value, expected):
+        event = {"ph": "X", "name": "x", "ts": 0.0, "pid": 1, "tid": 1,
+                 "dur": 1.0}
+        event[key] = value
+        problems = validate_chrome_trace({"traceEvents": [event]})
+        assert problems == [f"traceEvents[0]: {expected}"]
 
 
 class TestValidator:
@@ -262,6 +323,30 @@ class TestPinnedBytes:
         assert _sha256(trace) == PINNED_GOAL_TRACE_SHA256
 
 
+class TestRealClockJsonl:
+    def test_real_clock_goal_run_equals_the_reference_encoding(self,
+                                                               tmp_path):
+        """A live wall clock stamps long float reprs that the frozen-clock
+        pins never exercise; batch and streamed files must still equal
+        ``json.dumps(record, sort_keys=True)`` line for line."""
+        from repro.experiments import run_goal_experiment
+        from repro.obs import JsonlSink
+
+        streamed = tmp_path / "streamed.jsonl"
+        with JsonlSink(streamed) as sink:
+            tracer = Tracer(sink=sink)
+            with installed(tracer):
+                run_goal_experiment(30.0, initial_energy=450.0)
+                tracer.flush()
+        batch = tmp_path / "goal.jsonl"
+        write_events_jsonl(tracer.events, batch)
+        assert any(len(repr(event.wall)) > 12 for event in tracer.events)
+        assert batch.read_text(encoding="utf-8") == "".join(
+            json.dumps(event.to_dict(), sort_keys=True) + "\n"
+            for event in tracer.events)
+        assert streamed.read_bytes() == batch.read_bytes()
+
+
 def _reference_order(records):
     """The exporter's documented order: ``(pid, tid, ts, emit index)``,
     with pids and tids numbered in first-appearance order."""
@@ -299,27 +384,55 @@ def _power_args(sid, kind):
     return None
 
 
+class _LoudFloat(float):
+    """A float subclass: ``json`` encodes it by ``float.__repr__``."""
+
+    def __repr__(self):
+        return "loud"
+
+
+#: Stamps the JSONL shape templates hand to the fallback encoder.
+_ODD_STAMPS = [0, 3, True, False, float("nan"), float("inf"), float("-inf"),
+               _LoudFloat(1.5)]
+#: Labels whose JSON escapes (or ``%``) a template must carry verbatim.
+_ODD_LABELS = ["100%", "50%s", 'say "hi"', "back\\slash", "énergie",
+               "電力"]
+
+
 @st.composite
-def _event_streams(draw):
+def _event_streams(draw, odd_stamps=False):
     """Mixed dict/TraceEvent streams over several categories and tracks,
-    with ``ts`` ties and out-of-order stamps."""
+    with ``ts`` ties and out-of-order stamps, labels that need escaping
+    or are not ``str``, and ``dur`` on any phase.  Each stream's wall clock is frozen, at a
+    float or (like ``Tracer(clock=lambda: 0)``) an integer.
+    ``odd_stamps`` also draws int, bool, float-subclass and non-finite
+    ``ts``/``dur``; the bool and non-finite ones make the Chrome trace
+    invalid."""
     from repro.obs.tracer import TraceEvent
 
+    ts_pool = [0.0, 0.5, 1.0, 1.0, 2.25, 3.0]
+    dur_pool = [None, 0.0, 0.75]
+    if odd_stamps:
+        ts_pool += _ODD_STAMPS
+        dur_pool += _ODD_STAMPS
+    wall = draw(st.sampled_from([0.0, 0, 0.30000000000000004]))
     size = draw(st.integers(min_value=0, max_value=40))
     events = []
     for index in range(size):
-        cat = draw(st.sampled_from(["sim", "power", "core", None]))
-        track = draw(st.sampled_from(["engine", "machine", "video", None]))
+        cat = draw(st.sampled_from(["sim", "power", "core", None]
+                                   + _ODD_LABELS))
+        track = draw(st.sampled_from(["engine", "machine", "video", None, 7]
+                                     + _ODD_LABELS))
         ph = draw(st.sampled_from("IBEXC"))
-        ts = draw(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.25, 3.0]))
-        dur = (draw(st.sampled_from([None, 0.0, 0.75]))
-               if ph == "X" else None)
+        ts = draw(st.sampled_from(ts_pool))
+        dur = draw(st.sampled_from(dur_pool))
         kind = draw(st.sampled_from(["span", "branch-span", "ref", None]))
         sid = draw(st.integers(min_value=1, max_value=4))
-        name = "span" if kind in ("span", "branch-span") else f"e{index}"
+        name = "span" if kind in ("span", "branch-span") else (
+            f"e{index}" + draw(st.sampled_from([""] + _ODD_LABELS)))
         if kind in ("span", "branch-span"):
             cat, ph = "power", "X"
-        event = TraceEvent(ts, 0.0, cat, name, ph, track, dur,
+        event = TraceEvent(ts, wall, cat, name, ph, track, dur,
                            _power_args(sid, kind))
         events.append(event.to_dict() if draw(st.booleans()) else event)
     return draw(st.permutations(events))
@@ -340,19 +453,26 @@ class TestExportProperties:
         assert body == _reference_order(_dicts(events))
         assert trace == chrome_trace(_dicts(events))
 
-    @settings(max_examples=60, deadline=None)
-    @given(_event_streams())
+    @settings(max_examples=120, deadline=None)
+    @given(_event_streams(odd_stamps=True))
     def test_written_files_equal_the_reference_encoding(self, events):
+        reference = chrome_trace(events)
         with tempfile.TemporaryDirectory() as out_dir:
             trace_path = os.path.join(out_dir, "t.trace.json")
             jsonl_path = os.path.join(out_dir, "t.jsonl")
-            write_chrome_trace(events, trace_path)
+            if validate_chrome_trace(reference):
+                with pytest.raises(ValueError):
+                    write_chrome_trace(events, trace_path)
+                written_trace = None
+            else:
+                write_chrome_trace(events, trace_path)
+                with open(trace_path, encoding="utf-8") as handle:
+                    written_trace = handle.read()
             write_events_jsonl(events, jsonl_path)
-            with open(trace_path, encoding="utf-8") as handle:
-                written_trace = handle.read()
             with open(jsonl_path, encoding="utf-8") as handle:
                 written_jsonl = handle.read()
-        assert written_trace == json.dumps(chrome_trace(events)) + "\n"
+        if written_trace is not None:
+            assert written_trace == json.dumps(reference) + "\n"
         assert written_jsonl == "".join(
             json.dumps(record, sort_keys=True) + "\n"
             for record in _dicts(events))
