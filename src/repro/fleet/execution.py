@@ -8,15 +8,19 @@ tracing, progress callbacks), and assembly of the ordered
 and ask it what to run next:
 
 * :class:`~repro.fleet.runner.FleetRunner` drives one execution per
-  ``run()`` call — serially in-process or across a one-shot process
-  pool — and tears it down when the campaign completes;
+  ``run()`` call — serially in-process or on a
+  :class:`~repro.fleet.pool.WorkerPool` started for the campaign — and
+  tears it down when the campaign completes;
 * :class:`~repro.service.core.CampaignService` keeps one execution per
-  submitted *job* and multiplexes many of them onto a persistent warm
-  worker pool, reusing exactly the same retry/cache/telemetry semantics.
+  submitted *job* and multiplexes many of them onto the same pool kept
+  warm, reusing exactly the same retry/cache/telemetry semantics.
 
-Because the execution never sees worker identities, a campaign's results
-depend only on its spec: the same spec driven by either driver — or
-re-driven after a worker died mid-task — produces bit-identical results.
+Both drivers feed a dead worker's attempt back as one ordinary
+:meth:`CampaignExecution.record_error`, so a crash costs only the
+attempt that worker held.  Because the execution never sees worker
+identities, a campaign's results depend only on its spec: the same spec
+driven by either driver — or re-driven after a worker died mid-task —
+produces bit-identical results.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
-"""The warm worker pool: persistent processes, heartbeats, reclaim.
+"""The worker pool: persistent processes, heartbeats, reclaim.
 
-Unlike the one-shot ``ProcessPoolExecutor`` behind
-:class:`~repro.fleet.runner.FleetRunner`, these workers outlive any
-single campaign: they are spawned once when the service starts and serve
-every job the service ever accepts.  The design keeps placement fully
+This is the one process pool in the package, and both campaign drivers
+run on it.  :class:`~repro.fleet.runner.FleetRunner` starts one for a
+``jobs > 1`` campaign and shuts it down when the campaign completes;
+:class:`~repro.service.core.CampaignService` keeps one warm for every
+job the service ever accepts.  The design keeps placement fully
 observable so failure handling can be exact:
 
 * every worker has its **own inbox** queue and is handed **one task at
@@ -16,19 +17,23 @@ observable so failure handling can be exact:
   the latter catches wedged processes that are technically alive;
 * a dead worker is killed, its in-flight attempt is **reclaimed** for
   the scheduler to retry elsewhere, and a **replacement worker** is
-  spawned so the pool stays at its configured size.
+  spawned so the pool stays at its configured size.  A dead worker
+  therefore costs only the attempt it held; tasks on other workers run
+  on undisturbed.
 
 Task execution inside a worker is :func:`repro.fleet.worker.run_task` —
-the same in-worker ``SIGALRM`` timeout the one-shot pool uses — so a
-task behaves identically under either pool.  Nothing about placement
-(worker id, pid, attempt timing) ever reaches task parameters, which is
-half of the service's determinism invariant.
+the same function, with the same in-worker ``SIGALRM`` timeout, that
+the serial runner calls in-process — so a task behaves identically on
+either path.  Nothing about placement (worker id, pid, attempt timing)
+ever reaches task parameters, which is half of the determinism
+invariant: serial == ``jobs=N`` == service.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
+import pickle
 import queue as queue_mod
 import threading
 import time
@@ -63,8 +68,10 @@ def _worker_main(worker_id, inbox, outbox, heartbeat_s):
             job_id, task, attempt, timeout_s, collect_trace = item
             outbox.put((START, worker_id, job_id, task.id, attempt))
             try:
-                outcome = run_task(task, timeout_s,
-                                   collect_trace=collect_trace)
+                # Pickled here, not by the queue's feeder thread, so an
+                # unpicklable value is reported instead of lost silently.
+                outcome = pickle.dumps(run_task(task, timeout_s,
+                                                collect_trace=collect_trace))
             except BaseException as exc:  # noqa: BLE001 — report, don't die
                 outbox.put((ERROR, worker_id, job_id, task.id, attempt,
                             describe_error(exc)))
@@ -116,8 +123,9 @@ class WorkerPool:
     """A fixed-size pool of persistent, heartbeating worker processes.
 
     The pool is a passive mechanism: it moves tasks and messages, and
-    detects death.  All scheduling *policy* (which job's task runs next,
-    retry budgets) lives in :class:`~repro.service.core.CampaignService`.
+    detects death.  All scheduling *policy* (which task runs next, retry
+    budgets) lives in its driver, :class:`~repro.fleet.runner.FleetRunner`
+    or :class:`~repro.service.core.CampaignService`.
     """
 
     def __init__(self, size, heartbeat_s=0.2, heartbeat_timeout_s=5.0):
@@ -157,7 +165,7 @@ class WorkerPool:
             target=_worker_main,
             args=(worker_id, inbox, self.outbox, self.heartbeat_s),
             daemon=True,
-            name=f"repro-service-{worker_id}",
+            name=f"repro-pool-{worker_id}",
         )
         process.start()
         handle = WorkerHandle(worker_id, process, inbox)
@@ -227,6 +235,8 @@ class WorkerPool:
                 pass  # assign() already recorded handle.current
             elif kind in (DONE, ERROR):
                 _, worker_id, job_id, task_id, attempt, payload = message
+                if kind == DONE:
+                    payload = pickle.loads(payload)
                 handle.current = None
                 handle.completed += 1
                 events.append((kind, worker_id, job_id, task_id, attempt,

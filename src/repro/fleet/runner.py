@@ -11,7 +11,9 @@ Execution contract:
   worker process down is retried up to ``retries`` times with
   exponential backoff; a task that exhausts its attempts becomes a
   *recorded failure* — the campaign still completes and returns every
-  other result.  Failures are never silently dropped.
+  other result.  Failures are never silently dropped.  A dead worker
+  costs only the attempt it held: the pool replaces it and every other
+  in-flight task runs on.
 * **Caching.** With a cache attached, each cacheable task's result is
   stored under its stable spec hash; a re-run executes only tasks whose
   spec changed.
@@ -21,27 +23,20 @@ Execution contract:
 
 The retry/cache/telemetry semantics themselves live in
 :class:`~repro.fleet.execution.CampaignExecution`; this module only
-decides *where* attempts run (in-process or on a one-shot pool).  The
-persistent :mod:`repro.service` drives the same execution engine from a
-warm worker pool, so one-shot and service campaigns are bit-identical.
+decides *where* attempts run: in-process, or on a
+:class:`~repro.fleet.pool.WorkerPool` started for the one campaign.
+The persistent :mod:`repro.service` keeps the same pool warm across
+jobs and drives the same execution engine, so one-shot and service
+campaigns are bit-identical.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-try:  # BrokenProcessPool moved in 3.3→3.7 eras; import defensively.
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover
-    BrokenProcessPool = OSError
 
 from repro.fleet.cache import ResultCache
 from repro.fleet.execution import (
-    CACHED,
-    FAILED,
-    OK,
     CampaignExecution,
     CampaignResult,
     TaskResult,
@@ -52,8 +47,6 @@ from repro.obs.metrics import current_metrics
 from repro.obs.tracer import current_tracer
 
 __all__ = ["FleetRunner", "TaskResult", "CampaignResult"]
-
-_describe = describe_error
 
 
 class FleetRunner:
@@ -142,7 +135,7 @@ class FleetRunner:
                                        collect_trace=execution.worker_trace)
                 except Exception as exc:
                     due = execution.record_error(
-                        task, _describe(exc), attempt
+                        task, describe_error(exc), attempt
                     )
                     if due is None:
                         break
@@ -158,63 +151,40 @@ class FleetRunner:
 
     # ------------------------------------------------------------------
     def _run_pool(self, execution, tasks):
-        executor = ProcessPoolExecutor(max_workers=self.jobs)
-        inflight = {}
+        from repro.fleet.pool import WorkerPool
+
         telemetry = execution.telemetry
-
-        def submit(task, attempt):
-            nonlocal executor
-            execution.note_attempt()
-            try:
-                future = executor.submit(run_task, task,
-                                         execution.timeout_s,
-                                         execution.worker_trace)
-            except BrokenProcessPool:
-                # The pool died between completions; replace it wholesale.
-                executor.shutdown(wait=False, cancel_futures=True)
-                executor = ProcessPoolExecutor(max_workers=self.jobs)
-                future = executor.submit(run_task, task,
-                                         execution.timeout_s,
-                                         execution.worker_trace)
-            inflight[future] = (task, attempt)
-            telemetry.running += 1
-
+        by_id = {task.id: task for task in tasks}
+        first = list(reversed(tasks))  # first attempts, popped in order
+        due = []  # retries whose backoff expired
+        pool = WorkerPool(min(self.jobs, len(tasks))).start()
         try:
-            for task in tasks:
-                submit(task, 1)
-
-            while inflight or execution.awaiting_retry:
-                now = time.monotonic()
-                for task, attempt in execution.pop_due(now):
-                    submit(task, attempt)
-                if not inflight:
-                    time.sleep(max(0.0, execution.next_due() - now))
-                    continue
-                next_due = execution.next_due()
-                wait_timeout = (
-                    max(0.0, next_due - now) if next_due is not None
-                    else None
-                )
-                done, _ = wait(
-                    inflight, timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    task, attempt = inflight.pop(future)
-                    telemetry.running -= 1
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool as exc:
-                        # Worker crash kills every in-flight future; each
-                        # surfaces here and burns one attempt for its task.
-                        execution.record_error(
-                            task,
-                            f"worker process crashed ({_describe(exc)})",
-                            attempt,
-                        )
-                    except Exception as exc:
-                        execution.record_error(task, _describe(exc), attempt)
+            while not execution.done:
+                due.extend(execution.pop_due())
+                for handle in pool.idle_workers():
+                    if due:
+                        task, attempt = due.pop(0)
+                    elif first:
+                        task, attempt = first.pop(), 1
                     else:
-                        execution.record_success(task, outcome, attempt)
+                        break
+                    execution.note_attempt()
+                    telemetry.running += 1
+                    pool.assign(handle, None, task, attempt,
+                                execution.task_budget(task),
+                                execution.worker_trace)
+                for kind, _, _, task_id, attempt, payload in pool.poll():
+                    telemetry.running -= 1
+                    if kind == "done":
+                        execution.record_success(by_id[task_id], payload,
+                                                 attempt)
+                    else:
+                        execution.record_error(by_id[task_id], payload,
+                                               attempt)
+                for _, task, attempt, reason in pool.reap_dead():
+                    telemetry.running -= 1
+                    execution.record_error(
+                        task, f"worker process crashed ({reason})", attempt
+                    )
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown()

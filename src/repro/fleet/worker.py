@@ -1,12 +1,13 @@
 """Worker-side task execution: the function a pool process actually runs.
 
-The timeout is enforced *inside* the worker with ``SIGALRM`` rather
-than by the coordinator abandoning a future: ``ProcessPoolExecutor``
-cannot cancel a running task, so a coordinator-side timeout would leave
-a zombie worker grinding away at a doomed simulation.  An in-worker
-alarm interrupts the task at the deadline, frees the worker for the
-next task, and surfaces as an ordinary :class:`TaskTimeout` failure the
-runner can retry or record.  On platforms without ``SIGALRM`` the
+Both campaign drivers run tasks through :func:`run_task` on the one
+:class:`~repro.fleet.pool.WorkerPool` (the serial runner calls it
+in-process).  The timeout is enforced *inside* the worker with
+``SIGALRM`` rather than by the coordinator killing the worker: a kill
+costs a process respawn and reads as a crash, while an in-worker alarm
+interrupts the task at the deadline, frees the worker for the next
+task, and surfaces as an ordinary :class:`TaskTimeout` failure the
+driver can retry or record.  On platforms without ``SIGALRM`` the
 timeout degrades to unenforced (documented, not silent: the record
 notes enforcement was unavailable only via this docstring — results
 are still correct, just unbounded).
@@ -67,7 +68,8 @@ def execute_task(fn, params, payload=(), timeout_s=None,
     on a per-task track (see ``FleetRunner``).
 
     Exceptions (including :class:`TaskTimeout`) propagate to the caller
-    — in a pool that means through the future, back to the runner.
+    — in a pool worker that means into an ``error`` message back to the
+    driver.
     """
     start = time.perf_counter()
     if not collect_trace:

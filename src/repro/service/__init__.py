@@ -13,7 +13,10 @@ identity, never placement.
 Layers:
 
 * :mod:`repro.service.core` — the orchestrator (queues, dispatch,
-  reclaim, coalescing) over :class:`~repro.service.pool.WorkerPool`.
+  reclaim, coalescing) over :class:`~repro.fleet.pool.WorkerPool`, the
+  one process pool, which ``repro sweep --jobs N`` also runs on; a dead
+  worker costs only the attempt it held.  ``WorkerPool`` and
+  ``WorkerHandle`` are re-exported here.
 * :mod:`repro.service.transport` — a stdlib JSON-over-HTTP skin
   (``repro serve``).
 * :mod:`repro.service.client` — a ``urllib`` client library
@@ -37,7 +40,7 @@ from repro.service.jobs import (
     JobRecord,
     results_document,
 )
-from repro.service.pool import WorkerHandle, WorkerPool
+from repro.fleet.pool import WorkerHandle, WorkerPool
 from repro.service.transport import ServiceServer, serve
 
 __all__ = [

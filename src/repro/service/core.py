@@ -2,9 +2,11 @@
 
 The service plays the role the Odyssey viceroy plays for applications,
 one level up: it is a long-lived arbiter that multiplexes *many
-clients'* campaigns onto one warm worker pool.  Where
-:class:`~repro.fleet.runner.FleetRunner` builds a process pool, runs one
-campaign, and tears everything down, the service accepts jobs forever:
+clients'* campaigns onto one warm worker pool.  It is the same
+:class:`~repro.fleet.pool.WorkerPool` that
+:class:`~repro.fleet.runner.FleetRunner` starts for one ``jobs > 1``
+campaign and shuts down afterwards; the service keeps it running and
+accepts jobs forever:
 
 * **submit/status/result.** A client submits a
   :class:`~repro.fleet.spec.CampaignSpec` into a *named queue* with a
@@ -22,10 +24,11 @@ campaign, and tears everything down, the service accepts jobs forever:
   and served from the cache when the running copy lands — two clients
   submitting the same campaign concurrently execute it once.
 * **failure handling.** Retries/backoff/timeouts are exactly
-  :class:`~repro.fleet.execution.CampaignExecution`'s — the same engine
-  the one-shot runner drives — plus worker-death reclaim: when a worker
-  dies or its heartbeat goes stale, its attempt is requeued (burning one
-  attempt) and a replacement worker joins the pool.
+  :class:`~repro.fleet.execution.CampaignExecution`'s, and worker-death
+  reclaim is exactly the pool's — the same engine and pool the one-shot
+  runner drives: when a worker dies or its heartbeat goes stale, only
+  the attempt it held is requeued (burning one attempt), a replacement
+  worker joins the pool, and every other in-flight task runs on.
 
 **Determinism invariant.** Seeds derive from task identity
 (:func:`~repro.fleet.spec.derive_seed`), never placement; the service
@@ -50,7 +53,7 @@ from repro.service.jobs import (
     RUNNING,
     JobRecord,
 )
-from repro.service.pool import WorkerPool
+from repro.fleet.pool import WorkerPool
 
 __all__ = ["CampaignService"]
 
@@ -356,7 +359,8 @@ class CampaignService:
         """The next runnable ``(task, attempt)`` of ``job``, or ``None``.
 
         Retries whose backoff expired take precedence over first
-        attempts, matching the one-shot pool's drain order.
+        attempts, matching :class:`~repro.fleet.runner.FleetRunner`'s
+        drain order.
         """
         job.retry_ready.extend(job.execution.pop_due())
         if job.retry_ready:

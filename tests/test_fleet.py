@@ -234,9 +234,9 @@ class TestRunnerPool:
         assert result.telemetry.wall_s < 10.0
 
     def test_worker_crash_is_a_recorded_failure(self):
-        # os._exit(3) takes the worker process down hard: every attempt
-        # surfaces as BrokenProcessPool, the pool is rebuilt, and the
-        # task becomes a recorded failure instead of hanging the run.
+        # os._exit(3) takes the worker process down hard: the pool reaps
+        # it and spawns a replacement, each attempt burns one retry, and
+        # the task becomes a recorded failure instead of hanging the run.
         spec = _spec(Task(id="boom", fn="os:_exit", payload=(3,)))
         result = FleetRunner(jobs=2, retries=1, backoff_s=0.01).run(spec)
         (failure,) = result.failures
@@ -248,6 +248,37 @@ class TestRunnerPool:
                  params={"seed": 1}),
         ))
         assert ok.ok
+
+    def test_worker_crash_spares_in_flight_sibling(self):
+        # The crash takes down only the worker that ran it: the healthy
+        # task running beside it on the other worker still lands.
+        spec = _spec(
+            Task(id="slow", fn="repro.fleet.library:sleep_for",
+                 params={"seconds": 1.0, "value": 7.0}),
+            Task(id="boom", fn="os:_exit", payload=(3,)),
+        )
+        result = FleetRunner(jobs=2, retries=0).run(spec)
+        slow = result.results[0]
+        assert slow.status == "ok"
+        assert slow.value == 7.0
+        (failure,) = result.failures
+        assert failure.task_id == "boom"
+        assert "crash" in failure.error
+
+    def test_unpicklable_value_is_a_recorded_failure(self):
+        # The worker pickles the value itself, so a value that cannot
+        # cross the process boundary fails its task instead of leaving
+        # the runner waiting for a result that never arrives.
+        spec = _spec(
+            Task(id="lock", fn="threading:Lock"),
+            Task(id="fine", fn="repro.fleet.library:seeded_value",
+                 params={"seed": 1}),
+        )
+        result = FleetRunner(jobs=2, retries=0).run(spec)
+        (failure,) = result.failures
+        assert failure.task_id == "lock"
+        assert "pickle" in failure.error
+        assert result.results[1].ok
 
     def test_retry_across_processes(self, tmp_path):
         marker = str(tmp_path / "marker")

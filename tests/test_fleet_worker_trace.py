@@ -1,5 +1,7 @@
 """Worker-trace merge: in-worker rings surface on per-task tracks."""
 
+import os
+
 from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import CampaignSpec, Task
 from repro.obs import Tracer, installed
@@ -13,10 +15,10 @@ SIM_TASK = Task(
 )
 
 
-def test_serial_runner_merges_worker_events():
+def _merged_worker_events(jobs):
     tracer = Tracer()
     with installed(tracer):
-        runner = FleetRunner(jobs=1, worker_trace=True)
+        runner = FleetRunner(jobs=jobs, worker_trace=True)
         assert runner.worker_trace is True
         result = runner.run(CampaignSpec(name="wt", tasks=[SIM_TASK]))
     tracer.flush()
@@ -29,6 +31,19 @@ def test_serial_runner_merges_worker_events():
     assert all(e.track.endswith("/warm/tiny") for e in merged)
     # original sim-domain categories must NOT leak into the coordinator
     assert not any(e.cat in ("sim", "core", "power") for e in merged)
+    return merged
+
+
+def test_serial_runner_merges_worker_events():
+    merged = _merged_worker_events(jobs=1)
+    assert all(e.track.startswith(f"w{os.getpid()}/") for e in merged)
+
+
+def test_pool_runner_merges_worker_events():
+    # The pool path ships the flag to its workers; their tracks carry a
+    # worker pid, not the coordinator's.
+    merged = _merged_worker_events(jobs=2)
+    assert not any(e.track.startswith(f"w{os.getpid()}/") for e in merged)
 
 
 def test_worker_trace_disabled_without_open_gate():

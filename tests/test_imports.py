@@ -60,6 +60,12 @@ def test_snapshot_scenario_skips_the_section3_study():
     assert _loaded_after(["repro.snapshot.scenario"], watched) == "[]"
 
 
+def test_fleet_loads_no_process_machinery():
+    # The worker pool is imported only when a campaign runs with jobs > 1.
+    watched = {"concurrent.futures", "multiprocessing"}
+    assert _loaded_after(["repro.fleet"], watched) == "[]"
+
+
 def test_lazy_campaign_names_resolve():
     result = _run("import repro.fleet as fleet\n"
                   "from repro.fleet import run_sweep\n"
