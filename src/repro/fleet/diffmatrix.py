@@ -41,6 +41,8 @@ every other campaign.
 
 from __future__ import annotations
 
+import functools
+
 from repro.fleet.spec import CampaignSpec, Task, canonical_json
 
 __all__ = [
@@ -194,15 +196,22 @@ def _memo_key(params, builder):
     and ``{"lookahead": false}`` (the same scenario) share one entry.
     Process-local only: task, cache and snapshot keys keep the params
     as given."""
+    full = dict(_builder_defaults(builder))
+    full.update(params)
+    return canonical_json(full)
+
+
+@functools.cache
+def _builder_defaults(builder):
+    """``builder``'s keyword defaults (less ``tracer``/``metrics``),
+    resolved once per process."""
     import inspect
 
-    full = {
+    return {
         name: parameter.default
         for name, parameter in inspect.signature(builder).parameters.items()
         if name not in ("tracer", "metrics")
     }
-    full.update(params)
-    return canonical_json(full)
 
 
 def _traced_record(params):
@@ -230,12 +239,16 @@ def _traced_record(params):
     scenario.start()
     scenario.run()
     tracer.flush()
-    events = [event.to_dict() for event in tracer.events]
+    # Reduce the live events once: the signature reuses the row's own
+    # spine and span index.
+    events = tracer.events
+    spine = decision_spine(events)
+    spans = power_spans(events)
     record = {
-        "spine": decision_spine(events),
-        "spans": power_spans(events),
-        "signature": compute_signature(events,
-                                       metrics=MetricsRegistry()),
+        "spine": spine,
+        "spans": spans,
+        "signature": compute_signature(events, metrics=MetricsRegistry(),
+                                       spine=spine, spans=spans),
         "summary": scenario.summary(),
     }
     if len(_RECORD_MEMO) >= _RECORD_MEMO_MAX:

@@ -35,6 +35,7 @@ same pair of runs are byte-identical.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 
 from repro.obs.export import power_spans
 
@@ -52,10 +53,6 @@ __all__ = [
     "write_spine_jsonl",
     "read_spine_jsonl",
 ]
-
-
-def _as_dict(event):
-    return event if isinstance(event, dict) else event.to_dict()
 
 
 class SpineEntry:
@@ -130,14 +127,20 @@ def decision_spine(events):
     entries = []
     by_did = {}
     for event in events:
-        record = _as_dict(event)
-        if record.get("cat") != "core":
+        if isinstance(event, dict):
+            if event.get("cat") != "core":
+                continue
+            name = event.get("name", "")
+            args = event.get("args") or {}
+        elif event.cat != "core":
             continue
-        name = record.get("name", "")
-        args = record.get("args") or {}
+        else:
+            name = event.name
+            args = event.args or {}
         if name.startswith("decision."):
             did = args.get("did", len(entries) + 1)
-            entry = SpineEntry(did, record["ts"], name.split(".", 1)[1])
+            ts = event["ts"] if isinstance(event, dict) else event.ts
+            entry = SpineEntry(did, ts, name.split(".", 1)[1])
             entries.append(entry)
             by_did[did] = entry
         elif name.startswith("upcall."):
@@ -407,15 +410,17 @@ def diff_spines(spine_a, spine_b, gap=0, label_a="A", label_b="B"):
                 groups.append([did])
         for group in groups:
             start, end = group[0], group[-1]
-            members = [d for d in dids if start <= d <= end]
+            # ``dids`` is sorted and unique: the window's members are
+            # one slice of it, and the next decision follows the slice.
+            stop = position[end] + 1
+            members = dids[position[start]:stop]
             entries_a = [index_a[d] for d in members if d in index_a]
             entries_b = [index_b[d] for d in members if d in index_b]
             t0 = min(e.ts for e in entries_a + entries_b)
             # The window closes at the next decision where both sides
             # agree again; energy attribution integrates [t0, t1).
-            after = [d for d in dids if d > end]
-            if after:
-                nxt = after[0]
+            if stop < len(dids):
+                nxt = dids[stop]
                 t1 = min(e.ts for e in
                          [x for x in (index_a.get(nxt), index_b.get(nxt))
                           if x is not None])
@@ -437,13 +442,44 @@ def window_energy(spans, t0, t1):
     partially overlapping the interval contribute pro-rata (constant
     power within a journal segment, by construction).
     """
-    total = 0.0
+    return _window_energy(_span_index(spans), t0, t1)
+
+
+def _span_index(spans):
+    """``spans`` as ``(starts, ends, watts, ordered)`` columns in dict
+    order.  ``ordered`` holds when both starts and ends never decrease
+    (a journal's spans, which tile sim time in emit order): the spans
+    overlapping any window are then one run of positions, found by
+    bisect.  Shuffled or nested spans (merged or hand-built dicts) scan
+    every position instead."""
+    starts = []
+    ends = []
+    watts = []
     for span in spans.values():
         s0 = span["t0"]
-        s1 = s0 + (span["dur"] or 0.0)
-        overlap = min(s1, t1) - max(s0, t0)
-        if overlap > 0.0 and span["watts"] is not None:
-            total += span["watts"] * overlap
+        starts.append(s0)
+        ends.append(s0 + (span["dur"] or 0.0))
+        watts.append(span["watts"])
+    ordered = all(a <= b for column in (starts, ends)
+                  for a, b in zip(column, column[1:]))
+    return starts, ends, watts, ordered
+
+
+def _window_energy(index, t0, t1):
+    """:func:`window_energy` over a :func:`_span_index`: the same
+    products added in the same (dict) order, so the sum is bit-identical
+    to scanning every span."""
+    starts, ends, watts, ordered = index
+    if ordered and t0 == t0 and t1 == t1:  # a NaN edge takes the scan
+        lo = bisect_right(ends, t0)
+        hi = bisect_left(starts, t1, lo)
+    else:
+        lo, hi = 0, len(starts)
+    total = 0.0
+    for k in range(lo, hi):
+        overlap = min(ends[k], t1) - max(starts[k], t0)
+        if overlap > 0.0 and watts[k] is not None:
+            total += watts[k] * overlap
     return total
 
 
@@ -463,9 +499,11 @@ def attribute_energy_spans(diff, spans_a, spans_b):
     total_b = _span_total(spans_b)
     diff.total_energy_a = total_a
     diff.total_energy_b = total_b
+    index_a = _span_index(spans_a)
+    index_b = _span_index(spans_b)
     for window in diff.windows:
-        window.energy_a = window_energy(spans_a, window.t0, window.t1)
-        window.energy_b = window_energy(spans_b, window.t0, window.t1)
+        window.energy_a = _window_energy(index_a, window.t0, window.t1)
+        window.energy_b = _window_energy(index_b, window.t0, window.t1)
         window.energy_delta = window.energy_b - window.energy_a
         window.energy_share = max(
             window.energy_a / total_a if total_a > 0 else 0.0,

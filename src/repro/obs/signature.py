@@ -65,10 +65,6 @@ class SignatureError(Exception):
     signature file is malformed."""
 
 
-def _as_dict(event):
-    return event if isinstance(event, dict) else event.to_dict()
-
-
 def _spine_digest(spine):
     payload = json.dumps([entry.to_dict() for entry in spine],
                          sort_keys=True)
@@ -94,14 +90,23 @@ def _boundary_labels(events, spine, run_t0, run_t1):
             continue
         boundaries.append((entry.ts, label))
     for event in events:
-        record = _as_dict(event)
-        if (record.get("cat") != "workload"
-                or record.get("name") != "phase.begin"):
+        if isinstance(event, dict):
+            if (event.get("cat") != "workload"
+                    or event.get("name") != "phase.begin"):
+                continue
+            ts = event["ts"]
+            track = event.get("track", "workload")
+            args = event.get("args") or {}
+        elif event.cat != "workload" or event.name != "phase.begin":
             continue
-        args = record.get("args") or {}
-        workload = args.get("workload", record.get("track", "workload"))
+        else:
+            ts = event.ts
+            # ``to_dict`` leaves an unset track out of the record.
+            track = "workload" if event.track is None else event.track
+            args = event.args or {}
+        workload = args.get("workload", track)
         item = args.get("item", "item")
-        boundaries.append((record["ts"], f"{workload}:{item}"))
+        boundaries.append((ts, f"{workload}:{item}"))
     boundaries = [(ts, label) for ts, label in boundaries
                   if run_t0 < ts < run_t1]
     boundaries.sort(key=lambda b: b[0])
@@ -128,17 +133,26 @@ def _merge_and_uniquify(boundaries, run_t0):
 
 def compute_signature(events, rel_tolerance=DEFAULT_REL_TOLERANCE,
                       abs_tolerance_j=DEFAULT_ABS_TOLERANCE_J,
-                      metrics=None):
+                      metrics=None, spine=None, spans=None):
     """Derive the energy signature of one traced run.
 
     ``events`` is a recorded stream (TraceEvent objects or JSONL
     dicts) that must contain ``power/span`` events; ``core`` decision
     events and ``workload`` phase markers refine the segmentation when
     present.  Returns the signature as a JSON-shaped dict.
+
+    ``spine`` and ``spans`` let a caller that already reduced
+    ``events`` hand over its :func:`~repro.obs.diff.decision_spine` and
+    :func:`~repro.obs.export.power_spans` index instead of having them
+    recomputed; they must come from these same events, and the
+    signature is then identical to the one computed without them.
+    ``events`` is still read for the ``workload`` phase markers.
     """
     started = time.perf_counter()
-    event_dicts = [_as_dict(event) for event in events]
-    spans = power_spans(event_dicts)
+    if iter(events) is events:
+        events = list(events)  # a one-shot iterator is read up to 3 times
+    if spans is None:
+        spans = power_spans(events)
     if not spans:
         raise SignatureError(
             "no power/span events in the stream — record with the "
@@ -150,9 +164,10 @@ def compute_signature(events, rel_tolerance=DEFAULT_REL_TOLERANCE,
     if run_t1 <= run_t0:
         raise SignatureError("power journal covers zero sim time")
 
-    spine = decision_spine(event_dicts)
+    if spine is None:
+        spine = decision_spine(events)
     labelled = _merge_and_uniquify(
-        _boundary_labels(event_dicts, spine, run_t0, run_t1), run_t0
+        _boundary_labels(events, spine, run_t0, run_t1), run_t0
     )
     instants = [ts for ts, _label in labelled] + [run_t1]
     folded = fold_phase_energy(segments, instants)

@@ -11,6 +11,8 @@ fold under :mod:`repro.obs.signature`.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 __all__ = [
     "fold_phase_energy",
     "machine_phase_energy",
@@ -58,6 +60,9 @@ def fold_phase_energy(segments, boundaries):
     spans ``[boundaries[i], boundaries[i+1])``.  Returns one dict per
     phase: ``{"t0", "t1", "joules", "components": {name: joules}}``.
     Segments overlapping a boundary contribute pro rata to both sides.
+    Each segment visits only the phases a bisect of ``boundaries`` says
+    it can overlap, in phase order, so every phase receives the same
+    products in the same (segment) order as a scan of all phases.
     """
     if len(boundaries) < 2:
         raise ValueError("need at least two phase boundaries")
@@ -67,10 +72,20 @@ def fold_phase_energy(segments, boundaries):
         {"t0": t0, "t1": t1, "joules": 0.0, "components": {}}
         for t0, t1 in zip(boundaries, boundaries[1:])
     ]
+    # A NaN boundary passes the sort check but breaks bisection; a NaN
+    # edge (boundary or segment) takes the scan.
+    bisectable = all(a <= b for a, b in zip(boundaries, boundaries[1:]))
     for t0, t1, watts, components in segments:
         if t1 <= t0:
             continue
-        for phase in phases:
+        if bisectable and t0 == t0 and t1 == t1:
+            # Phase i spans [boundaries[i], boundaries[i+1]).
+            lo = max(bisect_right(boundaries, t0) - 1, 0)
+            hi = min(bisect_left(boundaries, t1, lo), len(phases))
+            visited = phases[lo:hi]
+        else:
+            visited = phases
+        for phase in visited:
             overlap = min(t1, phase["t1"]) - max(t0, phase["t0"])
             if overlap <= 0.0:
                 continue

@@ -141,55 +141,83 @@ class TestCli:
         assert code == 0
         assert "no regressions" in capsys.readouterr().out
 
-    def test_bench_cli_confirms_regressions_before_failing(
-        self, tmp_path, capsys
-    ):
+    @pytest.fixture
+    def steady_registry(self, monkeypatch):
+        """Replace the bench registry with two tiny deterministic benches
+        (fixed ``seconds``, no timing) and count how often each runs.
+        The ``--confirm`` logic is then exercised without the noise or
+        the cost of real quick-mode workloads."""
+        from repro.perf import bench
+
+        runs = {"calibration": 0, "steady": 0}
+
+        def fixed(name, metrics):
+            def run(quick, repeats):
+                runs[name] += 1
+                return dict(metrics)
+            return run
+
+        registry = {
+            "calibration": fixed("calibration",
+                                 {"seconds": 0.1, "iterations": 1}),
+            "steady": fixed("steady", {"seconds": 1.0}),
+        }
+        monkeypatch.setattr(bench, "_BENCHES", registry)
+        monkeypatch.setattr(bench, "BENCH_NAMES", tuple(registry))
+        return runs
+
+    def _impossible_baseline(self, tmp_path, capsys):
+        """Record the steady bench, then fabricate a baseline the run can
+        never match: the regression is "real", so confirmation re-runs
+        must still fail."""
         from repro.cli import main
 
         out = tmp_path / "BENCH_core.json"
-        code = main(["bench", "--quick", "--only", "engine_events",
+        code = main(["bench", "--quick", "--only", "steady",
                      "--out", str(out)])
         assert code == 0
         capsys.readouterr()
-        # Fabricate a baseline the current machine can never match: the
-        # regression is "real", so confirmation re-runs must still fail.
         baseline = json.loads(out.read_text())
-        baseline["benches"]["engine_events"]["seconds"] /= 100.0
+        baseline["benches"]["steady"]["seconds"] /= 100.0
         base_path = tmp_path / "baseline.json"
         base_path.write_text(json.dumps(baseline))
+        return out, base_path
+
+    def test_bench_cli_confirms_regressions_before_failing(
+        self, tmp_path, capsys, steady_registry
+    ):
+        from repro.cli import main
+
+        out, base_path = self._impossible_baseline(tmp_path, capsys)
         code = main([
-            "bench", "--quick", "--only", "engine_events",
+            "bench", "--quick", "--only", "steady",
             "--out", str(out.with_name("second.json")),
             "--compare", str(base_path), "--confirm", "2",
         ])
         captured = capsys.readouterr().out
         assert code == 1
-        assert "re-running engine_events to confirm (attempt 1/2)" in captured
+        assert "re-running steady to confirm (attempt 1/2)" in captured
         assert "attempt 2/2" in captured
-        assert "FAIL: engine_events" in captured
+        assert "FAIL: steady" in captured
+        # One recording run, then the compared run and its two re-runs.
+        assert steady_registry["steady"] == 4
 
     def test_bench_cli_confirm_zero_fails_immediately(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, steady_registry
     ):
         from repro.cli import main
 
-        out = tmp_path / "BENCH_core.json"
-        code = main(["bench", "--quick", "--only", "engine_events",
-                     "--out", str(out)])
-        assert code == 0
-        capsys.readouterr()
-        baseline = json.loads(out.read_text())
-        baseline["benches"]["engine_events"]["seconds"] /= 100.0
-        base_path = tmp_path / "baseline.json"
-        base_path.write_text(json.dumps(baseline))
+        out, base_path = self._impossible_baseline(tmp_path, capsys)
         code = main([
-            "bench", "--quick", "--only", "engine_events",
+            "bench", "--quick", "--only", "steady",
             "--out", str(out.with_name("second.json")),
             "--compare", str(base_path), "--confirm", "0",
         ])
         captured = capsys.readouterr().out
         assert code == 1
         assert "re-running" not in captured
+        assert "FAIL: steady" in captured
+        assert steady_registry["steady"] == 2
 
     def test_bench_cli_fails_on_impossible_speedup_floor(self, tmp_path):
         from repro.cli import main

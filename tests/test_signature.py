@@ -14,7 +14,8 @@ import os
 import pytest
 
 from repro.cli import main as cli_main
-from repro.obs.export import write_events_jsonl
+from repro.obs.diff import decision_spine
+from repro.obs.export import power_spans, read_events_jsonl, write_events_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.signature import (
     SignatureError,
@@ -24,7 +25,11 @@ from repro.obs.signature import (
     verify_signature,
     write_signature,
 )
-from tests.golden_scenarios import run_scenario_events, signature_path
+from tests.golden_scenarios import (
+    SIGNATURE_SCENARIOS,
+    run_scenario_events,
+    signature_path,
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +78,35 @@ def test_signature_ignores_wall_clock(pulse_events, pulse_signature):
         shifted.append(record)
     assert json.dumps(compute_signature(shifted), sort_keys=True) == (
         json.dumps(pulse_signature, sort_keys=True))
+
+
+@pytest.mark.parametrize("name", SIGNATURE_SCENARIOS)
+def test_event_and_dict_inputs_give_the_golden_bytes(tmp_path, name):
+    """Live ``TraceEvent``s, their ``to_dict`` records and the records
+    read back from an exported JSONL file reduce to the same spine, the
+    same span index and the blessed signature bytes; a caller-supplied
+    spine and span index change nothing."""
+    events = run_scenario_events(name)
+    records = [event.to_dict() for event in events]
+    log = os.path.join(str(tmp_path), f"{name}.jsonl")
+    write_events_jsonl(events, log)
+    inputs = {"events": events, "dicts": records,
+              "jsonl": read_events_jsonl(log)}
+    with open(signature_path(name), encoding="utf-8") as handle:
+        golden = handle.read()
+
+    spine = decision_spine(events)
+    spans = power_spans(events)
+    for kind, stream in inputs.items():
+        assert ([entry.to_dict() for entry in decision_spine(stream)]
+                == [entry.to_dict() for entry in spine]), kind
+        assert power_spans(stream) == spans, kind
+        path = os.path.join(str(tmp_path), f"{kind}.sig.json")
+        write_signature(compute_signature(stream), path)
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == golden, kind
+    assert (compute_signature(events, spine=spine, spans=spans)
+            == compute_signature(events))
 
 
 def test_signature_json_roundtrip(tmp_path, pulse_signature):
