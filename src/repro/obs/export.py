@@ -48,6 +48,8 @@ __all__ = [
 
 #: Chrome trace-event phases this exporter emits / the validator accepts.
 _PHASES = frozenset("IBEXCM")
+#: Phases a body entry may carry on the Chrome shape-template path.
+_BODY_PHASES = frozenset("IBEXC")
 
 #: The JSONL fallback encoder: what ``json.dumps(record,
 #: sort_keys=True)`` writes, for events the shape templates decline.
@@ -64,6 +66,17 @@ _ARGS_ENCODER = (
     if c_make_encoder is not None else JSONL_ENCODER.iterencode
 )
 
+#: ``args`` encoder of the Chrome shape-template path: what
+#: ``json.dumps`` writes for a payload (insertion order, no markers).
+#: A circular payload overflows the recursion limit and sends the
+#: trace to the reference path, which raises what ``json.dumps`` raises.
+_CHROME_ENCODER = json.JSONEncoder()
+_CHROME_ARGS_ENCODER = (
+    c_make_encoder(None, _CHROME_ENCODER.default, encode_basestring_ascii,
+                   None, ": ", ", ", False, False, True)
+    if c_make_encoder is not None else _CHROME_ENCODER.iterencode
+)
+
 #: Compiled JSONL line templates, keyed on an event's shape; ``None``
 #: marks a shape the templates cannot reproduce exactly.
 _TEMPLATES = {}
@@ -72,6 +85,11 @@ _MAX_TEMPLATES = 4096
 
 _INF, _NINF = float("inf"), float("-inf")
 _by_ts = itemgetter(0)
+
+
+def _quoted(text):
+    """``text`` as a JSON string literal, ``%`` doubled for a template."""
+    return encode_basestring_ascii(text).replace("%", "%%")
 
 
 # ----------------------------------------------------------------------
@@ -84,16 +102,13 @@ def _line_template(cat, name, ph, track, has_args, has_dur):
     if any(type(label) is not str for label in labels):
         return None
 
-    def quoted(text):
-        return encode_basestring_ascii(text).replace("%", "%%")
-
     fields = ['"args": %s'] if has_args else []
-    fields.append('"cat": ' + quoted(cat))
+    fields.append('"cat": ' + _quoted(cat))
     if has_dur:
         fields.append('"dur": %r')
-    fields += ['"name": ' + quoted(name), '"ph": ' + quoted(ph)]
+    fields += ['"name": ' + _quoted(name), '"ph": ' + _quoted(ph)]
     if track is not None:
-        fields.append('"track": ' + quoted(track))
+        fields.append('"track": ' + _quoted(track))
     fields += ['"ts": %r', '"wall": %r']
     return "{" + ", ".join(fields) + "}\n"
 
@@ -183,6 +198,57 @@ def read_events_jsonl(path):
 # ----------------------------------------------------------------------
 # Chrome trace-event JSON
 # ----------------------------------------------------------------------
+class _TraceLayout:
+    """The processes and threads of a Chrome trace: one pid per
+    category and one tid per ``(cat, track)``, numbered in first
+    appearance order, each thread collecting ``(ts, entry)`` pairs in
+    its own bucket."""
+
+    __slots__ = ("pids", "threads", "tracks")
+
+    def __init__(self):
+        self.pids = {}     # cat -> pid
+        self.threads = {}  # (cat, track) -> (pid, tid, bucket)
+        self.tracks = {}   # cat -> its buckets, in tid order
+
+    def add_thread(self, key):
+        """Number the first-seen thread ``key``; returns ``(pid, tid,
+        bucket)``."""
+        cat = key[0]
+        buckets = self.tracks.setdefault(cat, [])
+        buckets.append([])
+        thread = self.threads[key] = (
+            self.pids.setdefault(cat, len(self.pids) + 1), len(buckets),
+            buckets[-1])
+        return thread
+
+    def metadata(self):
+        """The ``M`` entries naming every process, then every thread."""
+        entries = [
+            {"ph": "M", "name": "process_name", "pid": pid,
+             "args": {"name": cat}}
+            for cat, pid in self.pids.items()
+        ]
+        entries += [
+            {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
+             "args": {"name": track}}
+            for (_cat, track), (pid, tid, _bucket) in self.threads.items()
+        ]
+        return entries
+
+    def body(self):
+        """Every bucket's entries, in ``(pid, tid, ts, emit index)``
+        order."""
+        # Buckets are in (pid, tid) order and already in emit order, so
+        # a stable sort on ts yields the (pid, tid, ts, emit index) order.
+        entries = []
+        for buckets in self.tracks.values():
+            for bucket in buckets:
+                bucket.sort(key=_by_ts)
+                entries += [entry for _ts, entry in bucket]
+        return entries
+
+
 def chrome_trace(events):
     """Convert events to the Chrome trace-event JSON object format.
 
@@ -192,9 +258,8 @@ def chrome_trace(events):
     so a trace assembled from several sources (or several simulators)
     still satisfies per-track monotonicity.
     """
-    pids = {}     # cat -> pid, in first-appearance order
-    threads = {}  # (cat, track) -> (pid, tid, bucket), first appearance
-    tracks = {}   # cat -> its buckets, in tid order
+    layout = _TraceLayout()
+    threads = layout.threads
     for event in events:
         if isinstance(event, dict):
             get = event.get
@@ -209,10 +274,7 @@ def chrome_trace(events):
         key = (cat, track or cat)
         thread = threads.get(key)
         if thread is None:
-            buckets = tracks.setdefault(cat, [])
-            buckets.append([])
-            thread = threads[key] = (pids.setdefault(cat, len(pids) + 1),
-                                     len(buckets), buckets[-1])
+            thread = layout.add_thread(key)
         pid, tid, bucket = thread
         # A bool stamp passes through unscaled for the validator to flag.
         entry = {"name": name, "cat": cat, "ph": ph,
@@ -223,46 +285,128 @@ def chrome_trace(events):
         if args is not None:
             entry["args"] = args
         bucket.append((ts, entry))
+    return {"traceEvents": layout.metadata() + layout.body(),
+            "displayTimeUnit": "ms"}
 
-    trace_events = [
-        {"ph": "M", "name": "process_name", "pid": pid,
-         "args": {"name": cat}}
-        for cat, pid in pids.items()
-    ]
-    trace_events += [
-        {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-         "args": {"name": track}}
-        for (_cat, track), (pid, tid, _bucket) in threads.items()
-    ]
-    # Buckets are in (pid, tid) order and already in emit order, so a
-    # stable sort on ts yields the (pid, tid, ts, emit index) order.
-    for buckets in tracks.values():
-        for bucket in buckets:
-            bucket.sort(key=_by_ts)
-            trace_events += [entry for _ts, entry in bucket]
-    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
+
+def _chrome_shape(layout, cat, track, name, ph, has_args):
+    """``(bucket, template, is_complete)`` for one body-entry shape of
+    ``str`` labels (``cat`` may be unset, ``track`` is any thread key),
+    or ``None`` when ``ph`` is not a body phase.  The template is the entry's
+    ``json.dumps`` text with ``ts``, then ``dur`` (``X`` only), then
+    ``args`` left as ``%`` fields; ``pid`` and ``tid`` are baked in."""
+    if ph not in _BODY_PHASES:
+        return None
+    cat = cat or "trace"
+    key = (cat, track or cat)
+    pid, tid, bucket = layout.threads.get(key) or layout.add_thread(key)
+    template = ('{"name": ' + _quoted(name) + ', "cat": ' + _quoted(cat)
+                + ', "ph": ' + _quoted(ph) + f', "ts": %r, "pid": {pid}, '
+                f'"tid": {tid}')
+    is_complete = ph == "X"
+    if is_complete:
+        template += ', "dur": %r'
+    if has_args:
+        template += ', "args": %s'
+    return bucket, template + "}", is_complete
+
+
+def _render_chrome(events):
+    """``(text, entry count)`` of the Chrome trace, each body entry
+    rendered from its shape's template, or ``None`` unless every entry
+    is provably valid: ``name``, ``ph`` and a set ``cat`` exactly
+    ``str``, a body phase, ``ts`` and ``dur`` non-``bool``
+    ``int``/``float`` scaling to finite values, ``dur >= 0``, and an
+    ``args`` payload the encoder accepts.  The text is what
+    ``json.dumps(chrome_trace(events)) + "\\n"`` writes."""
+    layout = _TraceLayout()
+    shapes = {}  # (cat, track, name, ph, has args) -> _chrome_shape
+    try:
+        for event in events:
+            if isinstance(event, dict):
+                get = event.get
+                name, ph, ts = get("name"), get("ph"), get("ts")
+                cat, track, dur, args = (get("cat"), get("track"),
+                                         get("dur"), get("args"))
+            else:
+                name, ph, ts = event.name, event.ph, event.ts
+                cat, track = event.cat, event.track
+                dur, args = event.dur, event.args
+            # The labels the entry writes must be exactly str, since a
+            # shape's template serves every equal key.  The track only
+            # keys the thread, as in chrome_trace.
+            if (type(name) is not str or type(ph) is not str
+                    or (cat is not None and type(cat) is not str)):
+                return None
+            key = (cat, track, name, ph, args is not None)
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = _chrome_shape(layout, *key)
+                if shape is None:
+                    return None
+            if type(ts) is not float and type(ts) is not int:
+                return None
+            scaled = ts * 1e6
+            if not _NINF < scaled < _INF:
+                return None
+            bucket, template, is_complete = shape
+            if not is_complete:
+                stamps = (scaled,)
+            elif dur is None:
+                stamps = (scaled, 0.0)
+            elif type(dur) is float or type(dur) is int:
+                span = (dur or 0.0) * 1e6
+                if not 0.0 <= span < _INF:
+                    return None
+                stamps = (scaled, span)
+            else:
+                return None
+            if args is not None:
+                stamps += ("".join(_CHROME_ARGS_ENCODER(args, 0)),)
+            bucket.append((ts, template % stamps))
+        parts = [json.dumps(entry) for entry in layout.metadata()]
+    except (AttributeError, TypeError, ValueError, OverflowError,
+            RecursionError):
+        # Not a TraceEvent or dict, an unhashable or unserializable
+        # track, an int stamp too large for a float, or a payload the
+        # encoder refuses.
+        return None
+    parts += layout.body()
+    return ('{"traceEvents": [' + ", ".join(parts)
+            + '], "displayTimeUnit": "ms"}\n', len(parts))
 
 
 def write_chrome_trace(events, path):
     """Validate and write the Chrome trace JSON; returns the event count.
 
-    Raises :class:`ValueError` listing the problems if the generated
-    trace would not satisfy :func:`validate_chrome_trace` — an invalid
-    trace on disk is worse than a loud failure.
+    The file holds ``json.dumps(chrome_trace(events)) + "\\n"``.  When
+    every event's entry is provably valid, each body entry is rendered
+    from a template compiled once per call for each event shape ``(cat,
+    track, name, ph, args is not None)`` and only ``ts``, ``dur`` and
+    ``args`` are encoded per event.  Otherwise the whole trace takes the reference
+    path: :func:`chrome_trace`, :func:`validate_chrome_trace`, then
+    ``json.dumps``.  That path raises :class:`ValueError` listing the
+    problems if the trace would not validate — an invalid trace on disk
+    is worse than a loud failure — or what ``json.dumps`` raises for an
+    unserializable payload; either way no file is written.
     """
-    trace = chrome_trace(events)
-    problems = validate_chrome_trace(trace)
-    if problems:
-        raise ValueError(
-            "generated Chrome trace is invalid: " + "; ".join(problems)
-        )
-    # json.dumps, not json.dump: dumping to a handle always takes the
-    # pure-Python encoder; dumps uses the C one for the same bytes.
-    text = json.dumps(trace)
+    if iter(events) is events:  # a one-shot iterator: both paths read it
+        events = list(events)
+    rendered = _render_chrome(events)
+    if rendered is None:
+        trace = chrome_trace(events)
+        problems = validate_chrome_trace(trace)
+        if problems:
+            raise ValueError(
+                "generated Chrome trace is invalid: " + "; ".join(problems)
+            )
+        # json.dumps, not json.dump: dumping to a handle always takes the
+        # pure-Python encoder; dumps uses the C one for the same bytes.
+        rendered = (json.dumps(trace) + "\n", len(trace["traceEvents"]))
+    text, count = rendered
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
-        handle.write("\n")
-    return len(trace["traceEvents"])
+    return count
 
 
 def validate_chrome_trace(trace):

@@ -15,8 +15,7 @@ Layers:
 * :mod:`repro.service.core` — the orchestrator (queues, dispatch,
   reclaim, coalescing) over :class:`~repro.fleet.pool.WorkerPool`, the
   one process pool, which ``repro sweep --jobs N`` also runs on; a dead
-  worker costs only the attempt it held.  ``WorkerPool`` and
-  ``WorkerHandle`` are re-exported here.
+  worker costs only the attempt it held.
 * :mod:`repro.service.transport` — a stdlib JSON-over-HTTP skin
   (``repro serve``).
 * :mod:`repro.service.client` — a ``urllib`` client library
@@ -40,13 +39,10 @@ from repro.service.jobs import (
     JobRecord,
     results_document,
 )
-from repro.fleet.pool import WorkerHandle, WorkerPool
 from repro.service.transport import ServiceServer, serve
 
 __all__ = [
     "CampaignService",
-    "WorkerPool",
-    "WorkerHandle",
     "JobRecord",
     "results_document",
     "ServiceServer",

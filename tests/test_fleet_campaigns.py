@@ -131,13 +131,13 @@ class TestWiring:
         with pytest.raises(KeyError):
             figures_campaign(["not-a-figure"])
 
-    def test_fidelity_summary_fleet_matches_serial(self):
+    def test_fidelity_summary_fleet_matches_serial(self,
+                                                  serial_fidelity_summary):
         # Restrict the comparison to one app's tables via monkey-free
         # full-table equality: summary over fleet tables must equal the
         # serial summary because the underlying values are identical.
-        serial = fidelity_summary()
         fleet = fidelity_summary(jobs=2)
-        assert serial == fleet
+        assert serial_fidelity_summary == fleet
 
 
 class TestCli:

@@ -42,6 +42,30 @@ def _circular_args():
     return loop
 
 
+#: ``args`` payloads ``json.dumps`` refuses, by test id.
+_BAD_ARGS = [
+    ("unserializable", lambda: {"x": object()}),
+    ("tuple-key", lambda: {(1, 2): 1}),
+    ("circular", _circular_args),
+]
+
+
+def _jsonl_reference(events):
+    return "".join(json.dumps(event.to_dict(), sort_keys=True) + "\n"
+                   for event in events)
+
+
+def _chrome_reference(events):
+    """What ``write_chrome_trace`` writes, or raises, by the reference
+    path: build, validate, ``json.dumps``."""
+    trace = chrome_trace(events)
+    problems = validate_chrome_trace(trace)
+    if problems:
+        raise ValueError("generated Chrome trace is invalid: "
+                         + "; ".join(problems))
+    return json.dumps(trace) + "\n"
+
+
 class TestJsonl:
     def test_round_trip(self, tmp_path):
         tracer = _sample_tracer()
@@ -54,20 +78,26 @@ class TestJsonl:
         assert records[1]["dur"] == 2.0
         assert records[2]["args"]["power_span"] == 1
 
-    @pytest.mark.parametrize("make_args", [
-        lambda: {"x": object()},
-        lambda: {(1, 2): 1},
-        _circular_args,
-    ], ids=["unserializable", "tuple-key", "circular"])
-    def test_bad_args_raise_what_json_dumps_raises(self, tmp_path,
-                                                   make_args):
+    @pytest.mark.parametrize("write, reference, make_args", [
+        pytest.param(write, reference, make_args, id=prefix + case)
+        for prefix, write, reference in [
+            ("", write_events_jsonl, _jsonl_reference),
+            ("chrome-", write_chrome_trace, _chrome_reference),
+        ]
+        for case, make_args in _BAD_ARGS
+    ])
+    def test_bad_args_raise_what_json_dumps_raises(self, tmp_path, write,
+                                                   reference, make_args):
         tracer = Tracer(clock=lambda: 0.0)
-        event = tracer.instant(0.0, "sim", "x", args=make_args())
+        tracer.instant(0.0, "sim", "ok", args={"seq": 1})
+        tracer.instant(0.5, "sim", "x", args=make_args())
         with pytest.raises((TypeError, ValueError)) as expected:
-            json.dumps(event.to_dict(), sort_keys=True)
+            reference(tracer.events)
+        path = tmp_path / "out"
         with pytest.raises(type(expected.value),
                            match=re.escape(str(expected.value))):
-            write_events_jsonl(tracer.events, tmp_path / "t.jsonl")
+            write(tracer.events, path)
+        assert not path.exists()
 
 
 class TestChromeTrace:
@@ -111,6 +141,38 @@ class TestChromeTrace:
         loaded = json.loads(path.read_text())
         assert len(loaded["traceEvents"]) == count
         assert not validate_chrome_trace(loaded)
+
+
+class _EqualToStr:
+    """Hashes and compares equal to a ``str`` without being one."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def __eq__(self, other):
+        return other == self.text
+
+
+class TestChromeLabels:
+    @pytest.mark.parametrize("label", ["cat", "name", "ph"])
+    def test_a_label_equal_to_a_str_is_not_written_as_one(self, tmp_path,
+                                                          label):
+        from repro.obs.tracer import TraceEvent
+
+        fields = {"cat": "sim", "name": "x", "ph": "I"}
+        first = TraceEvent(0.0, 0.0, **fields)
+        fields[label] = _EqualToStr(fields[label])
+        events = [first, TraceEvent(1.0, 0.0, **fields)]
+        with pytest.raises((TypeError, ValueError)) as expected:
+            _chrome_reference(events)
+        path = tmp_path / "t.trace.json"
+        with pytest.raises(type(expected.value),
+                           match=re.escape(str(expected.value))):
+            write_chrome_trace(events, path)
+        assert not path.exists()
 
 
 class TestNonFiniteStamps:
@@ -347,6 +409,25 @@ class TestRealClockJsonl:
         assert streamed.read_bytes() == batch.read_bytes()
 
 
+class TestStreamedChromeTrace:
+    def test_streamed_trace_loads_equal_to_the_buffered_one(self, tmp_path,
+                                                            capsys):
+        """``repro trace --stream`` builds its Chrome trace from the
+        sorted-key JSONL read back, so ``args`` keys come out sorted:
+        the same trace object as the buffered run, not the same bytes."""
+        argv = ["trace", "goal", "--goal", "30", "--energy", "450"]
+        buffered, streamed = tmp_path / "buffered", tmp_path / "streamed"
+        assert cli_main(argv + ["--out", str(buffered)]) == 0
+        assert cli_main(argv + ["--stream", "--out", str(streamed)]) == 0
+        capsys.readouterr()
+        with open(f"{buffered}.trace.json", encoding="utf-8") as handle:
+            buffered_trace = json.load(handle)
+        with open(f"{streamed}.trace.json", encoding="utf-8") as handle:
+            streamed_trace = json.load(handle)
+        assert buffered_trace["traceEvents"]
+        assert streamed_trace == buffered_trace
+
+
 def _reference_order(records):
     """The exporter's documented order: ``(pid, tid, ts, emit index)``,
     with pids and tids numbered in first-appearance order."""
@@ -391,9 +472,20 @@ class _LoudFloat(float):
         return "loud"
 
 
-#: Stamps the JSONL shape templates hand to the fallback encoder.
-_ODD_STAMPS = [0, 3, True, False, float("nan"), float("inf"), float("-inf"),
-               _LoudFloat(1.5)]
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+#: Odd values ``_event_streams(odd_stamps=True)`` draws, by the field
+#: they go in: stamps the JSONL shape templates hand to the fallback
+#: encoder, stamps that make the Chrome trace invalid, phases outside
+#: ``IBEXC`` and names that are not ``str``.
+_ODD_VALUES = {
+    "ts-type": [0, 3, True, False, _LoudFloat(1.5)],
+    "ts-value": _NON_FINITE + [1e303],  # 1e303 s overflows in microseconds
+    "dur-type": [0, 3, True, False, _LoudFloat(1.5)],
+    "dur-value": _NON_FINITE,
+    "dur-negative": [-0.5, -3],
+    "ph": ["IB", ""],
+    "name": [7, None, ["n"]],
+}
 #: Labels whose JSON escapes (or ``%``) a template must carry verbatim.
 _ODD_LABELS = ["100%", "50%s", 'say "hi"', "back\\slash", "énergie",
                "電力"]
@@ -403,18 +495,23 @@ _ODD_LABELS = ["100%", "50%s", 'say "hi"', "back\\slash", "énergie",
 def _event_streams(draw, odd_stamps=False):
     """Mixed dict/TraceEvent streams over several categories and tracks,
     with ``ts`` ties and out-of-order stamps, labels that need escaping
-    or are not ``str``, and ``dur`` on any phase.  Each stream's wall clock is frozen, at a
-    float or (like ``Tracer(clock=lambda: 0)``) an integer.
-    ``odd_stamps`` also draws int, bool, float-subclass and non-finite
-    ``ts``/``dur``; the bool and non-finite ones make the Chrome trace
-    invalid."""
+    or are not ``str``, and ``dur`` on any phase.  Each stream's wall
+    clock is frozen, at a float or (like ``Tracer(clock=lambda: 0)``) an
+    integer.  ``odd_stamps`` picks one kind of :data:`_ODD_VALUES` per
+    stream and puts one of its values in about one event in three.
+    Most kinds can make the Chrome trace invalid; the int and
+    float-subclass stamps and the names cannot."""
     from repro.obs.tracer import TraceEvent
 
-    ts_pool = [0.0, 0.5, 1.0, 1.0, 2.25, 3.0]
-    dur_pool = [None, 0.0, 0.75]
-    if odd_stamps:
-        ts_pool += _ODD_STAMPS
-        dur_pool += _ODD_STAMPS
+    odd_kind = (draw(st.sampled_from(sorted(_ODD_VALUES)))
+                if odd_stamps else None)
+
+    def pick(field, pool):
+        if (odd_kind and odd_kind.split("-")[0] == field
+                and draw(st.integers(0, 2)) == 0):
+            return draw(st.sampled_from(_ODD_VALUES[odd_kind]))
+        return draw(st.sampled_from(pool))
+
     wall = draw(st.sampled_from([0.0, 0, 0.30000000000000004]))
     size = draw(st.integers(min_value=0, max_value=40))
     events = []
@@ -423,15 +520,16 @@ def _event_streams(draw, odd_stamps=False):
                                    + _ODD_LABELS))
         track = draw(st.sampled_from(["engine", "machine", "video", None, 7]
                                      + _ODD_LABELS))
-        ph = draw(st.sampled_from("IBEXC"))
-        ts = draw(st.sampled_from(ts_pool))
-        dur = draw(st.sampled_from(dur_pool))
+        ph = pick("ph", "IBEXC")
+        ts = pick("ts", [0.0, 0.5, 1.0, 1.0, 2.25, 3.0])
+        dur = pick("dur", [None, 0.0, 0.75])
         kind = draw(st.sampled_from(["span", "branch-span", "ref", None]))
         sid = draw(st.integers(min_value=1, max_value=4))
-        name = "span" if kind in ("span", "branch-span") else (
-            f"e{index}" + draw(st.sampled_from([""] + _ODD_LABELS)))
         if kind in ("span", "branch-span"):
-            cat, ph = "power", "X"
+            cat, ph, name = "power", "X", "span"
+        else:
+            name = pick("name", [f"e{index}" + label
+                                 for label in [""] + _ODD_LABELS])
         event = TraceEvent(ts, wall, cat, name, ph, track, dur,
                            _power_args(sid, kind))
         events.append(event.to_dict() if draw(st.booleans()) else event)
@@ -453,19 +551,25 @@ class TestExportProperties:
         assert body == _reference_order(_dicts(events))
         assert trace == chrome_trace(_dicts(events))
 
-    @settings(max_examples=120, deadline=None)
-    @given(_event_streams(odd_stamps=True))
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_event_streams(), _event_streams(odd_stamps=True)))
     def test_written_files_equal_the_reference_encoding(self, events):
         reference = chrome_trace(events)
+        problems = validate_chrome_trace(reference)
         with tempfile.TemporaryDirectory() as out_dir:
             trace_path = os.path.join(out_dir, "t.trace.json")
             jsonl_path = os.path.join(out_dir, "t.jsonl")
-            if validate_chrome_trace(reference):
-                with pytest.raises(ValueError):
+            if problems:
+                with pytest.raises(ValueError) as raised:
                     write_chrome_trace(events, trace_path)
+                assert str(raised.value) == (
+                    "generated Chrome trace is invalid: "
+                    + "; ".join(problems))
+                assert not os.path.exists(trace_path)
                 written_trace = None
             else:
-                write_chrome_trace(events, trace_path)
+                count = write_chrome_trace(events, trace_path)
+                assert count == len(reference["traceEvents"])
                 with open(trace_path, encoding="utf-8") as handle:
                     written_trace = handle.read()
             write_events_jsonl(events, jsonl_path)

@@ -243,7 +243,7 @@ def test_submit_after_stop_rejected(tmp_path):
 
 
 def test_pool_size_validation():
-    from repro.service import WorkerPool
+    from repro.fleet.pool import WorkerPool
 
     with pytest.raises(ValueError):
         WorkerPool(0)

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.cli import main
-from repro.experiments import full_report, render_report
-from repro.experiments.summary import fidelity_summary, goal_summary
+from repro.experiments import render_report
+from repro.experiments.summary import goal_summary
 
 
 class TestFidelitySummary:
-    @pytest.fixture(scope="class")
-    def summary(self):
-        return fidelity_summary()
+    @pytest.fixture
+    def summary(self, serial_fidelity_summary):
+        return serial_fidelity_summary
 
     def test_covers_all_four_applications(self, summary):
         assert set(summary) == {"video", "speech", "map", "web"}
@@ -42,15 +42,14 @@ class TestGoalSummary:
 
 
 class TestFullReport:
-    def test_subsets_selectable(self):
-        report = full_report(include_concurrency=False, include_goal=False)
+    def test_subsets_selectable(self, fidelity_only_report):
+        report = fidelity_only_report
         assert "fidelity" in report
         assert "concurrency" not in report
         assert "goal" not in report
 
-    def test_render_contains_key_rows(self):
-        report = full_report(include_concurrency=False, include_goal=False)
-        text = render_report(report)
+    def test_render_contains_key_rows(self, fidelity_only_report):
+        text = render_report(fidelity_only_report)
         assert "video" in text and "speech" in text
         assert "paper" in text
 
