@@ -22,6 +22,8 @@ Quickstart
 True
 """
 
+from repro._lazy import lazy_exports
+
 __version__ = "1.0.0"
 
 __all__ = [
@@ -36,3 +38,5 @@ __all__ = [
     "experiments",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {})

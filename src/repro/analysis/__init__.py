@@ -1,15 +1,6 @@
 """Analysis helpers: statistics, linear models, normalization, tables."""
 
-from repro.analysis.ascii_plot import ascii_chart, ascii_staircase
-from repro.analysis.export import energy_table_csv, timeline_csv, write_csv
-from repro.analysis.linear import LinearFit, fit_linear
-from repro.analysis.normalize import (
-    Range,
-    normalize_to_baseline,
-    range_across_objects,
-)
-from repro.analysis.stats import TrialStats, summarize, t_quantile
-from repro.analysis.tables import render_table
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TrialStats",
@@ -27,3 +18,12 @@ __all__ = [
     "timeline_csv",
     "write_csv",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "ascii_plot": ("ascii_chart", "ascii_staircase"),
+    "export": ("energy_table_csv", "timeline_csv", "write_csv"),
+    "linear": ("LinearFit", "fit_linear"),
+    "normalize": ("Range", "normalize_to_baseline", "range_across_objects"),
+    "stats": ("TrialStats", "summarize", "t_quantile"),
+    "tables": ("render_table",),
+})

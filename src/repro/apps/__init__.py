@@ -1,24 +1,6 @@
 """The four adaptive applications of the paper, plus shared models."""
 
-from repro.apps.base import AdaptiveApplication
-from repro.apps.composite import CompositeApplication
-from repro.apps.costs import DEFAULT_COSTS, CostModel
-from repro.apps.mapviewer import MAP_LEVELS, MapViewer, MapWarden
-from repro.apps.speech import (
-    SPEECH_LEVELS,
-    SPEECH_MODES,
-    SpeechRecognizer,
-    SpeechWarden,
-)
-from repro.apps.video import (
-    VIDEO_LEVEL_CONFIG,
-    VIDEO_LEVELS,
-    VideoPlayer,
-    VideoWarden,
-)
-from repro.apps.web import WEB_LEVELS, WebBrowser, WebWarden
-from repro.apps.windowmgr import ZonedWindowManager
-from repro.apps.xserver import X_PROCESS, XServer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AdaptiveApplication",
@@ -43,3 +25,17 @@ __all__ = [
     "CompositeApplication",
     "ZonedWindowManager",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "base": ("AdaptiveApplication",),
+    "composite": ("CompositeApplication",),
+    "costs": ("DEFAULT_COSTS", "CostModel"),
+    "mapviewer": ("MAP_LEVELS", "MapViewer", "MapWarden"),
+    "speech": ("SPEECH_LEVELS", "SPEECH_MODES", "SpeechRecognizer",
+               "SpeechWarden"),
+    "video": ("VIDEO_LEVEL_CONFIG", "VIDEO_LEVELS", "VideoPlayer",
+              "VideoWarden"),
+    "web": ("WEB_LEVELS", "WebBrowser", "WebWarden"),
+    "windowmgr": ("ZonedWindowManager",),
+    "xserver": ("X_PROCESS", "XServer"),
+})

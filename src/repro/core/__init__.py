@@ -1,22 +1,6 @@
 """Odyssey core: fidelity adaptation and goal-directed energy management."""
 
-from repro.core.cache import CacheError, DiskCache
-from repro.core.demand import DemandPredictor, alpha_for_halflife
-from repro.core.expectations import (
-    ExpectationError,
-    ExpectationMonitor,
-    ExpectationRegistry,
-    ResourceWindow,
-)
-from repro.core.fidelity import FidelityError, FidelityLadder
-from repro.core.goal import GoalDirectedController
-from repro.core.hysteresis import DEGRADE, HOLD, UPGRADE, AdaptationTrigger
-from repro.core.odyssey import MEASURED_OVERHEAD_W, Odyssey
-from repro.core.priority import PriorityLadder
-from repro.core.supply import EnergySupply
-from repro.core.upcalls import Upcall
-from repro.core.viceroy import Viceroy
-from repro.core.warden import Warden, WardenError
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FidelityLadder",
@@ -43,3 +27,19 @@ __all__ = [
     "ExpectationMonitor",
     "ExpectationError",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "cache": ("CacheError", "DiskCache"),
+    "demand": ("DemandPredictor", "alpha_for_halflife"),
+    "expectations": ("ExpectationError", "ExpectationMonitor",
+                     "ExpectationRegistry", "ResourceWindow"),
+    "fidelity": ("FidelityError", "FidelityLadder"),
+    "goal": ("GoalDirectedController",),
+    "hysteresis": ("DEGRADE", "HOLD", "UPGRADE", "AdaptationTrigger"),
+    "odyssey": ("MEASURED_OVERHEAD_W", "Odyssey"),
+    "priority": ("PriorityLadder",),
+    "supply": ("EnergySupply",),
+    "upcalls": ("Upcall",),
+    "viceroy": ("Viceroy",),
+    "warden": ("Warden", "WardenError"),
+})

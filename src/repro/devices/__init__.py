@@ -15,27 +15,7 @@ device axis, :mod:`repro.fleet.diffmatrix`;
 :mod:`repro.devices.fleetmatrix` keeps its fleet-named aliases.
 """
 
-from repro.devices.calibrate import (
-    CalibratedPowerFeed,
-    LearnedPowerModel,
-    OnlineCalibrator,
-    parse_drift,
-    schedule_drift,
-)
-from repro.devices.fleetmatrix import (
-    FleetMatrix,
-    fleet_from_result,
-    fleet_from_values,
-    fleet_matrix_campaign,
-)
-from repro.devices.profile import (
-    DEFAULT_COMPONENTS,
-    DeviceProfile,
-    generate_device,
-    generate_fleet,
-    load_fleet,
-    write_fleet,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CalibratedPowerFeed",
@@ -54,3 +34,12 @@ __all__ = [
     "schedule_drift",
     "write_fleet",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "calibrate": ("CalibratedPowerFeed", "LearnedPowerModel",
+                  "OnlineCalibrator", "parse_drift", "schedule_drift"),
+    "fleetmatrix": ("FleetMatrix", "fleet_from_result", "fleet_from_values",
+                    "fleet_matrix_campaign"),
+    "profile": ("DEFAULT_COMPONENTS", "DeviceProfile", "generate_device",
+                "generate_fleet", "load_fleet", "write_fleet"),
+})

@@ -7,36 +7,13 @@ and live telemetry.  Serial (``jobs=1``) and parallel runs produce
 bit-identical aggregates; failures become recorded partial results,
 never silent drops.  See docs/architecture.md ("Fleet").
 
-The prebuilt Section-3 campaigns (``run_sweep``, ``energy_table`` …)
-resolve on first use: :mod:`repro.fleet.campaigns` pulls in the whole
-experiment suite, which the snapshot and service layers never need.
+Every name resolves on first use (:mod:`repro._lazy`).  The prebuilt
+Section-3 campaigns (``run_sweep``, ``energy_table`` …) matter most:
+:mod:`repro.fleet.campaigns` pulls in the whole experiment suite, which
+the snapshot and service layers never need.
 """
 
-import importlib
-
-from repro.fleet.cache import ResultCache
-from repro.fleet.diffmatrix import (
-    DEFAULT_GRID,
-    PolicyMatrix,
-    matrix_from_result,
-    matrix_from_values,
-    parse_policy_spec,
-    policy_label,
-    policy_matrix_campaign,
-    policy_matrix_row,
-)
-from repro.fleet.errors import CampaignError, FleetError, TaskTimeout
-from repro.fleet.execution import CampaignExecution
-from repro.fleet.runner import CampaignResult, FleetRunner, TaskResult
-from repro.fleet.spec import (
-    CampaignSpec,
-    Task,
-    derive_seed,
-    resolve_callable,
-    task_key,
-)
-from repro.fleet.telemetry import FleetTelemetry, ProgressPrinter
-from repro.fleet.worker import execute_task, run_task
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Task",
@@ -73,18 +50,19 @@ __all__ = [
     "matrix_from_result",
 ]
 
-_CAMPAIGN_NAMES = frozenset({
-    "APPS",
-    "energy_table",
-    "energy_table_campaign",
-    "figures_campaign",
-    "run_sweep",
-    "sweep_campaign",
-    "tables_from_result",
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "cache": ("ResultCache",),
+    "campaigns": ("APPS", "energy_table", "energy_table_campaign",
+                  "figures_campaign", "run_sweep", "sweep_campaign",
+                  "tables_from_result"),
+    "diffmatrix": ("DEFAULT_GRID", "PolicyMatrix", "matrix_from_result",
+                   "matrix_from_values", "parse_policy_spec", "policy_label",
+                   "policy_matrix_campaign", "policy_matrix_row"),
+    "errors": ("CampaignError", "FleetError", "TaskTimeout"),
+    "execution": ("CampaignExecution",),
+    "runner": ("CampaignResult", "FleetRunner", "TaskResult"),
+    "spec": ("CampaignSpec", "Task", "derive_seed", "resolve_callable",
+             "task_key"),
+    "telemetry": ("FleetTelemetry", "ProgressPrinter"),
+    "worker": ("execute_task", "run_task"),
 })
-
-
-def __getattr__(name):
-    if name in _CAMPAIGN_NAMES:
-        return getattr(importlib.import_module("repro.fleet.campaigns"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,21 +1,6 @@
 """Hardware power models for the simulated IBM ThinkPad 560X testbed."""
 
-from repro.hardware.battery import Battery, ExternalSupply, SupplyError
-from repro.hardware.battery_models import (
-    PeukertBattery,
-    RecoveryBattery,
-    VoltageCurve,
-)
-from repro.hardware.component import HardwareError, PowerComponent
-from repro.hardware.cpu import Cpu
-from repro.hardware.disk import Disk
-from repro.hardware.display import Display, Rect, ZonedDisplay
-from repro.hardware.machine import IDLE_PROCESS, Machine
-from repro.hardware.memory import MemoryError_, MemorySystem
-from repro.hardware.power_mgmt import PowerManager
-from repro.hardware.wavelan import WaveLan
-from repro.hardware import thinkpad560x
-from repro.hardware.thinkpad560x import build_machine
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Battery",
@@ -40,3 +25,17 @@ __all__ = [
     "thinkpad560x",
     "build_machine",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "battery": ("Battery", "ExternalSupply", "SupplyError"),
+    "battery_models": ("PeukertBattery", "RecoveryBattery", "VoltageCurve"),
+    "component": ("HardwareError", "PowerComponent"),
+    "cpu": ("Cpu",),
+    "disk": ("Disk",),
+    "display": ("Display", "Rect", "ZonedDisplay"),
+    "machine": ("IDLE_PROCESS", "Machine"),
+    "memory": ("MemoryError_", "MemorySystem"),
+    "power_mgmt": ("PowerManager",),
+    "wavelan": ("WaveLan",),
+    "thinkpad560x": ("build_machine",),
+})

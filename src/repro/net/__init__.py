@@ -1,14 +1,6 @@
 """Network substrate: WaveLAN link, RPC, and remote-server models."""
 
-from repro.net.bandwidth import BandwidthEstimator
-from repro.net.link import (
-    DisconnectedError,
-    INTERRUPT_PROCESS,
-    Link,
-    NetworkError,
-)
-from repro.net.rpc import RpcChannel, RpcTimeout
-from repro.net.server import Server
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Link",
@@ -20,3 +12,10 @@ __all__ = [
     "Server",
     "BandwidthEstimator",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "bandwidth": ("BandwidthEstimator",),
+    "link": ("DisconnectedError", "INTERRUPT_PROCESS", "Link", "NetworkError"),
+    "rpc": ("RpcChannel", "RpcTimeout"),
+    "server": ("Server",),
+})

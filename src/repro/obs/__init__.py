@@ -23,34 +23,7 @@ or from the command line::
     python -m repro trace goal --out traces/goal
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    current_metrics,
-    set_metrics,
-)
-from repro.obs.signature import (
-    SignatureDiff,
-    SignatureError,
-    compute_signature,
-    diff_signatures,
-    read_signature,
-    verify_signature,
-    write_signature,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    JsonlSink,
-    NullTracer,
-    TraceEvent,
-    Tracer,
-    current_tracer,
-    install,
-    installed,
-    uninstall,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TraceEvent",
@@ -76,3 +49,14 @@ __all__ = [
     "read_signature",
     "write_signature",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                "current_metrics", "set_metrics"),
+    "signature": ("SignatureDiff", "SignatureError", "compute_signature",
+                  "diff_signatures", "read_signature", "verify_signature",
+                  "write_signature"),
+    "tracer": ("NULL_TRACER", "JsonlSink", "NullTracer", "TraceEvent",
+               "Tracer", "current_tracer", "install", "installed",
+               "uninstall"),
+})

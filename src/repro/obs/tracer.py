@@ -41,8 +41,6 @@ import time
 from collections import deque
 from contextlib import contextmanager
 
-from repro.obs.export import jsonl_line
-
 __all__ = [
     "TraceEvent",
     "Tracer",
@@ -135,12 +133,16 @@ class JsonlSink:
     """
 
     def __init__(self, path):
+        # The exporter loads with the first sink, not with every tracer.
+        from repro.obs.export import jsonl_line
+
         self.path = path
+        self._line = jsonl_line
         self._handle = open(path, "w", encoding="utf-8")
         self.count = 0
 
     def write(self, event):
-        self._handle.write(jsonl_line(event))
+        self._handle.write(self._line(event))
         self.count += 1
 
     def flush(self):

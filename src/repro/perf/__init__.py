@@ -9,13 +9,7 @@ check that fails on large regressions (normalized by a pure-Python
 calibration spin so differently-sized machines compare fairly).
 """
 
-from repro.perf.bench import (
-    BENCH_NAMES,
-    compare,
-    render_bench_table,
-    render_comparison,
-    run_benchmarks,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BENCH_NAMES",
@@ -24,3 +18,8 @@ __all__ = [
     "render_comparison",
     "run_benchmarks",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "bench": ("BENCH_NAMES", "compare", "render_bench_table",
+              "render_comparison", "run_benchmarks"),
+})

@@ -8,20 +8,11 @@ correlated current and PC/PID sample sequences; the offline stage
 goal-directed adaptation (Section 5).
 """
 
+from repro._lazy import lazy_exports
+
+# ``correlate`` is also a submodule's name, so it stays eager (see
+# repro._lazy).
 from repro.powerscope.correlate import CorrelationError, correlate
-from repro.powerscope.diff import ProfileDelta, diff_profiles, render_diff
-from repro.powerscope.multimeter import Multimeter, SystemMonitor
-from repro.powerscope.online import OnlinePowerMonitor
-from repro.powerscope.phases import (
-    fold_phase_energy,
-    machine_phase_energy,
-    segments_from_journal,
-    spans_to_segments,
-)
-from repro.powerscope.profile import EnergyProfile, ProfileEntry
-from repro.powerscope.smartbattery import GAUGE_OVERHEAD_W, SmartBatteryGauge
-from repro.powerscope.report import render_process_detail, render_profile
-from repro.powerscope.samples import CurrentSample, PcPidSample
 
 __all__ = [
     "Multimeter",
@@ -47,6 +38,18 @@ __all__ = [
     "spans_to_segments",
 ]
 
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "diff": ("ProfileDelta", "diff_profiles", "render_diff"),
+    "multimeter": ("Multimeter", "SystemMonitor"),
+    "online": ("OnlinePowerMonitor",),
+    "phases": ("fold_phase_energy", "machine_phase_energy",
+               "segments_from_journal", "spans_to_segments"),
+    "profile": ("EnergyProfile", "ProfileEntry"),
+    "report": ("render_process_detail", "render_profile"),
+    "samples": ("CurrentSample", "PcPidSample"),
+    "smartbattery": ("GAUGE_OVERHEAD_W", "SmartBatteryGauge"),
+})
+
 
 def profile_run(machine, until, rate_hz=600.0, seed=0, detail_process=None,
                 eager=False):
@@ -58,6 +61,8 @@ def profile_run(machine, until, rate_hz=600.0, seed=0, detail_process=None,
     path); the default synthesizes the identical sample streams lazily
     from the machine's segment journal.
     """
+    from repro.powerscope.multimeter import Multimeter, SystemMonitor
+
     monitor = SystemMonitor(machine, seed=seed)
     meter = Multimeter(machine, rate_hz=rate_hz, monitor=monitor, eager=eager)
     meter.start()

@@ -22,24 +22,7 @@ Layers:
   (``repro submit/status/result/queues``).
 """
 
-from repro.service.client import (
-    DEFAULT_ENDPOINT,
-    ServiceClient,
-    ServiceError,
-    ServiceUnavailable,
-)
-from repro.service.core import CampaignService
-from repro.service.jobs import (
-    DONE,
-    FAILED,
-    JOB_STATES,
-    QUEUED,
-    RUNNING,
-    SUBMITTED,
-    JobRecord,
-    results_document,
-)
-from repro.service.transport import ServiceServer, serve
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CampaignService",
@@ -58,3 +41,12 @@ __all__ = [
     "FAILED",
     "JOB_STATES",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "client": ("DEFAULT_ENDPOINT", "ServiceClient", "ServiceError",
+               "ServiceUnavailable"),
+    "core": ("CampaignService",),
+    "jobs": ("DONE", "FAILED", "JOB_STATES", "QUEUED", "RUNNING", "SUBMITTED",
+             "JobRecord", "results_document"),
+    "transport": ("ServiceServer", "serve"),
+})

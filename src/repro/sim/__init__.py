@@ -13,17 +13,7 @@ simulator resolves at construction; the kernel keeps no record of its
 own.
 """
 
-from repro.sim.engine import Event, Simulator, Timeout, Waitable
-from repro.sim.errors import (
-    Interrupted,
-    ProcessError,
-    ResourceError,
-    SchedulingError,
-    SimulationError,
-)
-from repro.sim.process import Process
-from repro.sim.resources import Resource, ResourceGrant
-from repro.sim.scheduler import QuantumScheduler
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Simulator",
@@ -40,3 +30,12 @@ __all__ = [
     "ResourceError",
     "Interrupted",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "engine": ("Event", "Simulator", "Timeout", "Waitable"),
+    "errors": ("Interrupted", "ProcessError", "ResourceError",
+               "SchedulingError", "SimulationError"),
+    "process": ("Process",),
+    "resources": ("Resource", "ResourceGrant"),
+    "scheduler": ("QuantumScheduler",),
+})

@@ -18,7 +18,12 @@ __all__ = ["Resource", "ResourceGrant"]
 
 
 class ResourceGrant(Waitable):
-    """Waitable handed to acquirers; fires when the resource is granted."""
+    """Waitable handed to acquirers; fires when the resource is granted.
+
+    A grant is its own value (``grant = yield resource.acquire()``).
+    ``value`` computes it rather than storing it, so a grant holds no
+    reference to itself and reference counting alone frees it.
+    """
 
     __slots__ = ("resource", "owner")
 
@@ -26,6 +31,15 @@ class ResourceGrant(Waitable):
         super().__init__(resource.sim)
         self.resource = resource
         self.owner = owner
+
+    @property
+    def value(self):
+        return self if self.triggered else None
+
+    @value.setter
+    def value(self, value):
+        # Waitable records what it delivers; a grant delivers itself.
+        pass
 
 
 class Resource:

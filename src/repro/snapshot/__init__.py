@@ -22,9 +22,7 @@ The subsystem has four layers:
 :mod:`repro.snapshot.warm` the warm-started fleet sweep built on it.
 """
 
-from repro.snapshot.disk import SnapshotStore, snapshot_key
-from repro.snapshot.protocol import SnapshotError
-from repro.snapshot.state import Snapshot
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Snapshot",
@@ -32,3 +30,9 @@ __all__ = [
     "SnapshotStore",
     "snapshot_key",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "disk": ("SnapshotStore", "snapshot_key"),
+    "protocol": ("SnapshotError",),
+    "state": ("Snapshot",),
+})

@@ -6,7 +6,7 @@ from repro.cli import main
 
 
 class TestFigureCommands:
-    def test_fig06_prints_all_bars(self, capsys):
+    def test_fig06_prints_all_bars(self, capsys, served_section3_tables):
         code = main(["fig06"])
         out = capsys.readouterr().out
         assert code == 0
@@ -15,6 +15,8 @@ class TestFigureCommands:
             assert config in out
         for clip in ("video-1", "video-2", "video-3", "video-4"):
             assert clip in out
+        baseline = served_section3_tables["video"]["baseline"]["video-1"]
+        assert f"{baseline:.1f}" in out
 
     def test_fig08_prints_all_strategies(self, capsys):
         code = main(["fig08"])

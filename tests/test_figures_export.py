@@ -58,7 +58,7 @@ class TestFigureBundles:
                                 "a846f31bcb20db30a459956cdc944c16",
         }
 
-    def test_export_writes_files(self, tmp_path):
+    def test_export_writes_files(self, tmp_path, served_section3_tables):
         written = export_figures(str(tmp_path), figures=["fig06"])
         assert len(written) == 1
         assert os.path.exists(written[0])

@@ -1,5 +1,7 @@
 """Unit tests for generator-based processes and FIFO resources."""
 
+import gc
+
 import pytest
 
 from repro.sim import (
@@ -7,6 +9,7 @@ from repro.sim import (
     ProcessError,
     Resource,
     ResourceError,
+    ResourceGrant,
     Simulator,
 )
 
@@ -203,6 +206,50 @@ class TestResource:
         sim.spawn(worker("b", 3.0))
         sim.run()
         assert spans == [("a", 0.0, 2.0), ("b", 2.0, 5.0)]
+
+    def test_yield_delivers_the_grant_itself(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        received = []
+
+        def worker():
+            grant = res.acquire()
+            received.append((yield grant) is grant)
+            yield sim.timeout(1.0)
+            res.release(grant)
+
+        sim.spawn(worker())
+        sim.spawn(worker())  # queued: granted on the first release
+        sim.run()
+        assert received == [True, True]
+
+    def test_grant_value_is_itself_once_granted(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        g1 = res.acquire()
+        g2 = res.acquire()
+        assert g1.value is g1 and g2.value is None
+        res.release(g1)
+        assert g2.value is g2
+        late = []
+        g2.subscribe(late.append)
+        assert late == [g2]
+
+    def test_grants_need_no_cycle_collector(self):
+        # A grant that stored itself as its value formed a reference
+        # cycle, so every CPU burst left garbage for the cyclic GC.
+        from repro.experiments.fidelity_study import measure_video
+        from repro.workloads.videos import VIDEO_CLIPS
+
+        gc.collect()
+        gc.disable()
+        try:
+            assert measure_video(VIDEO_CLIPS[0], "baseline") > 0
+            leaked = sum(isinstance(obj, ResourceGrant)
+                         for obj in gc.get_objects())
+        finally:
+            gc.enable()
+        assert leaked == 0
 
     def test_use_invokes_release_hook_exactly_when_done(self):
         sim = Simulator()

@@ -53,7 +53,7 @@ class TestFullReport:
         assert "video" in text and "speech" in text
         assert "paper" in text
 
-    def test_cli_report_command(self, capsys):
+    def test_cli_report_command(self, capsys, served_section3_tables):
         code = main(["report", "--no-goal", "--no-concurrency"])
         out = capsys.readouterr().out
         assert code == 0
