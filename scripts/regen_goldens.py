@@ -19,6 +19,11 @@ signatures (``tests/goldens/*.sig.json``) — the joule-vector goldens
 ``repro verify-profile`` checks runs against.  Review changed phases
 the same way: each moved joule count is an energy-behaviour change.
 
+Pass ``--profile`` to (also) re-bless the PowerScope profile golden
+(``tests/goldens/profile-video.json``) — the ``EnergyProfile`` tables
+of ``repro profile`` with and without ``--no-pm``.  Every number is
+exact, so any change is a change in what the sampler attributes.
+
 Pass ``--matrix`` to (also) re-bless the policy diff matrix golden
 (``tests/goldens/policy-matrix.json``) — the N-way
 ``repro sweep --diff-against`` document over the pinned candidate
@@ -45,14 +50,17 @@ from tests.golden_scenarios import (  # noqa: E402
     FLEET_MATRIX_GOLDEN,
     GOLDEN_DIR,
     MATRIX_GOLDEN,
+    PROFILE_GOLDEN,
     SCENARIOS,
     SIGNATURE_SCENARIOS,
     golden_path,
     fleet_matrix_golden_path,
     matrix_golden_path,
+    profile_golden_path,
     run_campaign_scenario,
     run_fleet_matrix_scenario,
     run_matrix_scenario,
+    run_profile_scenario,
     run_scenario,
     run_scenario_signature,
     signature_path,
@@ -76,6 +84,23 @@ def regen_campaign():
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"{CAMPAIGN_GOLDEN}: wrote {path} ({len(record)} tasks)")
+
+
+def regen_profile():
+    path = profile_golden_path()
+    tables = run_profile_scenario()
+    counts = ", ".join(f"{variant} {table['sample_count']}"
+                       for variant, table in tables.items())
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as handle:
+            if json.load(handle) == tables:
+                print(f"{PROFILE_GOLDEN}: unchanged ({counts} samples)")
+                return
+        print(f"{PROFILE_GOLDEN}: profile tables changed — review the diff")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(tables, handle, indent=2)
+        handle.write("\n")
+    print(f"{PROFILE_GOLDEN}: wrote {path} ({counts} samples)")
 
 
 def regen_matrix():
@@ -135,31 +160,24 @@ def regen_signatures(names):
               f"{sig['total_joules']:.1f} J)")
 
 
+FLAGS = ("--campaign", "--profile", "--matrix", "--fleet-matrix",
+         "--signatures")
+
+
 def main(argv):
-    campaign = "--campaign" in argv
-    signatures = "--signatures" in argv
-    matrix = "--matrix" in argv
-    fleet_matrix = "--fleet-matrix" in argv
-    argv = [a for a in argv
-            if a not in ("--campaign", "--signatures", "--matrix",
-                         "--fleet-matrix")]
-    if campaign:
+    flags = {a for a in argv if a in FLAGS}
+    argv = [a for a in argv if a not in FLAGS]
+    if flags:
         os.makedirs(GOLDEN_DIR, exist_ok=True)
+    if "--campaign" in flags:
         regen_campaign()
-        if not argv and not signatures and not matrix \
-                and not fleet_matrix:
-            return 0
-    if matrix:
-        os.makedirs(GOLDEN_DIR, exist_ok=True)
+    if "--profile" in flags:
+        regen_profile()
+    if "--matrix" in flags:
         regen_matrix()
-        if not argv and not signatures and not fleet_matrix:
-            return 0
-    if fleet_matrix:
-        os.makedirs(GOLDEN_DIR, exist_ok=True)
+    if "--fleet-matrix" in flags:
         regen_fleet_matrix()
-        if not argv and not signatures:
-            return 0
-    if signatures:
+    if "--signatures" in flags:
         sig_names = argv or list(SIGNATURE_SCENARIOS)
         unknown = [n for n in sig_names if n not in SIGNATURE_SCENARIOS]
         if unknown:
@@ -167,10 +185,9 @@ def main(argv):
                   f"(have: {', '.join(SIGNATURE_SCENARIOS)})",
                   file=sys.stderr)
             return 2
-        os.makedirs(GOLDEN_DIR, exist_ok=True)
         regen_signatures(sig_names)
-        if not argv:
-            return 0
+    if flags and not argv:
+        return 0
     names = argv or sorted(SCENARIOS)
     unknown = [n for n in names if n not in SCENARIOS]
     if unknown:

@@ -633,7 +633,7 @@ def build_parser():
 
     p = sub.add_parser(
         "bench",
-        help="micro-benchmarks of the engine/accounting/profiling hot paths",
+        help="micro-benchmarks of the engine/accounting/snapshot hot paths",
     )
     p.add_argument("--quick", action="store_true",
                    help="small workloads for CI smoke use")
@@ -645,9 +645,6 @@ def build_parser():
     p.add_argument("--max-regression", type=float, default=0.25,
                    help="allowed normalized slowdown vs baseline "
                         "(default 0.25 = 25%%)")
-    p.add_argument("--min-speedup", type=float, default=None,
-                   help="fail --compare unless the fig22 eager/lazy speedup "
-                        "is at least this (e.g. 3.0)")
     p.add_argument("--confirm", type=_nonnegative_int, default=2,
                    help="re-run regressed benchmarks up to N times before "
                         "failing --compare, to reject scheduler noise "
@@ -875,9 +872,7 @@ def _cmd_bench(args):
     if args.compare:
         baseline = load_results(args.compare)
         rows, failures = compare(
-            results, baseline,
-            max_regression=args.max_regression,
-            min_speedup=args.min_speedup,
+            results, baseline, max_regression=args.max_regression
         )
         # A 0.2 s benchmark that absorbs one scheduler burst looks 30 %
         # slower; a real regression reproduces.  Re-measure only the
@@ -885,10 +880,6 @@ def _cmd_bench(args):
         attempt = 0
         while failures and attempt < args.confirm:
             rerun = [r["name"] for r in rows if r["regressed"]]
-            if any(f.startswith("fig22_longduration:") for f in failures):
-                if ("fig22_longduration" in results["benches"]
-                        and "fig22_longduration" not in rerun):
-                    rerun.append("fig22_longduration")
             if not rerun:
                 break
             attempt += 1
@@ -900,9 +891,7 @@ def _cmd_bench(args):
             )
             results["benches"].update(redo["benches"])
             rows, failures = compare(
-                results, baseline,
-                max_regression=args.max_regression,
-                min_speedup=args.min_speedup,
+                results, baseline, max_regression=args.max_regression
             )
         if attempt and args.out:
             write_out(results)

@@ -55,7 +55,6 @@ class GoalResult:
     #: and one ``("fidelity", app, level, normalized)`` per step.
     series: list = field(default_factory=list)
     infeasible_reported: bool = False
-    profile: object = None  # EnergyProfile when profiling was requested
 
     @property
     def total_adaptations(self):
@@ -310,21 +309,12 @@ def _bursty_app_main(rig, name, schedule, minute_s=60.0):
 
 def run_bursty_experiment(seed, goal_seconds, extension=(0.0, 0.0),
                           initial_energy=None, energy_margin=1.05,
-                          costs=None, halflife_fraction=0.10,
-                          profile_rate_hz=None, profile_seed=0,
-                          profile_eager=False):
+                          costs=None, halflife_fraction=0.10):
     """One Figure 22 trial: bursty workload, optional mid-run extension.
 
     When ``initial_energy`` is None it is sized so the *total* goal is
     feasible at lowest fidelity with ``energy_margin`` headroom — the
     same relationship the paper's 90 000 J bears to its 3:15 goal.
-
-    ``profile_rate_hz`` additionally runs a PowerScope collection pass
-    (multimeter + system monitor) over the whole trial and attaches the
-    correlated :class:`~repro.powerscope.profile.EnergyProfile` to the
-    result — the long-duration hot path ``python -m repro bench`` times.
-    ``profile_eager`` selects the historical one-event-per-sample
-    multimeter instead of the lazy journal replay.
     """
     extend_at, extend_by = extension
     total_goal = goal_seconds + extend_by
@@ -346,27 +336,11 @@ def run_bursty_experiment(seed, goal_seconds, extension=(0.0, 0.0),
             _bursty_app_main(rig, name, schedules[name]), name=f"bursty-{name}"
         )
     odyssey.start()
-    meter = monitor = None
-    if profile_rate_hz is not None:
-        from repro.powerscope import Multimeter, SystemMonitor
-
-        monitor = SystemMonitor(rig.machine, seed=profile_seed)
-        meter = Multimeter(rig.machine, rate_hz=profile_rate_hz,
-                           monitor=monitor, eager=profile_eager)
-        meter.start()
-        # Stop collection at exactly the goal horizon so eager and lazy
-        # runs sample the same span (the run loop exits on the first
-        # event at or past the goal, which otherwise differs by mode).
-        rig.sim.schedule_at(total_goal, lambda _t: meter.stop())
     if extend_by > 0:
         rig.sim.schedule(
             extend_at, lambda _t: controller.extend_goal(extend_by)
         )
     failed_at = _run_to_goal(rig, battery, total_goal)
-    profile = None
-    if meter is not None:
-        meter.stop()
-        profile = meter.profile()
     return GoalResult(
         goal_seconds=controller.goal_seconds,
         goal_met=failed_at is None,
@@ -375,7 +349,6 @@ def run_bursty_experiment(seed, goal_seconds, extension=(0.0, 0.0),
         adaptations=odyssey.viceroy.adaptation_counts(),
         series=rig.sim.tracer.rows,
         infeasible_reported=controller.infeasible_reported,
-        profile=profile,
     )
 
 

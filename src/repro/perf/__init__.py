@@ -1,12 +1,13 @@
 """Micro-benchmark harness for the reproduction's hot paths.
 
-``python -m repro bench`` times the discrete-event engine, the
-machine's segment-journal energy accounting, a figure cell, and the
-Figure 22 long-duration run under the eager and lazy PowerScope
-samplers, writing the results to ``BENCH_core.json``.  A committed
-baseline plus ``--compare`` turns the same harness into a CI smoke
-check that fails on large regressions (normalized by a pure-Python
-calibration spin so differently-sized machines compare fairly).
+``python -m repro bench`` times the layer-isolating hot paths (the
+discrete-event engine, the machine's segment-journal energy accounting,
+snapshot capture/restore/fork, the disabled tracer, the calibrator fit
+and the trace exporters), writing the results to ``BENCH_core.json``.
+A committed baseline plus ``--compare`` turns the same harness into a
+CI smoke check that fails on large regressions (normalized by a
+pure-Python calibration spin so differently-sized machines compare
+fairly).  Whole-command timings live in ``perfbench/``.
 """
 
 from repro._lazy import lazy_exports

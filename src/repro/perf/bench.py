@@ -11,11 +11,12 @@ normalize timings between machines: a box that runs Python 1.4x slower
 runs every benchmark about 1.4x slower, so CI compares the *ratio* to
 calibration rather than raw seconds.
 
-The headline benchmark is ``fig22_longduration``: the Figure 22 bursty
-goal-directed run with a 600 Hz PowerScope collection attached, timed
-under both the eager (one simulator event per sample) and lazy
-(segment-journal fold) samplers.  It also asserts the two modes produce
-bit-identical profiles, so the speedup is never bought with accuracy.
+The suite keeps only benches that isolate one layer's hot path (the
+engine, the energy journal, snapshots, the tracer, the calibrator, the
+exporters).  End-to-end timings of whole commands belong to
+``perfbench/``, which times them without this harness.  Each bench is
+one :func:`_bench` registration: its body plus the renderer of its
+``detail`` column.
 """
 
 from __future__ import annotations
@@ -87,7 +88,20 @@ def _timed_region(fn, loops):
 #: cheap but a single noisy trial would dominate a min-of-few.
 _MIN_CHEAP_REPEATS = 5
 
+#: name -> (body, detail): ``body(quick, repeats)`` returns the metrics
+#: dict, ``detail(metrics)`` renders the table's detail column.
+_BENCHES = {}
 
+
+def _bench(name, detail):
+    """Register the decorated body as benchmark ``name``."""
+    def register(body):
+        _BENCHES[name] = (body, detail)
+        return body
+    return register
+
+
+@_bench("calibration", lambda m: f"{m['iterations']:,} iterations")
 def bench_calibration(quick, repeats):
     def spin():
         x = 0.0
@@ -99,6 +113,7 @@ def bench_calibration(quick, repeats):
     return {"seconds": seconds, "iterations": _CALIBRATION_ITERS}
 
 
+@_bench("engine_events", lambda m: f"{m['events_per_s']:,.0f} events/s")
 def bench_engine_events(quick, repeats):
     """Event scheduling/dispatch throughput, with cancellation churn."""
     from repro.sim.engine import Simulator
@@ -131,6 +146,8 @@ def bench_engine_events(quick, repeats):
     }
 
 
+@_bench("machine_advance",
+        lambda m: f"{m['advances_per_s']:,.0f} advances/s")
 def bench_machine_advance(quick, repeats):
     """Energy integration: journal merge on the hot path, folds at the end.
 
@@ -173,61 +190,9 @@ def bench_machine_advance(quick, repeats):
     }
 
 
-def bench_figure_cell(quick, repeats):
-    """One fidelity-study cell: Figure 6 video at the combined config."""
-    from repro.experiments.fidelity_study import measure_video
-    from repro.workloads.videos import VIDEO_CLIPS
-
-    clip = VIDEO_CLIPS[0]
-
-    def run():
-        return measure_video(clip, "combined")
-
-    seconds, joules = _best_of(run, max(repeats, _MIN_CHEAP_REPEATS))
-    return {"seconds": seconds, "clip": clip.name, "joules": joules}
-
-
-def bench_fig22_longduration(quick, repeats):
-    """Figure 22 bursty run with 600 Hz profiling: eager vs lazy sampler.
-
-    Full mode uses the tier-2 benchmark's real trial parameters
-    (1980 s goal extended by 360 s at t=720 s), where the eager sampler
-    schedules and materializes ~1.4 million sample pairs; quick mode
-    shrinks the goal so CI stays fast, which also shrinks the reported
-    speedup (the fixed 60 s calibration probe dilutes a short run).
-    """
-    from repro.experiments.goal_study import run_bursty_experiment
-
-    goal = 90.0 if quick else 1980.0
-    extension = (30.0, 30.0) if quick else (720.0, 360.0)
-    # The full-mode trial pair costs ~30 s; cap repeats to keep the
-    # suite around a minute.
-    repeats = repeats if quick else min(repeats, 2)
-
-    def run(eager):
-        return run_bursty_experiment(
-            seed=1, goal_seconds=goal, extension=extension,
-            profile_rate_hz=600.0, profile_eager=eager,
-        )
-
-    eager_s, eager_result = _best_of(lambda: run(True), repeats)
-    lazy_s, lazy_result = _best_of(lambda: run(False), repeats)
-    identical = (
-        eager_result.profile.as_table() == lazy_result.profile.as_table()
-    )
-    return {
-        # `seconds` is the lazy (default-path) time: that is what a
-        # regression against the baseline should watch.
-        "seconds": lazy_s,
-        "eager_s": eager_s,
-        "lazy_s": lazy_s,
-        "speedup": eager_s / lazy_s if lazy_s else 0.0,
-        "tables_identical": identical,
-        "samples": lazy_result.profile.sample_count,
-        "goal_seconds": goal,
-    }
-
-
+@_bench("tracer_overhead", lambda m: (
+    f"disabled {m['disabled_s']:.3f}s / enabled {m['enabled_s']:.3f}s "
+    f"({m['enabled_ratio']:.2f}x when recording)"))
 def bench_tracer_overhead(quick, repeats):
     """Cost of the disabled tracer on the engine + accounting hot paths.
 
@@ -282,6 +247,9 @@ def bench_tracer_overhead(quick, repeats):
     }
 
 
+@_bench("snapshot_capture", lambda m: (
+    f"{m['captures_per_s']:,.0f} captures/s "
+    f"({m['payload_objects']} objects, {m['payload_events']} events)"))
 def bench_snapshot_capture(quick, repeats):
     """Cost of checkpointing the whole pulse stack mid-run.
 
@@ -310,6 +278,8 @@ def bench_snapshot_capture(quick, repeats):
     }
 
 
+@_bench("snapshot_restore",
+        lambda m: f"{m['restores_per_s']:,.0f} restores/s")
 def bench_snapshot_restore(quick, repeats):
     """Cost of rebuilding a full branch stack from one snapshot.
 
@@ -338,6 +308,7 @@ def bench_snapshot_restore(quick, repeats):
     }
 
 
+@_bench("fork_branch", lambda m: f"{m['forks_per_s']:,.0f} pooled forks/s")
 def bench_fork_branch(quick, repeats):
     """Pooled branch forking: the lookahead evaluator's steady state.
 
@@ -369,6 +340,11 @@ def bench_fork_branch(quick, repeats):
     }
 
 
+@_bench("cow_capture_scaling", lambda m: (
+    f"{m['length_ratio']:.1f}x segments -> "
+    f"{m['scaling_ratio']:.2f}x capture time "
+    f"({m['long_segments']} segments, "
+    f"{m['long_capture_s'] * 1e6:.0f} us/capture)"))
 def bench_cow_capture_scaling(quick, repeats):
     """Capture cost vs journal length: the copy-on-write contract.
 
@@ -420,34 +396,9 @@ def bench_cow_capture_scaling(quick, repeats):
     }
 
 
-def bench_fork_lookahead(quick, repeats):
-    """One full lookahead-policy goal run: what-if evaluation bound.
-
-    Each proposal folds a hold and an acted lane over the horizon (the
-    name stays the ``BENCH_core.json`` key); ``branches_per_s`` is the
-    end-to-end throughput including the parent's own simulation.
-    """
-    from repro.snapshot.scenario import run_pulse_goal
-
-    goal, energy = (90.0, 780.0) if quick else (290.0, 2_400.0)
-
-    def run():
-        return run_pulse_goal(goal_seconds=goal, initial_energy=energy,
-                              lookahead=True)
-
-    seconds, summary = _best_of(run, repeats)
-    look = summary["lookahead"]
-    return {
-        "seconds": seconds,
-        "branches": look["branches_run"],
-        "branches_per_s": (
-            look["branches_run"] / seconds if seconds else 0.0
-        ),
-        "evaluations": look["evaluations"],
-        "goal_met": summary["goal_met"],
-    }
-
-
+@_bench("calibrator_fit", lambda m: (
+    f"{m['fits']} fits over {m['readings']} readings, "
+    f"{m['fits_per_s']:,.0f} fits/s, max err {m['max_error']:.2%}"))
 def bench_calibrator_fit(quick, repeats):
     """One learned-model goal run on a miscalibrated device.
 
@@ -484,54 +435,9 @@ def bench_calibrator_fit(quick, repeats):
     }
 
 
-def bench_fleet_matrix_fold(quick, repeats):
-    """Fold + canonical-serialize a large synthetic fleet matrix.
-
-    The fold is the serial tail of every fleet sweep (workers return
-    rows; one process folds and byte-stabilizes the document), so its
-    cost bounds how large a fleet the sweep scales to.  Rows are
-    synthetic and deterministic — this isolates the fold from the
-    simulations that produce real rows.
-    """
-    from repro.devices import DeviceProfile
-    from repro.fleet.diffmatrix import PolicyMatrix
-
-    n_devices = 100 if quick else 400
-    policies = ("baseline", "hysteresis=off", "lookahead=on",
-                "hysteresis=off,lookahead=on")
-    devices = [DeviceProfile(f"dev{k:03d}").to_dict()
-               for k in range(n_devices)]
-    rows = []
-    for k, device in enumerate(devices):
-        for p, policy in enumerate(policies):
-            diverged = policy != "baseline" and (k + p) % 3 == 0
-            rows.append({
-                "policy": policy,
-                "device": device["device_id"],
-                "identical": not diverged,
-                "windows": (k + p) % 5 if diverged else 0,
-                "energy_delta_j": ((k * 7 + p * 13) % 100 - 50) / 10.0
-                if diverged else 0.0,
-                "energy_total_j": 900.0 + k + p,
-                "goal_met": (k + p) % 7 != 0,
-                "shape_distance": ((k + p) % 10) / 100.0,
-                "first_divergence_did": k + p if diverged else None,
-            })
-
-    def fold():
-        matrix = PolicyMatrix("bench", {}, {}, rows, devices=devices)
-        return len(matrix.document())
-
-    seconds, document_bytes = _best_of(
-        fold, max(repeats, _MIN_CHEAP_REPEATS))
-    return {
-        "seconds": seconds,
-        "rows": len(rows),
-        "rows_per_s": len(rows) / seconds if seconds else 0.0,
-        "document_bytes": document_bytes,
-    }
-
-
+@_bench("trace_export", lambda m: (
+    f"{m['events']:,} events -> {m['events_per_s']:,.0f} events/s, "
+    f"{m['joins_resolved']}/{m['joins_total']} joins resolved"))
 def bench_trace_export(quick, repeats):
     """Export one pre-recorded goal trace: JSONL, Chrome trace, join.
 
@@ -575,23 +481,6 @@ def bench_trace_export(quick, repeats):
     }
 
 
-_BENCHES = {
-    "calibration": bench_calibration,
-    "engine_events": bench_engine_events,
-    "machine_advance": bench_machine_advance,
-    "figure_cell": bench_figure_cell,
-    "fig22_longduration": bench_fig22_longduration,
-    "tracer_overhead": bench_tracer_overhead,
-    "snapshot_capture": bench_snapshot_capture,
-    "snapshot_restore": bench_snapshot_restore,
-    "fork_branch": bench_fork_branch,
-    "cow_capture_scaling": bench_cow_capture_scaling,
-    "fork_lookahead": bench_fork_lookahead,
-    "calibrator_fit": bench_calibrator_fit,
-    "fleet_matrix_fold": bench_fleet_matrix_fold,
-    "trace_export": bench_trace_export,
-}
-
 BENCH_NAMES = tuple(_BENCHES)
 
 
@@ -626,7 +515,7 @@ def run_benchmarks(quick=False, only=None, repeats=None):
         selected.insert(0, "calibration")
     benches = {}
     for name in selected:
-        benches[name] = _BENCHES[name](quick, repeats)
+        benches[name] = _BENCHES[name][0](quick, repeats)
     return {"version": 1, "quick": bool(quick), "repeats": repeats,
             "benches": benches}
 
@@ -648,7 +537,7 @@ PER_BENCH_MAX_REGRESSION = {
 }
 
 
-def compare(current, baseline, max_regression=0.25, min_speedup=None):
+def compare(current, baseline, max_regression=0.25):
     """Compare a current run against a baseline run.
 
     Returns ``(rows, failures)``.  Each row is a dict with the raw and
@@ -658,9 +547,6 @@ def compare(current, baseline, max_regression=0.25, min_speedup=None):
     normalized time exceeds the baseline by more than
     ``max_regression`` (a fraction, 0.25 = 25 %); benchmarks listed in
     :data:`PER_BENCH_MAX_REGRESSION` use their tighter limit instead.
-    ``min_speedup`` additionally enforces a floor on the fig22
-    eager/lazy speedup, and the fig22 bit-identity flag must hold
-    whenever that benchmark ran.
     """
     failures = []
     cur_benches = current.get("benches", {})
@@ -703,79 +589,18 @@ def compare(current, baseline, max_regression=0.25, min_speedup=None):
                 f"{name}: {ratio:.2f}x the baseline after calibration "
                 f"(limit {1.0 + limit:.2f}x)"
             )
-    fig22 = cur_benches.get("fig22_longduration")
-    if fig22 is not None:
-        if not fig22.get("tables_identical", True):
-            failures.append(
-                "fig22_longduration: lazy profile diverged from eager"
-            )
-        if min_speedup is not None and fig22.get("speedup", 0.0) < min_speedup:
-            failures.append(
-                f"fig22_longduration: speedup {fig22.get('speedup', 0.0):.2f}x "
-                f"below the {min_speedup:.2f}x floor"
-            )
     return rows, failures
 
 
 # ----------------------------------------------------------------------
 # rendering
 # ----------------------------------------------------------------------
-def _detail(name, metrics):
-    if name == "engine_events":
-        return f"{metrics['events_per_s']:,.0f} events/s"
-    if name == "machine_advance":
-        return f"{metrics['advances_per_s']:,.0f} advances/s"
-    if name == "figure_cell":
-        return f"{metrics['clip']}: {metrics['joules']:.1f} J"
-    if name == "fig22_longduration":
-        flag = "identical" if metrics["tables_identical"] else "DIVERGED"
-        return (f"eager {metrics['eager_s']:.3f}s / lazy "
-                f"{metrics['lazy_s']:.3f}s = {metrics['speedup']:.2f}x, "
-                f"profiles {flag}")
-    if name == "tracer_overhead":
-        return (f"disabled {metrics['disabled_s']:.3f}s / enabled "
-                f"{metrics['enabled_s']:.3f}s "
-                f"({metrics['enabled_ratio']:.2f}x when recording)")
-    if name == "calibration":
-        return f"{metrics['iterations']:,} iterations"
-    if name == "snapshot_capture":
-        return (f"{metrics['captures_per_s']:,.0f} captures/s "
-                f"({metrics['payload_objects']} objects, "
-                f"{metrics['payload_events']} events)")
-    if name == "snapshot_restore":
-        return f"{metrics['restores_per_s']:,.0f} restores/s"
-    if name == "fork_branch":
-        return f"{metrics['forks_per_s']:,.0f} pooled forks/s"
-    if name == "cow_capture_scaling":
-        return (f"{metrics['length_ratio']:.1f}x segments -> "
-                f"{metrics['scaling_ratio']:.2f}x capture time "
-                f"({metrics['long_segments']} segments, "
-                f"{metrics['long_capture_s'] * 1e6:.0f} us/capture)")
-    if name == "fork_lookahead":
-        return (f"{metrics['branches']} branches, "
-                f"{metrics['branches_per_s']:,.0f}/s")
-    if name == "calibrator_fit":
-        return (f"{metrics['fits']} fits over {metrics['readings']} "
-                f"readings, {metrics['fits_per_s']:,.0f} fits/s, "
-                f"max err {metrics['max_error']:.2%}")
-    if name == "fleet_matrix_fold":
-        return (f"{metrics['rows']} rows -> "
-                f"{metrics['rows_per_s']:,.0f} rows/s "
-                f"({metrics['document_bytes']:,} bytes)")
-    if name == "trace_export":
-        return (f"{metrics['events']:,} events -> "
-                f"{metrics['events_per_s']:,.0f} events/s, "
-                f"{metrics['joins_resolved']}/{metrics['joins_total']} "
-                f"joins resolved")
-    return ""
-
-
 def render_bench_table(results):
     """ASCII table of one run's timings."""
     from repro.analysis import render_table
 
     rows = [
-        [name, f"{metrics['seconds']:.4f}", _detail(name, metrics)]
+        [name, f"{metrics['seconds']:.4f}", _BENCHES[name][1](metrics)]
         for name, metrics in results["benches"].items()
     ]
     mode = "quick" if results.get("quick") else "full"

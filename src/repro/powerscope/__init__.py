@@ -51,20 +51,17 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 })
 
 
-def profile_run(machine, until, rate_hz=600.0, seed=0, detail_process=None,
-                eager=False):
+def profile_run(machine, until, rate_hz=600.0, seed=0):
     """Convenience: profile a machine while running its simulator.
 
     Starts a multimeter + system monitor pair, runs the simulation to
-    ``until``, and returns the correlated :class:`EnergyProfile`.
-    ``eager=True`` schedules one event per sample (the historical
-    path); the default synthesizes the identical sample streams lazily
+    ``until``, and returns the correlated :class:`EnergyProfile`, folded
     from the machine's segment journal.
     """
     from repro.powerscope.multimeter import Multimeter, SystemMonitor
 
     monitor = SystemMonitor(machine, seed=seed)
-    meter = Multimeter(machine, rate_hz=rate_hz, monitor=monitor, eager=eager)
+    meter = Multimeter(machine, rate_hz=rate_hz, monitor=monitor)
     meter.start()
     machine.sim.run(until=until)
     meter.stop()

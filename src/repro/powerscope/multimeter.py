@@ -14,36 +14,35 @@ time.
 Lazy sampling
 -------------
 The power signal is piecewise constant, so scheduling one simulator
-event per sample (~600/s) buys nothing: every tick between change
-points reads the same value.  By default the multimeter therefore
-schedules *no* events at all.  It pins the machine's segment journal at
+event per sample (~600/s) would buy nothing: every tick between change
+points reads the same value.  The multimeter therefore schedules *no*
+events at all.  It pins the machine's segment journal at
 :meth:`Multimeter.start`; :meth:`Multimeter.stop` merely freezes the
 sampling horizon, and the pending window is consumed by whichever
 reader comes first.  Reading :attr:`Multimeter.samples` replays the
-journal to synthesize the exact sample stream the eager sampler would
-have produced: the same sample instants (the same floating-point
-accumulation of the period), the same current values (the journal
-stores the cached power), and the same seeded RNG draw order for
-overlay resolution — bit-identical, as the golden tests assert.
+journal to synthesize the sample stream a per-sample ticker would have
+produced: sample instants accumulate the period in floating point one
+tick at a time, current values come from the journal's cached power,
+and the seeded RNG is drawn once per sample for overlay resolution.
 Calling :meth:`Multimeter.profile` instead folds the journal straight
 into an :class:`EnergyProfile` without materializing per-sample records
-— still drawing the RNG per sample instant, still bit-identical, but an
-order of magnitude cheaper on long runs.  Pass ``eager=True`` to keep
-the historical one-event-per-sample path for A/B comparison;
-``python -m repro bench`` times the two against each other.
+— still drawing the RNG per sample instant, and bit-identical to
+correlating the materialized streams, but an order of magnitude cheaper
+on long runs.  ``tests/test_multimeter_lazy.py`` keeps a reference
+ticker that the meter must match exactly, and
+``tests/goldens/profile-video.json`` pins the ``repro profile`` tables.
 
-One convention is worth stating: a lazy sample falling exactly on a
-change instant reads the *new* power (segments are half-open
-``[t0, t1)``), whereas the eager path's outcome depends on event
-insertion order.  Sample grids accumulate a binary-float period, so
-exact collisions with workload event times do not occur in practice.
+One convention is worth stating: a sample falling exactly on a change
+instant reads the *new* power (segments are half-open ``[t0, t1)``).
+Sample grids accumulate a binary-float period, so exact collisions
+with workload event times do not occur in practice.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.powerscope.correlate import CorrelationError, correlate
+from repro.powerscope.correlate import CorrelationError
 from repro.powerscope.profile import EnergyProfile, ProfileEntry
 from repro.powerscope.samples import CurrentSample, PcPidSample
 
@@ -76,9 +75,9 @@ class SystemMonitor:
     def sample_at(self, time, context, overlays):
         """Record one sample against an explicit state snapshot.
 
-        Used both live (from :meth:`sample`) and by the lazy replay;
-        both paths draw the RNG once per sample and resolve overlays
-        identically, which is what keeps the two modes bit-identical.
+        Used both live (from :meth:`sample`) and by the multimeter's
+        journal replay; both draw the RNG once per sample and resolve
+        overlays identically.
         """
         # Resolve overlays (asynchronous interrupt handlers) the way a
         # real sampler would: with probability equal to the overlay's
@@ -107,27 +106,21 @@ class Multimeter:
         Sampling frequency (paper: approximately 600 Hz).
     monitor:
         Optional :class:`SystemMonitor` triggered on every reading.
-    eager:
-        ``True`` schedules one simulator event per sample (the
-        historical path); the default replays the machine's segment
-        journal lazily and schedules nothing.
     """
 
-    def __init__(self, machine, rate_hz=600.0, monitor=None, eager=False):
+    def __init__(self, machine, rate_hz=600.0, monitor=None):
         if rate_hz <= 0:
             raise ValueError(f"sampling rate must be positive, got {rate_hz}")
         self.machine = machine
         self.sim = machine.sim
         self.period = 1.0 / rate_hz
         self.monitor = monitor
-        self.eager = eager
         self._samples = []
         self._running = False
-        self._entry = None       # eager: the pending tick's heap entry
-        self._next_t = None      # lazy: next sample instant
-        self._cursor = 0         # lazy: index into the pinned journal
+        self._next_t = None      # next sample instant
+        self._cursor = 0         # index into the pinned journal
         self._pinned = False
-        self._stop_horizon = None  # lazy: frozen horizon of a stopped window
+        self._stop_horizon = None  # frozen horizon of a stopped window
         tracer = getattr(self.sim, "tracer", None)
         self._trace = tracer.gate("powerscope") if tracer is not None else None
         if monitor is not None:
@@ -141,11 +134,8 @@ class Multimeter:
         if self._trace is not None:
             self._trace.instant(
                 self.sim.now, "powerscope", "meter.start", track="multimeter",
-                args={"rate_hz": 1.0 / self.period, "eager": self.eager},
+                args={"rate_hz": 1.0 / self.period},
             )
-        if self.eager:
-            self._entry = self.sim.schedule(self.period, self._tick)
-            return
         self.machine.advance()
         if self._stop_horizon is not None:
             # A previous start/stop window is still pending; materialize
@@ -161,23 +151,15 @@ class Multimeter:
     def stop(self):
         """Stop sampling; samples up to this instant are kept.
 
-        In eager mode the pending tick is cancelled, so a stopped meter
-        leaves no live callback in the event heap (and a subsequent
-        :meth:`start` cannot double-schedule).  In lazy mode the sampling
-        horizon is frozen at the current instant but nothing is
-        synthesized yet: the pending window is consumed — and the journal
-        pin released — by whichever reader comes first, the materializing
-        :attr:`samples` or the folding :meth:`profile`.
+        The sampling horizon is frozen at the current instant but
+        nothing is synthesized yet: the pending window is consumed — and
+        the journal pin released — by whichever reader comes first, the
+        materializing :attr:`samples` or the folding :meth:`profile`.
         """
         if not self._running:
             return
-        if self.eager:
-            if self._entry is not None:
-                self.sim.cancel(self._entry)
-                self._entry = None
-        else:
-            self.machine.advance()
-            self._stop_horizon = self.sim.now
+        self.machine.advance()
+        self._stop_horizon = self.sim.now
         self._running = False
         if self._trace is not None:
             self._trace.instant(
@@ -191,14 +173,12 @@ class Multimeter:
             self._pinned = False
 
     def sync(self):
-        """Materialize lazy samples up to the current instant.
+        """Materialize pending samples up to the current instant.
 
-        No-op in eager mode; reading :attr:`samples` /
-        :attr:`sample_count` calls this implicitly.  On a stopped meter
-        this consumes the pending window and releases the journal pin.
+        Reading :attr:`samples` / :attr:`sample_count` calls this
+        implicitly.  On a stopped meter this consumes the pending window
+        and releases the journal pin.
         """
-        if self.eager:
-            return
         if self._running:
             self.machine.advance()
             self._synthesize(self.sim.now)
@@ -207,23 +187,12 @@ class Multimeter:
             self._stop_horizon = None
             self._release_pin()
 
-    def _tick(self, _time):
-        if not self._running:
-            return
-        # Integrate energy up to this instant so `power` reflects any
-        # piecewise-constant segment boundary exactly at the sample.
-        self.machine.advance()
-        self._samples.append(CurrentSample(self.sim.now, self.machine.current))
-        if self.monitor is not None:
-            self.monitor.sample()
-        self._entry = self.sim.schedule(self.period, self._tick)
-
     def _synthesize(self, horizon):
         """Replay journal segments into sample records up to ``horizon``.
 
-        Sample instants accumulate ``t += period`` exactly as the eager
-        path's chained ``schedule(period, ...)`` calls do, so the two
-        modes produce identical floating-point timestamps.
+        Sample instants accumulate ``t += period`` one sample at a time,
+        exactly as chained ``schedule(period, ...)`` calls would, so the
+        floating-point timestamps match a per-sample ticker's.
         """
         journal = self.machine.journal
         count = len(journal)
@@ -251,16 +220,15 @@ class Multimeter:
     def profile(self):
         """Build the correlated :class:`EnergyProfile` for this meter.
 
-        In eager mode this is exactly ``correlate(samples, ...)``.  In
-        lazy mode the pending window folds straight from the journal
-        without materializing per-sample records: each sample instant
-        still draws the monitor RNG once (attribution is statistical),
-        but the per-entry accumulation batches all samples of a segment
+        The pending window folds straight from the journal without
+        materializing per-sample records: each sample instant still
+        draws the monitor RNG once (attribution is statistical), but the
+        per-entry accumulation batches all samples of a segment
         together.  Within a segment every sample adds the same
         ``(period, joules)`` pair, and floating-point accumulation of a
         constant is a function only of the addend count, so the result
-        is bit-identical to correlating the materialized streams — the
-        golden tests assert this.
+        is bit-identical to ``correlate()`` of the materialized streams
+        — the tests assert this.
 
         Folding consumes the pending window: afterwards
         :attr:`samples` only holds records that were materialized
@@ -273,10 +241,6 @@ class Multimeter:
             )
         voltage = self.machine.voltage
         period = self.period
-        if self.eager:
-            return correlate(
-                self._samples, monitor._samples, voltage, period=period
-            )
         current_samples = self._samples
         pcpid_samples = monitor._samples
         if len(current_samples) != len(pcpid_samples):
@@ -314,7 +278,7 @@ class Multimeter:
         Walks the journal exactly like :meth:`_synthesize` — same sample
         instants, same RNG draw per sample — but accumulates counts per
         (process, procedure) bucket and flushes them segment by segment,
-        preserving the eager path's entry insertion order and per-entry
+        preserving ``correlate()``'s entry insertion order and per-entry
         addition order.  Returns the number of samples folded.
         """
         journal = self.machine.journal
@@ -382,7 +346,7 @@ def _flush_counts(prof, counts, period, joules):
     """Credit one segment's bucket counts to the profile.
 
     Buckets flush in first-hit order (``counts`` is insertion-ordered),
-    so new entries appear in the same order the eager path would create
+    so new entries appear in the order ``correlate()`` would create
     them; the repeated same-value adds reproduce its accumulator values
     bit for bit.
     """

@@ -101,9 +101,10 @@ class EnergyProfile:
         """Nested plain-dict view of every accumulated number.
 
         Exact (no rounding), so two profiles built from bit-identical
-        sample streams compare equal — the golden determinism tests and
-        ``python -m repro bench`` use this to assert the lazy sampler
-        reproduces the eager sampler's tables exactly.
+        sample streams compare equal — the multimeter tests compare it
+        against a reference per-sample ticker, and
+        ``tests/goldens/profile-video.json`` pins the ``repro profile``
+        tables with it.
         """
         return {
             "elapsed": self.elapsed,

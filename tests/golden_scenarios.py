@@ -15,6 +15,7 @@ change to ``derive_goals`` cannot silently move every golden at once.
 
 from __future__ import annotations
 
+import json
 import os
 
 from repro.obs import Tracer, installed
@@ -240,6 +241,42 @@ def run_fleet_matrix_scenario(jobs=1, cache=None):
 
     runner = FleetRunner(jobs=jobs, cache=cache)
     return matrix_from_result(runner.run(fleet_matrix_campaign_spec()))
+
+
+# ----------------------------------------------------------------------
+# Profile golden: the ``repro profile`` tables
+# ----------------------------------------------------------------------
+PROFILE_GOLDEN = "profile-video"
+#: The ``repro profile`` defaults: a 20 s clip sampled at 600 Hz, run
+#: with power management on (``"pm"``) and with ``--no-pm``.
+PROFILE_SECONDS = 20.0
+PROFILE_RATE_HZ = 600.0
+PROFILE_VARIANTS = (("pm", True), ("no_pm", False))
+
+
+def profile_golden_path():
+    return os.path.join(GOLDEN_DIR, f"{PROFILE_GOLDEN}.json")
+
+
+def run_profile_scenario():
+    """``{variant: EnergyProfile.as_table()}`` of the ``repro profile`` rig.
+
+    The tables pass through JSON so they compare equal to the loaded
+    golden: tuples become lists, and floats round-trip exactly.
+    """
+    from repro.experiments import build_rig
+    from repro.powerscope import profile_run
+    from repro.workloads.videos import VideoClip
+
+    tables = {}
+    for variant, pm_enabled in PROFILE_VARIANTS:
+        rig = build_rig(pm_enabled=pm_enabled)
+        clip = VideoClip("cli-clip", PROFILE_SECONDS, 12.0, 16_250)
+        rig.sim.spawn(rig.apps["video"].play(clip))
+        profile = profile_run(rig.machine, until=PROFILE_SECONDS,
+                              rate_hz=PROFILE_RATE_HZ)
+        tables[variant] = profile.as_table()
+    return json.loads(json.dumps(tables))
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The ``repro bench`` harness: runner, comparison logic, CLI wiring."""
 
 import json
+import os
 
 import pytest
 
@@ -8,8 +9,10 @@ from repro.perf import BENCH_NAMES, compare, run_benchmarks
 from repro.perf.bench import render_bench_table, render_comparison
 
 
-def make_results(quick=True, cal=0.1, engine=1.0, speedup=4.0,
-                 identical=True):
+BASELINE = os.path.join(os.path.dirname(__file__), "..", "BENCH_core.json")
+
+
+def make_results(quick=True, cal=0.1, engine=1.0):
     return {
         "version": 1,
         "quick": quick,
@@ -18,11 +21,6 @@ def make_results(quick=True, cal=0.1, engine=1.0, speedup=4.0,
             "calibration": {"seconds": cal, "iterations": 500_000},
             "engine_events": {"seconds": engine, "events": 10_000,
                               "events_per_s": 10_000 / engine, "fired": 9000},
-            "fig22_longduration": {
-                "seconds": 0.5, "eager_s": 0.5 * speedup, "lazy_s": 0.5,
-                "speedup": speedup, "tables_identical": identical,
-                "samples": 1000, "goal_seconds": 90.0,
-            },
         },
     }
 
@@ -47,7 +45,6 @@ class TestCompare:
         base = make_results()
         # Everything 2x slower — a slower box, not a regression.
         cur = make_results(cal=0.2, engine=2.0)
-        cur["benches"]["fig22_longduration"]["seconds"] = 1.0
         rows, failures = compare(cur, base, max_regression=0.25)
         assert failures == []
 
@@ -56,20 +53,6 @@ class TestCompare:
         cur = make_results(quick=False)
         _, failures = compare(cur, base)
         assert any("quick/full mismatch" in failure for failure in failures)
-
-    def test_min_speedup_floor(self):
-        base = make_results()
-        cur = make_results(speedup=2.0)
-        _, failures = compare(cur, base, min_speedup=3.0)
-        assert any("below the 3.00x floor" in failure for failure in failures)
-        _, ok = compare(cur, base, min_speedup=1.5)
-        assert ok == []
-
-    def test_diverged_tables_fail(self):
-        base = make_results()
-        cur = make_results(identical=False)
-        _, failures = compare(cur, base)
-        assert any("diverged" in failure for failure in failures)
 
     def test_missing_calibration_reported(self):
         base = make_results()
@@ -110,12 +93,22 @@ class TestRunner:
         assert metrics["joins_resolved"] == metrics["joins_total"]
 
     def test_bench_names_stable(self):
-        assert "fig22_longduration" in BENCH_NAMES
         assert "calibration" in BENCH_NAMES
+        assert "engine_events" in BENCH_NAMES
+
+    def test_committed_baseline_covers_exactly_the_suite(self):
+        # compare() skips baseline benches the run lacks, so a retired or
+        # renamed bench would silently lose its gate.
+        with open(BASELINE, encoding="utf-8") as handle:
+            baseline = json.load(handle)
+        assert sorted(baseline["benches"]) == sorted(BENCH_NAMES)
 
     def test_render_helpers(self):
         results = make_results()
-        assert "fig22_longduration" in render_bench_table(results)
+        table = render_bench_table(results)
+        assert "engine_events" in table
+        assert "10,000 events/s" in table
+        assert "500,000 iterations" in table
         rows, _ = compare(results, results)
         assert "normalized" in render_comparison(rows)
 
@@ -158,9 +151,11 @@ class TestCli:
             return run
 
         registry = {
-            "calibration": fixed("calibration",
-                                 {"seconds": 0.1, "iterations": 1}),
-            "steady": fixed("steady", {"seconds": 1.0}),
+            "calibration": (fixed("calibration",
+                                  {"seconds": 0.1, "iterations": 1}),
+                            lambda metrics: ""),
+            "steady": (fixed("steady", {"seconds": 1.0}),
+                       lambda metrics: ""),
         }
         monkeypatch.setattr(bench, "_BENCHES", registry)
         monkeypatch.setattr(bench, "BENCH_NAMES", tuple(registry))
@@ -218,20 +213,3 @@ class TestCli:
         assert "re-running" not in captured
         assert "FAIL: steady" in captured
         assert steady_registry["steady"] == 2
-
-    def test_bench_cli_fails_on_impossible_speedup_floor(self, tmp_path):
-        from repro.cli import main
-
-        out = tmp_path / "BENCH_core.json"
-        code = main(["bench", "--quick", "--only", "engine_events",
-                     "--out", str(out)])
-        assert code == 0
-        # engine_events-only runs have no fig22 metrics, so the floor is
-        # not evaluated; exercise it via a synthetic baseline instead.
-        current = json.loads(out.read_text())
-        current["benches"]["fig22_longduration"] = {
-            "seconds": 1.0, "eager_s": 2.0, "lazy_s": 1.0, "speedup": 2.0,
-            "tables_identical": True, "samples": 10, "goal_seconds": 90.0,
-        }
-        _, failures = compare(current, current, min_speedup=3.0)
-        assert failures
