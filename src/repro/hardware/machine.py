@@ -49,6 +49,7 @@ sampling, and tests assert the two agree.
 from __future__ import annotations
 
 import json
+import marshal
 
 from repro.hardware.battery import Battery, ExternalSupply
 from repro.hardware.component import HardwareError
@@ -268,6 +269,9 @@ class Machine:
         tracer = getattr(sim, "tracer", None)
         self._trace = tracer.gate("power") if tracer is not None else None
         self._last_emitted_sid = 0
+        # The one components payload per exact component split; see
+        # _trace_segment.
+        self._span_components = {}
         # Branch identity: lookahead evaluators stamp forked machines so
         # their power/span events disentangle from the trunk's (see
         # repro.obs.export.power_spans).  None = the trunk.
@@ -604,15 +608,31 @@ class Machine:
         Idempotent via the monotonic sid guard: a segment may reach
         here when its successor is appended, when the fold compacts it
         away, or from the tracer's flush hook — it is emitted once.
+
+        Spans with the same component split share one ``components``
+        dict, so an exporter encodes each split once.  Emitted ``args``
+        are read-only: a reader that mutated them would change every
+        span sharing the dict.  The split is keyed by its ``marshal``
+        bytes, which are equal only for values of the same type and
+        bits, so ``-0.0`` watts never share ``0.0``'s payload.
         """
         if segment.sid <= self._last_emitted_sid:
             return
         self._last_emitted_sid = segment.sid
         dur = segment.t1 - segment.t0
         process, procedure = segment.context
-        components = dict(segment.comp_powers)
-        if segment.correction:
-            components["(superlinear)"] = segment.correction
+        try:
+            key = marshal.dumps((segment.comp_powers, segment.correction),
+                                2)
+        except ValueError:  # a subclass marshal refuses: share nothing
+            key = None
+        components = self._span_components.get(key)
+        if components is None:
+            components = dict(segment.comp_powers)
+            if segment.correction:
+                components["(superlinear)"] = segment.correction
+            if key is not None:
+                self._span_components[key] = components
         args = {
             "sid": segment.sid,
             "watts": segment.power,

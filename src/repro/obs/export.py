@@ -25,6 +25,29 @@ argument — the sid of the journal span covering the instant they fired.
 latter, answering "what was the machine drawing — and what did that
 span cost in joules — when this decision happened", the PowerScope
 correlation story applied to our own simulator.
+
+Render once per call
+--------------------
+A trace repeats itself: a goal run's spans share a few durations and a
+few component splits, and most float payload values recur.  Within one
+:func:`write_events_jsonl` or :func:`write_chrome_trace` call each such
+value is encoded once and its text reused:
+
+* floats by value: ``ts`` and ``dur`` (scaled for the Chrome trace) and
+  the float values of a payload.  Only exact, finite, nonzero floats are
+  remembered: ``0.0`` and ``-0.0`` are equal but print differently, and
+  ints and bools never enter the float memo.  ``wall`` stamps never
+  repeat and are printed directly.
+* nested payload dicts by identity.  The memo holds a reference to each
+  dict it encoded, so no other object can take its ``id`` during the
+  call.  Only exact ``dict`` values are memoized; a payload with a key
+  that is not a ``str`` or a value of another type keeps the plain
+  encoder and its errors.  Emitted payloads are read-only, so a shared
+  dict means the same text everywhere it appears.
+
+The memos live for one call.  :func:`jsonl_line`, which the streaming
+:class:`~repro.obs.tracer.JsonlSink` calls per event, renders each
+event on its own, so streamed bytes never depend on an earlier event.
 """
 
 from __future__ import annotations
@@ -96,8 +119,9 @@ def _quoted(text):
 # JSONL
 # ----------------------------------------------------------------------
 def _line_template(cat, name, ph, track, has_args, has_dur):
-    """The sorted-key line for one event shape, stamps left as ``%``
-    fields, or ``None`` when a label is not exactly a ``str``."""
+    """The sorted-key line for one event shape, with ``args`` and the
+    rendered ``dur`` and ``ts`` left as ``%s`` fields and ``wall`` as a
+    ``%r`` field, or ``None`` when a label is not exactly a ``str``."""
     labels = (cat, name, ph) if track is None else (cat, name, ph, track)
     if any(type(label) is not str for label in labels):
         return None
@@ -105,17 +129,123 @@ def _line_template(cat, name, ph, track, has_args, has_dur):
     fields = ['"args": %s'] if has_args else []
     fields.append('"cat": ' + _quoted(cat))
     if has_dur:
-        fields.append('"dur": %r')
+        fields.append('"dur": %s')
     fields += ['"name": ' + _quoted(name), '"ph": ' + _quoted(ph)]
     if track is not None:
         fields.append('"track": ' + _quoted(track))
-    fields += ['"ts": %r', '"wall": %r']
+    fields += ['"ts": %s', '"wall": %r']
     return "{" + ", ".join(fields) + "}\n"
 
 
 def _fallback_line(event):
     record = event if isinstance(event, dict) else event.to_dict()
     return JSONL_ENCODER.encode(record) + "\n"
+
+
+def _payload_text(items, floats, payloads, keys, encoder):
+    """The JSON object of a payload's ``(key, value)`` items, or
+    ``None`` unless every key is a ``str`` and every value a ``str``,
+    ``int``, ``bool``, ``None``, finite exact ``float`` or exact
+    ``dict``.  Floats are rendered through ``floats`` and nested dicts
+    (by ``encoder``) through ``payloads``: see "Render once per call"."""
+    parts = []
+    for key, value in items:
+        if type(key) is not str:
+            return None
+        prefix = keys.get(key)
+        if prefix is None:
+            prefix = keys[key] = encode_basestring_ascii(key) + ": "
+        kind = type(value)
+        if kind is float:
+            text = floats.get(value)
+            if text is None:
+                if not _NINF < value < _INF:
+                    return None
+                text = repr(value)
+                if value:
+                    floats[value] = text
+        elif kind is str:
+            text = encode_basestring_ascii(value)
+        elif kind is int:
+            text = repr(value)
+        elif kind is dict:
+            pinned = payloads.get(id(value))
+            if pinned is None:
+                text = "".join(encoder(value, 0))
+                payloads[id(value)] = (value, text)
+            else:
+                text = pinned[1]
+        elif value is None:
+            text = "null"
+        elif kind is bool:
+            text = "true" if value else "false"
+        else:
+            return None
+        parts.append(prefix + text)
+    return "{" + ", ".join(parts) + "}"
+
+
+def _jsonl_lines(events):
+    """:func:`jsonl_line` of every event, in order, rendering each
+    repeated float and shared nested payload once."""
+    floats = {}    # exact, finite, nonzero float -> repr
+    payloads = {}  # id(nested dict) -> (the dict, its JSON)
+    keys = {}      # str payload key -> its JSON and ": "
+    lines = []
+    for event in events:
+        if isinstance(event, dict):
+            lines.append(_fallback_line(event))
+            continue
+        ts, wall, dur, args = event.ts, event.wall, event.dur, event.args
+        if (type(ts) is not float or type(wall) is not float
+                or not _NINF < ts < _INF or not _NINF < wall < _INF
+                or (dur is not None and (type(dur) is not float
+                                         or not _NINF < dur < _INF))):
+            lines.append(_fallback_line(event))
+            continue
+        shape = (event.cat, event.name, event.ph, event.track,
+                 args is not None, dur is not None)
+        try:
+            template = _TEMPLATES[shape]
+        except KeyError:
+            if len(_TEMPLATES) >= _MAX_TEMPLATES:
+                _TEMPLATES.clear()
+            template = _TEMPLATES[shape] = _line_template(*shape)
+        except TypeError:  # an unhashable label
+            template = None
+        if template is None:
+            lines.append(_fallback_line(event))
+            continue
+        text = floats.get(ts)
+        if text is None:
+            text = repr(ts)
+            if ts:
+                floats[ts] = text
+        stamps = (text, wall)
+        if dur is not None:
+            text = floats.get(dur)
+            if text is None:
+                text = repr(dur)
+                if dur:
+                    floats[dur] = text
+            stamps = (text,) + stamps
+        if args is not None:
+            text = None
+            if type(args) is dict:
+                try:
+                    text = _payload_text(sorted(args.items()), floats,
+                                         payloads, keys, _ARGS_ENCODER)
+                except (TypeError, ValueError, RecursionError):
+                    pass  # the encoder below renders it or says why not
+            if text is None:
+                try:
+                    text = "".join(_ARGS_ENCODER(args, 0))
+                except RecursionError:  # circular: let json.dumps say so
+                    lines.append(_fallback_line(event))
+                    continue
+            stamps = (text,) + stamps
+        lines.append(template % stamps)
+    return lines
 
 
 def jsonl_line(event):
@@ -126,45 +256,16 @@ def jsonl_line(event):
     whose ``ts``/``wall``/``dur`` are finite, exactly-``float`` stamps is
     rendered from its shape's template: only the stamps (by
     ``float.__repr__``) and ``args`` are encoded.  Dict inputs and every
-    other event take :data:`JSONL_ENCODER`.
+    other event take :data:`JSONL_ENCODER`.  The event is rendered on
+    its own, so a streamed line never depends on an earlier event.
     """
-    if isinstance(event, dict):
-        return _fallback_line(event)
-    ts, wall, dur, args = event.ts, event.wall, event.dur, event.args
-    if (type(ts) is not float or type(wall) is not float
-            or not _NINF < ts < _INF or not _NINF < wall < _INF):
-        return _fallback_line(event)
-    shape = (event.cat, event.name, event.ph, event.track,
-             args is not None, dur is not None)
-    try:
-        template = _TEMPLATES[shape]
-    except KeyError:
-        if len(_TEMPLATES) >= _MAX_TEMPLATES:
-            _TEMPLATES.clear()
-        template = _TEMPLATES[shape] = _line_template(*shape)
-    except TypeError:  # an unhashable label
-        return _fallback_line(event)
-    if template is None:
-        return _fallback_line(event)
-    if dur is None:
-        stamps = (ts, wall)
-    elif type(dur) is float and _NINF < dur < _INF:
-        stamps = (dur, ts, wall)
-    else:
-        return _fallback_line(event)
-    if args is None:
-        return template % stamps
-    try:
-        encoded = "".join(_ARGS_ENCODER(args, 0))
-    except RecursionError:  # a circular payload: let json.dumps say so
-        return _fallback_line(event)
-    return template % ((encoded,) + stamps)
+    return _jsonl_lines((event,))[0]
 
 
 def write_events_jsonl(events, path):
     """Write one JSON object per event (a :func:`jsonl_line` each), in
-    emit order; returns the count."""
-    lines = list(map(jsonl_line, events))
+    emit order, rendering each repeated value once; returns the count."""
+    lines = _jsonl_lines(events)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("".join(lines))
     return len(lines)
@@ -293,19 +394,20 @@ def _chrome_shape(layout, cat, track, name, ph, has_args):
     """``(bucket, template, is_complete)`` for one body-entry shape of
     ``str`` labels (``cat`` may be unset, ``track`` is any thread key),
     or ``None`` when ``ph`` is not a body phase.  The template is the entry's
-    ``json.dumps`` text with ``ts``, then ``dur`` (``X`` only), then
-    ``args`` left as ``%`` fields; ``pid`` and ``tid`` are baked in."""
+    ``json.dumps`` text with the rendered ``ts``, then ``dur`` (``X``
+    only), then ``args`` left as ``%s`` fields; ``pid`` and ``tid`` are
+    baked in."""
     if ph not in _BODY_PHASES:
         return None
     cat = cat or "trace"
     key = (cat, track or cat)
     pid, tid, bucket = layout.threads.get(key) or layout.add_thread(key)
     template = ('{"name": ' + _quoted(name) + ', "cat": ' + _quoted(cat)
-                + ', "ph": ' + _quoted(ph) + f', "ts": %r, "pid": {pid}, '
+                + ', "ph": ' + _quoted(ph) + f', "ts": %s, "pid": {pid}, '
                 f'"tid": {tid}')
     is_complete = ph == "X"
     if is_complete:
-        template += ', "dur": %r'
+        template += ', "dur": %s'
     if has_args:
         template += ', "args": %s'
     return bucket, template + "}", is_complete
@@ -318,9 +420,13 @@ def _render_chrome(events):
     ``str``, a body phase, ``ts`` and ``dur`` non-``bool``
     ``int``/``float`` scaling to finite values, ``dur >= 0``, and an
     ``args`` payload the encoder accepts.  The text is what
-    ``json.dumps(chrome_trace(events)) + "\\n"`` writes."""
+    ``json.dumps(chrome_trace(events)) + "\\n"`` writes.  Each repeated
+    float and shared nested payload is rendered once."""
     layout = _TraceLayout()
     shapes = {}  # (cat, track, name, ph, has args) -> _chrome_shape
+    floats = {}    # exact, finite, nonzero float -> repr
+    payloads = {}  # id(nested dict) -> (the dict, its JSON)
+    keys = {}      # str payload key -> its JSON and ": "
     try:
         for event in events:
             if isinstance(event, dict):
@@ -349,20 +455,36 @@ def _render_chrome(events):
             scaled = ts * 1e6
             if not _NINF < scaled < _INF:
                 return None
+            text = floats.get(scaled)
+            if text is None:
+                text = repr(scaled)
+                if scaled:
+                    floats[scaled] = text
             bucket, template, is_complete = shape
             if not is_complete:
-                stamps = (scaled,)
+                stamps = (text,)
             elif dur is None:
-                stamps = (scaled, 0.0)
+                stamps = (text, "0.0")
             elif type(dur) is float or type(dur) is int:
                 span = (dur or 0.0) * 1e6
                 if not 0.0 <= span < _INF:
                     return None
-                stamps = (scaled, span)
+                span_text = floats.get(span)
+                if span_text is None:
+                    span_text = repr(span)
+                    if span:
+                        floats[span] = span_text
+                stamps = (text, span_text)
             else:
                 return None
             if args is not None:
-                stamps += ("".join(_CHROME_ARGS_ENCODER(args, 0)),)
+                text = None
+                if type(args) is dict:
+                    text = _payload_text(args.items(), floats, payloads,
+                                         keys, _CHROME_ARGS_ENCODER)
+                if text is None:
+                    text = "".join(_CHROME_ARGS_ENCODER(args, 0))
+                stamps += (text,)
             bucket.append((ts, template % stamps))
         parts = [json.dumps(entry) for entry in layout.metadata()]
     except (AttributeError, TypeError, ValueError, OverflowError,
@@ -383,8 +505,9 @@ def write_chrome_trace(events, path):
     every event's entry is provably valid, each body entry is rendered
     from a template compiled once per call for each event shape ``(cat,
     track, name, ph, args is not None)`` and only ``ts``, ``dur`` and
-    ``args`` are encoded per event.  Otherwise the whole trace takes the reference
-    path: :func:`chrome_trace`, :func:`validate_chrome_trace`, then
+    ``args`` are encoded per event, each repeated value once per call.
+    Otherwise the whole trace takes the reference path:
+    :func:`chrome_trace`, :func:`validate_chrome_trace`, then
     ``json.dumps``.  That path raises :class:`ValueError` listing the
     problems if the trace would not validate — an invalid trace on disk
     is worse than a loud failure — or what ``json.dumps`` raises for an

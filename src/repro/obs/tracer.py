@@ -81,7 +81,11 @@ class TraceEvent:
     dur:
         Span duration in seconds (``"X"`` events only).
     args:
-        Optional payload dict (JSON-serializable values).
+        Optional payload dict (JSON-serializable values).  Emitted
+        ``args`` are read-only: an emitter may share one payload dict,
+        or a dict nested in it, between events (the machine shares each
+        span's ``components``), and the exporters encode a shared
+        nested dict once per call.
     """
 
     __slots__ = ("ts", "wall", "cat", "name", "ph", "track", "dur", "args")

@@ -454,22 +454,39 @@ def _reference_order(records):
     return ordered
 
 
-def _power_args(sid, kind):
-    if kind == "span":
-        return {"sid": sid, "watts": 5.0, "joules": 2.5 * sid,
-                "process": "Idle"}
-    if kind == "branch-span":
-        return {"sid": sid, "watts": 7.0, "joules": 1.0, "branch": 1}
-    if kind == "ref":
-        return {"power_span": sid}
-    return None
-
-
 class _LoudFloat(float):
     """A float subclass: ``json`` encodes it by ``float.__repr__``."""
 
     def __repr__(self):
         return "loud"
+
+
+#: Payload values that are equal, or hash equal, yet print differently.
+_LOOKALIKE_VALUES = [1, 1.0, True, 0.0, -0.0, 0.75, _LoudFloat(0.75)]
+
+
+def _component_splits():
+    """``components``-style dicts for one stream's spans to share by
+    reference, as the machine shares them: ``±0.0`` and a repeated
+    float inside."""
+    return [{"cpu": 0.0, "disk": 0.16, "display": 4.54},
+            {"cpu": -0.0, "disk": 0.16, "display": 4.54},
+            {"cpu": 9.0, "disk": 0.16, "(superlinear)": 0.21}]
+
+
+def _power_args(sid, kind, value=None, split=None):
+    if kind == "span":
+        return {"sid": sid, "watts": 5.0, "joules": 2.5 * sid,
+                "process": "Idle"}
+    if kind == "split-span":
+        return {"sid": sid, "watts": value, "components": split}
+    if kind == "branch-span":
+        return {"sid": sid, "watts": 7.0, "joules": 1.0, "branch": 1}
+    if kind == "ref":
+        return {"power_span": sid}
+    if kind == "value":
+        return {"value": value, "nested": {"watts": value}}
+    return None
 
 
 _NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -497,7 +514,11 @@ def _event_streams(draw, odd_stamps=False):
     with ``ts`` ties and out-of-order stamps, labels that need escaping
     or are not ``str``, and ``dur`` on any phase.  Each stream's wall
     clock is frozen, at a float or (like ``Tracer(clock=lambda: 0)``) an
-    integer.  ``odd_stamps`` picks one kind of :data:`_ODD_VALUES` per
+    integer.  Repeated floats and ``±0.0`` appear in ``ts``, ``dur``
+    and payloads, spans share :func:`_component_splits` by reference,
+    and a ``value`` key holds :data:`_LOOKALIKE_VALUES` (``1``, ``1.0``,
+    ``True``, a float subclass) at the top level and nested.
+    ``odd_stamps`` picks one kind of :data:`_ODD_VALUES` per
     stream and puts one of its values in about one event in three.
     Most kinds can make the Chrome trace invalid; the int and
     float-subclass stamps and the names cannot."""
@@ -514,6 +535,7 @@ def _event_streams(draw, odd_stamps=False):
 
     wall = draw(st.sampled_from([0.0, 0, 0.30000000000000004]))
     size = draw(st.integers(min_value=0, max_value=40))
+    splits = _component_splits()
     events = []
     for index in range(size):
         cat = draw(st.sampled_from(["sim", "power", "core", None]
@@ -521,23 +543,48 @@ def _event_streams(draw, odd_stamps=False):
         track = draw(st.sampled_from(["engine", "machine", "video", None, 7]
                                      + _ODD_LABELS))
         ph = pick("ph", "IBEXC")
-        ts = pick("ts", [0.0, 0.5, 1.0, 1.0, 2.25, 3.0])
-        dur = pick("dur", [None, 0.0, 0.75])
-        kind = draw(st.sampled_from(["span", "branch-span", "ref", None]))
+        ts = pick("ts", [0.0, -0.0, 0.5, 1.0, 1.0, 2.25, 3.0])
+        dur = pick("dur", [None, 0.0, -0.0, 0.75])
+        kind = draw(st.sampled_from(["span", "split-span", "branch-span",
+                                     "ref", "value", None]))
         sid = draw(st.integers(min_value=1, max_value=4))
-        if kind in ("span", "branch-span"):
+        value = draw(st.sampled_from(_LOOKALIKE_VALUES))
+        split = draw(st.sampled_from(splits))
+        if kind in ("span", "split-span", "branch-span"):
             cat, ph, name = "power", "X", "span"
         else:
             name = pick("name", [f"e{index}" + label
                                  for label in [""] + _ODD_LABELS])
         event = TraceEvent(ts, wall, cat, name, ph, track, dur,
-                           _power_args(sid, kind))
+                           _power_args(sid, kind, value, split))
         events.append(event.to_dict() if draw(st.booleans()) else event)
     return draw(st.permutations(events))
 
 
 def _dicts(events):
     return [e if isinstance(e, dict) else e.to_dict() for e in events]
+
+
+def _fresh_payloads(events, reference):
+    """Yield each event as a new ``TraceEvent`` whose payload holds a
+    numbered ``fresh`` dict and numbered copies of its nested dicts,
+    appending its reference line to ``reference``.  Nothing keeps a
+    copy alive once the writer moves on, and each payload is built
+    before its nested dicts, so CPython's dict free list hands a later
+    copy the ``id`` of a freed nested dict."""
+    from repro.obs.tracer import TraceEvent
+
+    for number, record in enumerate(_dicts(events)):
+        args = {}
+        args["fresh"] = {"copy": number}
+        for key, value in (record.get("args") or {}).items():
+            args[key] = ({**value, "copy": number} if type(value) is dict
+                         else value)
+        event = TraceEvent(record["ts"], record["wall"], record["cat"],
+                           record["name"], record["ph"], record.get("track"),
+                           record.get("dur"), args)
+        reference.append(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+        yield event
 
 
 class TestExportProperties:
@@ -580,6 +627,15 @@ class TestExportProperties:
         assert written_jsonl == "".join(
             json.dumps(record, sort_keys=True) + "\n"
             for record in _dicts(events))
+        # A generator whose nested payloads are freed as the writer
+        # moves on: a recycled id must not bring back an old payload.
+        fresh_reference = []
+        with tempfile.TemporaryDirectory() as out_dir:
+            jsonl_path = os.path.join(out_dir, "fresh.jsonl")
+            write_events_jsonl(_fresh_payloads(events, fresh_reference),
+                               jsonl_path)
+            with open(jsonl_path, encoding="utf-8") as handle:
+                assert handle.read() == "".join(fresh_reference)
 
     @settings(max_examples=150, deadline=None)
     @given(_event_streams())

@@ -1,6 +1,8 @@
 """Integration tests: tracing instrumented through sim, core, PowerScope,
 and the fleet, with the event↔energy join resolving end to end."""
 
+import json
+
 import pytest
 
 from repro.fleet import CampaignSpec, FleetRunner, Task
@@ -96,6 +98,74 @@ class TestMachineTracing:
         machine.advance()
         assert machine.journal[-1].sid == first
         assert machine.power_span_id() == first
+
+    def test_spans_with_equal_splits_share_one_read_only_components_dict(
+            self):
+        from repro.experiments import run_goal_experiment
+        from repro.obs import compute_signature
+        from repro.obs.diff import decision_spine
+
+        tracer = Tracer()
+        with installed(tracer):
+            run_goal_experiment(30.0, initial_energy=450.0)
+            tracer.flush()
+        events = tracer.events
+        payloads = [e.args["components"] for e in events
+                    if e.cat == "power" and e.name == "span"]
+        # One dict per exact split: json.dumps tells -0.0 from 0.0.
+        by_split = {}
+        for components in payloads:
+            by_split.setdefault(json.dumps(components), set()).add(
+                id(components))
+        assert all(len(ids) == 1 for ids in by_split.values())
+        assert len(by_split) < len(payloads) // 10
+        shared = {id(c): (c, list(c.items())) for c in payloads}
+
+        power_spans(events)
+        join_power(events)
+        decision_spine(events)
+        compute_signature(events, metrics=MetricsRegistry())
+        for components, items in shared.values():
+            assert list(components.items()) == items
+
+    def test_negative_zero_watts_keep_their_own_payload(self):
+        """Spans share a components dict only when the split prints the
+        same: ``-0.0`` watts (equal to ``0.0``) get their own, and a
+        float subclass, which has no exact key, shares nothing."""
+        class Watts(float):
+            pass
+
+        tracer = Tracer()
+        sim = Simulator(tracer=tracer)
+        machine = _machine(sim, metrics=MetricsRegistry())
+        radio = machine.attach(PowerComponent(
+            "radio", {"off": 0.0, "parked": -0.0, "on": 2.0,
+                      "boost": Watts(3.0)}, "off"))
+        machine.pin_journal()
+        for now, state in enumerate(["parked", "off", "on", "parked",
+                                     "boost", "off", "parked"], 1):
+            sim.now = float(now)
+            radio.set_state(state)
+        sim.now = 8.0
+        machine.advance()
+        tracer.flush()
+        segments = {segment.sid: segment for segment in machine.journal}
+        spans = [e for e in tracer.events
+                 if e.cat == "power" and e.name == "span"]
+        assert len(spans) == len(segments) == 8
+        written = set()
+        for span in spans:
+            segment = segments[span.args["sid"]]
+            reference = dict(segment.comp_powers)
+            if segment.correction:
+                reference["(superlinear)"] = segment.correction
+            text = json.dumps(span.args["components"])
+            assert text == json.dumps(reference)
+            written.add(text)
+        assert written == {'{"cpu": 1.0, "radio": 0.0}',
+                           '{"cpu": 1.0, "radio": -0.0}',
+                           '{"cpu": 1.0, "radio": 2.0}',
+                           '{"cpu": 1.0, "radio": 3.0}'}
 
     def test_metrics_count_segments(self):
         registry = MetricsRegistry()

@@ -12,6 +12,7 @@ payload stays byte-identical to a non-sharing capture.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.hardware.machine as machine_module
 from repro.fleet.spec import canonical_json
 from repro.hardware.machine import _segment_row
 from repro.snapshot import Snapshot
@@ -187,3 +188,40 @@ def test_pooled_fork_matches_fresh_fork():
     reused = snapshot.fork(reuse=pooled_target)
     reused.run()
     assert canonical_json(reused.summary()) == canonical_json(fresh.summary())
+
+
+# ----------------------------------------------------------------------
+# capture cost is the open tail, not the journal
+# ----------------------------------------------------------------------
+def test_repeated_captures_serialize_only_the_open_tail(monkeypatch):
+    """Once the first capture has sealed the journal, every later capture
+    serializes the same rows — the open tail only — on a 30 s journal
+    and on a 240 s one: a row count, where a timing would be noise."""
+    rows = []
+
+    def counting_row(segment):
+        rows.append(segment.sid)
+        return _segment_row(segment)
+
+    monkeypatch.setattr(machine_module, "_segment_row", counting_row)
+    captures = 10
+    counts = {}
+    for until in (30.0, 240.0):
+        scenario = build_pulse_scenario(
+            goal_seconds=300.0, initial_energy=20_000.0,
+        ).start().run(until=until)
+        journal = len(scenario.machine._journal)
+        Snapshot.capture(scenario.sim)
+        sealing = len(rows)
+        rows.clear()
+        for _ in range(captures):
+            Snapshot.capture(scenario.sim)
+        counts[until] = (journal, sealing, len(rows))
+        rows.clear()
+    (short, short_seal, short_rows), (long, long_seal, long_rows) = (
+        counts[30.0], counts[240.0])
+    assert long >= 4 * short
+    # The first capture serializes the whole journal once...
+    assert (short_seal, long_seal) == (short, long)
+    # ...and every later one only the open segment.
+    assert short_rows == long_rows == captures
