@@ -288,3 +288,80 @@ def test_lookahead_survives_snapshot_roundtrip():
     fork = snapshot.fork().run()
     parent.run()
     assert canonical_json(fork.summary()) == canonical_json(parent.summary())
+
+
+# ----------------------------------------------------------------------
+# payload format pins
+# ----------------------------------------------------------------------
+# sha256 of canonical_json(payload) and the snapshot key for each build,
+# captured at t=120.  A fork of a stack only checks a run against
+# itself, so these are what pin the state format an app writes: a
+# change to any ``__snapshot__`` state or to registration order moves
+# a payload digest; a change to the recorded builder params moves a key.
+PAYLOAD_PINS = {
+    "pulse-default": (
+        "f30ac63fd80ba9d255128ae8c08b6514ba83d0d14b043bb1408098f1fb6508fc",
+        "5f29367a7839437cc8439a284f843935c6c826c048727e31ae496c75e81c9aa3"),
+    "pulse-lookahead": (
+        "4af7120bc356a663ca5721de1d77bfacbb122b6cbd07355053ab2dcf4fd3b20f",
+        "ec009f578b214ca319cc746c91fcfc2d6672770eb04fd0d114232b0ecedf889c"),
+    "pulse-beam3": (
+        "bd737491b1f0a9b3a70bcd4782642aad0ec06de29442e90ba69b3b43df4946e0",
+        "e8a6fe7f43198734c85a8a5d0556e4bfe9700a317149c3d0fc8b70d63117d42c"),
+    "pulse-hysteresis-off": (
+        "2e44866b3d781531421c1580d03bec588ee666ad527b4753abf185a2373fc3ee",
+        "38f2ec65ff9ece9f8094e73e491553e2e126ad625dfa666fb9220a468f22fd98"),
+    # An explicit ``device=None`` records nothing: the default's pins.
+    "pulse-device-none": (
+        "f30ac63fd80ba9d255128ae8c08b6514ba83d0d14b043bb1408098f1fb6508fc",
+        "5f29367a7839437cc8439a284f843935c6c826c048727e31ae496c75e81c9aa3"),
+    "pulse-device": (
+        "f469905dc3ebafaf2e51508729891356ffaaa241f372151bc5ea3f0b1861ddc8",
+        "d6e46760deadf83cd67b48337b762a2f9158e7133aa763771e8ef1e0a00d6ec3"),
+    "workload-videos": (
+        "cc4ee92b9b9c7e0dc0566dca30490c43a440dec168fb8b956c42cb92494b1d3f",
+        "629debe99f4dbe460896b52b00d7c398c1fd07545aa6664b2ce6702110e14bf5"),
+    "workload-utterances": (
+        "99f22556f82a67d934e460091a707b36ef54370b827d674886c34741c1d09df5",
+        "e9454c08c533e1694b736b4d7c475c6767a1a2f7a89cf6d4c0e3ae2781e4537a"),
+    "workload-maps": (
+        "a498e3132ded744a1079b60518af2b5b2b46bceeda92c4f08bae16252665c81b",
+        "454ea6af99b9ef85a6db2d4c2bf883506e0b504c12b884df78e5cd851e6515e6"),
+    "workload-images": (
+        "3646fbaa69d1d9a1581a5372a63967cc08a018f81f0bc44a9b30ae000953ab63",
+        "337642eb13f95df99960f769502f30fe1945c52697bbd976d4867fe3b522614f"),
+}
+
+
+def _pinned_build(name):
+    from repro.devices.profile import generate_device
+    from repro.snapshot.workload import build_workload_scenario
+
+    rig, _, variant = name.partition("-")
+    if rig == "workload":
+        return build_workload_scenario(workload=variant, think_jitter=0.3)
+    kwargs = {
+        "default": {},
+        "lookahead": {"lookahead": True},
+        "beam3": {"lookahead": True, "beam_width": 3},
+        "hysteresis-off": {"variable_fraction": 0.0,
+                           "constant_fraction": 0.0},
+        "device-none": {"device": None},
+        "device": {"device": generate_device(7, "dev00")},
+    }[variant]
+    return build_pulse_scenario(**kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOAD_PINS))
+def test_payload_and_key_match_the_pins(name):
+    import hashlib
+
+    from repro.fleet.spec import canonical_json
+
+    scenario = _pinned_build(name).start().run(until=120.0)
+    payload = Snapshot.capture(scenario.sim).payload
+    digest = hashlib.sha256(
+        canonical_json(payload).encode("utf-8")).hexdigest()
+    builder, params = scenario.sim.snapshot_builder
+    assert (digest, snapshot_key(builder, params, 120.0)) == \
+        PAYLOAD_PINS[name]
