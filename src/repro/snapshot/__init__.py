@@ -17,9 +17,10 @@ The subsystem has four layers:
   side-by-side lanes over the trunk's schedule, or on forks where lanes
   cannot model the stack), and score predicted energy against the goal.
 
-:mod:`repro.snapshot.scenario` provides the snapshot-capable goal rig
-(timer-driven workloads — no generator processes), and
-:mod:`repro.snapshot.warm` the warm-started fleet sweep built on it.
+:mod:`repro.snapshot.scenario` provides the snapshot-capable goal rigs
+(timer-driven apps — no generator processes; the Section 5 item rig is
+:mod:`repro.snapshot.workload`), and :mod:`repro.snapshot.warm` the
+warm-started fleet sweep built on the pulse rig.
 """
 
 from repro._lazy import lazy_exports

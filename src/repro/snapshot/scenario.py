@@ -1,13 +1,18 @@
-"""The snapshot-capable goal rig: a pulsed, timer-driven workload.
+"""The snapshot-capable goal rigs: timer-driven apps on one stack.
 
 The generator-based applications in :mod:`repro.apps` cannot cross a
-snapshot boundary (live frames are not serializable), so this module
-provides a workload built *entirely* from timer-driven state machines:
-each :class:`PulsedApp` drives its own power component through periodic
-active/idle pulses whose wattage scales with fidelity.  Pulse *timing*
-is fidelity-independent — adaptation changes joules, never the event
-timeline — which keeps decision instants aligned across policies and
-makes ``repro diff`` windows exact.
+snapshot boundary (live frames are not serializable), so these rigs are
+built *entirely* from timer-driven state machines.  :class:`TimedApp`
+is the one app state machine: work an item with the app's component at
+the current fidelity wattage, rest, repeat.  Two rigs share it and one
+stack assembly (``_assemble`` and ``_register`` below):
+
+* the pulse rig, :func:`build_pulse_scenario`: each :class:`PulsedApp`
+  runs periodic bursts.  Pulse *timing* is fidelity-independent —
+  adaptation changes joules, never the event timeline — which keeps
+  decision instants aligned across policies and makes ``repro diff``
+  windows exact;
+* the Section 5 item rig, :mod:`repro.snapshot.workload`.
 
 Every stateful object registers with the simulator under a stable key
 and the simulator carries a builder reference, so
@@ -37,6 +42,7 @@ from repro.powerscope.online import OnlinePowerMonitor
 from repro.sim import Simulator
 
 __all__ = [
+    "TimedApp",
     "PulsedApp",
     "PulseScenario",
     "build_pulse_scenario",
@@ -55,41 +61,37 @@ DEFAULT_INITIAL_ENERGY_J = 2_400.0
 PLATFORM_WATTS = 5.6
 
 
-class PulsedApp:
-    """An adaptive application as a timer-driven pulse generator.
+class TimedApp:
+    """An adaptive application as a timer-driven state machine.
 
-    Every ``period`` seconds the app runs one burst of ``duty * period``
-    seconds: it pushes its attribution context, raises its component to
-    the wattage of the current fidelity level, and drops both at burst
-    end.  Fidelity changes take effect immediately (mid-burst included)
-    but never move a pulse edge.
+    Alternates work items and rests: each item pushes the app's
+    attribution context, raises its component to the wattage of the
+    current fidelity level for the item's duration, and drops both at
+    item end; the rest then spaces the next item.  Fidelity changes take
+    effect immediately (mid-item included) but never move an edge.
+
+    Subclasses supply the timing through two hooks: :meth:`_next_item`
+    returns ``(duration, context label)`` for the item about to begin,
+    and :meth:`_rest` the delay from an item's end to the next begin.
 
     Implements the :class:`~repro.core.priority.PriorityLadder` protocol
     (``can_degrade``/``degrade``/...) and the snapshot protocol.
     """
 
     def __init__(self, sim, machine, name, component, levels, priority,
-                 period, duty, offset=0.0):
-        if not 0.0 < duty < 1.0:
-            raise ValueError(f"{name}: duty {duty} outside (0, 1)")
+                 offset=0.0):
         self.sim = sim
         self.machine = machine
         self.name = name
         self.component = component
         self.levels = [level for level, _watts in levels]
         self.priority = priority
-        self.period = period
-        self.duty = duty
         self.offset = offset
         self.level_index = 0
         self._started = False
         self._active = False
         self._token = None
         self._entry = None
-
-    @property
-    def burst(self):
-        return self.duty * self.period
 
     # ------------------------------------------------------------------
     # priority-ladder protocol
@@ -129,7 +131,7 @@ class PulsedApp:
         return 1.0 - self.level_index / (len(self.levels) - 1)
 
     # ------------------------------------------------------------------
-    # pulse state machine
+    # item state machine
     # ------------------------------------------------------------------
     def start(self):
         if self._started:
@@ -138,24 +140,25 @@ class PulsedApp:
         self._entry = self.sim.schedule(self.offset, self._begin)
 
     def _begin(self, _time):
+        duration, label = self._next_item()
         self._active = True
-        self._token = self.machine.push_context(self.name, "pulse")
+        self._token = self.machine.push_context(self.name, label)
         self.component.set_state(self.fidelity_level)
-        self._entry = self.sim.schedule(self.burst, self._end)
+        self._entry = self.sim.schedule(duration, self._end)
 
     def _end(self, _time):
         self.component.set_state("idle")
         self.machine.pop_context(self._token)
         self._token = None
         self._active = False
-        self._entry = self.sim.schedule(self.period - self.burst, self._begin)
+        self._entry = self.sim.schedule(self._rest(), self._begin)
 
     # ------------------------------------------------------------------
     # snapshot protocol (repro.snapshot)
     # ------------------------------------------------------------------
     def __snapshot__(self, ctx):
-        # One pending transition at most: the burst end while active,
-        # the next burst start while idle.
+        # One pending transition at most: the item end while active,
+        # the next item begin while resting.
         ctx.claim(self._entry, "end" if self._active else "begin")
         return {
             "started": self._started,
@@ -167,7 +170,7 @@ class PulsedApp:
 
     def __restore__(self, state, ctx):
         # The component's power state is restored by the machine (the
-        # component is attached); only the pulse bookkeeping lives here.
+        # component is attached); only the item bookkeeping lives here.
         self._started = bool(state["started"])
         self._active = bool(state["active"])
         self.level_index = int(state["level_index"])
@@ -176,6 +179,30 @@ class PulsedApp:
         for when, seq, kind in ctx.events():
             callback = {"begin": self._begin, "end": self._end}[kind]
             self._entry = ctx.push(when, seq, callback)
+
+
+class PulsedApp(TimedApp):
+    """A :class:`TimedApp` whose items are periodic pulses: one burst of
+    ``duty * period`` seconds, labelled ``"pulse"``, every ``period``."""
+
+    def __init__(self, sim, machine, name, component, levels, priority,
+                 period, duty, offset=0.0):
+        if not 0.0 < duty < 1.0:
+            raise ValueError(f"{name}: duty {duty} outside (0, 1)")
+        super().__init__(sim, machine, name, component, levels, priority,
+                         offset)
+        self.period = period
+        self.duty = duty
+
+    @property
+    def burst(self):
+        return self.duty * self.period
+
+    def _next_item(self):
+        return self.burst, "pulse"
+
+    def _rest(self):
+        return self.period - self.burst
 
 
 class PulseScenario:
@@ -364,24 +391,20 @@ def build_pulse_scenario(goal_seconds=DEFAULT_GOAL_SECONDS,
 
         drift_spec = parse_drift(drift)
         params["drift"] = list(drift_spec)
-    metrics = metrics if metrics is not None else MetricsRegistry()
-    sim = Simulator(tracer=tracer)
     battery_scale = profile.battery_scale if profile is not None else 1.0
-    battery = Battery(initial_energy * battery_scale)
-    machine = Machine(sim, battery, metrics=metrics, profile=profile)
+    sim, battery, machine = _assemble(initial_energy * battery_scale,
+                                      tracer, metrics, profile)
 
     # Nominal (believed) tables, held apart from the attached
     # components: Machine.attach rescales the component's own states
     # under a device profile, and the calibrator must regress against
     # what the controller *believes*, not against reality.
-    platform_table = {"on": PLATFORM_WATTS}
     codec_levels = [("full", 4.2), ("reduced", 3.0), ("half", 2.1),
                     ("min", 1.3)]
     radio_levels = [("fast", 2.6), ("slow", 1.7), ("trickle", 1.0)]
     codec_table = dict({"idle": 0.35}, **dict(codec_levels))
     radio_table = dict({"idle": 0.18}, **dict(radio_levels))
 
-    machine.attach(PowerComponent("platform", platform_table, "on"))
     codec = machine.attach(PowerComponent("codec", codec_table, "idle"))
     radio = machine.attach(PowerComponent("radio", radio_table, "idle"))
     viewer = PulsedApp(sim, machine, "viewer", codec, codec_levels,
@@ -405,9 +428,9 @@ def build_pulse_scenario(goal_seconds=DEFAULT_GOAL_SECONDS,
         )
         calibrator = OnlineCalibrator(
             machine, gauge,
-            nominal={"platform": platform_table, "codec": codec_table,
-                     "radio": radio_table},
-            tracer=tracer, metrics=metrics,
+            nominal={"platform": {"on": PLATFORM_WATTS},
+                     "codec": codec_table, "radio": radio_table},
+            tracer=tracer, metrics=machine.metrics,
         )
         monitor = CalibratedPowerFeed(calibrator)
     else:
@@ -417,7 +440,7 @@ def build_pulse_scenario(goal_seconds=DEFAULT_GOAL_SECONDS,
 
         schedule_drift(sim, machine, drift_spec[0], drift_spec[1],
                        tracer=tracer)
-    viceroy = Viceroy(sim, machine=machine, metrics=metrics)
+    viceroy = Viceroy(sim, machine=machine, metrics=machine.metrics)
     viceroy.register_application(viewer)
     viceroy.register_application(sync)
     if lookahead and beam_width:
@@ -452,21 +475,47 @@ def build_pulse_scenario(goal_seconds=DEFAULT_GOAL_SECONDS,
             **hysteresis,
         )
 
+    return _register(sim, BUILDER_PATH, params, machine, battery, monitor,
+                     viceroy, controller, [viewer, sync], gauge=gauge,
+                     calibrator=calibrator)
+
+
+def _assemble(capacity, tracer, metrics, profile=None):
+    """Simulator, battery and machine, with the platform draw attached.
+
+    Without ``metrics`` the machine gets a fresh registry; the builders
+    hand ``machine.metrics`` on to the viceroy (and calibrator).
+    """
+    sim = Simulator(tracer=tracer)
+    battery = Battery(capacity)
+    machine = Machine(
+        sim, battery, profile=profile,
+        metrics=metrics if metrics is not None else MetricsRegistry(),
+    )
+    machine.attach(PowerComponent("platform", {"on": PLATFORM_WATTS}, "on"))
+    return sim, battery, machine
+
+
+def _register(sim, builder_path, params, machine, battery, monitor, viceroy,
+              controller, apps, gauge=None, calibrator=None):
+    """Register every snapshottable, stamp the builder, wrap the stack.
+
+    The registration order fixes the order of a payload's ``events``
+    and of restores, so it never changes.  The gauge/calibrator feed is
+    not snapshot-capable (and a learned model excludes lookahead); the
+    ground-truth monitor keeps its slot on every other build.
+    """
     sim.register_snapshottable("machine", machine)
     sim.register_snapshottable("battery", battery)
-    if not learned_model:
-        # The gauge/calibrator feed is not snapshot-capable (and
-        # learned_model excludes lookahead); the ground-truth monitor
-        # keeps its snapshot slot on every other build.
+    if calibrator is None:
         sim.register_snapshottable("monitor", monitor)
     sim.register_snapshottable("viceroy", viceroy)
     sim.register_snapshottable("controller", controller)
-    sim.register_snapshottable("app.viewer", viewer)
-    sim.register_snapshottable("app.sync", sync)
-    sim.snapshot_builder = (BUILDER_PATH, params)
-    return PulseScenario(sim, machine, battery, monitor, viceroy,
-                         controller, [viewer, sync], params,
-                         gauge=gauge, calibrator=calibrator)
+    for app in apps:
+        sim.register_snapshottable(f"app.{app.name}", app)
+    sim.snapshot_builder = (builder_path, params)
+    return PulseScenario(sim, machine, battery, monitor, viceroy, controller,
+                         apps, params, gauge=gauge, calibrator=calibrator)
 
 
 def run_pulse_goal(**params):

@@ -1,18 +1,16 @@
-"""Snapshot-capable Section 5 workloads: item-driven state machines.
+"""Snapshot-capable Section 5 workloads: the item rig.
 
-:mod:`repro.snapshot.scenario` made the goal stack checkpointable with
-a synthetic pulsed workload; the paper's actual Section 5 objects
-(video clips, utterances, maps, web images) still ran as generator
-coroutines, which no snapshot can cross.  This module closes that
-coverage gap: :class:`ItemWorkloadApp` walks a workload's item cycle as
-a timer-driven state machine — work one item (component at the current
-fidelity wattage, machine context attributing the joules to the item),
-think, repeat — with its position held in an explicit
-:class:`~repro.workloads.cursor.WorkloadCursor` and its think-time
-model carrying the ``__cursor__``/``__seek__`` protocol.  Both cursors
-ride inside ``__snapshot__`` state, so a mid-phase capture forks to a
-byte-identical continuation, and the emitted ``phase.begin`` instants
-segment energy signatures per item.
+The paper's Section 5 objects (video clips, utterances, maps, web
+images) run in :mod:`repro.apps` as generator coroutines, which no
+snapshot can cross.  Here :class:`ItemWorkloadApp` walks a workload's
+item cycle as a :class:`~repro.snapshot.scenario.TimedApp` — work one
+item (the machine context attributing the joules to the item), think,
+repeat — on the stack the pulse rig's builder assembles.  Its position
+is an explicit :class:`~repro.workloads.cursor.WorkloadCursor` and its
+think-time model carries the ``__cursor__``/``__seek__`` protocol.
+Both cursors ride inside ``__snapshot__`` state, so a mid-phase
+capture forks to a byte-identical continuation, and the emitted
+``phase.begin`` instants segment energy signatures per item.
 
 Item durations and wattages are derived from the real workload
 descriptors (clip lengths, recognition real-time factors, per-fidelity
@@ -24,13 +22,9 @@ from __future__ import annotations
 
 from repro.core.goal import GoalDirectedController
 from repro.core.viceroy import Viceroy
-from repro.hardware.battery import Battery
 from repro.hardware.component import PowerComponent
-from repro.hardware.machine import Machine
-from repro.obs.metrics import MetricsRegistry
 from repro.powerscope.online import OnlinePowerMonitor
-from repro.sim import Simulator
-from repro.snapshot.scenario import PLATFORM_WATTS, PulseScenario
+from repro.snapshot.scenario import TimedApp, _assemble, _register
 from repro.workloads.cursor import WorkloadCursor
 from repro.workloads.images import IMAGES, JPEG_QUALITIES, QUALITY_FACTOR
 from repro.workloads.maps import MAPS
@@ -43,7 +37,6 @@ __all__ = [
     "WORKLOAD_BUILDER_PATH",
     "WORKLOAD_SCENARIOS",
     "build_workload_scenario",
-    "run_workload_goal",
     "workload_spec",
 ]
 
@@ -108,128 +101,44 @@ def workload_spec(workload):
                    f"(expected one of {WORKLOAD_SCENARIOS})")
 
 
-class ItemWorkloadApp:
-    """One Section 5 workload as a snapshot-capable state machine.
+class ItemWorkloadApp(TimedApp):
+    """One Section 5 workload as a snapshot-capable :class:`TimedApp`.
 
-    Alternates work items and think time: each item raises the app's
-    component to the wattage of the current fidelity level for the
-    item's duration under a per-item machine context, then the think
-    model (itself cursor-resumable) spaces the next item.  Implements
-    the priority-ladder protocol, the snapshot protocol, and — through
-    its :class:`WorkloadCursor` — the resumable-cursor protocol.
+    Each item runs under its own machine context for the item's
+    duration; the think model (itself cursor-resumable) spaces the next
+    item.  Through its :class:`WorkloadCursor` it also implements the
+    resumable-cursor protocol: both cursors ride in the snapshot state
+    after the five :class:`TimedApp` keys.
     """
 
     def __init__(self, sim, machine, name, component, levels, priority,
                  items, think, offset=0.0):
-        self.sim = sim
-        self.machine = machine
-        self.name = name
-        self.component = component
-        self.levels = [level for level, _watts in levels]
-        self.priority = priority
+        super().__init__(sim, machine, name, component, levels, priority,
+                         offset)
         self.item_names = [item for item, _duration in items]
         self.durations = [duration for _item, duration in items]
         self.think = think
-        self.offset = offset
         self.cursor = WorkloadCursor(name, sim=sim, items=self.item_names)
-        self.level_index = 0
-        self._started = False
-        self._active = False
-        self._token = None
-        self._entry = None
 
-    # ------------------------------------------------------------------
-    # priority-ladder protocol
-    # ------------------------------------------------------------------
-    def can_degrade(self):
-        return self.level_index < len(self.levels) - 1
-
-    def can_upgrade(self):
-        return self.level_index > 0
-
-    def degrade(self):
-        if not self.can_degrade():
-            raise ValueError(f"{self.name} already at lowest fidelity")
-        self.level_index += 1
-        self._apply_level()
-        return self.fidelity_level
-
-    def upgrade(self):
-        if not self.can_upgrade():
-            raise ValueError(f"{self.name} already at highest fidelity")
-        self.level_index -= 1
-        self._apply_level()
-        return self.fidelity_level
-
-    def _apply_level(self):
-        if self._active:
-            self.component.set_state(self.fidelity_level)
-
-    @property
-    def fidelity_level(self):
-        return self.levels[self.level_index]
-
-    @property
-    def fidelity_normalized(self):
-        if len(self.levels) == 1:
-            return 1.0
-        return 1.0 - self.level_index / (len(self.levels) - 1)
-
-    # ------------------------------------------------------------------
-    # item state machine
-    # ------------------------------------------------------------------
-    def start(self):
-        if self._started:
-            return
-        self._started = True
-        self._entry = self.sim.schedule(self.offset, self._begin)
-
-    def _begin(self, _time):
+    def _next_item(self):
+        # The duration is read before ``begin()`` advances the cursor.
         duration = self.durations[self.cursor.position % len(self.durations)]
-        item = self.cursor.begin()
-        self._active = True
-        self._token = self.machine.push_context(self.name, item)
-        self.component.set_state(self.fidelity_level)
-        self._entry = self.sim.schedule(duration, self._end)
+        return duration, self.cursor.begin()
 
-    def _end(self, _time):
-        self.component.set_state("idle")
-        self.machine.pop_context(self._token)
-        self._token = None
-        self._active = False
+    def _rest(self):
         self.cursor.end()
-        self._entry = self.sim.schedule(self.think.next(), self._begin)
+        return self.think.next()
 
-    # ------------------------------------------------------------------
-    # snapshot protocol (repro.snapshot)
-    # ------------------------------------------------------------------
     def __snapshot__(self, ctx):
-        # One pending transition at most: the item end while active,
-        # the next item start while thinking.
-        ctx.claim(self._entry, "end" if self._active else "begin")
-        return {
-            "started": self._started,
-            "active": self._active,
-            "level_index": self.level_index,
-            "token": self._token,
-            "priority": self.priority,
-            "cursor": self.cursor.__cursor__(),
-            "think": self.think.__cursor__(),
-        }
+        state = super().__snapshot__(ctx)
+        state["cursor"] = self.cursor.__cursor__()
+        state["think"] = self.think.__cursor__()
+        return state
 
     def __restore__(self, state, ctx):
-        # The component's power state is restored by the machine; the
-        # cursors carry the workload position and the think-model RNG.
-        self._started = bool(state["started"])
-        self._active = bool(state["active"])
-        self.level_index = int(state["level_index"])
-        self._token = state["token"]
-        self.priority = state["priority"]
+        super().__restore__(state, ctx)
         self.cursor.__seek__(state["cursor"])
         self.think.__seek__(state["think"])
-        for when, seq, kind in ctx.events():
-            callback = {"begin": self._begin, "end": self._end}[kind]
-            self._entry = ctx.push(when, seq, callback)
 
 
 def build_workload_scenario(workload="videos",
@@ -242,10 +151,11 @@ def build_workload_scenario(workload="videos",
                             tracer=None, metrics=None):
     """Build one Section 5 workload on the goal stack, never started.
 
-    Mirrors :func:`repro.snapshot.scenario.build_pulse_scenario`:
-    every stateful object registers under a stable key, the simulator
-    carries the builder reference, and ``tracer``/``metrics`` stay out
-    of the recorded params (runtime environment, not identity).
+    Assembled and registered by the same helpers as
+    :func:`repro.snapshot.scenario.build_pulse_scenario`: every stateful
+    object registers under a stable key, the simulator carries the
+    builder reference, and ``tracer``/``metrics`` stay out of the
+    recorded params (runtime environment, not identity).
     ``think_jitter`` > 0 selects the seeded random think-time model —
     the RNG position rides in the snapshot as a cursor.
     """
@@ -262,12 +172,7 @@ def build_workload_scenario(workload="videos",
         "think_seed": think_seed,
     }
     spec = workload_spec(workload)
-    metrics = metrics if metrics is not None else MetricsRegistry()
-    sim = Simulator(tracer=tracer)
-    battery = Battery(initial_energy)
-    machine = Machine(sim, battery, metrics=metrics)
-    machine.attach(PowerComponent("platform", {"on": PLATFORM_WATTS}, "on"))
-
+    sim, battery, machine = _assemble(initial_energy, tracer, metrics)
     component = machine.attach(PowerComponent(
         spec["component"],
         dict({"idle": spec["idle_w"]}, **dict(spec["levels"])),
@@ -284,7 +189,7 @@ def build_workload_scenario(workload="videos",
     )
 
     monitor = OnlinePowerMonitor(machine, period=sample_period)
-    viceroy = Viceroy(sim, machine=machine, metrics=metrics)
+    viceroy = Viceroy(sim, machine=machine, metrics=machine.metrics)
     viceroy.register_application(app)
     controller = GoalDirectedController(
         viceroy, monitor, initial_energy, goal_seconds,
@@ -292,21 +197,5 @@ def build_workload_scenario(workload="videos",
         decision_period=decision_period,
         upgrade_min_interval=upgrade_min_interval,
     )
-
-    sim.register_snapshottable("machine", machine)
-    sim.register_snapshottable("battery", battery)
-    sim.register_snapshottable("monitor", monitor)
-    sim.register_snapshottable("viceroy", viceroy)
-    sim.register_snapshottable("controller", controller)
-    sim.register_snapshottable(f"app.{workload}", app)
-    sim.snapshot_builder = (WORKLOAD_BUILDER_PATH, params)
-    return PulseScenario(sim, machine, battery, monitor, viceroy,
-                         controller, [app], params)
-
-
-def run_workload_goal(**params):
-    """Build, start, run to the goal, and return the summary dict."""
-    scenario = build_workload_scenario(**params)
-    scenario.start()
-    scenario.run()
-    return scenario.summary()
+    return _register(sim, WORKLOAD_BUILDER_PATH, params, machine, battery,
+                     monitor, viceroy, controller, [app])
