@@ -188,6 +188,9 @@ def _cmd_trace(args):
     )
     from repro.obs.metrics import current_metrics
 
+    if args.device_id is not None and args.device_file is None:
+        print("error: --device-id needs --device-file", file=sys.stderr)
+        return 2
     prefix = args.out
     out_dir = os.path.dirname(prefix)
     if out_dir:
@@ -199,12 +202,11 @@ def _cmd_trace(args):
         sink=sink,
     )
     with installed(tracer):
-        beam = getattr(args, "beam", None)
-        learned = getattr(args, "learned_model", False)
-        drift = getattr(args, "drift", None)
-        if args.experiment == "goal" and (args.pulse or args.lookahead
-                                          or beam or learned or drift):
-            from repro.snapshot.scenario import run_pulse_goal
+        beam = args.beam
+        if args.experiment == "goal" and (
+                args.pulse or args.lookahead or beam or args.learned_model
+                or args.drift is not None or args.device_file is not None):
+            from repro.snapshot.scenario import build_pulse_scenario
 
             pulse_kwargs = {"lookahead": args.lookahead or bool(beam),
                             "horizon": args.horizon}
@@ -215,25 +217,30 @@ def _cmd_trace(args):
                 pulse_kwargs["goal_seconds"] = args.goal
             if args.energy is not None:
                 pulse_kwargs["initial_energy"] = args.energy
-            if learned:
+            if args.no_hysteresis:
+                pulse_kwargs["variable_fraction"] = 0.0
+                pulse_kwargs["constant_fraction"] = 0.0
+            if args.learned_model:
                 pulse_kwargs["learned_model"] = True
-            if drift is not None:
-                pulse_kwargs["drift"] = drift
-            if args.device_file is not None:
-                from repro.devices import load_fleet
+            if args.drift is not None:
+                pulse_kwargs["drift"] = args.drift
+            try:
+                if args.device_file is not None:
+                    from repro.devices import load_fleet
 
-                fleet = load_fleet(args.device_file)
-                if args.device_id is not None:
-                    matches = [d for d in fleet
-                               if d.device_id == args.device_id]
+                    matches = [d for d in load_fleet(args.device_file)
+                               if args.device_id in (None, d.device_id)]
                     if not matches:
-                        print(f"error: no device {args.device_id!r} in "
-                              f"{args.device_file}", file=sys.stderr)
-                        return 2
+                        raise ValueError(f"no device {args.device_id!r} in "
+                                         f"{args.device_file}")
                     pulse_kwargs["device"] = matches[0]
-                else:
-                    pulse_kwargs["device"] = fleet[0]
-            summary = run_pulse_goal(**pulse_kwargs)
+                scenario = build_pulse_scenario(**pulse_kwargs)
+            except (OSError, ValueError) as exc:
+                if sink is not None:
+                    sink.close()
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            summary = scenario.start().run().summary()
             print(f"pulse goal: {'MET' if summary['goal_met'] else 'MISSED'} "
                   f"(residual {summary['battery_residual_j']:.0f} J)")
             calibration = summary.get("calibration")
@@ -558,10 +565,12 @@ def build_parser():
                    help="scale real component wattages by FACTOR at "
                         "sim time AT (e.g. 60:1.25; implies --pulse)")
     p.add_argument("--device-file", default=None, metavar="PATH",
-                   help="run on the first device of this fleet file "
-                        "(or DEVICE_ID with --device-id)")
+                   help="run the pulse scenario on the first device of "
+                        "this fleet file, or on DEVICE_ID with "
+                        "--device-id (implies --pulse; goal only)")
     p.add_argument("--device-id", default=None, metavar="ID",
-                   help="pick a device from --device-file by id")
+                   help="pick a device from --device-file by id "
+                        "(needs --device-file)")
     p.add_argument("--stream", action="store_true",
                    help="stream events to PREFIX.jsonl as they are "
                         "emitted (safe to combine with --ring: the "

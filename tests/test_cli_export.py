@@ -128,6 +128,53 @@ class TestCli:
         assert len(errors) == 1
         assert f"must be {message} and finite" in errors[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["--drift", "garbage"],
+        ["--drift", "10:-1"],
+        ["--learned-model", "--lookahead"],
+        ["--drift", "10:1.2", "--lookahead"],
+        ["--beam", "2", "--learned-model"],
+        ["--pulse", "--device-file", "{tmp}/missing.json"],
+        ["--device-id", "dev00"],
+    ])
+    def test_bad_trace_goal_input_exits_2_with_one_error(self, argv,
+                                                         tmp_path, capsys):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code = main(["trace", "goal", *argv,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @staticmethod
+    def _trace_goal(tmp_path, name, *argv):
+        prefix = tmp_path / name
+        assert main(["trace", "goal", "--goal", "60", "--energy", "600",
+                     *argv, "--out", str(prefix)]) == 0
+        return (tmp_path / (name + ".trace.json")).read_bytes()
+
+    def test_no_hysteresis_reaches_the_pulse_rig(self, tmp_path, capsys):
+        on = self._trace_goal(tmp_path, "on", "--pulse")
+        off = self._trace_goal(tmp_path, "off", "--pulse", "--no-hysteresis")
+        assert "pulse goal:" in capsys.readouterr().out
+        assert off != on
+
+    def test_device_file_implies_pulse(self, tmp_path, capsys):
+        from repro.devices.profile import generate_fleet, write_fleet
+
+        fleet = tmp_path / "fleet.json"
+        write_fleet(generate_fleet(2, 7), fleet)
+        implied = self._trace_goal(tmp_path, "implied", "--device-file",
+                                   str(fleet), "--device-id", "dev01")
+        out = capsys.readouterr().out
+        assert out.startswith("pulse goal:")
+        explicit = self._trace_goal(tmp_path, "explicit", "--pulse",
+                                    "--device-file", str(fleet),
+                                    "--device-id", "dev01")
+        nominal = self._trace_goal(tmp_path, "nominal", "--pulse")
+        assert implied == explicit != nominal
+
     def test_goal_csv_to_missing_directory_exits_2(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.csv"
         code = main(["goal", "--goal", "20", "--energy", "3000",
