@@ -79,9 +79,11 @@ class AdaptiveApplication:
         self.on_fidelity_change(result)
         return result
 
+    @property
     def fidelity_level(self):
         return self.ladder.current
 
+    @property
     def fidelity_normalized(self):
         return self.ladder.normalized()
 

@@ -153,8 +153,6 @@ class Viceroy:
     def _record_fidelity(self, app, decision_id=None):
         level = getattr(app, "fidelity_level", None)
         normalized = getattr(app, "fidelity_normalized", None)
-        level = level() if callable(level) else level
-        normalized = normalized() if callable(normalized) else normalized
         if self._trace is not None:
             args = {
                 "application": app.name,

@@ -50,9 +50,11 @@ class StubApp:
         self._apply()
         return level
 
+    @property
     def fidelity_level(self):
         return self.ladder.current
 
+    @property
     def fidelity_normalized(self):
         return self.ladder.normalized()
 
