@@ -70,9 +70,9 @@ class TimedApp:
     item end; the rest then spaces the next item.  Fidelity changes take
     effect immediately (mid-item included) but never move an edge.
 
-    Subclasses supply the timing through two hooks: :meth:`_next_item`
+    Subclasses supply the timing through two hooks: ``_next_item()``
     returns ``(duration, context label)`` for the item about to begin,
-    and :meth:`_rest` the delay from an item's end to the next begin.
+    and ``_rest()`` the delay from an item's end to the next begin.
 
     Implements the :class:`~repro.core.priority.PriorityLadder` protocol
     (``can_degrade``/``degrade``/...) and the snapshot protocol.
