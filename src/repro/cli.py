@@ -188,6 +188,18 @@ def _cmd_trace(args):
     )
     from repro.obs.metrics import current_metrics
 
+    if args.experiment != "goal":
+        given = [flag for flag, value in (
+            ("--pulse", args.pulse), ("--lookahead", args.lookahead),
+            ("--beam", args.beam), ("--learned-model", args.learned_model),
+            ("--drift", args.drift), ("--device-file", args.device_file),
+            ("--device-id", args.device_id),
+            ("--no-hysteresis", args.no_hysteresis),
+        ) if value not in (None, False)]
+        if given:
+            print(f"error: trace {args.experiment} does not take "
+                  f"{', '.join(given)} (trace goal only)", file=sys.stderr)
+            return 2
     if args.device_id is not None and args.device_file is None:
         print("error: --device-id needs --device-file", file=sys.stderr)
         return 2

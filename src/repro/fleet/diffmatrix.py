@@ -347,7 +347,9 @@ def policy_matrix_campaign(candidates, baseline=None, scenario=None,
     params).  ``baseline`` is the common comparison policy (params dict
     or spec string); ``scenario`` sizes the shared run (e.g.
     ``goal_seconds``/``initial_energy``).  Duplicate labels raise, as
-    any duplicate task id does.
+    any duplicate task id does, and so does a row whose params (over
+    ``scenario``) name a controller the pulse stack cannot build: the
+    :class:`ValueError` names the policy, and no row runs.
 
     With ``devices`` (profiles or their dicts), the rows repeat per
     device under ids ``row/{device_id}/{label}``: device-major in the
@@ -365,6 +367,13 @@ def policy_matrix_campaign(candidates, baseline=None, scenario=None,
                          f"{', '.join(sorted(unknown))}")
     rows = [(BASELINE_LABEL, dict(baseline))]
     rows.extend(_normalize_candidates(candidates))
+    from repro.snapshot.scenario import check_controller
+
+    for label, params in rows:
+        try:
+            check_controller(**dict(scenario, **params))
+        except ValueError as exc:
+            raise ValueError(f"policy {label!r}: {exc}") from None
 
     def make_task(device, label, params):
         task_params = {

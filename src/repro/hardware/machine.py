@@ -482,7 +482,7 @@ class Machine:
         if trace is not None:
             if journal:
                 self._trace_segment(journal[-1])
-            trace.counter(t0, "power", "watts", power, track="watts")
+            trace.watts(t0, power)
         self._sid += 1
         journal.append(PowerSegment(
             t0, now, power, self._context, self._overlays_snapshot,
@@ -603,7 +603,7 @@ class Machine:
     # tracing (repro.obs)
     # ------------------------------------------------------------------
     def _trace_segment(self, segment):
-        """Emit one ``power/span`` complete-event per journal segment.
+        """Record one ``power/span`` complete-event per journal segment.
 
         Idempotent via the monotonic sid guard: a segment may reach
         here when its successor is appended, when the fold compacts it
@@ -615,6 +615,10 @@ class Machine:
         span sharing the dict.  The split is keyed by its ``marshal``
         bytes, which are equal only for values of the same type and
         bits, so ``-0.0`` watts never share ``0.0``'s payload.
+
+        The span is recorded as a :class:`~repro.obs.tracer.SpanEvent`
+        of the segment's values, never the segment: the fold rewrites
+        the journal.
         """
         if segment.sid <= self._last_emitted_sid:
             return
@@ -633,22 +637,11 @@ class Machine:
                 components["(superlinear)"] = segment.correction
             if key is not None:
                 self._span_components[key] = components
-        args = {
-            "sid": segment.sid,
-            "watts": segment.power,
-            "joules": segment.power * dur,
-            "process": process,
-            "procedure": procedure,
-            "components": components,
-        }
-        # Stamped only on forks: trunk span payloads (and the goldens
-        # pinned to them) stay byte-identical to the pre-branch format.
-        if self.branch_id is not None:
-            args["branch"] = self.branch_id
-        self._trace.complete(
-            segment.t0, "power", "span", dur=dur, track="machine",
-            args=args,
-        )
+        # branch_id is None on the trunk, whose span payloads (and the
+        # goldens pinned to them) carry no "branch" key.
+        self._trace.span(segment.t0, dur, segment.sid, segment.power,
+                         segment.power * dur, process, procedure,
+                         components, self.branch_id)
 
     def power_span_id(self):
         """The journal span id covering the current instant.

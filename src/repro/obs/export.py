@@ -44,6 +44,18 @@ value is encoded once and its text reused:
   that is not a ``str`` or a value of another type keeps the plain
   encoder and its errors.  Emitted payloads are read-only, so a shared
   dict means the same text everywhere it appears.
+* the ``process`` and ``procedure`` labels of spans, by value.
+
+The three compact kinds of :mod:`repro.obs.tracer` (``DispatchEvent``,
+``WattsEvent``, ``SpanEvent``) build their ``args`` only when it is
+read, so the writers and :func:`power_spans` dispatch once on a record's
+type instead.  A record whose fields have their usual types renders from
+its kind's one constant line with the payload keys baked in, sorted for
+JSONL and in insertion order for Chrome: only its field values go
+through the memos, and its ``components`` dict is the machine's shared
+one.  A record holding any other value takes the generic path, so its
+bytes, and its errors, are those of the equal :class:`TraceEvent`.
+Every other event keeps the generic path.
 
 The memos live for one call.  :func:`jsonl_line`, which the streaming
 :class:`~repro.obs.tracer.JsonlSink` calls per event, renders each
@@ -55,6 +67,9 @@ from __future__ import annotations
 import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
+
+from repro.obs.tracer import (COMPACT_KINDS, DispatchEvent, SpanEvent,
+                              WattsEvent)
 
 __all__ = [
     "jsonl_line",
@@ -115,18 +130,56 @@ def _quoted(text):
     return encode_basestring_ascii(text).replace("%", "%%")
 
 
+def _payload_template(keys):
+    """The JSON object of a payload holding ``keys``, in that order, with
+    each value left as a ``%s`` field."""
+    return "{" + ", ".join(_quoted(key) + ": %s" for key in keys) + "}"
+
+
+class _Reprs(dict):
+    """Per-call float memo: ``memo[x]`` is ``repr(x)`` for an exact,
+    finite float ``x``.  Zeros are never stored: ``0.0 == -0.0`` but they
+    print differently."""
+
+    __slots__ = ()
+
+    def __missing__(self, value):
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
+
+
+class _Quoted(dict):
+    """Per-call label memo: ``memo[text]`` is the JSON literal of the
+    exact ``str`` ``text``."""
+
+    __slots__ = ()
+
+    def __missing__(self, text):
+        quoted = self[text] = encode_basestring_ascii(text)
+        return quoted
+
+
+#: A span's payload keys in the order its ``args`` holds them; a
+#: branch's span adds ``branch`` last.
+_SPAN_KEYS = ("sid", "watts", "joules", "process", "procedure",
+              "components")
+
+
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
-def _line_template(cat, name, ph, track, has_args, has_dur):
-    """The sorted-key line for one event shape, with ``args`` and the
-    rendered ``dur`` and ``ts`` left as ``%s`` fields and ``wall`` as a
-    ``%r`` field, or ``None`` when a label is not exactly a ``str``."""
+def _line_template(cat, name, ph, track, has_args, has_dur, payload="%s"):
+    """The sorted-key line for one event shape, with ``args`` (the
+    ``payload`` template) and the rendered ``dur`` and ``ts`` left as
+    ``%s`` fields and ``wall`` as a ``%r`` field, or ``None`` when a
+    label is not exactly a ``str``."""
     labels = (cat, name, ph) if track is None else (cat, name, ph, track)
     if any(type(label) is not str for label in labels):
         return None
 
-    fields = ['"args": %s'] if has_args else []
+    fields = ['"args": ' + payload] if has_args else []
     fields.append('"cat": ' + _quoted(cat))
     if has_dur:
         fields.append('"dur": %s')
@@ -135,6 +188,22 @@ def _line_template(cat, name, ph, track, has_args, has_dur):
         fields.append('"track": ' + _quoted(track))
     fields += ['"ts": %s', '"wall": %r']
     return "{" + ", ".join(fields) + "}\n"
+
+
+def _compact_line(kind, keys, has_dur=False):
+    """The line template of a compact kind whose payload holds ``keys``:
+    their values in sorted key order, then ``dur``, ``ts`` and ``wall``."""
+    return _line_template(kind.cat, kind.name, kind.ph, kind.track, True,
+                          has_dur, _payload_template(sorted(keys)))
+
+
+_DISPATCH_LINE = _compact_line(DispatchEvent, ("seq",))
+_WATTS_LINE = _compact_line(WattsEvent, ("value",))
+#: Sorted, a span's payload keys run components, joules, procedure,
+#: process, sid, watts; a branch's ``branch`` sorts first.
+_SPAN_LINE = _compact_line(SpanEvent, _SPAN_KEYS, has_dur=True)
+_BRANCH_SPAN_LINE = _compact_line(SpanEvent, _SPAN_KEYS + ("branch",),
+                                  has_dur=True)
 
 
 def _fallback_line(event):
@@ -187,12 +256,57 @@ def _payload_text(items, floats, payloads, keys, encoder):
 
 def _jsonl_lines(events):
     """:func:`jsonl_line` of every event, in order, rendering each
-    repeated float and shared nested payload once."""
-    floats = {}    # exact, finite, nonzero float -> repr
+    repeated float, label and shared nested payload once.  A compact
+    record whose fields all have their usual types renders from its
+    kind's line; any other event, or a record holding an odd value,
+    takes the generic path."""
+    floats = _Reprs()
+    labels = _Quoted()
     payloads = {}  # id(nested dict) -> (the dict, its JSON)
     keys = {}      # str payload key -> its JSON and ": "
     lines = []
     for event in events:
+        kind = type(event)
+        try:
+            if kind is SpanEvent:
+                ts, wall, dur, sid = event.ts, event.wall, event.dur, event.sid
+                watts, joules = event.watts, event.joules
+                process, procedure = event.process, event.procedure
+                components, branch = event.components, event.branch
+                # The sum is finite only if every term is.
+                if (type(ts) is type(wall) is type(dur) is type(watts)
+                        is type(joules) is float
+                        and _NINF < ts + wall + dur + watts + joules < _INF
+                        and type(sid) is int
+                        and type(process) is type(procedure) is str
+                        and type(components) is dict
+                        and (branch is None or type(branch) is int)):
+                    pinned = payloads.get(id(components))
+                    if pinned is None:
+                        pinned = payloads[id(components)] = (
+                            components,
+                            "".join(_ARGS_ENCODER(components, 0)))
+                    values = (pinned[1], floats[joules], labels[procedure],
+                              labels[process], sid, floats[watts],
+                              floats[dur], floats[ts], wall)
+                    lines.append(_SPAN_LINE % values if branch is None
+                                 else _BRANCH_SPAN_LINE % ((branch,) + values))
+                    continue
+            elif kind is DispatchEvent:
+                ts, wall, seq = event.ts, event.wall, event.seq
+                if (type(ts) is type(wall) is float and type(seq) is int
+                        and _NINF < ts + wall < _INF):
+                    lines.append(_DISPATCH_LINE % (seq, floats[ts], wall))
+                    continue
+            elif kind is WattsEvent:
+                ts, wall, value = event.ts, event.wall, event.value
+                if (type(ts) is type(wall) is type(value) is float
+                        and _NINF < ts + wall + value < _INF):
+                    lines.append(_WATTS_LINE % (floats[value], floats[ts],
+                                                wall))
+                    continue
+        except (TypeError, ValueError, RecursionError):
+            pass  # a components dict the encoder refuses: the generic path
         if isinstance(event, dict):
             lines.append(_fallback_line(event))
             continue
@@ -390,13 +504,13 @@ def chrome_trace(events):
             "displayTimeUnit": "ms"}
 
 
-def _chrome_shape(layout, cat, track, name, ph, has_args):
+def _chrome_shape(layout, cat, track, name, ph, has_args, payload="%s"):
     """``(bucket, template, is_complete)`` for one body-entry shape of
     ``str`` labels (``cat`` may be unset, ``track`` is any thread key),
     or ``None`` when ``ph`` is not a body phase.  The template is the entry's
     ``json.dumps`` text with the rendered ``ts``, then ``dur`` (``X``
-    only), then ``args`` left as ``%s`` fields; ``pid`` and ``tid`` are
-    baked in."""
+    only), then ``args`` (the ``payload`` template) left as ``%s``
+    fields; ``pid`` and ``tid`` are baked in."""
     if ph not in _BODY_PHASES:
         return None
     cat = cat or "trace"
@@ -409,8 +523,15 @@ def _chrome_shape(layout, cat, track, name, ph, has_args):
     if is_complete:
         template += ', "dur": %s'
     if has_args:
-        template += ', "args": %s'
+        template += ', "args": ' + payload
     return bucket, template + "}", is_complete
+
+
+def _compact_shape(layout, kind, keys):
+    """:func:`_chrome_shape` of a compact kind whose payload holds
+    ``keys``, their values in that (insertion) order."""
+    return _chrome_shape(layout, kind.cat, kind.track, kind.name, kind.ph,
+                         True, _payload_template(keys))
 
 
 def _render_chrome(events):
@@ -421,14 +542,81 @@ def _render_chrome(events):
     ``int``/``float`` scaling to finite values, ``dur >= 0``, and an
     ``args`` payload the encoder accepts.  The text is what
     ``json.dumps(chrome_trace(events)) + "\\n"`` writes.  Each repeated
-    float and shared nested payload is rendered once."""
+    float, label and shared nested payload is rendered once.  A compact
+    record whose fields all have their usual types renders from its
+    kind's template, compiled when the kind first appears; any other
+    event takes the per-shape path."""
     layout = _TraceLayout()
     shapes = {}  # (cat, track, name, ph, has args) -> _chrome_shape
-    floats = {}    # exact, finite, nonzero float -> repr
+    floats = _Reprs()
+    labels = _Quoted()
     payloads = {}  # id(nested dict) -> (the dict, its JSON)
     keys = {}      # str payload key -> its JSON and ": "
+    dispatch_shape = watts_shape = span_shape = branch_shape = None
     try:
         for event in events:
+            kind = type(event)
+            if kind is SpanEvent:
+                ts, dur, sid = event.ts, event.dur, event.sid
+                watts, joules = event.watts, event.joules
+                process, procedure = event.process, event.procedure
+                components, branch = event.components, event.branch
+                if (type(ts) is type(dur) is type(watts) is type(joules)
+                        is float
+                        and type(sid) is int
+                        and type(process) is type(procedure) is str
+                        and type(components) is dict
+                        and (branch is None or type(branch) is int)):
+                    scaled, length = ts * 1e6, (dur or 0.0) * 1e6
+                    # The sum is finite only if every term is.
+                    if (_NINF < scaled + watts + joules < _INF
+                            and 0.0 <= length < _INF):
+                        pinned = payloads.get(id(components))
+                        if pinned is None:
+                            pinned = payloads[id(components)] = (
+                                components,
+                                "".join(_CHROME_ARGS_ENCODER(components, 0)))
+                        values = (floats[scaled], floats[length], sid,
+                                  floats[watts], floats[joules],
+                                  labels[process], labels[procedure],
+                                  pinned[1])
+                        if branch is None:
+                            if span_shape is None:
+                                span_shape = _compact_shape(
+                                    layout, SpanEvent, _SPAN_KEYS)
+                            span_shape[0].append(
+                                (ts, span_shape[1] % values))
+                        else:
+                            if branch_shape is None:
+                                branch_shape = _compact_shape(
+                                    layout, SpanEvent,
+                                    _SPAN_KEYS + ("branch",))
+                            branch_shape[0].append(
+                                (ts, branch_shape[1] % (values + (branch,))))
+                        continue
+            elif kind is DispatchEvent:
+                ts, seq = event.ts, event.seq
+                if type(ts) is float and type(seq) is int:
+                    scaled = ts * 1e6
+                    if _NINF < scaled < _INF:
+                        if dispatch_shape is None:
+                            dispatch_shape = _compact_shape(
+                                layout, DispatchEvent, ("seq",))
+                        dispatch_shape[0].append(
+                            (ts, dispatch_shape[1] % (floats[scaled], seq)))
+                        continue
+            elif kind is WattsEvent:
+                ts, value = event.ts, event.value
+                if type(ts) is type(value) is float:
+                    scaled = ts * 1e6
+                    if _NINF < scaled + value < _INF:
+                        if watts_shape is None:
+                            watts_shape = _compact_shape(layout, WattsEvent,
+                                                         ("value",))
+                        watts_shape[0].append(
+                            (ts, watts_shape[1] % (floats[scaled],
+                                                   floats[value])))
+                        continue
             if isinstance(event, dict):
                 get = event.get
                 name, ph, ts = get("name"), get("ph"), get("ts")
@@ -645,10 +833,30 @@ def power_spans(events, branch=None):
     lookahead fork's machine are skipped, so a trace that interleaves
     branch journals with the trunk's still folds to trunk-only energy
     (and branch sids can never collide into the trunk index).  Pass a
-    branch id to index that branch's spans instead.
+    branch id to index that branch's spans instead.  A
+    :class:`~repro.obs.tracer.SpanEvent`'s fields are read directly,
+    without building its ``args``.
     """
     spans = {}
     for event in events:
+        kind = type(event)
+        if kind is SpanEvent:
+            sid = event.sid
+            if event.branch != branch or sid is None:
+                continue
+            dur = event.dur
+            spans[sid] = {
+                "t0": event.ts,
+                "dur": 0.0 if dur is None else dur,
+                "watts": event.watts,
+                "joules": event.joules,
+                "process": event.process,
+                "procedure": event.procedure,
+                "components": event.components,
+            }
+            continue
+        if kind is DispatchEvent or kind is WattsEvent:
+            continue
         if isinstance(event, dict):
             if event.get("cat") != "power" or event.get("name") != "span":
                 continue
@@ -689,6 +897,8 @@ def join_power(events):
     spans = power_spans(events)
     joined = []
     for event in events:
+        if type(event) in COMPACT_KINDS:
+            continue  # no compact payload carries a power_span
         is_dict = isinstance(event, dict)
         args = (event.get("args") if is_dict else event.args) or {}
         if "power_span" not in args:

@@ -26,6 +26,20 @@ Tracing is opt-in and must cost (almost) nothing when off:
 * ``python -m repro bench`` includes a ``tracer_overhead`` benchmark
   whose disabled-path time is regression-gated at 3 % in CI.
 
+Compact kinds
+-------------
+Three emit sites fire for nearly every event of a traced run: the
+engine's ``sim/dispatch`` instant, the machine's ``power/watts`` counter
+and its ``power/span`` complete-event.  Each is recorded as a compact
+typed record (:class:`DispatchEvent`, :class:`WattsEvent`,
+:class:`SpanEvent`) through :meth:`Tracer.dispatch`,
+:meth:`Tracer.watts` and :meth:`Tracer.span`.  A record stores only its
+atomic fields; ``cat``, ``name``, ``ph`` and ``track`` are constants of
+its kind, and its ``args`` dict is built each time it is read.  It reads
+like a :class:`TraceEvent` with the same eight attributes and the same
+``to_dict()``, so consumers need not tell the two apart; the exporters
+dispatch on the record's type to render it without building ``args``.
+
 Timestamps
 ----------
 Every event carries two stamps: ``ts`` — the *domain* time, simulated
@@ -43,6 +57,9 @@ from contextlib import contextmanager
 
 __all__ = [
     "TraceEvent",
+    "DispatchEvent",
+    "WattsEvent",
+    "SpanEvent",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
@@ -86,6 +103,10 @@ class TraceEvent:
         or a dict nested in it, between events (the machine shares each
         span's ``components``), and the exporters encode a shared
         nested dict once per call.
+
+    The three hottest kinds are recorded as :class:`DispatchEvent`,
+    :class:`WattsEvent` and :class:`SpanEvent` instead: the same eight
+    attributes and ``to_dict()``, with ``args`` built when it is read.
     """
 
     __slots__ = ("ts", "wall", "cat", "name", "ph", "track", "dur", "args")
@@ -121,6 +142,97 @@ class TraceEvent:
     def __repr__(self):
         return (f"<TraceEvent {self.ph} {self.cat}/{self.name} "
                 f"ts={self.ts:.6f} track={self.track}>")
+
+
+class _CompactEvent:
+    """Base of the compact kinds: :class:`TraceEvent`'s ``to_dict`` and
+    ``repr`` over the kind's constant labels and the record's fields."""
+
+    __slots__ = ()
+    dur = None
+    to_dict = TraceEvent.to_dict
+    __repr__ = TraceEvent.__repr__
+
+
+class DispatchEvent(_CompactEvent):
+    """The engine's ``sim/dispatch`` instant for heap entry ``seq``.
+
+    ``args`` is ``{"seq": seq}``, built each time it is read.
+    """
+
+    __slots__ = ("ts", "wall", "seq")
+    cat, name, ph, track = "sim", "dispatch", INSTANT, "engine"
+
+    def __init__(self, ts, wall, seq):
+        self.ts = ts
+        self.wall = wall
+        self.seq = seq
+
+    @property
+    def args(self):
+        return {"seq": self.seq}
+
+
+class WattsEvent(_CompactEvent):
+    """The machine's ``power/watts`` counter sample ``value``.
+
+    ``args`` is ``{"value": value}``, built each time it is read.
+    """
+
+    __slots__ = ("ts", "wall", "value")
+    cat, name, ph, track = "power", "watts", COUNTER, "watts"
+
+    def __init__(self, ts, wall, value):
+        self.ts = ts
+        self.wall = wall
+        self.value = value
+
+    @property
+    def args(self):
+        return {"value": self.value}
+
+
+class SpanEvent(_CompactEvent):
+    """The machine's ``power/span`` complete-event for one closed
+    journal segment.
+
+    It holds the segment's values, never the segment itself: the
+    machine's fold rewrites its journal.  ``args`` is built each time it
+    is read, in the order ``sid``, ``watts``, ``joules``, ``process``,
+    ``procedure``, ``components`` and, on a lookahead branch's machine
+    only, ``branch``.  ``components`` is the machine's one shared dict
+    for the segment's exact component split (read-only).
+    """
+
+    __slots__ = ("ts", "wall", "dur", "sid", "watts", "joules", "process",
+                 "procedure", "components", "branch")
+    cat, name, ph, track = "power", "span", COMPLETE, "machine"
+
+    def __init__(self, ts, wall, dur, sid, watts, joules, process,
+                 procedure, components, branch):
+        self.ts = ts
+        self.wall = wall
+        self.dur = dur
+        self.sid = sid
+        self.watts = watts
+        self.joules = joules
+        self.process = process
+        self.procedure = procedure
+        self.components = components
+        self.branch = branch
+
+    @property
+    def args(self):
+        args = {"sid": self.sid, "watts": self.watts, "joules": self.joules,
+                "process": self.process, "procedure": self.procedure,
+                "components": self.components}
+        if self.branch is not None:
+            args["branch"] = self.branch
+        return args
+
+
+#: The compact record types; see "Compact kinds" in the module docstring.
+COMPACT_KINDS = (DispatchEvent, WattsEvent, SpanEvent)
 
 
 class JsonlSink:
@@ -186,8 +298,9 @@ class Tracer:
     clock:
         Wall clock; injectable for tests.
 
-    Every emit method builds its :class:`TraceEvent` with ``wall``
-    stamped inline and hands it to one appender bound at construction:
+    Every emit method builds its :class:`TraceEvent` (or compact
+    record) with ``wall`` stamped inline and hands it to one appender
+    bound at construction:
     the event list's own ``append`` for an unbounded tracer with no
     sink, else :meth:`_emit`, which counts ring drops and forwards to
     the sink.  ``sink`` and ``capacity`` are therefore fixed once the
@@ -277,6 +390,30 @@ class Tracer:
         self._append(event)
         return event
 
+    def dispatch(self, ts, seq):
+        """Record the engine's dispatch of heap entry ``seq`` (a
+        ``sim/dispatch`` instant on the ``engine`` track)."""
+        event = DispatchEvent(ts, self._clock() - self.t0_wall, seq)
+        self._append(event)
+        return event
+
+    def watts(self, ts, value):
+        """Record a ``power/watts`` counter sample on the ``watts``
+        track."""
+        event = WattsEvent(ts, self._clock() - self.t0_wall, value)
+        self._append(event)
+        return event
+
+    def span(self, ts, dur, sid, watts, joules, process, procedure,
+             components, branch=None):
+        """Record a closed journal segment (a ``power/span``
+        complete-event on the ``machine`` track); see
+        :class:`SpanEvent`."""
+        event = SpanEvent(ts, self._clock() - self.t0_wall, dur, sid, watts,
+                          joules, process, procedure, components, branch)
+        self._append(event)
+        return event
+
     def replay(self, record, cat=None, name=None, track=None):
         """Re-emit a previously exported event dict (``to_dict`` shape).
 
@@ -356,6 +493,15 @@ class NullTracer:
         return None
 
     def complete(self, *args, **kwargs):
+        return None
+
+    def dispatch(self, *args, **kwargs):
+        return None
+
+    def watts(self, *args, **kwargs):
+        return None
+
+    def span(self, *args, **kwargs):
         return None
 
     def replay(self, *args, **kwargs):

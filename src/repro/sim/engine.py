@@ -214,8 +214,7 @@ class Simulator:
                 raise ProcessError("event heap corrupted: time ran backwards")
             self.now = when
             if trace is not None:
-                trace.instant(when, "sim", "dispatch", track="engine",
-                              args={"seq": seq})
+                trace.dispatch(when, seq)
             callback(when)
             return True
         return False

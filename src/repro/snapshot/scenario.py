@@ -46,6 +46,7 @@ __all__ = [
     "PulsedApp",
     "PulseScenario",
     "build_pulse_scenario",
+    "check_controller",
     "run_pulse_goal",
     "BUILDER_PATH",
     "DEFAULT_GOAL_SECONDS",
@@ -303,6 +304,28 @@ class PulseScenario:
         return record
 
 
+def check_controller(lookahead=False, beam_width=0, learned_model=False,
+                     drift=None, **_params):
+    """Raise :class:`ValueError` unless :func:`build_pulse_scenario` can
+    build the controller these params name.  Takes the builder's
+    keywords; any other param is ignored."""
+    if beam_width and not lookahead:
+        raise ValueError(
+            "beam_width needs lookahead: the beam planner is a lookahead "
+            "controller"
+        )
+    if learned_model and lookahead:
+        raise ValueError(
+            "learned_model does not combine with lookahead: the "
+            "gauge/calibrator stack is not snapshot-capable"
+        )
+    if drift is not None and lookahead:
+        raise ValueError(
+            "drift does not combine with lookahead: the scheduled "
+            "drift event is not snapshot-claimable"
+        )
+
+
 def build_pulse_scenario(goal_seconds=DEFAULT_GOAL_SECONDS,
                          initial_energy=DEFAULT_INITIAL_ENERGY_J,
                          decision_period=0.5, halflife_fraction=0.10,
@@ -321,7 +344,10 @@ def build_pulse_scenario(goal_seconds=DEFAULT_GOAL_SECONDS,
 
     ``beam_width`` >= 1 with ``lookahead`` selects the beam-search
     controller (see :class:`repro.snapshot.lookahead
-    .BeamLookaheadController`); 0 keeps the two-branch evaluator.
+    .BeamLookaheadController`); 0 keeps the two-branch evaluator.  A
+    beam without ``lookahead`` raises :class:`ValueError`, as do
+    ``learned_model`` or ``drift`` with ``lookahead`` (see
+    :func:`check_controller`).
 
     ``variable_fraction``/``constant_fraction`` override the trigger's
     hysteresis margins when given (``0.0``/``0.0`` disables hysteresis
@@ -373,20 +399,11 @@ def build_pulse_scenario(goal_seconds=DEFAULT_GOAL_SECONDS,
         profile = (device if isinstance(device, DeviceProfile)
                    else DeviceProfile.from_dict(device))
         params["device"] = profile.to_dict()
+    check_controller(lookahead, beam_width, learned_model, drift)
     if learned_model:
-        if lookahead or beam_width:
-            raise ValueError(
-                "learned_model does not combine with lookahead: the "
-                "gauge/calibrator stack is not snapshot-capable"
-            )
         params["learned_model"] = True
     drift_spec = None
     if drift is not None:
-        if lookahead or beam_width:
-            raise ValueError(
-                "drift does not combine with lookahead: the scheduled "
-                "drift event is not snapshot-claimable"
-            )
         from repro.devices.calibrate import parse_drift
 
         drift_spec = parse_drift(drift)
@@ -443,7 +460,7 @@ def build_pulse_scenario(goal_seconds=DEFAULT_GOAL_SECONDS,
     viceroy = Viceroy(sim, machine=machine, metrics=machine.metrics)
     viceroy.register_application(viewer)
     viceroy.register_application(sync)
-    if lookahead and beam_width:
+    if beam_width:
         from repro.snapshot.lookahead import BeamLookaheadController
 
         controller = BeamLookaheadController(

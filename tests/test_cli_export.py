@@ -147,6 +147,30 @@ class TestCli:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("experiment", ["bursty", "video"])
+    @pytest.mark.parametrize("argv", [
+        ["--pulse"],
+        ["--lookahead"],
+        ["--beam", "2"],
+        ["--learned-model"],
+        ["--drift", "10:1.2"],
+        ["--device-file", "{tmp}/missing.json"],
+        ["--device-id", "dev00"],
+        ["--no-hysteresis"],
+        ["--goal", "30", "--device-file", "{tmp}/missing.json",
+         "--no-hysteresis", "--lookahead"],
+    ])
+    def test_goal_only_flags_exit_2_on_other_experiments(
+            self, experiment, argv, tmp_path, capsys):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code = main(["trace", experiment, *argv,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not (tmp_path / "out.jsonl").exists()
+
     @staticmethod
     def _trace_goal(tmp_path, name, *argv):
         prefix = tmp_path / name

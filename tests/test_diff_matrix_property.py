@@ -162,3 +162,33 @@ def test_bad_value_names_its_key(text, message):
     with pytest.raises(ValueError) as excinfo:
         parse_policy_spec(text)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("candidate, scenario, label", [
+    ("beam_width=3", {}, "beam_width=3"),
+    ("beam_width=2,lookahead=off", {}, "beam_width=2,lookahead=off"),
+    ("lookahead=on", {"beam_width": 3}, "baseline"),
+])
+def test_beam_without_lookahead_fails_before_any_row(candidate, scenario,
+                                                     label):
+    """A row whose resolved params name a beam without lookahead is
+    refused when the campaign is built, naming the policy."""
+    with pytest.raises(ValueError) as excinfo:
+        policy_matrix_campaign([candidate], scenario=scenario)
+    assert str(excinfo.value).startswith(f"policy {label!r}: beam_width "
+                                         f"needs lookahead")
+
+
+def test_sweep_beam_without_lookahead_exits_2_with_one_line(tmp_path,
+                                                            capsys):
+    from repro.cli import main
+
+    out = tmp_path / "m.json"
+    code = main(["sweep", "--diff-against", "default", "--candidate",
+                 "beam_width=3", "--matrix-out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: policy 'beam_width=3': ")
+    assert captured.out == "" and not out.exists()

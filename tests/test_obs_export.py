@@ -648,6 +648,171 @@ class TestExportProperties:
 
 
 # ----------------------------------------------------------------------
+# compact kinds: records read and export exactly as their TraceEvents
+# ----------------------------------------------------------------------
+_NAN, _INF = float("nan"), float("inf")
+#: Field values of the compact records: the usual types, ``±0.0``, int
+#: stamps, and labels that are not ``str``.
+_COMPACT_VALUES = {
+    "ts": [0.0, -0.0, 0.5, 1.0, 2.25, 0, 3],
+    "wall": [0.0, 0, 0.30000000000000004, 1.5],
+    "dur": [0.0, -0.0, 0.75, 1.0, 2],
+    "watts": [0.0, -0.0, 4.5, 4.5, 3],
+    "joules": [0.0, -0.0, 1.25, 3.375],
+    "sid": [1, 2, 3],
+    "label": ["Idle", "_kernel_idle", "xanim", "100%", 'say "hi"',
+              "énergie", None, 7],
+    "branch": [None, None, 1, 2],
+    "seq": [1, 7, 12],
+}
+#: Odd values ``_compact_streams(odd=True)`` puts in about one field in
+#: five: non-finite stamps and watts, which the exporters must refuse
+#: or encode exactly as for a ``TraceEvent``, and bool ids.
+_COMPACT_ODD_VALUES = {
+    "ts": [1e303, _NAN, _INF],
+    "wall": [_NAN, -_INF],
+    "dur": [_NAN, _INF, -0.5],
+    "watts": [_NAN, -_INF],
+    "joules": [_NAN, _INF],
+    "sid": [None, True],
+    "seq": [True],
+}
+
+
+@st.composite
+def _compact_streams(draw, odd=False):
+    """``(records, twins)``: compact records of all three kinds, mixed
+    with plain events that reference their sids, and for each record a
+    :class:`TraceEvent` built from the same fields (plain events are
+    shared).  Spans share a few ``components`` dicts by reference."""
+    from repro.obs.tracer import (DispatchEvent, SpanEvent, TraceEvent,
+                                  WattsEvent)
+
+    def pick(field):
+        if (odd and field in _COMPACT_ODD_VALUES
+                and draw(st.integers(0, 4)) == 0):
+            return draw(st.sampled_from(_COMPACT_ODD_VALUES[field]))
+        return draw(st.sampled_from(_COMPACT_VALUES[field]))
+
+    splits = _component_splits() + [{}]
+    records, twins = [], []
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        kind = draw(st.sampled_from(["span", "span", "dispatch", "watts",
+                                     "ref"]))
+        if kind == "ref":
+            event = TraceEvent(pick("ts"), 0.0, "core", "decision.hold",
+                               "I", "controller", None,
+                               {"power_span": draw(st.integers(1, 4))})
+            records.append(event)
+            twins.append(event)
+            continue
+        if kind == "span":
+            record = SpanEvent(pick("ts"), pick("wall"), pick("dur"),
+                               pick("sid"), pick("watts"), pick("joules"),
+                               pick("label"), pick("label"),
+                               draw(st.sampled_from(splits)), pick("branch"))
+        elif kind == "dispatch":
+            record = DispatchEvent(pick("ts"), pick("wall"), pick("seq"))
+        else:
+            record = WattsEvent(pick("ts"), pick("wall"), pick("watts"))
+        records.append(record)
+        twins.append(TraceEvent(record.ts, record.wall, record.cat,
+                                record.name, record.ph, record.track,
+                                record.dur, record.args))
+    return records, twins
+
+
+def _written(write, events):
+    """What ``write(events, path)`` puts on disk, or the error it raises."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        path = os.path.join(out_dir, "out")
+        try:
+            write(events, path)
+        except ValueError as exc:
+            return ("error", str(exc))
+        with open(path, "rb") as handle:
+            return ("bytes", handle.read())
+
+
+class TestCompactKinds:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_compact_streams(), _compact_streams(odd=True)))
+    def test_records_equal_their_trace_events(self, streams):
+        from repro.obs.export import jsonl_line
+
+        records, twins = streams
+        fields = ("ts", "wall", "cat", "name", "ph", "track", "dur", "args")
+        for record, twin in zip(records, twins):
+            # Tuples compare items by identity first, so a NaN field
+            # equals itself.
+            assert (tuple(getattr(record, field) for field in fields)
+                    == tuple(getattr(twin, field) for field in fields))
+            assert record.to_dict() == twin.to_dict()
+            assert list(record.to_dict()) == list(twin.to_dict())
+            assert jsonl_line(record) == jsonl_line(twin)
+        for write in (write_events_jsonl, write_chrome_trace):
+            assert _written(write, records) == _written(write, twins)
+        for branch in (None, 1, 2):
+            assert (power_spans(records, branch=branch)
+                    == power_spans(twins, branch=branch))
+        assert join_power(records) == join_power(twins)
+
+    def test_spans_share_the_machine_components_dict(self):
+        from repro.obs.tracer import SpanEvent
+
+        split = {"cpu": 1.5}
+        record = SpanEvent(0.0, 0.0, 1.0, 1, 1.5, 1.5, "Idle", "idle",
+                           split, None)
+        assert record.args["components"] is split
+        assert "branch" not in record.args
+        assert power_spans([record])[1]["components"] is split
+
+    def test_ring_tracer_and_sink_see_every_record(self, tmp_path):
+        """A ring tracer keeps the last records and counts the drops,
+        and its sink streams every record, byte for byte what the
+        generic emit methods stream for the same events."""
+        from repro.obs import JsonlSink
+
+        split = {"cpu": -0.0, "disk": 0.25}
+
+        def emit(tracer, compact):
+            for k in range(12):
+                ts = k * 0.5
+                if compact:
+                    tracer.dispatch(ts, k)
+                    tracer.watts(ts, 4.5 - k)
+                    tracer.span(ts, 0.5, k + 1, 4.5 - k, (4.5 - k) * 0.5,
+                                "Idle", "_kernel_idle", split,
+                                None if k % 3 else 2)
+                    continue
+                tracer.instant(ts, "sim", "dispatch", track="engine",
+                               args={"seq": k})
+                tracer.counter(ts, "power", "watts", 4.5 - k, track="watts")
+                args = {"sid": k + 1, "watts": 4.5 - k,
+                        "joules": (4.5 - k) * 0.5, "process": "Idle",
+                        "procedure": "_kernel_idle", "components": split}
+                if not k % 3:
+                    args["branch"] = 2
+                tracer.complete(ts, "power", "span", 0.5, track="machine",
+                                args=args)
+
+        streamed = {}
+        for compact in (True, False):
+            path = tmp_path / f"{compact}.jsonl"
+            with JsonlSink(path) as sink:
+                tracer = Tracer(capacity=10, sink=sink,
+                                clock=lambda: 0.25)
+                emit(tracer, compact)
+            assert tracer.dropped == 36 - 10 and len(tracer.events) == 10
+            assert sink.count == 36
+            streamed[compact] = path.read_bytes()
+            kept = tmp_path / f"{compact}-kept.jsonl"
+            write_events_jsonl(tracer.events, kept)
+            assert streamed[compact].endswith(kept.read_bytes())
+        assert streamed[True] == streamed[False]
+
+
+# ----------------------------------------------------------------------
 # input boundary: malformed logs fail with one line, never a traceback
 # ----------------------------------------------------------------------
 class TestReadEventsJsonl:

@@ -173,6 +173,17 @@ def test_builder_records_identity_params():
 # ----------------------------------------------------------------------
 # lookahead
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("kwargs, message", [
+    ({"beam_width": 3}, "beam_width needs lookahead"),
+    ({"beam_width": 1, "beam_depth": 3}, "beam_width needs lookahead"),
+    ({"learned_model": True, "lookahead": True}, "learned_model"),
+    ({"drift": "10:1.2", "lookahead": True}, "drift"),
+])
+def test_builder_refuses_a_controller_it_cannot_build(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        build_pulse_scenario(**kwargs)
+
+
 def test_whatif_evaluator_rejects_bad_horizon():
     from repro.snapshot.lookahead import WhatIfEvaluator
 
