@@ -329,6 +329,21 @@ PAYLOAD_PINS = {
     "pulse-device": (
         "f469905dc3ebafaf2e51508729891356ffaaa241f372151bc5ea3f0b1861ddc8",
         "d6e46760deadf83cd67b48337b762a2f9158e7133aa763771e8ef1e0a00d6ec3"),
+    "pulse-drift": (
+        "d45922d6d23f3d2bcf2cd9d2f4f51fd8563cbea8eac6d71098c01ab1b784ff07",
+        "c092025884cdfbdd0f04c3106c64a0d9f21da895d24f10193e3f6ce8ba17267c"),
+    "pulse-variable-fraction": (
+        "2846a7e0e88512c97dc765e336ddda0244ed9e8bf76fa96280d7586315db9912",
+        "e38ee3a2d0e387efed69fce2d4d969b1fb85d6715fd0f0f3eacd41f094c6c51c"),
+    # An explicit default depth records what beam3 records: its pins.
+    "pulse-beam3-depth2": (
+        "bd737491b1f0a9b3a70bcd4782642aad0ec06de29442e90ba69b3b43df4946e0",
+        "e8a6fe7f43198734c85a8a5d0556e4bfe9700a317149c3d0fc8b70d63117d42c"),
+    # Values are recorded as given: an int goal is not coerced to 90.0,
+    # whose payload and key differ.
+    "pulse-goal-int": (
+        "e6edf4b4ec6de688b5313dc0f8dcba47cae3e1fe1537e0c3d022183917730e2a",
+        "1e07a35165842d385db1418700e8d8c08b040bcb598dafaa4d4adf512158c78e"),
     "workload-videos": (
         "cc4ee92b9b9c7e0dc0566dca30490c43a440dec168fb8b956c42cb92494b1d3f",
         "629debe99f4dbe460896b52b00d7c398c1fd07545aa6664b2ce6702110e14bf5"),
@@ -359,6 +374,14 @@ def _pinned_build(name):
                            "constant_fraction": 0.0},
         "device-none": {"device": None},
         "device": {"device": generate_device(7, "dev00")},
+        "learned": {"learned_model": True},
+        "device-learned": {"device": generate_device(7, "dev00"),
+                           "learned_model": True},
+        "drift": {"drift": "60:1.25"},
+        "variable-fraction": {"variable_fraction": 0.05},
+        "beam3-depth2": {"lookahead": True, "beam_width": 3,
+                         "beam_depth": 2},
+        "goal-int": {"goal_seconds": 90},
     }[variant]
     return build_pulse_scenario(**kwargs)
 
@@ -376,3 +399,20 @@ def test_payload_and_key_match_the_pins(name):
     builder, params = scenario.sim.snapshot_builder
     assert (digest, snapshot_key(builder, params, 120.0)) == \
         PAYLOAD_PINS[name]
+
+
+# Snapshot keys of builds whose payload cannot be captured (the learned
+# model's gauge keeps an unclaimed sampling event): the recorded params
+# alone, at t=120.
+KEY_PINS = {
+    "pulse-learned":
+        "a81cc43069cd1d356e9eb4990ba16649a52067fa8315a1782a5f134c4933ed43",
+    "pulse-device-learned":
+        "bd5112d02f5570cdbfc4f1112437ccbdd4d5928a9d76300c6ab771adee76e15c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_PINS))
+def test_key_matches_the_pin(name):
+    builder, params = _pinned_build(name).sim.snapshot_builder
+    assert snapshot_key(builder, params, 120.0) == KEY_PINS[name]
