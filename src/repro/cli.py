@@ -188,18 +188,28 @@ def _cmd_trace(args):
     )
     from repro.obs.metrics import current_metrics
 
-    if args.experiment != "goal":
-        given = [flag for flag, value in (
-            ("--pulse", args.pulse), ("--lookahead", args.lookahead),
-            ("--beam", args.beam), ("--learned-model", args.learned_model),
-            ("--drift", args.drift), ("--device-file", args.device_file),
-            ("--device-id", args.device_id),
-            ("--no-hysteresis", args.no_hysteresis),
-        ) if value not in (None, False)]
-        if given:
-            print(f"error: trace {args.experiment} does not take "
-                  f"{', '.join(given)} (trace goal only)", file=sys.stderr)
-            return 2
+    # Flag -> (its value, the pulse-rig knobs it sets).  All are
+    # goal-only; all but --no-hysteresis, which the classic goal rig
+    # honours too, select the pulse rig.
+    flags = {
+        "--pulse": (args.pulse, {}),
+        "--lookahead": (args.lookahead, {"lookahead": True}),
+        "--horizon": (args.horizon, {"horizon": args.horizon}),
+        "--beam": (args.beam, {"lookahead": True, "beam_width": args.beam}),
+        "--depth": (args.depth, {"beam_depth": args.depth}),
+        "--learned-model": (args.learned_model, {"learned_model": True}),
+        "--drift": (args.drift, {"drift": args.drift}),
+        "--device-file": (args.device_file, {}),
+        "--device-id": (args.device_id, {}),
+        "--no-hysteresis": (args.no_hysteresis, {"variable_fraction": 0.0,
+                                                 "constant_fraction": 0.0}),
+    }
+    given = {flag: knobs for flag, (value, knobs) in flags.items()
+             if value not in (None, False)}
+    if args.experiment != "goal" and given:
+        print(f"error: trace {args.experiment} does not take "
+              f"{', '.join(given)} (trace goal only)", file=sys.stderr)
+        return 2
     if args.device_id is not None and args.device_file is None:
         print("error: --device-id needs --device-file", file=sys.stderr)
         return 2
@@ -214,28 +224,16 @@ def _cmd_trace(args):
         sink=sink,
     )
     with installed(tracer):
-        beam = args.beam
-        if args.experiment == "goal" and (
-                args.pulse or args.lookahead or beam or args.learned_model
-                or args.drift is not None or args.device_file is not None):
+        if given.keys() - {"--no-hysteresis"}:
             from repro.snapshot.scenario import build_pulse_scenario
 
-            pulse_kwargs = {"lookahead": args.lookahead or bool(beam),
-                            "horizon": args.horizon}
-            if beam:
-                pulse_kwargs["beam_width"] = beam
-                pulse_kwargs["beam_depth"] = args.depth
+            pulse_kwargs = {}
+            for knobs in given.values():
+                pulse_kwargs.update(knobs)
             if args.goal is not None:
                 pulse_kwargs["goal_seconds"] = args.goal
             if args.energy is not None:
                 pulse_kwargs["initial_energy"] = args.energy
-            if args.no_hysteresis:
-                pulse_kwargs["variable_fraction"] = 0.0
-                pulse_kwargs["constant_fraction"] = 0.0
-            if args.learned_model:
-                pulse_kwargs["learned_model"] = True
-            if args.drift is not None:
-                pulse_kwargs["drift"] = args.drift
             try:
                 if args.device_file is not None:
                     from repro.devices import load_fleet
@@ -265,12 +263,12 @@ def _cmd_trace(args):
                       f"{calibration['readings']} readings, residual "
                       f"{calibration['last_residual_w']:+.3f} W "
                       f"({multipliers})")
-            if pulse_kwargs["lookahead"]:
+            if scenario.params["lookahead"]:
                 look = summary["lookahead"]
                 print(f"lookahead: {look['evaluations']} evaluations, "
                       f"{look['overrides']} overrides, "
                       f"{look['branches_run']} branches")
-            if beam:
+            if "beam_width" in scenario.params:
                 plan = summary["lookahead"]["beam"]
                 print(f"beam: width {plan['width']} x depth "
                       f"{plan['depth']}, {plan['plans']} plans, "
@@ -278,15 +276,10 @@ def _cmd_trace(args):
         elif args.experiment == "goal":
             from repro.experiments import run_goal_experiment
 
-            controller_kwargs = {}
-            if args.no_hysteresis:
-                controller_kwargs = {"variable_fraction": 0.0,
-                                     "constant_fraction": 0.0}
             goal = args.goal if args.goal is not None else 400.0
             energy = args.energy if args.energy is not None else 6000.0
-            result = run_goal_experiment(goal,
-                                         initial_energy=energy,
-                                         **controller_kwargs)
+            result = run_goal_experiment(goal, initial_energy=energy,
+                                         **given.get("--no-hysteresis", {}))
             print(f"goal {result.goal_seconds:.0f}s: "
                   f"{'MET' if result.goal_met else 'MISSED'} "
                   f"(residual {result.residual_energy:.0f} J)")
@@ -551,13 +544,13 @@ def build_parser():
                    help="vet adaptation decisions with what-if "
                         "branches (implies --pulse); branch verdicts "
                         "are traced on the 'branch' category")
-    p.add_argument("--horizon", type=_positive_float, default=12.0,
+    p.add_argument("--horizon", type=_positive_float, default=None,
                    help="lookahead branch horizon in seconds (default 12)")
     p.add_argument("--beam", type=_positive_int, default=None, metavar="W",
                    help="beam-search adaptation schedules with width W "
                         "(implies --lookahead); keeps the W best-margin "
                         "schedules per stage")
-    p.add_argument("--depth", type=_positive_int, default=2,
+    p.add_argument("--depth", type=_positive_int, default=None,
                    help="beam stages across the horizon (default 2; "
                         "only with --beam)")
     p.add_argument("--seed", type=int, default=0,

@@ -41,9 +41,8 @@ every other campaign.
 
 from __future__ import annotations
 
-import functools
-
 from repro.fleet.spec import CampaignSpec, Task, canonical_json
+from repro.snapshot.scenario import KNOBS, pulse_params
 
 __all__ = [
     "MATRIX_KIND",
@@ -72,21 +71,15 @@ _VERSIONS = {MATRIX_KIND: MATRIX_VERSION,
              FLEET_MATRIX_KIND: FLEET_MATRIX_VERSION}
 MATRIX_TASK_FN = "repro.fleet.diffmatrix:policy_matrix_row"
 
-#: Builder params a policy variant may set (everything here is a
-#: keyword of ``repro.snapshot.scenario.build_pulse_scenario``).
-POLICY_KEYS = frozenset({
-    "lookahead", "horizon", "beam_width", "beam_depth",
-    "variable_fraction", "constant_fraction",
-    "decision_period", "halflife_fraction", "upgrade_min_interval",
-})
+#: Pulse-rig knobs a policy variant may set (the ``"policy"`` group of
+#: :data:`repro.snapshot.scenario.KNOBS`).
+POLICY_KEYS = frozenset(name for name, knob in KNOBS.items()
+                        if knob.group == "policy")
 
-#: Builder params that size the shared scenario all variants run on.
-SCENARIO_KEYS = frozenset({
-    "goal_seconds", "initial_energy", "sample_period",
-}) | POLICY_KEYS
-
-_INT_KEYS = frozenset({"beam_width", "beam_depth"})
-_BOOL_KEYS = frozenset({"lookahead"})
+#: Knobs the shared scenario all variants run on may set: the policy
+#: knobs and those that size the scenario (the device has its own axis).
+SCENARIO_KEYS = frozenset(name for name, knob in KNOBS.items()
+                          if knob.group in ("scenario", "policy"))
 
 #: The CLI's default candidate set: hysteresis on/off x lookahead
 #: off/on — the smallest grid that exercises a zero row, a pure
@@ -139,7 +132,7 @@ def parse_policy_spec(text, allowed=None):
                 f"unknown policy key {key!r} (have: "
                 f"{', '.join(sorted(allowed))}, plus 'hysteresis')"
             )
-        if key in _BOOL_KEYS:
+        if KNOBS[key].kind is bool:
             params[key] = _parse_bool(key, value)
         else:
             params[key] = _parse_number(key, value)
@@ -156,7 +149,7 @@ def _parse_bool(key, value):
 
 
 def _parse_number(key, value):
-    kind, cast = (("an integer", int) if key in _INT_KEYS
+    kind, cast = (("an integer", int) if KNOBS[key].kind is int
                   else ("a number", float))
     try:
         return cast(value)
@@ -182,43 +175,21 @@ def policy_label(params):
 # ----------------------------------------------------------------------
 # the worker side: one row per candidate
 # ----------------------------------------------------------------------
-#: Per-process memo of traced runs, keyed on builder params with the
-#: builder's defaults filled in (see :func:`_memo_key`).  Each worker
-#: simulates the shared baseline (and any repeated policy) once;
+#: Per-process memo of traced runs, keyed on the recorded builder
+#: params (:func:`repro.snapshot.scenario.pulse_params`), so ``{}`` and
+#: ``{"lookahead": false}`` (the same scenario) share one entry.  Each
+#: worker simulates the shared baseline (and any repeated policy) once;
 #: results are pure functions of the params, so memoization can never
 #: change a row — only skip a re-simulation.
 _RECORD_MEMO = {}
 _RECORD_MEMO_MAX = 16
 
 
-def _memo_key(params, builder):
-    """Canonical params with ``builder``'s defaults filled in, so ``{}``
-    and ``{"lookahead": false}`` (the same scenario) share one entry.
-    Process-local only: task, cache and snapshot keys keep the params
-    as given."""
-    full = dict(_builder_defaults(builder))
-    full.update(params)
-    return canonical_json(full)
-
-
-@functools.cache
-def _builder_defaults(builder):
-    """``builder``'s keyword defaults (less ``tracer``/``metrics``),
-    resolved once per process."""
-    import inspect
-
-    return {
-        name: parameter.default
-        for name, parameter in inspect.signature(builder).parameters.items()
-        if name not in ("tracer", "metrics")
-    }
-
-
 def _traced_record(params):
     """Run one traced pulse scenario; return its reduced artifacts."""
     from repro.snapshot.scenario import build_pulse_scenario
 
-    key = _memo_key(params, build_pulse_scenario)
+    key = canonical_json(pulse_params(**params))
     record = _RECORD_MEMO.get(key)
     if record is not None:
         return record
@@ -348,8 +319,8 @@ def policy_matrix_campaign(candidates, baseline=None, scenario=None,
     or spec string); ``scenario`` sizes the shared run (e.g.
     ``goal_seconds``/``initial_energy``).  Duplicate labels raise, as
     any duplicate task id does, and so does a row whose params (over
-    ``scenario``) name a controller the pulse stack cannot build: the
-    :class:`ValueError` names the policy, and no row runs.
+    ``scenario``) :func:`~repro.snapshot.scenario.pulse_params`
+    refuses: the :class:`ValueError` names the policy, and no row runs.
 
     With ``devices`` (profiles or their dicts), the rows repeat per
     device under ids ``row/{device_id}/{label}``: device-major in the
@@ -367,12 +338,10 @@ def policy_matrix_campaign(candidates, baseline=None, scenario=None,
                          f"{', '.join(sorted(unknown))}")
     rows = [(BASELINE_LABEL, dict(baseline))]
     rows.extend(_normalize_candidates(candidates))
-    from repro.snapshot.scenario import check_controller
-
     for label, params in rows:
         try:
-            check_controller(**dict(scenario, **params))
-        except ValueError as exc:
+            pulse_params(**dict(scenario, **params))
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"policy {label!r}: {exc}") from None
 
     def make_task(device, label, params):

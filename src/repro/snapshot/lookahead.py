@@ -95,7 +95,7 @@ from repro.hardware.machine import Machine, zero_correction
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.powerscope.online import OnlinePowerMonitor
-from repro.snapshot.scenario import PulsedApp
+from repro.snapshot.scenario import PLAIN_POLICY, PulsedApp
 from repro.snapshot.state import Snapshot
 
 __all__ = [
@@ -408,14 +408,14 @@ class WhatIfEvaluator:
         the action cannot apply; a plain branch runs regardless, and
         then measures holding.
         """
-        # Forks are plain-policy (no nested lookahead) and private: an
-        # explicit null tracer keeps the fork from resolving the
-        # process-installed tracer, and the evaluator-private registry
-        # keeps its counters out of the parent's metrics.
+        # Forks are plain-policy (no nested lookahead, no beam) and
+        # private: an explicit null tracer keeps the fork from resolving
+        # the process-installed tracer, and the evaluator-private
+        # registry keeps its counters out of the parent's metrics.
         reuse = self._branch_pool.pop() if self._branch_pool else None
         scenario = snapshot.fork(
-            reuse=reuse, lookahead=False, tracer=NULL_TRACER,
-            metrics=self._branch_metrics,
+            reuse=reuse, tracer=NULL_TRACER, metrics=self._branch_metrics,
+            **PLAIN_POLICY,
         )
         # Stamp the fork's machine so its power/span stream disentangles
         # from the trunk's if the fork is ever run under a real tracer

@@ -5,7 +5,8 @@ snapshot boundary (live frames are not serializable), so these rigs are
 built *entirely* from timer-driven state machines.  :class:`TimedApp`
 is the one app state machine: work an item with the app's component at
 the current fidelity wattage, rest, repeat.  Two rigs share it and one
-stack assembly (``_assemble`` and ``_register`` below):
+stack assembly (``_assemble`` and ``_finish`` below, which also choose
+the controller):
 
 * the pulse rig, :func:`build_pulse_scenario`: each :class:`PulsedApp`
   runs periodic bursts.  Pulse *timing* is fidelity-independent —
@@ -13,6 +14,11 @@ stack assembly (``_assemble`` and ``_register`` below):
   decision instants aligned across policies and makes ``repro diff``
   windows exact;
 * the Section 5 item rig, :mod:`repro.snapshot.workload`.
+
+The pulse rig's scenario knobs are declared once, in :data:`KNOBS`:
+name, default, type and recording rule.  :func:`pulse_params` turns
+given knobs into the recorded params (the snapshot identity), and the
+builder builds from those alone.
 
 Every stateful object registers with the simulator under a stable key
 and the simulator carries a builder reference, so
@@ -32,21 +38,17 @@ scenarios use), so a run both degrades early and upgrades late.
 
 from __future__ import annotations
 
-from repro.core.goal import GoalDirectedController
-from repro.core.viceroy import Viceroy
-from repro.hardware.battery import Battery
-from repro.hardware.component import PowerComponent
-from repro.hardware.machine import Machine
-from repro.obs.metrics import MetricsRegistry
-from repro.powerscope.online import OnlinePowerMonitor
-from repro.sim import Simulator
+from typing import NamedTuple
 
 __all__ = [
     "TimedApp",
     "PulsedApp",
     "PulseScenario",
     "build_pulse_scenario",
-    "check_controller",
+    "pulse_params",
+    "Knob",
+    "KNOBS",
+    "PLAIN_POLICY",
     "run_pulse_goal",
     "BUILDER_PATH",
     "DEFAULT_GOAL_SECONDS",
@@ -304,113 +306,139 @@ class PulseScenario:
         return record
 
 
-def check_controller(lookahead=False, beam_width=0, learned_model=False,
-                     drift=None, **_params):
-    """Raise :class:`ValueError` unless :func:`build_pulse_scenario` can
-    build the controller these params name.  Takes the builder's
-    keywords; any other param is ignored."""
-    if beam_width and not lookahead:
-        raise ValueError(
-            "beam_width needs lookahead: the beam planner is a lookahead "
-            "controller"
-        )
-    if learned_model and lookahead:
-        raise ValueError(
-            "learned_model does not combine with lookahead: the "
-            "gauge/calibrator stack is not snapshot-capable"
-        )
-    if drift is not None and lookahead:
-        raise ValueError(
-            "drift does not combine with lookahead: the scheduled "
-            "drift event is not snapshot-claimable"
-        )
+class Knob(NamedTuple):
+    """One pulse-rig scenario knob: the one declaration the builders,
+    the policy matrix and ``repro trace goal`` all read.
+
+    ``kind`` is the value's type (the policy matrix parses spec text
+    with it); ``group`` says whether the knob sizes the shared
+    ``"scenario"``, varies the ``"policy"``, or describes the
+    ``"device"`` and its power model; ``record`` is the recording rule
+    of :func:`pulse_params`; ``canon`` maps a given value to its JSON
+    form.
+    """
+
+    name: str
+    default: object
+    kind: type
+    group: str
+    record: str = "set"
+    canon: object = None
 
 
-def build_pulse_scenario(goal_seconds=DEFAULT_GOAL_SECONDS,
-                         initial_energy=DEFAULT_INITIAL_ENERGY_J,
-                         decision_period=0.5, halflife_fraction=0.10,
-                         upgrade_min_interval=15.0, sample_period=0.1,
-                         lookahead=False, horizon=12.0,
-                         beam_width=0, beam_depth=2,
-                         variable_fraction=None, constant_fraction=None,
-                         device=None, learned_model=False, drift=None,
-                         tracer=None, metrics=None):
+def _device_record(device):
+    from repro.devices.profile import DeviceProfile
+
+    if not isinstance(device, DeviceProfile):
+        device = DeviceProfile.from_dict(device)
+    return device.to_dict()
+
+
+def _drift_record(drift):
+    from repro.devices.calibrate import parse_drift
+
+    return list(parse_drift(drift))
+
+
+#: The pulse rig's scenario knobs, in recording order.
+KNOBS = {knob.name: knob for knob in (
+    Knob("goal_seconds", DEFAULT_GOAL_SECONDS, float, "scenario", "always"),
+    Knob("initial_energy", DEFAULT_INITIAL_ENERGY_J, float, "scenario",
+         "always"),
+    Knob("decision_period", 0.5, float, "policy", "always"),
+    Knob("halflife_fraction", 0.10, float, "policy", "always"),
+    Knob("upgrade_min_interval", 15.0, float, "policy", "always"),
+    Knob("sample_period", 0.1, float, "scenario", "always"),
+    Knob("lookahead", False, bool, "policy", "always"),
+    Knob("horizon", 12.0, float, "policy", "always"),
+    # beam_width >= 1 (with lookahead) selects the beam planner.
+    Knob("beam_width", 0, int, "policy"),
+    Knob("beam_depth", 2, int, "policy", "beam_width"),
+    # The trigger's hysteresis margins; unset keeps the controller's.
+    Knob("variable_fraction", None, float, "policy"),
+    Knob("constant_fraction", None, float, "policy"),
+    Knob("device", None, dict, "device", canon=_device_record),
+    Knob("learned_model", False, bool, "device"),
+    Knob("drift", None, list, "device", canon=_drift_record),
+)}
+
+#: Builder overrides for the plain policy (no lookahead, no beam): what
+#: a what-if fork runs.
+PLAIN_POLICY = {name: KNOBS[name].default
+                for name in ("lookahead", "beam_width", "beam_depth")}
+
+
+def pulse_params(**knobs):
+    """The recorded params of a pulse build: its snapshot identity.
+
+    The eight ``"always"`` knobs are always recorded, ``beam_depth``
+    exactly when ``beam_width`` is, and every other knob only when set
+    (given and not its default), so a new knob never moves an existing
+    snapshot key.  Values are recorded as given, never coerced:
+    ``goal_seconds=90`` and ``90.0`` are different scenarios to the
+    snapshot store, the fleet cache and the matrix memo.  Only a device
+    (a :class:`~repro.devices.DeviceProfile` or its dict) and a drift
+    (``"AT:FACTOR"`` or ``(at, factor)``) take their JSON form.
+
+    Raises :class:`TypeError` on an unknown knob and
+    :class:`ValueError` on params the rig cannot build: a dependent
+    knob set without the knob it needs, a beam without ``lookahead``,
+    or ``learned_model``/``drift`` with it (neither the gauge and
+    calibrator nor the drift event is snapshot-capable).
+    """
+    unknown = knobs.keys() - KNOBS.keys()
+    if unknown:
+        raise TypeError(f"unknown pulse scenario knob(s): "
+                        f"{', '.join(sorted(unknown))}")
+    params = {}
+    for name, knob in KNOBS.items():
+        value = knobs.get(name, knob.default)
+        if (knob.record == "always" or knob.record in params
+                or (knob.record == "set" and value != knob.default)):
+            params[name] = knob.canon(value) if knob.canon else value
+        elif value != knob.default:
+            raise ValueError(f"{name}={value!r} needs {knob.record}")
+    if "beam_width" in params and not params["lookahead"]:
+        raise ValueError("beam_width needs lookahead: the beam planner is "
+                         "a lookahead controller")
+    for name, why in (("learned_model", "the gauge/calibrator stack is "
+                                        "not snapshot-capable"),
+                      ("drift", "the scheduled drift event is not "
+                                "snapshot-claimable")):
+        if name in params and params["lookahead"]:
+            raise ValueError(f"{name} does not combine with lookahead: "
+                             f"{why}")
+    return params
+
+
+def build_pulse_scenario(tracer=None, metrics=None, **knobs):
     """Build the pulse stack, never started, fully registered.
 
-    ``tracer``/``metrics`` are runtime environment, not scenario
-    identity: they are excluded from the recorded builder params, so a
-    branch forked with a private tracer still shares its parent's
-    snapshot key.
+    ``knobs`` are the scenario knobs of :data:`KNOBS`, defaults there.
+    The stack is built from :func:`pulse_params` alone, so a build and
+    a :meth:`Snapshot.restore` of it are the same stack.  ``tracer`` and
+    ``metrics`` are runtime environment, not identity: a branch forked
+    with a private tracer still shares its parent's snapshot key.
 
-    ``beam_width`` >= 1 with ``lookahead`` selects the beam-search
-    controller (see :class:`repro.snapshot.lookahead
-    .BeamLookaheadController`); 0 keeps the two-branch evaluator.  A
-    beam without ``lookahead`` raises :class:`ValueError`, as do
-    ``learned_model`` or ``drift`` with ``lookahead`` (see
-    :func:`check_controller`).
-
-    ``variable_fraction``/``constant_fraction`` override the trigger's
-    hysteresis margins when given (``0.0``/``0.0`` disables hysteresis
-    — the policy-matrix axis); ``None`` keeps the controller defaults.
-
-    ``device`` (a :class:`~repro.devices.DeviceProfile` or its dict)
-    makes the *physical* machine deviate from the nominal table —
-    component wattages scale by the profile's multipliers and the
-    battery by its capacity scale — while the controller keeps
-    believing the nominal ``initial_energy``; the gap is the
-    miscalibration under test.  ``learned_model`` replaces the
-    ground-truth monitor with a :class:`SmartBatteryGauge` +
-    :class:`OnlineCalibrator` feed (the controller sees only what the
-    learned model predicts).  ``drift`` (``"AT:FACTOR"`` or
-    ``(at, factor)``) scales the real wattages mid-run.  All three are
-    recorded in the builder params only when set, so default payloads,
-    snapshot keys, and goldens are unchanged.
+    ``device`` makes the *physical* machine deviate from the nominal
+    table (component wattages scale by the profile's multipliers, the
+    battery by its capacity scale) while the controller keeps believing
+    the nominal ``initial_energy``.  ``learned_model`` feeds the
+    controller a :class:`SmartBatteryGauge` + :class:`OnlineCalibrator`
+    model instead of ground truth, and ``drift`` scales the real
+    wattages mid-run.
     """
-    params = {
-        "goal_seconds": goal_seconds,
-        "initial_energy": initial_energy,
-        "decision_period": decision_period,
-        "halflife_fraction": halflife_fraction,
-        "upgrade_min_interval": upgrade_min_interval,
-        "sample_period": sample_period,
-        "lookahead": lookahead,
-        "horizon": horizon,
-    }
-    # Recorded only when the beam is on: default payloads — and the
-    # snapshot keys and goldens derived from them — stay byte-identical
-    # to the pre-beam format.
-    if beam_width:
-        params["beam_width"] = beam_width
-        params["beam_depth"] = beam_depth
-    # Same pattern for the hysteresis overrides: recorded (and passed
-    # through) only when explicitly set, so default scenario payloads
-    # and snapshot keys are unchanged.
-    hysteresis = {}
-    if variable_fraction is not None:
-        params["variable_fraction"] = variable_fraction
-        hysteresis["variable_fraction"] = variable_fraction
-    if constant_fraction is not None:
-        params["constant_fraction"] = constant_fraction
-        hysteresis["constant_fraction"] = constant_fraction
+    from repro.hardware.component import PowerComponent
+
+    params = pulse_params(**knobs)
     profile = None
-    if device is not None:
+    if "device" in params:
         from repro.devices.profile import DeviceProfile
 
-        profile = (device if isinstance(device, DeviceProfile)
-                   else DeviceProfile.from_dict(device))
-        params["device"] = profile.to_dict()
-    check_controller(lookahead, beam_width, learned_model, drift)
-    if learned_model:
-        params["learned_model"] = True
-    drift_spec = None
-    if drift is not None:
-        from repro.devices.calibrate import parse_drift
-
-        drift_spec = parse_drift(drift)
-        params["drift"] = list(drift_spec)
+        profile = DeviceProfile.from_dict(params["device"])
     battery_scale = profile.battery_scale if profile is not None else 1.0
-    sim, battery, machine = _assemble(initial_energy * battery_scale,
-                                      tracer, metrics, profile)
+    sim, battery, machine = _assemble(
+        params["initial_energy"] * battery_scale, tracer, metrics, profile)
 
     # Nominal (believed) tables, held apart from the attached
     # components: Machine.attach rescales the component's own states
@@ -431,7 +459,8 @@ def build_pulse_scenario(goal_seconds=DEFAULT_GOAL_SECONDS,
 
     gauge = None
     calibrator = None
-    if learned_model:
+    monitor = None
+    if "learned_model" in params:
         from repro.devices.calibrate import (CalibratedPowerFeed,
                                              OnlineCalibrator)
         from repro.powerscope.smartbattery import SmartBatteryGauge
@@ -450,51 +479,13 @@ def build_pulse_scenario(goal_seconds=DEFAULT_GOAL_SECONDS,
             tracer=tracer, metrics=machine.metrics,
         )
         monitor = CalibratedPowerFeed(calibrator)
-    else:
-        monitor = OnlinePowerMonitor(machine, period=sample_period)
-    if drift_spec is not None:
+    if "drift" in params:
         from repro.devices.calibrate import schedule_drift
 
-        schedule_drift(sim, machine, drift_spec[0], drift_spec[1],
-                       tracer=tracer)
-    viceroy = Viceroy(sim, machine=machine, metrics=machine.metrics)
-    viceroy.register_application(viewer)
-    viceroy.register_application(sync)
-    if beam_width:
-        from repro.snapshot.lookahead import BeamLookaheadController
-
-        controller = BeamLookaheadController(
-            viceroy, monitor, initial_energy, goal_seconds,
-            halflife_fraction=halflife_fraction,
-            decision_period=decision_period,
-            upgrade_min_interval=upgrade_min_interval,
-            horizon=horizon,
-            beam_width=beam_width, beam_depth=beam_depth,
-            **hysteresis,
-        )
-    elif lookahead:
-        from repro.snapshot.lookahead import LookaheadGoalController
-
-        controller = LookaheadGoalController(
-            viceroy, monitor, initial_energy, goal_seconds,
-            halflife_fraction=halflife_fraction,
-            decision_period=decision_period,
-            upgrade_min_interval=upgrade_min_interval,
-            horizon=horizon,
-            **hysteresis,
-        )
-    else:
-        controller = GoalDirectedController(
-            viceroy, monitor, initial_energy, goal_seconds,
-            halflife_fraction=halflife_fraction,
-            decision_period=decision_period,
-            upgrade_min_interval=upgrade_min_interval,
-            **hysteresis,
-        )
-
-    return _register(sim, BUILDER_PATH, params, machine, battery, monitor,
-                     viceroy, controller, [viewer, sync], gauge=gauge,
-                     calibrator=calibrator)
+        schedule_drift(sim, machine, *params["drift"], tracer=tracer)
+    return _finish(sim, BUILDER_PATH, params, machine, battery,
+                   [viewer, sync], monitor=monitor, gauge=gauge,
+                   calibrator=calibrator)
 
 
 def _assemble(capacity, tracer, metrics, profile=None):
@@ -503,6 +494,12 @@ def _assemble(capacity, tracer, metrics, profile=None):
     Without ``metrics`` the machine gets a fresh registry; the builders
     hand ``machine.metrics`` on to the viceroy (and calibrator).
     """
+    from repro.hardware.battery import Battery
+    from repro.hardware.component import PowerComponent
+    from repro.hardware.machine import Machine
+    from repro.obs.metrics import MetricsRegistry
+    from repro.sim import Simulator
+
     sim = Simulator(tracer=tracer)
     battery = Battery(capacity)
     machine = Machine(
@@ -513,15 +510,51 @@ def _assemble(capacity, tracer, metrics, profile=None):
     return sim, battery, machine
 
 
-def _register(sim, builder_path, params, machine, battery, monitor, viceroy,
-              controller, apps, gauge=None, calibrator=None):
-    """Register every snapshottable, stamp the builder, wrap the stack.
+def _finish(sim, builder_path, params, machine, battery, apps, monitor=None,
+            gauge=None, calibrator=None):
+    """Add the viceroy and controller, register, stamp the builder, wrap.
+
+    The one place a rig's controller is chosen, from its recorded
+    params (a knob a rig does not record takes its :data:`KNOBS`
+    default): the beam planner when ``beam_width`` is recorded, the
+    two-branch lookahead under ``lookahead``, else the plain
+    goal-directed controller.  ``monitor`` defaults to the
+    ground-truth monitor sampling every ``sample_period``.
 
     The registration order fixes the order of a payload's ``events``
     and of restores, so it never changes.  The gauge/calibrator feed is
     not snapshot-capable (and a learned model excludes lookahead); the
     ground-truth monitor keeps its slot on every other build.
     """
+    from repro.core.goal import GoalDirectedController
+    from repro.core.viceroy import Viceroy
+    from repro.powerscope.online import OnlinePowerMonitor
+
+    def knob(name):
+        return params.get(name, KNOBS[name].default)
+
+    if monitor is None:
+        monitor = OnlinePowerMonitor(machine, period=knob("sample_period"))
+    viceroy = Viceroy(sim, machine=machine, metrics=machine.metrics)
+    for app in apps:
+        viceroy.register_application(app)
+    options = {name: knob(name) for name in (
+        "halflife_fraction", "decision_period", "upgrade_min_interval")}
+    options.update((name, params[name]) for name in (
+        "variable_fraction", "constant_fraction") if name in params)
+    controller_cls = GoalDirectedController
+    if knob("lookahead"):
+        from repro.snapshot import lookahead
+
+        options["horizon"] = knob("horizon")
+        controller_cls = lookahead.LookaheadGoalController
+        if "beam_width" in params:
+            options.update(beam_width=params["beam_width"],
+                           beam_depth=params["beam_depth"])
+            controller_cls = lookahead.BeamLookaheadController
+    controller = controller_cls(viceroy, monitor, knob("initial_energy"),
+                                knob("goal_seconds"), **options)
+
     sim.register_snapshottable("machine", machine)
     sim.register_snapshottable("battery", battery)
     if calibrator is None:

@@ -20,11 +20,8 @@ the same way the pulse rig does.
 
 from __future__ import annotations
 
-from repro.core.goal import GoalDirectedController
-from repro.core.viceroy import Viceroy
 from repro.hardware.component import PowerComponent
-from repro.powerscope.online import OnlinePowerMonitor
-from repro.snapshot.scenario import TimedApp, _assemble, _register
+from repro.snapshot.scenario import TimedApp, _assemble, _finish
 from repro.workloads.cursor import WorkloadCursor
 from repro.workloads.images import IMAGES, JPEG_QUALITIES, QUALITY_FACTOR
 from repro.workloads.maps import MAPS
@@ -152,10 +149,12 @@ def build_workload_scenario(workload="videos",
     """Build one Section 5 workload on the goal stack, never started.
 
     Assembled and registered by the same helpers as
-    :func:`repro.snapshot.scenario.build_pulse_scenario`: every stateful
-    object registers under a stable key, the simulator carries the
-    builder reference, and ``tracer``/``metrics`` stay out of the
-    recorded params (runtime environment, not identity).
+    :func:`repro.snapshot.scenario.build_pulse_scenario`, which also
+    build the monitor and the plain goal controller from the six knobs
+    the rigs share: every stateful object registers under a stable key,
+    the simulator carries the builder reference, and ``tracer``/
+    ``metrics`` stay out of the recorded params (runtime environment,
+    not identity).
     ``think_jitter`` > 0 selects the seeded random think-time model —
     the RNG position rides in the snapshot as a cursor.
     """
@@ -187,15 +186,5 @@ def build_workload_scenario(workload="videos",
         sim, machine, workload, component, spec["levels"], priority=2,
         items=spec["items"], think=think,
     )
-
-    monitor = OnlinePowerMonitor(machine, period=sample_period)
-    viceroy = Viceroy(sim, machine=machine, metrics=machine.metrics)
-    viceroy.register_application(app)
-    controller = GoalDirectedController(
-        viceroy, monitor, initial_energy, goal_seconds,
-        halflife_fraction=halflife_fraction,
-        decision_period=decision_period,
-        upgrade_min_interval=upgrade_min_interval,
-    )
-    return _register(sim, WORKLOAD_BUILDER_PATH, params, machine, battery,
-                     monitor, viceroy, controller, [app])
+    return _finish(sim, WORKLOAD_BUILDER_PATH, params, machine, battery,
+                   [app])

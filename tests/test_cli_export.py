@@ -136,6 +136,8 @@ class TestCli:
         ["--beam", "2", "--learned-model"],
         ["--pulse", "--device-file", "{tmp}/missing.json"],
         ["--device-id", "dev00"],
+        ["--pulse", "--depth", "5"],
+        ["--lookahead", "--depth", "3"],
     ])
     def test_bad_trace_goal_input_exits_2_with_one_error(self, argv,
                                                          tmp_path, capsys):
@@ -159,6 +161,8 @@ class TestCli:
         ["--no-hysteresis"],
         ["--goal", "30", "--device-file", "{tmp}/missing.json",
          "--no-hysteresis", "--lookahead"],
+        ["--horizon", "6"],
+        ["--depth", "3"],
     ])
     def test_goal_only_flags_exit_2_on_other_experiments(
             self, experiment, argv, tmp_path, capsys):

@@ -75,15 +75,12 @@ def test_memo_keys_on_builder_defaults(monkeypatch):
     (``{"lookahead": false}``, the default grid's
     ``hysteresis=on,lookahead=off`` row) are one scenario: the pair
     simulates once and the row is identical."""
-    import functools
-
     from repro.fleet import diffmatrix
     from repro.snapshot import scenario as pulse
 
     builds = []
     build = pulse.build_pulse_scenario
 
-    @functools.wraps(build)  # keeps the signature the memo key reads
     def counting_build(**params):
         builds.append(params)
         return build(**params)
@@ -96,3 +93,29 @@ def test_memo_keys_on_builder_defaults(monkeypatch):
     )
     assert len(builds) == 1
     assert row["identical"] and row["energy_delta_j"] == 0.0
+
+
+def test_memo_never_merges_devices(monkeypatch):
+    """Two devices with the same physics but different ids are two
+    scenarios: each simulates once."""
+    from repro.devices.profile import generate_device
+    from repro.fleet import diffmatrix
+    from repro.snapshot import scenario as pulse
+
+    builds = []
+    build = pulse.build_pulse_scenario
+
+    def counting_build(**params):
+        builds.append(params)
+        return build(**params)
+
+    monkeypatch.setattr(pulse, "build_pulse_scenario", counting_build)
+    monkeypatch.setattr(diffmatrix, "_RECORD_MEMO", {})
+    device = generate_device(7, "dev00").to_dict()
+    for device_id in ("a", "b"):
+        diffmatrix.policy_matrix_row(
+            "default", scenario={"goal_seconds": 30.0,
+                                 "initial_energy": 250.0},
+            device=dict(device, device_id=device_id),
+        )
+    assert [params["device"]["device_id"] for params in builds] == ["a", "b"]

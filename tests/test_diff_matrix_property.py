@@ -179,6 +179,35 @@ def test_beam_without_lookahead_fails_before_any_row(candidate, scenario,
                                          f"needs lookahead")
 
 
+@pytest.mark.parametrize("candidate, scenario, label", [
+    ("beam_depth=3", {}, "beam_depth=3"),
+    ("beam_depth=1,lookahead=on", {}, "beam_depth=1,lookahead=on"),
+    ("lookahead=on", {"beam_depth": 4}, "baseline"),
+])
+def test_depth_without_beam_fails_before_any_row(candidate, scenario,
+                                                 label):
+    """A beam depth other than the default, with no beam to deepen, is
+    refused when the campaign is built, naming the policy."""
+    with pytest.raises(ValueError) as excinfo:
+        policy_matrix_campaign([candidate], scenario=scenario)
+    assert str(excinfo.value).startswith(f"policy {label!r}: beam_depth=")
+    assert str(excinfo.value).endswith(" needs beam_width")
+
+
+def test_sweep_depth_without_beam_exits_2_with_one_line(tmp_path, capsys):
+    from repro.cli import main
+
+    out = tmp_path / "m.json"
+    code = main(["sweep", "--diff-against", "default", "--vary",
+                 "beam_depth=1,3", "--matrix-out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: policy 'beam_depth=1': ")
+    assert captured.out == "" and not out.exists()
+
+
 def test_sweep_beam_without_lookahead_exits_2_with_one_line(tmp_path,
                                                             capsys):
     from repro.cli import main

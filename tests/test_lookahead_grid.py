@@ -131,10 +131,15 @@ def _supply_hook(scenario):
     scenario.machine._supply_note_power = lambda watts: None
 
 
-@pytest.mark.parametrize("perturb", [_subclass_app, _custom_correction,
-                                     _supply_hook])
-def test_stacks_lanes_cannot_model_are_forked(perturb):
-    scenario = _drop_decision(build_pulse_scenario().start())
+@pytest.mark.parametrize("perturb, params", [
+    pytest.param(perturb, params, id=perturb.__name__ + suffix)
+    for suffix, params in (("", {}),
+                           ("-beam", {"lookahead": True, "beam_width": 3}))
+    for perturb in (_subclass_app, _custom_correction, _supply_hook)
+])
+def test_stacks_lanes_cannot_model_are_forked(perturb, params):
+    """A fork runs the plain policy, whatever the trunk's controller."""
+    scenario = _drop_decision(build_pulse_scenario(**params).start())
     scenario.sim.run(until=30.0)
     evaluator = WhatIfEvaluator(scenario.sim)
     assert not isinstance(evaluator.start(), Snapshot)

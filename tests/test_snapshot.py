@@ -178,10 +178,31 @@ def test_builder_records_identity_params():
     ({"beam_width": 1, "beam_depth": 3}, "beam_width needs lookahead"),
     ({"learned_model": True, "lookahead": True}, "learned_model"),
     ({"drift": "10:1.2", "lookahead": True}, "drift"),
+    ({"beam_depth": 5}, "beam_depth=5 needs beam_width"),
+    ({"lookahead": True, "beam_depth": 3}, "beam_depth=3 needs beam_width"),
 ])
 def test_builder_refuses_a_controller_it_cannot_build(kwargs, message):
     with pytest.raises(ValueError, match=message):
         build_pulse_scenario(**kwargs)
+
+
+def test_recorded_params_follow_the_rule():
+    """The eight always-recorded knobs; ``beam_depth`` exactly with
+    ``beam_width``; any other knob only when set; values as given."""
+    from repro.snapshot.scenario import KNOBS, pulse_params
+
+    always = {name for name, knob in KNOBS.items()
+              if knob.record == "always"}
+    assert len(always) == 8 and pulse_params().keys() == always
+    assert pulse_params(beam_depth=2, device=None, learned_model=False,
+                        beam_width=0) == pulse_params()
+    beam = pulse_params(lookahead=True, beam_width=3)
+    assert beam.keys() - always == {"beam_width", "beam_depth"}
+    goal = pulse_params(goal_seconds=90, variable_fraction=0)
+    assert type(goal["goal_seconds"]) is int
+    assert type(goal["variable_fraction"]) is int
+    with pytest.raises(TypeError, match="no_such_knob"):
+        build_pulse_scenario(no_such_knob=1)
 
 
 def test_whatif_evaluator_rejects_bad_horizon():
