@@ -188,28 +188,40 @@ def _cmd_trace(args):
     )
     from repro.obs.metrics import current_metrics
 
-    # Flag -> (its value, the pulse-rig knobs it sets).  All are
-    # goal-only; all but --no-hysteresis, which the classic goal rig
-    # honours too, select the pulse rig.
+    # Flag -> (its value, the experiments that read it, the pulse-rig
+    # knobs it sets or None).  Every flag with knobs but
+    # --no-hysteresis, which the classic goal rig honours too, selects
+    # the pulse rig.
+    goal = ("goal",)
     flags = {
-        "--pulse": (args.pulse, {}),
-        "--lookahead": (args.lookahead, {"lookahead": True}),
-        "--horizon": (args.horizon, {"horizon": args.horizon}),
-        "--beam": (args.beam, {"lookahead": True, "beam_width": args.beam}),
-        "--depth": (args.depth, {"beam_depth": args.depth}),
-        "--learned-model": (args.learned_model, {"learned_model": True}),
-        "--drift": (args.drift, {"drift": args.drift}),
-        "--device-file": (args.device_file, {}),
-        "--device-id": (args.device_id, {}),
-        "--no-hysteresis": (args.no_hysteresis, {"variable_fraction": 0.0,
-                                                 "constant_fraction": 0.0}),
+        "--goal": (args.goal, ("goal", "bursty"), None),
+        "--energy": (args.energy, goal, None),
+        "--pulse": (args.pulse, goal, {}),
+        "--lookahead": (args.lookahead, goal, {"lookahead": True}),
+        "--horizon": (args.horizon, goal, {"horizon": args.horizon}),
+        "--beam": (args.beam, goal,
+                   {"lookahead": True, "beam_width": args.beam}),
+        "--depth": (args.depth, goal, {"beam_depth": args.depth}),
+        "--learned-model": (args.learned_model, goal,
+                            {"learned_model": True}),
+        "--drift": (args.drift, goal, {"drift": args.drift}),
+        "--device-file": (args.device_file, goal, {}),
+        "--device-id": (args.device_id, goal, {}),
+        "--no-hysteresis": (args.no_hysteresis, goal,
+                            {"variable_fraction": 0.0,
+                             "constant_fraction": 0.0}),
     }
-    given = {flag: knobs for flag, (value, knobs) in flags.items()
+    flags = {flag: (experiments, knobs)
+             for flag, (value, experiments, knobs) in flags.items()
              if value not in (None, False)}
-    if args.experiment != "goal" and given:
+    ignored = [flag for flag, (experiments, _knobs) in flags.items()
+               if args.experiment not in experiments]
+    if ignored:
         print(f"error: trace {args.experiment} does not take "
-              f"{', '.join(given)} (trace goal only)", file=sys.stderr)
+              f"{', '.join(ignored)}", file=sys.stderr)
         return 2
+    given = {flag: knobs for flag, (_experiments, knobs) in flags.items()
+             if knobs is not None}
     if args.device_id is not None and args.device_file is None:
         print("error: --device-id needs --device-file", file=sys.stderr)
         return 2
@@ -1450,7 +1462,29 @@ def _cmd_queues(args):
 
 
 def main(argv=None):
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A reader that closes stdout early (``repro ... | head -1``) stops
+    the command at its next write: it exits 141, the code of a process
+    ended by SIGPIPE, with no traceback.
+    """
+    try:
+        try:
+            return _main(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the interpreter's flush at exit
+        # does not fail on the closed pipe a second time.
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE (13)
+
+
+def _main(argv):
     args = build_parser().parse_args(argv)
     trace_prefix = getattr(args, "trace", None)
     if args.command != "trace" and trace_prefix:

@@ -33,33 +33,57 @@ Its future is a fixed schedule of pulse edges and monitor sample
 instants, and the candidates differ only in the watts each app's
 component draws between those instants.  A *lane* folds one candidate
 over that schedule: a float accumulator, the candidate's fidelity
-levels, and per-app edge cursors.  It reads the trunk's live state —
-the machine's ``energy_total``, ``_last_update`` and cached power, the
-monitor's pending tick and period (the grid origin), each
-:class:`~repro.snapshot.scenario.PulsedApp`'s pending entry, activity,
-level, period and burst, and each component's ``states`` table — and
-never captures, forks or advances it.  Each lane does exactly the
-float operations the machine of a forked, ticking branch does:
+levels, and a place in the evaluator's *plan* of the schedule.  Lanes
+read the trunk's live state and never capture, fork or advance it.
+
+The plan (:class:`_LanePlan`) holds a lane model — each app's level and
+idle watts, burst and rest, the constant components' watts, the
+priority ladder's orders — and the schedule generated forward from the
+trunk's pending state: the grid from the monitor's pending tick,
+``g += period`` as the monitor generates it, and each app's edges from
+its pending entry, chained at ``when + burst`` or ``when + (period -
+burst)`` as ``schedule`` computes ``now + delay``.  Grid instants and
+edges merge into strictly increasing breakpoints; the plan keeps the
+positive span between consecutive breakpoints, grouped by the edges
+into segments of constant pulse state, with each segment's power
+memoised per lane levels.  Consecutive evaluations share almost all of
+their horizons, so one plan serves a whole run: it is extended on
+demand and trimmed behind the trunk.  It is reused only while two
+checks hold, else it is rebuilt from the trunk:
+
+* the *model* check: the inputs the model was built from are unchanged
+  (the monitor period; per app the app, its component and their types,
+  the ``states`` table, ``levels``, ``burst``, ``period`` and
+  ``priority``; each constant component's live power);
+* the *schedule* check: once the events at the trunk's instant have
+  fired, the plan predicts exactly what the trunk has pending — the
+  next grid instant and, per app, its pending edge, its activity, and
+  its component's watts while it is idle (an active app's draw moves
+  with fidelity, which is the lane's to choose).
+
+Each lane then does exactly the float operations the machine of a
+forked, ticking branch does:
 
 * the first add, ``total += P * (now - last)`` at the trunk's power,
   comes before the action and is shared by every lane (when the cached
   power is dirty it is summed afresh from the component states);
-* then at every grid instant strictly before the next edge (generated
-  ``g += period``, as the monitor generates them), at the edge, and at
-  the horizon: ``total += P * (s - last)``, only when ``s - last > 0``;
-* edges fire while ``when <= until``, in ``(when, seq)`` order, and
-  chain the next edge at ``when + burst`` or ``when + (period - burst)``,
-  as ``schedule`` computes ``now + delay``;
+* then per segment, ``total += P * span`` over its spans in order: the
+  span from ``now`` to the first breakpoint, every span between
+  breakpoints, and the last one to the horizon, which takes the state
+  after the last breakpoint before it (an edge included).  Adds are
+  made one by one, never through ``sum``, which would reassociate them
+  (and is compensated from Python 3.12);
 * power is ``0.0 + w1 + w2 + ...`` in ``machine.components`` order plus
   the default correction's ``0.0``, as ``Machine._refresh_power`` sums it;
 * a level change takes effect at once only while its app is active,
   and the app picked follows the priority ladder's degrade/upgrade
   order over the lane's own levels.
 
-So lane joules are bit-identical to a ticking fork's (the property test
-and pinned verdict digests in ``tests/test_lookahead_grid.py``).  The
-two-branch evaluator folds hold and the proposal side by side in one
-pass; a beam stage folds one candidate and hands its lane on.
+So lane joules are bit-identical to a ticking fork's (the property
+tests and pinned verdict digests in ``tests/test_lookahead_grid.py``).
+The two-branch evaluator folds hold and the proposal over one pass of
+the plan; a beam stage folds one candidate and hands on its lane, whose
+next stage starts at its place in the same plan.
 
 A stack lanes cannot model is still forked (:meth:`Snapshot.fork`) and
 run with its ticks: one with a live pending controller decision (a
@@ -88,6 +112,9 @@ is lookahead scaffolding, re-planned at the next trigger.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
+
 from repro.core.goal import GoalDirectedController
 from repro.core.hysteresis import DEGRADE, HOLD, UPGRADE
 from repro.hardware.component import PowerComponent
@@ -106,37 +133,93 @@ __all__ = [
 
 
 class _LaneModel:
-    """The fixed part of a trunk's open-loop future.
+    """The fixed part of a trunk's open-loop future, and the inputs it
+    was built from.
 
-    ``slots`` follows ``machine.components``: ``(app, watts)`` with
-    ``app`` the index of the pulsed app driving that component, or -1
-    for a component whose constant ``watts`` nothing changes.
+    ``slots`` follows ``machine.components``: ``(app, component,
+    watts)``, with ``app`` the index of the pulsed app driving that
+    component, or -1 for a component whose constant ``watts`` nothing
+    changes.  An app-driven slot records no watts: what that component
+    draws is the lane's to say.
     """
 
-    __slots__ = ("slots", "level_watts", "idle_watts", "top", "burst",
-                 "rest", "period", "degrade_order", "upgrade_order")
+    __slots__ = ("period", "inputs", "slots", "level_watts", "idle_watts",
+                 "top", "burst", "rest", "degrade_order", "upgrade_order",
+                 "_segments")
 
-    def __init__(self, slots, level_watts, idle_watts, burst, rest, period,
-                 degrade_order, upgrade_order):
-        self.slots = slots
-        self.level_watts = level_watts
-        self.idle_watts = idle_watts
-        self.top = [len(watts) - 1 for watts in level_watts]
-        self.burst = burst
-        self.rest = rest
-        self.period = period
-        self.degrade_order = degrade_order
-        self.upgrade_order = upgrade_order
+    def __init__(self, machine, monitor, ladder):
+        apps = ladder.applications
+        self.period = monitor.period
+        self.inputs = [(app, app.component, dict(app.component.states),
+                        list(app.levels), app.burst, app.period,
+                        app.priority) for app in apps]
+        owner = {app.component.name: index for index, app in enumerate(apps)}
+        self.slots = []
+        for name, component in machine.components.items():
+            app = owner.get(name, -1)
+            self.slots.append(
+                (app, component, component.power if app < 0 else None))
+        self.level_watts = [[app.component.states[level]
+                             for level in app.levels] for app in apps]
+        self.idle_watts = [app.component.states["idle"] for app in apps]
+        self.top = [len(watts) - 1 for watts in self.level_watts]
+        # As PulsedApp schedules its edges: burst, then period - burst.
+        self.burst = [app.burst for app in apps]
+        self.rest = [app.period - app.burst for app in apps]
+        position = {id(app): index for index, app in enumerate(apps)}
+        self.degrade_order = [position[id(app)]
+                              for app in ladder.by_priority(ascending=True)]
+        self.upgrade_order = [position[id(app)]
+                              for app in ladder.by_priority(ascending=False)]
+        self._segments = {}
 
-    def power(self, pulses, levels):
-        """Machine power for one lane, summed as ``_refresh_power`` does."""
+    def matches(self, machine, monitor, apps):
+        """Are the inputs this model was built from unchanged?"""
+        if monitor.period != self.period or len(apps) != len(self.inputs):
+            return False
+        for app, (built, component, states, levels, burst, period,
+                  priority) in zip(apps, self.inputs):
+            if (app is not built or type(app) is not PulsedApp
+                    or app.component is not component
+                    or type(component) is not PowerComponent
+                    or component.states != states or app.levels != levels
+                    or app.burst != burst or app.period != period
+                    or app.priority != priority):
+                return False
+        components = machine.components
+        if len(components) != len(self.slots):
+            return False
+        for component, (app, built, watts) in zip(components.values(),
+                                                 self.slots):
+            if component is not built or (app < 0
+                                          and component.power != watts):
+                return False
+        return True
+
+    def segment(self, pulses):
+        """``(offs, memo)`` for a pulse state: each app's idle watts
+        (None while it is active) and a ``{levels: watts}`` memo of the
+        state's power, one memo per distinct ``offs``."""
+        offs = tuple(off for _when, off in pulses)
+        segment = self._segments.get(offs)
+        if segment is None:
+            segment = self._segments[offs] = (offs, {})
+        return segment
+
+    def power(self, offs, levels):
+        """Machine power for one lane, summed as ``_refresh_power`` does.
+
+        ``offs`` holds, per app, the watts its component draws while the
+        app is idle, or None while the app is active.
+        """
         total = 0.0
-        for app, watts in self.slots:
+        for app, _component, watts in self.slots:
             if app < 0:
                 total += watts
             else:
-                _when, _seq, active, off = pulses[app]
-                total += self.level_watts[app][levels[app]] if active else off
+                off = offs[app]
+                total += (self.level_watts[app][levels[app]] if off is None
+                          else off)
         # The default correction's 0.0, added as the machine adds it.
         return total + 0.0
 
@@ -159,159 +242,202 @@ class _LaneModel:
         return levels
 
 
-class _LaneState:
-    """A lane at one instant: the schedule cursors every lane shares
-    there, plus this lane's ``energy`` (the machine's ``energy_total``)
-    and fidelity ``levels``.  The first add has been made, so the
-    machine's last update is ``now``.
+class _LanePlan:
+    """A trunk's open-loop schedule, planned once and extended on demand.
 
-    ``pulses`` holds one ``(when, seq, active, off_watts)`` per app:
-    its pending edge (``when`` None if it has none) and the watts its
-    component draws while the app is idle.
+    Monitor grid instants and pulse edges merge into strictly
+    increasing breakpoints ``times``.  ``edges`` lists the breakpoints
+    where edges fire; they cut the schedule into segments of constant
+    pulse state.  Per segment ``j`` (``j`` edges behind it):
+    ``states[j]``, the pulses, per app ``(when, off)`` (its pending
+    edge and the watts its component draws while the app is idle, None
+    while it is active); ``segments[j]``, their
+    :meth:`_LaneModel.segment`; and ``runs[j]``, the spans ``times[i] -
+    times[i - 1]`` of its breakpoints ``i`` (breakpoint 0 has none).
+    ``_grid`` and ``_pulses`` are the generator's cursor: what is
+    pending after the last breakpoint.
     """
 
-    __slots__ = ("model", "now", "grid", "next_seq", "pulses", "energy",
-                 "levels")
+    __slots__ = ("model", "times", "grids", "edges", "states", "segments",
+                 "runs", "_grid", "_pulses")
 
-    def __init__(self, model, now, grid, next_seq, pulses, energy, levels):
+    def __init__(self, model, grid, pulses):
         self.model = model
+        self.times = []
+        self.grids = []
+        self.edges = []
+        self.states = [pulses]
+        self.segments = [model.segment(pulses)]
+        self.runs = [[]]
+        self._grid = grid
+        self._pulses = list(pulses)
+
+    def _mark(self, t):
+        """The index of the breakpoint at ``t``, appended if new."""
+        times = self.times
+        if not times:
+            times.append(t)
+        elif times[-1] != t:
+            self.runs[-1].append(t - times[-1])
+            times.append(t)
+        return len(times) - 1
+
+    def extend(self, until):
+        """Plan every breakpoint at or before ``until``, generating
+        instants as the trunk does: ``g += period`` for the grid,
+        ``when + burst`` / ``when + (period - burst)`` for edges."""
+        model = self.model
+        period = model.period
+        grid = self._grid
+        pulses = self._pulses
+        while True:
+            edge = None
+            for app, (when, _off) in enumerate(pulses):
+                if when is not None and (edge is None
+                                         or when < pulses[edge][0]):
+                    edge = app
+            when = None if edge is None else pulses[edge][0]
+            if grid is not None:
+                # Grid instants before the edge; one at the edge's
+                # instant joins its breakpoint on the next pass.
+                stop = (until if when is None or when > until
+                        else math.nextafter(when, -math.inf))
+                while grid <= stop:
+                    self._mark(grid)
+                    self.grids.append(grid)
+                    grid += period
+            if when is None or when > until:
+                self._grid = grid
+                return
+            if pulses[edge][1] is None:
+                pulses[edge] = (when + model.rest[edge],
+                                model.idle_watts[edge])
+            else:
+                pulses[edge] = (when + model.burst[edge], None)
+            index = self._mark(when)
+            state = tuple(pulses)
+            if not self.edges or self.edges[-1] != index:
+                self.edges.append(index)
+                self.runs.append([])
+                self.states.append(state)
+                self.segments.append(model.segment(state))
+            else:
+                # Edges at one instant: the breakpoint leaves the state
+                # after the last of them.
+                self.states[-1] = state
+                self.segments[-1] = model.segment(state)
+
+    def _first(self, segment):
+        """The breakpoint whose span opens ``runs[segment]``."""
+        return self.edges[segment - 1] + 1 if segment else 1
+
+    def pending(self, index):
+        """``(grid, pulses)`` pending before breakpoint ``index``."""
+        times = self.times
+        grid = self._grid
+        if index < len(times):
+            at = bisect_left(self.grids, times[index])
+            if at < len(self.grids):
+                grid = self.grids[at]
+        return grid, self.states[bisect_left(self.edges, index)]
+
+    def stretches(self, index, t0, until):
+        """The fold from ``t0`` (breakpoint ``index`` next) to ``until``.
+
+        Returns ``(stretches, end)``: ``(segment, spans)`` per segment
+        crossed, in order, and the first breakpoint after ``until``.
+        The spans are the positive ``s - last`` of every breakpoint
+        ``s`` and of ``until``.
+        """
+        self.extend(until)
+        times = self.times
+        runs = self.runs
+        end = bisect_right(times, until, index)
+        segment = bisect_left(self.edges, index)
+        if index == end:
+            tail = until - t0
+            return [(self.segments[segment],
+                     [tail] if tail > 0.0 else [])], end
+        head = times[index] - t0
+        first = [head] if head > 0.0 else []
+        lo = index + 1 - self._first(segment)
+        last = bisect_left(self.edges, end, segment)
+        if last == segment:
+            first += runs[segment][lo:end - self._first(segment)]
+            out = [(self.segments[segment], first)]
+        else:
+            first += runs[segment][lo:]
+            out = [(self.segments[segment], first)]
+            for middle in range(segment + 1, last):
+                out.append((self.segments[middle], runs[middle]))
+            out.append((self.segments[last],
+                        runs[last][:end - self._first(last)]))
+        tail = until - times[end - 1]
+        if tail > 0.0:
+            out[-1] = (out[-1][0], out[-1][1] + [tail])
+        return out, end
+
+    def trimmed(self, index):
+        """A copy without the breakpoints before ``index``; lane states
+        holding this plan keep their indices."""
+        segment = bisect_left(self.edges, index)
+        plan = _LanePlan(self.model, self._grid, self.states[segment])
+        plan._pulses = list(self._pulses)
+        times = self.times
+        cut = (bisect_left(self.grids, times[index]) if index < len(times)
+               else len(self.grids))
+        plan.times = times[index:]
+        plan.grids = self.grids[cut:]
+        plan.edges = [at - index for at in self.edges[segment:]]
+        plan.states = self.states[segment:]
+        plan.segments = self.segments[segment:]
+        plan.runs = ([self.runs[segment][index + 1 - self._first(segment):]]
+                     + self.runs[segment + 1:])
+        return plan
+
+
+class _LaneState:
+    """A lane at one instant: its place in the plan (``index``, the
+    next breakpoint), the machine's ``energy`` (``energy_total``) and
+    fidelity ``levels``.  The first add has been made, so the machine's
+    last update is ``now``."""
+
+    __slots__ = ("plan", "index", "now", "energy", "levels")
+
+    def __init__(self, plan, index, now, energy, levels):
+        self.plan = plan
+        self.index = index
         self.now = now
-        self.grid = grid
-        self.next_seq = next_seq
-        self.pulses = pulses
         self.energy = energy
         self.levels = levels
 
 
-def _lane_start(sim):
-    """The trunk's open-loop future as a lane, or None if a lane
-    cannot model it (see "Open-loop lanes" above)."""
-    objects = sim._snapshottables
-    machine = objects.get("machine")
-    monitor = objects.get("monitor")
-    viceroy = objects.get("viceroy")
-    if (type(machine) is not Machine
-            or type(monitor) is not OnlinePowerMonitor
-            or monitor.machine is not machine or viceroy is None
-            or machine.correction is not zero_correction
-            or machine._supply_note_power is not None
-            or machine._supply_recover is not None):
-        return None
-    cancelled = sim._cancelled
-    live = {seq for _when, seq, _callback in sim._heap
-            if seq not in cancelled}
-    expected = set()
-    grid = None
-    tick = monitor._entry
-    if monitor._running and tick is not None and tick[1] in live:
-        expected.add(tick[1])
-        grid = tick[0]
-
-    apps = viceroy.ladder.applications
-    components = machine.components
-    owner = {}
-    level_watts = []
-    idle_watts = []
-    bursts = []
-    rests = []
-    pulses = []
-    for index, app in enumerate(apps):
-        component = app.component
-        states = component.states
-        if (type(app) is not PulsedApp
-                or type(component) is not PowerComponent):
-            return None
-        owner[component.name] = index
-        level_watts.append([states[level] for level in app.levels])
-        idle_watts.append(states["idle"])
-        # As PulsedApp schedules its edges: burst, then period - burst.
-        burst = app.burst
-        bursts.append(burst)
-        rests.append(app.period - burst)
-        entry = app._entry
-        if entry is not None and entry[1] in live:
-            expected.add(entry[1])
-            when, seq = entry[0], entry[1]
-        else:
-            when = seq = None
-        pulses.append((when, seq, app._active, component.power))
-    if live != expected:
-        # A pending decision (or anything else) would act mid-horizon.
-        return None
-    ladder = viceroy.ladder
-    position = {id(app): index for index, app in enumerate(apps)}
-    model = _LaneModel(
-        [(owner.get(name, -1), component.power)
-         for name, component in components.items()],
-        level_watts, idle_watts, bursts, rests, monitor.period,
-        [position[id(app)] for app in ladder.by_priority(ascending=True)],
-        [position[id(app)] for app in ladder.by_priority(ascending=False)],
-    )
-
-    pulses = tuple(pulses)
-    levels = tuple(app.level_index for app in apps)
-    now = sim.now
-    energy = machine.energy_total
-    span = now - machine._last_update
-    if span > 0.0:
-        power = (model.power(pulses, levels) if machine._power_dirty
-                 else machine._power)
-        energy += power * span
-    return _LaneState(model, now, grid, sim._next_seq, pulses, energy,
-                      levels)
-
-
 def _fold(state, lanes, until):
     """Integrate ``lanes`` (one levels tuple each) from ``state`` to
-    ``until`` in one pass over the shared schedule.
+    ``until``; returns each lane's final ``energy_total`` and the index
+    of the first breakpoint after ``until``.
 
-    Returns ``(energies, next_state_fields)``: each lane's final
-    ``energy_total``, and the ``(grid, next_seq, pulses)`` cursors at
-    ``until``.
+    Each lane adds ``P * span`` span by span in the trunk's order, so
+    no sum is reassociated.
     """
-    model = state.model
-    period = model.period
-    burst = model.burst
-    rest = model.rest
-    pulses = list(state.pulses)
-    count = len(lanes)
-    lane_range = range(count)
-    energy = [state.energy] * count
-    power = [model.power(pulses, levels) for levels in lanes]
-    grid = state.grid
-    last = state.now
-    seq = state.next_seq
-    while True:
-        edge = None
-        for app, pulse in enumerate(pulses):
-            when = pulse[0]
-            if (when is not None and when <= until
-                    and (edge is None or pulse[:2] < pulses[edge][:2])):
-                edge = app
-        bound = until if edge is None else pulses[edge][0]
-        if grid is not None:
-            while grid < bound:
-                span = grid - last
-                if span > 0.0:
-                    for i in lane_range:
-                        energy[i] += power[i] * span
-                    last = grid
-                grid += period
-        span = bound - last
-        if span > 0.0:
-            for i in lane_range:
-                energy[i] += power[i] * span
-            last = bound
-        if edge is None:
-            return energy, (grid, seq, tuple(pulses))
-        when, _seq, active, off = pulses[edge]
-        if active:
-            pulses[edge] = (when + rest[edge], seq, False,
-                            model.idle_watts[edge])
-        else:
-            pulses[edge] = (when + burst[edge], seq, True, off)
-        seq += 1
-        power = [model.power(pulses, levels) for levels in lanes]
+    plan = state.plan
+    stretches, end = plan.stretches(state.index, state.now, until)
+    power = plan.model.power
+    ends = []
+    for levels in lanes:
+        energy = state.energy
+        for (offs, memo), spans in stretches:
+            watts = memo.get(levels)
+            if watts is None:
+                watts = memo[levels] = power(offs, levels)
+            for span in spans:
+                energy += watts * span
+        ends.append(energy)
+    return ends, end
+
+
+#: Breakpoints a plan may keep behind the trunk before it is trimmed.
+_TRIM_AT = 256
 
 
 class WhatIfEvaluator:
@@ -335,11 +461,90 @@ class WhatIfEvaluator:
         # is ~half the cost of a cold fork.
         self._branch_metrics = MetricsRegistry()
         self._branch_pool = []
+        self._plan = None
 
     def start(self):
         """Where the trunk's branches start: a lane state, or a
         :class:`Snapshot` to fork when lanes cannot model the stack."""
-        return _lane_start(self.sim) or Snapshot.capture(self.sim)
+        return self._lane_start() or Snapshot.capture(self.sim)
+
+    def _lane_start(self):
+        """The trunk's open-loop future as a lane on the evaluator's
+        plan, or None if a lane cannot model it (see "Open-loop lanes"
+        above)."""
+        sim = self.sim
+        objects = sim._snapshottables
+        machine = objects.get("machine")
+        monitor = objects.get("monitor")
+        viceroy = objects.get("viceroy")
+        if (type(machine) is not Machine
+                or type(monitor) is not OnlinePowerMonitor
+                or monitor.machine is not machine or viceroy is None
+                or machine.correction is not zero_correction
+                or machine._supply_note_power is not None
+                or machine._supply_recover is not None):
+            return None
+        apps = viceroy.ladder.applications
+        plan = self._plan
+        if plan is not None and plan.model.matches(machine, monitor, apps):
+            model = plan.model
+        elif all(type(app) is PulsedApp
+                 and type(app.component) is PowerComponent for app in apps):
+            plan = None
+            model = _LaneModel(machine, monitor, viceroy.ladder)
+        else:
+            return None
+
+        cancelled = sim._cancelled
+        live = {seq for _when, seq, _callback in sim._heap
+                if seq not in cancelled}
+        expected = set()
+        grid = None
+        tick = monitor._entry
+        if monitor._running and tick is not None and tick[1] in live:
+            expected.add(tick[1])
+            grid = tick[0]
+        pulses = []
+        for app in apps:
+            entry = app._entry
+            when = None
+            if entry is not None and entry[1] in live:
+                expected.add(entry[1])
+                when = entry[0]
+            pulses.append((when, None if app._active
+                           else app.component.power))
+        if live != expected:
+            # A pending decision (or anything else) would act mid-horizon.
+            return None
+        pulses = tuple(pulses)
+
+        # The plan still describes the trunk if, once the events at
+        # this instant have fired, it predicts exactly what the trunk
+        # will have pending; else the trunk's own plan replaces it.
+        now = sim.now
+        fresh = _LanePlan(model, grid, pulses)
+        fresh.extend(now)
+        if plan is not None:
+            plan.extend(now)
+            index = bisect_right(plan.times, now)
+            if plan.pending(index) != fresh.pending(len(fresh.times)):
+                plan = None
+            elif index >= _TRIM_AT:
+                plan = plan.trimmed(index)
+                index = 0
+        if plan is None:
+            plan = fresh
+            index = len(fresh.times)
+        self._plan = plan
+
+        levels = tuple(app.level_index for app in apps)
+        energy = machine.energy_total
+        span = now - machine._last_update
+        if span > 0.0:
+            power = (model.power(model.segment(pulses)[0], levels)
+                     if machine._power_dirty else machine._power)
+            energy += power * span
+        return _LaneState(plan, index, now, energy, levels)
 
     def evaluate(self, actions, residual, remaining, did=None, trace=None):
         """Measure one branch per action; return ``{action: verdict}``.
@@ -354,9 +559,10 @@ class WhatIfEvaluator:
         t0 = self.sim.now
         start = self.start()
         if type(start) is _LaneState:
-            lanes = [start.model.act(start.levels, action) or start.levels
+            model = start.plan.model
+            lanes = [model.act(start.levels, action) or start.levels
                      for action in actions]
-            ends, _cursors = _fold(start, lanes, t0 + horizon)
+            ends, _end = _fold(start, lanes, t0 + horizon)
             measured = [end - start.energy for end in ends]
             self.branches_run += len(lanes)
         else:
@@ -390,14 +596,14 @@ class WhatIfEvaluator:
         """
         if type(snapshot) is not _LaneState:
             return self._fork(snapshot, action, stage_s, did, stage=True)
-        levels = snapshot.model.act(snapshot.levels, action)
+        levels = snapshot.plan.model.act(snapshot.levels, action)
         if levels is None:
             return None
         until = snapshot.now + stage_s
-        (end,), cursors = _fold(snapshot, [levels], until)
+        (energy,), index = _fold(snapshot, [levels], until)
         self.branches_run += 1
-        return end - snapshot.energy, _LaneState(
-            snapshot.model, until, *cursors, end, levels,
+        return energy - snapshot.energy, _LaneState(
+            snapshot.plan, index, until, energy, levels,
         )
 
     def _fork(self, snapshot, action, seconds, did, stage=False):

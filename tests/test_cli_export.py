@@ -2,7 +2,10 @@
 
 import csv
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.analysis.export import energy_table_csv, timeline_csv, write_csv
 from repro.cli import build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
+ROOT = pathlib.Path(__file__).parent.parent
 
 
 class TestEnergyTableCsv:
@@ -163,6 +167,8 @@ class TestCli:
          "--no-hysteresis", "--lookahead"],
         ["--horizon", "6"],
         ["--depth", "3"],
+        ["--energy", "5"],
+        ["--goal", "20", "--energy", "5"],
     ])
     def test_goal_only_flags_exit_2_on_other_experiments(
             self, experiment, argv, tmp_path, capsys):
@@ -174,6 +180,34 @@ class TestCli:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not (tmp_path / "out.jsonl").exists()
+
+    def test_trace_video_takes_no_goal(self, tmp_path, capsys):
+        code = main(["trace", "video", "--goal", "20",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: trace video does not take --goal\n")
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_closed_stdout_exits_141_without_traceback(self, tmp_path,
+                                                       buffered):
+        """The reader is gone before the first write: block-buffered,
+        the command fails at its final flush; unbuffered, at its first
+        print."""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "goal", "--goal", "60",
+             "--energy", "600", "--pulse", "--out", str(tmp_path / "P")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        _out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""
 
     @staticmethod
     def _trace_goal(tmp_path, name, *argv):

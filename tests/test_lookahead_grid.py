@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.hysteresis import DEGRADE, HOLD, UPGRADE
 from repro.devices import generate_fleet
+from repro.devices.calibrate import schedule_drift
 from repro.obs import Tracer, installed
 from repro.powerscope.online import OnlinePowerMonitor
 from repro.snapshot import Snapshot
@@ -113,6 +114,139 @@ def test_lanes_match_live_ticks(capture_t, device, stage_actions, horizon,
 
     # The lanes read the trunk and never wrote to it.
     assert Snapshot.capture(trunk.sim).payload == snapshot.payload
+
+
+def _verdict_rows(evaluator, residual, remaining, stage_s):
+    """What ``evaluator`` measures at one decision, as reprs: a
+    three-way evaluation and every expansion of a depth-2 schedule
+    tree."""
+    rows = [repr(evaluator.evaluate((HOLD, DEGRADE, UPGRADE), residual,
+                                    remaining))]
+    frontier = [evaluator.start()]
+    for _stage in range(2):
+        grown = []
+        for state in frontier:
+            assert not isinstance(state, Snapshot)
+            for action in (HOLD, DEGRADE, UPGRADE):
+                expanded = evaluator.expand(state, action, stage_s)
+                rows.append(None if expanded is None
+                            else repr(expanded[0]))
+                if expanded is not None:
+                    grown.append(expanded[1])
+        frontier = grown
+    return rows
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    device=st.sampled_from(DEVICES),
+    sample_period=st.sampled_from([0.1, 0.25, 0.5]),
+    horizon=st.one_of(st.integers(1, 48).map(lambda k: k / 4),
+                      st.floats(0.01, 15.0, allow_nan=False)),
+    policy=st.sampled_from([{}, {"lookahead": True, "beam_width": 3}]),
+)
+def test_reused_evaluator_matches_a_fresh_one(device, sample_period,
+                                              horizon, policy):
+    """One evaluator asked at every decision of a run (its plan kept,
+    extended and trimmed throughout) measures what a fresh one does."""
+    scenario = build_pulse_scenario(device=device,
+                                    sample_period=sample_period,
+                                    goal_seconds=150.0,
+                                    initial_energy=1250.0, **policy)
+    controller = scenario.controller
+    choose = controller._choose_action
+    shared = WhatIfEvaluator(scenario.sim, horizon=horizon)
+    models = []
+
+    def checking_choose(now, did, demand, residual):
+        remaining = controller.time_remaining
+        fresh = WhatIfEvaluator(scenario.sim, horizon=horizon)
+        assert (_verdict_rows(shared, residual, remaining, horizon / 2)
+                == _verdict_rows(fresh, residual, remaining, horizon / 2))
+        models.append(shared._plan.model)
+        return choose(now, did, demand, residual)
+
+    controller._choose_action = checking_choose
+    scenario.start().run()
+    assert controller.decisions > 200
+    assert all(model is models[0] for model in models), (
+        "nothing changed the trunk's lane model")
+
+
+# ----------------------------------------------------------------------
+# the plan follows changes to the trunk
+# ----------------------------------------------------------------------
+# Both apps are idle at this instant.
+CHANGE_AT = 23.0
+
+
+def _drift(scenario):
+    schedule_drift(scenario.sim, scenario.machine, CHANGE_AT + 0.05, 1.25,
+                   components=("codec",))
+
+
+def _longer_burst(scenario):
+    scenario.apps[0].duty = 0.8
+
+
+def _monitor_period(scenario):
+    monitor = scenario.monitor
+    monitor.stop()
+    monitor.period = 0.25
+    monitor.start()
+
+
+def _monitor_phase(scenario):
+    monitor = scenario.monitor
+    monitor.stop()
+    scenario.sim.schedule(0.03, lambda _time: monitor.start())
+
+
+def _platform_power(scenario):
+    platform = scenario.machine.components["platform"]
+    platform.states = dict(platform.states, dim=4.1)
+    platform.set_state("dim")
+
+
+def _idle_radio_busy(scenario):
+    scenario.apps[1].component.set_state("trickle")
+
+
+def _open_loop_trunk(change=None, until=CHANGE_AT):
+    """The pulse stack run open-loop to ``until``, ``change`` made at
+    ``CHANGE_AT``."""
+    trunk = _drop_decision(build_pulse_scenario().start())
+    trunk.sim.run(until=CHANGE_AT)
+    if change is not None:
+        change(trunk)
+        trunk.sim.run(until=until)
+    return trunk
+
+
+@pytest.mark.parametrize("change", [_drift, _longer_burst, _monitor_period,
+                                    _monitor_phase, _platform_power,
+                                    _idle_radio_busy])
+def test_lanes_follow_trunk_changes(change):
+    """After each change, lanes on the evaluator's old plan still match
+    the same trunk replayed with its ticks."""
+    horizon = 8.0
+    trunk = _open_loop_trunk()
+    evaluator = WhatIfEvaluator(trunk.sim, horizon=horizon)
+    for until in (CHANGE_AT, CHANGE_AT + 1.3, CHANGE_AT + 9.7):
+        changed = until > CHANGE_AT
+        if changed:
+            if trunk.sim.now == CHANGE_AT:
+                change(trunk)
+            trunk.sim.run(until=until)
+        assert not isinstance(evaluator.start(), Snapshot)
+        verdicts = evaluator.evaluate((HOLD, DEGRADE), residual=1000.0,
+                                      remaining=1e9)
+        for action in (HOLD, DEGRADE):
+            ticking = _open_loop_trunk(change if changed else None, until)
+            if action == DEGRADE:
+                assert ticking.viceroy.degrade_once() is not None
+            assert (repr(verdicts[action]["energy_j"])
+                    == repr(_advance(ticking, horizon)))
 
 
 class _SubclassedApp(PulsedApp):
