@@ -28,15 +28,31 @@ execute them on the fleet's process pool (see ``repro.fleet``).
 
 Pass ``--csv PATH`` where supported to also write machine-readable
 output.
+
+The flag table: every flag two commands share is declared once in
+``_FLAGS`` (type or validator, default, metavar, help) and a command
+adds it by name, passing only what it says differently.  ``_MODES``
+names, for each command with modes, the modes that read each flag and
+the flags a flag or mode needs; :func:`_check_flags` refuses, before
+the command runs, every given flag its mode does not read and every
+flag given without the one it needs.  A flag counts as given when its
+value differs from its declared default, so a flag only some modes
+read defaults to ``None`` and the command resolves the real default.
+Every file goes through :func:`_write`, and every refusal is a
+:class:`_UsageError`: one ``error:`` line, exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
+import os
 import sys
 
 from repro.analysis import render_table
-from repro.analysis.export import energy_table_csv, timeline_csv, write_csv
+from repro.analysis.export import energy_table_csv, timeline_csv
+from repro.service.client import DEFAULT_ENDPOINT
 
 __all__ = ["main"]
 
@@ -70,25 +86,261 @@ def _nonnegative_int(text):
     return value
 
 
-def _cmd_energy_table(args, table_fn, label, app=None):
-    jobs = getattr(args, "jobs", None)
-    if app is not None and jobs is not None and jobs != 1:
+class _UsageError(Exception):
+    """The command cannot run as asked: bad input, an unwritable path,
+    an unreachable service.  ``main`` prints one ``PREFIX: message``
+    line and exits 2."""
+
+    def __init__(self, message, prefix="error"):
+        super().__init__(message)
+        self.prefix = prefix
+
+
+@contextlib.contextmanager
+def _writable(path, mkdir=False):
+    """Create ``path``'s directory if asked; an OSError inside the block
+    is a usage error naming ``path``."""
+    try:
+        if mkdir and os.path.dirname(path):
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        yield
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}"
+                          ) from None
+
+
+def _write(path, content, note="", mkdir=False):
+    """Write one artifact and print ``wrote PATH`` (plus ``note``).
+
+    ``content`` is the file's text, or a function that writes ``path``
+    itself (the trace and metrics exporters).
+    """
+    with _writable(path, mkdir):
+        if callable(content):
+            content(path)
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(content)
+    print(f"wrote {path}{note}")
+
+
+def _json(document):
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+# ----------------------------------------------------------------------
+# the flag table
+# ----------------------------------------------------------------------
+_APPS = ("video", "speech", "map", "web")
+
+#: Every flag more than one command takes, declared once.
+_FLAGS = {
+    "--jobs": dict(type=_positive_int, default=None,
+                   help="worker processes (default: one per CPU)"),
+    "--cache-dir": dict(default=None, help="fleet result cache directory "
+                                           "(re-runs are free)"),
+    "--timeout": dict(type=_positive_float, default=None,
+                      help="per-task wall-clock budget in seconds"),
+    "--retries": dict(type=_nonnegative_int, default=2,
+                      help="extra attempts per failing task"),
+    "--apps": dict(nargs="*", default=None, choices=_APPS,
+                   help="subset of applications (default: all four)"),
+    "--trials": dict(type=_positive_int, default=None,
+                     help="jittered trials per cell (1 = calibration run)"),
+    "--think": dict(type=_nonnegative_float, default=None,
+                    help="think time in seconds (map/web)"),
+    "--energy": dict(type=_positive_float, default=6000.0,
+                     help="initial energy in joules"),
+    "--goal": dict(type=_positive_float, default=None,
+                   help="battery-duration goal in seconds (derived if "
+                        "omitted)"),
+    "--seconds": dict(type=float, default=20.0),
+    "--lookahead": dict(action="store_true",
+                        help="roundtrip: use the lookahead controller; "
+                             "sweep: add the lookahead policy as a second "
+                             "axis"),
+    "--horizon": dict(type=_positive_float, default=None,
+                      help="lookahead branch horizon in seconds (default "
+                           "12)"),
+    "--csv": dict(help="also write the table as CSV"),
+    "--json": dict(default=None, metavar="PATH",
+                   help="also write the diff as deterministic JSON"),
+    "--out": dict(default=None, metavar="PATH",
+                  help="write the raw task values as canonical JSON"),
+    "--results-out": dict(default=None, metavar="PATH",
+                          help="write the raw task values as canonical "
+                               "JSON (byte-comparable with `repro result "
+                               "--out`)"),
+    "--telemetry-out": dict(default=None, metavar="PATH",
+                            help="write the campaign telemetry snapshot as "
+                                 "JSON"),
+    "--trace": dict(default=None, metavar="PREFIX",
+                    help="record a trace of the run; writes PREFIX.jsonl "
+                         "and PREFIX.trace.json"),
+    "--metrics-out": dict(default=None, metavar="PATH",
+                          help="write the metrics snapshot as JSON"),
+    "--endpoint": dict(default=DEFAULT_ENDPOINT,
+                       help=f"service base URL (default {DEFAULT_ENDPOINT})"),
+    "--diff-against": dict(default=None, metavar="SPEC",
+                           help="run a policy diff matrix instead of the "
+                                "fidelity sweep: every candidate policy "
+                                "diffs against this baseline policy spec "
+                                "('default', or 'key=value,...' — e.g. "
+                                "'hysteresis=off,lookahead=on')"),
+    "--candidate": dict(action="append", default=None, metavar="SPEC",
+                        help="add a candidate policy spec (repeatable; "
+                             "default: the hysteresis x lookahead grid)"),
+    "--vary": dict(action="append", default=None, metavar="KEY=V1,V2",
+                   help="sweep a policy key over listed values; repeat "
+                        "for a cross product (e.g. --vary "
+                        "hysteresis=on,off --vary horizon=6,12)"),
+    "--scenario": dict(default=None, metavar="SPEC",
+                       help="shared scenario params for every variant "
+                            "(e.g. 'goal_seconds=120,initial_energy=1000')"),
+    "--devices": dict(default=None, metavar="PATH",
+                      help="fan the matrix across a device fleet read "
+                           "from a calibration file (see "
+                           "repro.devices.write_fleet); one row per "
+                           "(device, policy) pair"),
+    "--fleet-size": dict(type=_positive_int, default=None, metavar="N",
+                         help="fan the matrix across N generated devices "
+                              "(byte-stable per --fleet-seed) instead of a "
+                              "fleet file"),
+    "--fleet-seed": dict(type=int, default=None, metavar="S",
+                         help="seed for --fleet-size device generation "
+                              "(default 0)"),
+    "--matrix-out": dict(default=None, metavar="PATH",
+                         help="write the matrix as canonical JSON — "
+                              "byte-identical across serial, --jobs N, "
+                              "cache-warm, and service-submitted runs"),
+    "--fail-on-divergence": dict(action="store_true",
+                                 help="exit 1 when any candidate row "
+                                      "violates the thresholds below (with "
+                                      "none set: any divergence from the "
+                                      "baseline at all)"),
+    "--max-windows": dict(type=_nonnegative_int, default=None, metavar="N",
+                          help="allow up to N divergence windows per row"),
+    "--max-delta-j": dict(type=float, default=None, metavar="J",
+                          help="allow up to J joules of absolute energy "
+                               "delta per row"),
+    "--max-shape-distance": dict(type=float, default=None, metavar="D",
+                                 help="allow up to D signature shape "
+                                      "distance per row"),
+}
+
+_OBS = ("--trace", "--metrics-out")
+_THRESHOLDS = ("--max-windows", "--max-delta-j", "--max-shape-distance")
+#: The policy-diff-matrix mode shared by sweep and submit.
+_MATRIX = ("--diff-against", "--candidate", "--vary", "--scenario",
+           "--devices", "--fleet-size", "--fleet-seed", "--matrix-out",
+           "--fail-on-divergence", *_THRESHOLDS)
+_PULSE = ("--pulse", "--lookahead", "--horizon", "--beam", "--depth",
+          "--learned-model", "--drift", "--device-file", "--device-id",
+          "--no-hysteresis")
+_SWEEP_ONLY = ("--apps", "--trials", "--think")
+
+
+def _reads(modes, *flags):
+    return dict.fromkeys(flags, modes)
+
+
+_MATRIX_NEEDS = {"--fleet-seed": ("--fleet-size",),
+                 **_reads(("--fail-on-divergence",), *_THRESHOLDS)}
+
+#: Command -> (its mode label of the parsed flags, each flag not every
+#: mode reads -> the modes that read it, each flag or mode -> the flags
+#: it needs).  A command with no entry reads every flag it takes.
+_MODES = {
+    "trace": (
+        lambda args: f"trace {args.experiment}",
+        {"--goal": ("trace goal", "trace bursty"),
+         "--seed": ("trace bursty",), "--seconds": ("trace video",),
+         **_reads(("trace goal",), "--energy", *_PULSE)},
+        {"--device-id": ("--device-file",)},
+    ),
+    "snapshot": (
+        lambda args: f"snapshot {args.mode}",
+        {**_reads(("snapshot gc",), "--keep-latest", "--dry-run"),
+         **_reads(("snapshot roundtrip", "snapshot sweep"),
+                  "--at", "--lookahead", "--horizon"),
+         **_reads(("snapshot sweep",), "--extensions", "--jobs",
+                  "--verify-cold", "--telemetry-out"),
+         "--snapshot-dir": ("snapshot sweep", "snapshot gc")},
+        {"snapshot gc": ("--snapshot-dir", "--keep-latest")},
+    ),
+    "sweep": (
+        lambda args: ("sweep --diff-against" if args.diff_against is not None
+                      else "sweep without --diff-against"),
+        {**_reads(("sweep without --diff-against",), *_SWEEP_ONLY,
+                  "--csv-dir"),
+         **_reads(("sweep --diff-against",), *_MATRIX)},
+        {"--worker-trace": ("--trace",), **_MATRIX_NEEDS},
+    ),
+    "submit": (
+        lambda args: ("submit --spec" if args.spec is not None else
+                      "submit --diff-against" if args.diff_against is not None
+                      else "submit --sweep"),
+        {**_reads(("submit --sweep",), "--sweep", *_SWEEP_ONLY),
+         **_reads(("submit --diff-against",), *_MATRIX)},
+        {**_reads(("--wait",), "--wait-timeout", "--results-out",
+                  "--telemetry-out", "--matrix-out", "--fail-on-divergence"),
+         **_MATRIX_NEEDS},
+    ),
+    "bench": (None, {},
+              _reads(("--compare",), "--max-regression", "--confirm")),
+}
+
+
+def _add(parser, *flags, **override):
+    """Add shared flags by name; ``override`` is what this command says
+    differently (its help sentence, or a default that really differs)."""
+    for flag in flags:
+        parser.add_argument(flag, **{**_FLAGS[flag], **override})
+
+
+def _given(args):
+    """The flags given: each whose value differs from its declared default."""
+    return [flag for flag, (dest, default) in args.declared.items()
+            if getattr(args, dest) != default]
+
+
+def _check_flags(args):
+    """Refuse a given flag the chosen mode does not read, and a flag or
+    mode given without the flags it needs."""
+    mode, reads, needs = _MODES.get(args.command, (None, {}, {}))
+    label = mode(args) if mode else args.command
+    given = _given(args)
+    unread = [flag for flag in given if label not in reads.get(flag, (label,))]
+    if unread:
+        raise _UsageError(f"{label} does not take {', '.join(unread)}")
+    for key, needed in needs.items():
+        missing = [flag for flag in needed if flag not in given]
+        if missing and (key == label or key in given):
+            raise _UsageError(f"{key} needs {', '.join(missing)}")
+
+
+# ----------------------------------------------------------------------
+# experiment commands
+# ----------------------------------------------------------------------
+def _cmd_energy_table(args):
+    think = getattr(args, "think", None)
+    if args.jobs not in (None, 1):
         from repro.fleet import energy_table
 
-        table = energy_table(app, jobs=jobs, think_time_s=args.think)
-    elif args.think is not None:
-        table = table_fn(think_time_s=args.think)
+        table = energy_table(args.app, jobs=args.jobs, think_time_s=think)
     else:
-        table = table_fn()
+        import repro.experiments
+
+        table_fn = getattr(repro.experiments, f"{args.app}_energy_table")
+        table = table_fn() if think is None else table_fn(think_time_s=think)
     objects = list(next(iter(table.values())))
     rows = [
         [config] + [f"{table[config][obj]:.1f}" for obj in objects]
         for config in table
     ]
-    print(render_table(["config (J)"] + objects, rows, title=label))
+    print(render_table(["config (J)"] + objects, rows, title=args.title))
     if args.csv:
-        write_csv(args.csv, energy_table_csv(table, objects))
-        print(f"wrote {args.csv}")
+        _write(args.csv, energy_table_csv(table, objects))
     return 0
 
 
@@ -129,13 +381,7 @@ def _cmd_goal(args):
                 title="supply vs predicted demand (Figure 19 style)",
             ))
     if args.csv:
-        try:
-            write_csv(args.csv, timeline_csv(result.series))
-        except OSError as exc:
-            print(f"error: cannot write {args.csv}: {exc.strerror}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote {args.csv}")
+        _write(args.csv, timeline_csv(result.series))
     return 0 if result.goal_met else 1
 
 
@@ -150,12 +396,7 @@ def _cmd_calibrate(args):
     report = calibration_report()
     print(render_report(report))
     if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
+        _write(args.json, _json(report))
     return 0 if report_ok(report) else 1
 
 
@@ -173,10 +414,31 @@ def _cmd_profile(args):
     return 0
 
 
+def _cmd_export_figures(args):
+    from repro.experiments import export_figures
+
+    written = export_figures(args.directory, figures=args.figures,
+                             jobs=args.jobs, cache=args.cache_dir)
+    for path in written:
+        print(f"wrote {path}")
+    return 0
+
+
+def _cmd_report(args):
+    from repro.experiments import full_report, render_report
+
+    report = full_report(
+        include_concurrency=not args.no_concurrency,
+        include_goal=not args.no_goal,
+        goal_energy=args.energy,
+        jobs=args.jobs,
+    )
+    print(render_report(report))
+    return 0
+
+
 def _cmd_trace(args):
     """Run one experiment under a recording tracer and export everything."""
-    import os
-
     from repro.obs import JsonlSink, Tracer, installed
     from repro.obs.export import (
         join_power,
@@ -188,48 +450,29 @@ def _cmd_trace(args):
     )
     from repro.obs.metrics import current_metrics
 
-    # Flag -> (its value, the experiments that read it, the pulse-rig
-    # knobs it sets or None).  Every flag with knobs but
+    # Pulse-rig flag -> the knobs it sets.  Every one but
     # --no-hysteresis, which the classic goal rig honours too, selects
     # the pulse rig.
-    goal = ("goal",)
-    flags = {
-        "--goal": (args.goal, ("goal", "bursty"), None),
-        "--energy": (args.energy, goal, None),
-        "--pulse": (args.pulse, goal, {}),
-        "--lookahead": (args.lookahead, goal, {"lookahead": True}),
-        "--horizon": (args.horizon, goal, {"horizon": args.horizon}),
-        "--beam": (args.beam, goal,
-                   {"lookahead": True, "beam_width": args.beam}),
-        "--depth": (args.depth, goal, {"beam_depth": args.depth}),
-        "--learned-model": (args.learned_model, goal,
-                            {"learned_model": True}),
-        "--drift": (args.drift, goal, {"drift": args.drift}),
-        "--device-file": (args.device_file, goal, {}),
-        "--device-id": (args.device_id, goal, {}),
-        "--no-hysteresis": (args.no_hysteresis, goal,
-                            {"variable_fraction": 0.0,
-                             "constant_fraction": 0.0}),
+    knobs_of = {
+        "--pulse": {},
+        "--lookahead": {"lookahead": True},
+        "--horizon": {"horizon": args.horizon},
+        "--beam": {"lookahead": True, "beam_width": args.beam},
+        "--depth": {"beam_depth": args.depth},
+        "--learned-model": {"learned_model": True},
+        "--drift": {"drift": args.drift},
+        "--device-file": {},
+        "--device-id": {},
+        "--no-hysteresis": {"variable_fraction": 0.0,
+                            "constant_fraction": 0.0},
     }
-    flags = {flag: (experiments, knobs)
-             for flag, (value, experiments, knobs) in flags.items()
-             if value not in (None, False)}
-    ignored = [flag for flag, (experiments, _knobs) in flags.items()
-               if args.experiment not in experiments]
-    if ignored:
-        print(f"error: trace {args.experiment} does not take "
-              f"{', '.join(ignored)}", file=sys.stderr)
-        return 2
-    given = {flag: knobs for flag, (_experiments, knobs) in flags.items()
-             if knobs is not None}
-    if args.device_id is not None and args.device_file is None:
-        print("error: --device-id needs --device-file", file=sys.stderr)
-        return 2
+    given = {flag: knobs_of[flag] for flag in _given(args)
+             if flag in knobs_of}
     prefix = args.out
-    out_dir = os.path.dirname(prefix)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    sink = JsonlSink(prefix + ".jsonl") if args.stream else None
+    sink = None
+    if args.stream:
+        with _writable(prefix + ".jsonl", mkdir=True):
+            sink = JsonlSink(prefix + ".jsonl")
     tracer = Tracer(
         capacity=args.ring,
         categories=set(args.categories) if args.categories else None,
@@ -260,8 +503,7 @@ def _cmd_trace(args):
             except (OSError, ValueError) as exc:
                 if sink is not None:
                     sink.close()
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+                raise _UsageError(exc) from None
             summary = scenario.start().run().summary()
             print(f"pulse goal: {'MET' if summary['goal_met'] else 'MISSED'} "
                   f"(residual {summary['battery_residual_j']:.0f} J)")
@@ -299,18 +541,20 @@ def _cmd_trace(args):
             from repro.experiments import run_bursty_experiment
 
             goal = args.goal if args.goal is not None else 400.0
-            result = run_bursty_experiment(args.seed, goal)
-            print(f"bursty goal {goal:.0f}s (seed {args.seed}): "
+            seed = args.seed if args.seed is not None else 0
+            result = run_bursty_experiment(seed, goal)
+            print(f"bursty goal {goal:.0f}s (seed {seed}): "
                   f"{'MET' if result.goal_met else 'MISSED'}")
         else:  # video
             from repro.experiments import build_rig
             from repro.workloads.videos import VideoClip
 
+            seconds = args.seconds if args.seconds is not None else 20.0
             rig = build_rig()
-            clip = VideoClip("trace-clip", args.seconds, 12.0, 16_250)
+            clip = VideoClip("trace-clip", seconds, 12.0, 16_250)
             rig.sim.spawn(rig.apps["video"].play(clip))
-            rig.sim.run(until=args.seconds)
-            print(f"video playback traced for {args.seconds:.0f}s "
+            rig.sim.run(until=seconds)
+            print(f"video playback traced for {seconds:.0f}s "
                   f"({rig.machine.finish():.0f} J)")
         tracer.flush()
 
@@ -323,14 +567,15 @@ def _cmd_trace(args):
         print(f"streamed {prefix}.jsonl ({sink.count} events)")
     else:
         events = list(tracer.events)
-        write_events_jsonl(events, prefix + ".jsonl")
-        print(f"wrote {prefix}.jsonl ({len(events)} events"
-              + (f", {tracer.dropped} dropped" if tracer.dropped else "")
-              + ")")
-    write_chrome_trace(events, prefix + ".trace.json")
-    print(f"wrote {prefix}.trace.json (load at https://ui.perfetto.dev)")
-    write_metrics(current_metrics(), prefix + ".metrics.json")
-    print(f"wrote {prefix}.metrics.json")
+        dropped = f", {tracer.dropped} dropped" if tracer.dropped else ""
+        _write(prefix + ".jsonl",
+               lambda path: write_events_jsonl(events, path),
+               f" ({len(events)} events{dropped})", mkdir=True)
+    _write(prefix + ".trace.json",
+           lambda path: write_chrome_trace(events, path),
+           " (load at https://ui.perfetto.dev)", mkdir=True)
+    _write(prefix + ".metrics.json",
+           lambda path: write_metrics(current_metrics(), path))
     joined = join_power(events)
     if joined:
         summary = join_summary(joined)
@@ -348,8 +593,6 @@ def _cmd_trace(args):
 
 def _cmd_diff(args):
     """Diff two traced runs: decision divergence + energy attribution."""
-    import json
-
     from repro.obs.diff import diff_traces
     from repro.obs.export import read_events_jsonl
 
@@ -357,8 +600,7 @@ def _cmd_diff(args):
         events_a = read_events_jsonl(args.left)
         events_b = read_events_jsonl(args.right)
     except (OSError, ValueError) as exc:
-        print(f"diff: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc, prefix="diff") from None
     diff = diff_traces(
         events_a, events_b,
         label_a=args.left, label_b=args.right,
@@ -367,17 +609,8 @@ def _cmd_diff(args):
     # Write the JSON before printing the report so `repro diff ... | head`
     # (stdout closed early) still leaves the artifact on disk.
     if args.json:
-        import os
-
-        out_dir = os.path.dirname(args.json)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(diff.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write(args.json, _json(diff.to_dict()), mkdir=True)
     print(diff.render(max_windows=args.max_windows))
-    if args.json:
-        print(f"wrote {args.json}")
     if args.fail_on_divergence and not diff.identical:
         return 1
     return 0
@@ -385,8 +618,6 @@ def _cmd_diff(args):
 
 def _cmd_verify_profile(args):
     """Verify a traced run's energy signature against a golden."""
-    import json
-
     from repro.obs.export import read_events_jsonl
     from repro.obs.signature import (SignatureError, read_signature,
                                      verify_signature)
@@ -400,478 +631,16 @@ def _cmd_verify_profile(args):
             abs_tolerance_j=args.abs_tolerance,
         )
     except (OSError, SignatureError, ValueError) as exc:
-        print(f"verify-profile: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc, prefix="verify-profile") from None
     # Write the JSON before printing the report so a closed stdout
     # still leaves the artifact on disk (same contract as `repro diff`).
     if args.json:
-        import os
-
-        out_dir = os.path.dirname(args.json)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(diff.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write(args.json, _json(diff.to_dict()), mkdir=True)
     print(diff.render(max_phases=args.max_phases))
-    if args.json:
-        print(f"wrote {args.json}")
-    if diff.regression:
-        return 1
-    return 0
-
-
-def build_parser():
-    """Build the argparse parser for every subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduction of 'Energy-aware adaptation for mobile "
-                    "applications' (SOSP 1999).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_obs_flags(p):
-        """Flags shared by every experiment-running command."""
-        p.add_argument("--trace", default=None, metavar="PREFIX",
-                       help="record a trace of the run; writes "
-                            "PREFIX.jsonl and PREFIX.trace.json")
-        p.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write the metrics snapshot as JSON")
-
-    def add_matrix_flags(p):
-        """The policy-diff-matrix mode shared by sweep and submit."""
-        p.add_argument("--diff-against", default=None, metavar="SPEC",
-                       help="run a policy diff matrix instead of the "
-                            "fidelity sweep: every candidate policy "
-                            "diffs against this baseline policy spec "
-                            "('default', or 'key=value,...' — e.g. "
-                            "'hysteresis=off,lookahead=on')")
-        p.add_argument("--candidate", action="append", default=None,
-                       metavar="SPEC",
-                       help="add a candidate policy spec (repeatable; "
-                            "default: the hysteresis x lookahead grid)")
-        p.add_argument("--vary", action="append", default=None,
-                       metavar="KEY=V1,V2",
-                       help="sweep a policy key over listed values; "
-                            "repeat for a cross product (e.g. "
-                            "--vary hysteresis=on,off "
-                            "--vary horizon=6,12)")
-        p.add_argument("--scenario", default=None, metavar="SPEC",
-                       help="shared scenario params for every variant "
-                            "(e.g. 'goal_seconds=120,"
-                            "initial_energy=1000')")
-        p.add_argument("--devices", default=None, metavar="PATH",
-                       help="fan the matrix across a device fleet read "
-                            "from a calibration file (see "
-                            "repro.devices.write_fleet); one row per "
-                            "(device, policy) pair")
-        p.add_argument("--fleet-size", type=_positive_int, default=None,
-                       metavar="N",
-                       help="fan the matrix across N generated devices "
-                            "(byte-stable per --fleet-seed) instead of "
-                            "a fleet file")
-        p.add_argument("--fleet-seed", type=int, default=0, metavar="S",
-                       help="seed for --fleet-size device generation "
-                            "(default 0)")
-        p.add_argument("--matrix-out", default=None, metavar="PATH",
-                       help="write the matrix as canonical JSON — "
-                            "byte-identical across serial, --jobs N, "
-                            "cache-warm, and service-submitted runs")
-        p.add_argument("--fail-on-divergence", action="store_true",
-                       help="exit 1 when any candidate row violates "
-                            "the thresholds below (with none set: any "
-                            "divergence from the baseline at all)")
-        p.add_argument("--max-windows", type=_nonnegative_int,
-                       default=None, metavar="N",
-                       help="allow up to N divergence windows per row")
-        p.add_argument("--max-delta-j", type=float, default=None,
-                       metavar="J",
-                       help="allow up to J joules of absolute energy "
-                            "delta per row")
-        p.add_argument("--max-shape-distance", type=float, default=None,
-                       metavar="D",
-                       help="allow up to D signature shape distance "
-                            "per row")
-
-    for fig, label in (
-        ("fig06", "Figure 6 — video energy by fidelity"),
-        ("fig08", "Figure 8 — speech energy by strategy"),
-        ("fig10", "Figure 10 — map energy by fidelity"),
-        ("fig13", "Figure 13 — Web energy by JPEG quality"),
-    ):
-        p = sub.add_parser(fig, help=label)
-        p.add_argument("--think", type=float, default=None,
-                       help="think time in seconds (map/web only)")
-        p.add_argument("--csv", help="also write the table as CSV")
-        p.add_argument("--jobs", type=_positive_int, default=None,
-                       help="run the table's cells on N fleet workers")
-        add_obs_flags(p)
-
-    p = sub.add_parser("goal", help="run one goal-directed experiment")
-    p.add_argument("--energy", type=_positive_float, default=6000.0,
-                   help="initial energy in joules")
-    p.add_argument("--goal", type=_positive_float, default=None,
-                   help="battery-duration goal in seconds (derived if omitted)")
-    p.add_argument("--halflife", type=_positive_float, default=0.10,
-                   help="smoothing half-life fraction")
-    p.add_argument("--csv", help="write the supply/demand/fidelity trace as CSV")
-    p.add_argument("--no-chart", action="store_true",
-                   help="skip the ASCII supply/demand chart")
-    add_obs_flags(p)
-
-    p = sub.add_parser("profile", help="PowerScope profile of video playback")
-    p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--rate", type=float, default=600.0,
-                   help="sampling rate in Hz")
-    p.add_argument("--no-pm", action="store_true",
-                   help="disable hardware power management")
-    add_obs_flags(p)
-
-    p = sub.add_parser(
-        "trace",
-        help="run one experiment under the tracer and export JSONL, "
-             "Chrome trace JSON, and a metrics snapshot",
-    )
-    p.add_argument("experiment", choices=("goal", "bursty", "video"),
-                   help="which experiment to trace")
-    p.add_argument("--out", default="trace/run", metavar="PREFIX",
-                   help="output prefix (default trace/run → trace/run.jsonl, "
-                        "trace/run.trace.json, trace/run.metrics.json)")
-    p.add_argument("--ring", type=_positive_int, default=None,
-                   help="ring-buffer capacity (default: unbounded)")
-    p.add_argument("--categories", nargs="*", default=None,
-                   choices=("sim", "power", "core", "powerscope", "fleet",
-                            "branch", "service", "workload", "calibration"),
-                   help="restrict tracing to these categories")
-    p.add_argument("--goal", type=_positive_float, default=None,
-                   help="goal seconds (goal/bursty; default 400, "
-                        "or 290 with --pulse/--lookahead)")
-    p.add_argument("--energy", type=_positive_float, default=None,
-                   help="initial energy in joules (goal; default 6000, "
-                        "or 2400 with --pulse/--lookahead)")
-    p.add_argument("--pulse", action="store_true",
-                   help="run the snapshot-capable pulse scenario instead "
-                        "of the generator-based goal rig (goal only)")
-    p.add_argument("--lookahead", action="store_true",
-                   help="vet adaptation decisions with what-if "
-                        "branches (implies --pulse); branch verdicts "
-                        "are traced on the 'branch' category")
-    p.add_argument("--horizon", type=_positive_float, default=None,
-                   help="lookahead branch horizon in seconds (default 12)")
-    p.add_argument("--beam", type=_positive_int, default=None, metavar="W",
-                   help="beam-search adaptation schedules with width W "
-                        "(implies --lookahead); keeps the W best-margin "
-                        "schedules per stage")
-    p.add_argument("--depth", type=_positive_int, default=None,
-                   help="beam stages across the horizon (default 2; "
-                        "only with --beam)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="workload seed (bursty)")
-    p.add_argument("--seconds", type=float, default=20.0,
-                   help="playback seconds (video)")
-    p.add_argument("--no-hysteresis", action="store_true",
-                   help="zero the upgrade hysteresis margins (goal); "
-                        "pair with a default run for `repro diff`")
-    p.add_argument("--learned-model", action="store_true",
-                   help="feed the controller a Sesame-style learned "
-                        "power model (SmartBattery gauge + online "
-                        "calibrator) instead of ground truth (implies "
-                        "--pulse; goal only); calibration events land "
-                        "on the 'calibration' category")
-    p.add_argument("--drift", default=None, metavar="AT:FACTOR",
-                   help="scale real component wattages by FACTOR at "
-                        "sim time AT (e.g. 60:1.25; implies --pulse)")
-    p.add_argument("--device-file", default=None, metavar="PATH",
-                   help="run the pulse scenario on the first device of "
-                        "this fleet file, or on DEVICE_ID with "
-                        "--device-id (implies --pulse; goal only)")
-    p.add_argument("--device-id", default=None, metavar="ID",
-                   help="pick a device from --device-file by id "
-                        "(needs --device-file)")
-    p.add_argument("--stream", action="store_true",
-                   help="stream events to PREFIX.jsonl as they are "
-                        "emitted (safe to combine with --ring: the "
-                        "file keeps the prefix the ring drops)")
-
-    p = sub.add_parser(
-        "calibrate",
-        help="check headline savings percentages against the paper's "
-             "published bands; exits nonzero on any MISS",
-    )
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="also write the structured report as JSON")
-
-    p = sub.add_parser(
-        "diff",
-        help="align two traced runs on decision ids and report "
-             "divergence windows with attributed energy deltas",
-    )
-    p.add_argument("left", help="baseline trace (PREFIX.jsonl)")
-    p.add_argument("right", help="candidate trace (PREFIX.jsonl)")
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="also write the diff as deterministic JSON")
-    p.add_argument("--gap", type=_nonnegative_int, default=0,
-                   help="merge divergence windows separated by at most "
-                        "this many matching decisions (default 0)")
-    p.add_argument("--max-windows", type=_positive_int, default=10,
-                   help="windows to show in the text report (default 10)")
-    p.add_argument("--fail-on-divergence", action="store_true",
-                   help="exit 1 if the decision spines differ (CI gate)")
-
-    p = sub.add_parser(
-        "verify-profile",
-        help="verify a traced run's per-phase energy signature against "
-             "a golden; exits 1 when behaviour matches but energy does "
-             "not (or 2 on unreadable inputs)",
-    )
-    p.add_argument("run", help="traced run to verify (PREFIX.jsonl)")
-    p.add_argument("--against", required=True, metavar="PATH",
-                   help="golden signature JSON (from regen_goldens.py "
-                        "--signatures or repro.obs.write_signature)")
-    p.add_argument("--tolerance", type=float, default=None, metavar="REL",
-                   help="relative per-phase tolerance (default: the "
-                        "golden's recorded band)")
-    p.add_argument("--abs-tolerance", type=float, default=None, metavar="J",
-                   help="absolute per-phase tolerance floor in joules "
-                        "(default: the golden's recorded band)")
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="also write the signature diff as deterministic "
-                        "JSON")
-    p.add_argument("--max-phases", type=_positive_int, default=10,
-                   help="out-of-band phases to show in the text report "
-                        "(default 10)")
-    p.add_argument("--fail-on-regression", action="store_true",
-                   help="explicit CI marker; regressions already exit 1")
-    p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="write the metrics snapshot (signature.* series) "
-                        "as JSON")
-
-    p = sub.add_parser(
-        "export-figures", help="write every figure's plot data as CSV"
-    )
-    p.add_argument("directory", help="output directory")
-    p.add_argument("--figures", nargs="*", default=None,
-                   help="subset of figure ids (default: all)")
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="regenerate figures on N fleet workers")
-    p.add_argument("--cache-dir", default=None,
-                   help="fleet result cache directory (re-runs are free)")
-
-    p = sub.add_parser(
-        "bench",
-        help="micro-benchmarks of the engine/accounting/snapshot hot paths",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="small workloads for CI smoke use")
-    p.add_argument("--out", default="BENCH_core.json",
-                   help="write results JSON here (default BENCH_core.json)")
-    p.add_argument("--compare", default=None, metavar="BASELINE",
-                   help="compare against a baseline results file; exit 1 on "
-                        "regression")
-    p.add_argument("--max-regression", type=float, default=0.25,
-                   help="allowed normalized slowdown vs baseline "
-                        "(default 0.25 = 25%%)")
-    p.add_argument("--confirm", type=_nonnegative_int, default=2,
-                   help="re-run regressed benchmarks up to N times before "
-                        "failing --compare, to reject scheduler noise "
-                        "(default 2; 0 disables)")
-    p.add_argument("--only", nargs="*", default=None, metavar="NAME",
-                   help="subset of benchmarks to run; each token matches "
-                        "by substring (e.g. 'snapshot' selects every "
-                        "snapshot_* bench)")
-    p.add_argument("--repeats", type=_positive_int, default=None,
-                   help="repeat count per benchmark (min is reported)")
-
-    p = sub.add_parser(
-        "report", help="headline results across all experiments"
-    )
-    p.add_argument("--no-goal", action="store_true",
-                   help="skip the goal-directed experiments")
-    p.add_argument("--no-concurrency", action="store_true",
-                   help="skip the concurrency experiment")
-    p.add_argument("--energy", type=float, default=6000.0,
-                   help="initial energy for the goal experiments")
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="run the fidelity tables on N fleet workers")
-    add_obs_flags(p)
-
-    p = sub.add_parser(
-        "sweep",
-        help="run the fidelity studies as one parallel fleet campaign",
-    )
-    p.add_argument("--apps", nargs="*", default=None,
-                   choices=("video", "speech", "map", "web"),
-                   help="subset of applications (default: all four)")
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="worker processes (default: one per CPU)")
-    p.add_argument("--trials", type=_positive_int, default=1,
-                   help="jittered trials per cell (1 = calibration run)")
-    p.add_argument("--think", type=float, default=None,
-                   help="think time in seconds (map/web)")
-    p.add_argument("--cache-dir", default=None,
-                   help="fleet result cache directory (re-runs are free)")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-task wall-clock budget in seconds")
-    p.add_argument("--retries", type=_nonnegative_int, default=2,
-                   help="extra attempts per failing task")
-    p.add_argument("--progress", action="store_true",
-                   help="print a line per finished task")
-    p.add_argument("--csv-dir", default=None,
-                   help="also write one CSV per application table")
-    p.add_argument("--results-out", default=None, metavar="PATH",
-                   help="write the raw task values as canonical JSON "
-                        "(byte-comparable with `repro result --out`)")
-    p.add_argument("--telemetry-out", default=None, metavar="PATH",
-                   help="write the campaign telemetry snapshot as JSON")
-    p.add_argument("--worker-trace", action="store_true",
-                   help="collect in-worker ring traces and merge them "
-                        "into the coordinator trace on per-task tracks "
-                        "(needs --trace)")
-    add_matrix_flags(p)
-    add_obs_flags(p)
-
-    p = sub.add_parser(
-        "snapshot",
-        help="checkpoint/fork the pulse scenario: determinism roundtrip, "
-             "a warm-started extension sweep, or store pruning",
-    )
-    p.add_argument("mode", choices=("roundtrip", "sweep", "gc"),
-                   help="roundtrip: capture mid-run, fork, verify the fork "
-                        "finishes byte-identical to an uninterrupted run; "
-                        "sweep: goal-extension campaign that restores the "
-                        "shared scenario prefix from --snapshot-dir; "
-                        "gc: prune old snapshots from --snapshot-dir")
-    p.add_argument("--keep-latest", type=_nonnegative_int, default=None,
-                   metavar="N",
-                   help="gc: keep only the N most recent snapshots "
-                        "(pinned snapshots always survive)")
-    p.add_argument("--dry-run", action="store_true",
-                   help="gc: report what would be deleted without deleting")
-    p.add_argument("--at", type=_nonnegative_float, default=120.0,
-                   help="capture / extension instant in sim seconds "
-                        "(default 120)")
-    p.add_argument("--lookahead", action="store_true",
-                   help="roundtrip: use the lookahead controller; "
-                        "sweep: add the lookahead policy as a second axis")
-    p.add_argument("--horizon", type=_positive_float, default=12.0,
-                   help="lookahead branch horizon in seconds (default 12)")
-    p.add_argument("--extensions", nargs="*", type=_nonnegative_float,
-                   default=(0.0, 20.0, 40.0),
-                   help="goal extensions in seconds to sweep (default "
-                        "0 20 40)")
-    p.add_argument("--snapshot-dir", default=None, metavar="DIR",
-                   help="snapshot store directory; omitting it runs the "
-                        "sweep cold (every prefix re-simulated)")
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="worker processes for the sweep (default: serial)")
-    p.add_argument("--verify-cold", action="store_true",
-                   help="re-run every sweep point cold and fail unless the "
-                        "warm results are identical")
-    p.add_argument("--telemetry-out", default=None, metavar="PATH",
-                   help="write the campaign telemetry snapshot as JSON")
-    add_obs_flags(p)
-
-    # ------------------------------------------------------------------
-    # campaign service
-    # ------------------------------------------------------------------
-    from repro.service.client import DEFAULT_ENDPOINT
-
-    def add_endpoint(p):
-        p.add_argument("--endpoint", default=DEFAULT_ENDPOINT,
-                       help=f"service base URL (default {DEFAULT_ENDPOINT})")
-
-    p = sub.add_parser(
-        "serve",
-        help="start the persistent campaign service: a warm worker pool "
-             "serving submitted campaigns over local HTTP",
-    )
-    p.add_argument("--workers", type=_positive_int, default=2,
-                   help="warm pool size (default 2)")
-    p.add_argument("--cache-dir", default=None,
-                   help="shared result cache directory (all clients "
-                        "benefit from each other's completed tasks)")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=7341,
-                   help="listen port (default 7341; 0 picks a free port)")
-    p.add_argument("--retries", type=_nonnegative_int, default=2,
-                   help="default extra attempts per failing task")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="default per-task wall-clock budget in seconds")
-    p.add_argument("--heartbeat", type=float, default=0.2,
-                   help="worker heartbeat period in seconds (default 0.2)")
-    p.add_argument("--heartbeat-timeout", type=float, default=5.0,
-                   help="declare a worker dead after this long without a "
-                        "heartbeat (default 5.0)")
-    p.add_argument("--verbose", action="store_true",
-                   help="log every HTTP request")
-    add_obs_flags(p)
-
-    p = sub.add_parser(
-        "submit", help="submit a campaign to a running service"
-    )
-    add_endpoint(p)
-    p.add_argument("--sweep", action="store_true",
-                   help="submit the fidelity-study sweep campaign "
-                        "(the default; same campaign as `repro sweep`)")
-    p.add_argument("--spec", default=None, metavar="PATH",
-                   help="submit a campaign spec from a JSON file instead")
-    p.add_argument("--apps", nargs="*", default=None,
-                   choices=("video", "speech", "map", "web"),
-                   help="sweep: subset of applications")
-    p.add_argument("--trials", type=_positive_int, default=1,
-                   help="sweep: jittered trials per cell")
-    p.add_argument("--think", type=float, default=None,
-                   help="sweep: think time in seconds (map/web)")
-    p.add_argument("--queue", default="default",
-                   help="named queue to submit into (default 'default')")
-    p.add_argument("--priority", type=int, default=0,
-                   help="priority within the queue (higher runs first)")
-    p.add_argument("--client", default=None,
-                   help="client label recorded on the job")
-    p.add_argument("--retries", type=_nonnegative_int, default=None,
-                   help="override the service's per-task retry budget")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="override the service's per-task timeout")
-    p.add_argument("--wait", action="store_true",
-                   help="block until the job is terminal; exit nonzero "
-                        "if any task permanently failed")
-    p.add_argument("--wait-timeout", type=float, default=None,
-                   help="give up waiting after this many seconds")
-    p.add_argument("--results-out", default=None, metavar="PATH",
-                   help="with --wait: write the raw task values as "
-                        "canonical JSON (byte-comparable with "
-                        "`repro sweep --results-out`)")
-    p.add_argument("--telemetry-out", default=None, metavar="PATH",
-                   help="with --wait: write the job telemetry as JSON")
-    add_matrix_flags(p)
-
-    p = sub.add_parser("status", help="one job's state and progress")
-    p.add_argument("job_id")
-    add_endpoint(p)
-
-    p = sub.add_parser(
-        "result", help="fetch a terminal job's values and telemetry"
-    )
-    p.add_argument("job_id")
-    add_endpoint(p)
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the raw task values as canonical JSON")
-    p.add_argument("--telemetry-out", default=None, metavar="PATH",
-                   help="write the job telemetry as JSON")
-
-    p = sub.add_parser(
-        "queues", help="per-queue depths and the worker table"
-    )
-    add_endpoint(p)
-
-    return parser
+    return 1 if diff.regression else 0
 
 
 def _cmd_bench(args):
-    import json
-    import os
-
     from repro.perf import (
         compare,
         render_bench_table,
@@ -880,21 +649,12 @@ def _cmd_bench(args):
     )
     from repro.perf.bench import load_results
 
-    def write_out(results):
-        out_dir = os.path.dirname(args.out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}")
-
     results = run_benchmarks(
         quick=args.quick, only=args.only, repeats=args.repeats
     )
     print(render_bench_table(results))
     if args.out:
-        write_out(results)
+        _write(args.out, _json(results), mkdir=True)
     if args.compare:
         baseline = load_results(args.compare)
         rows, failures = compare(
@@ -920,7 +680,7 @@ def _cmd_bench(args):
                 results, baseline, max_regression=args.max_regression
             )
         if attempt and args.out:
-            write_out(results)
+            _write(args.out, _json(results), mkdir=True)
         print()
         print(render_comparison(rows, max_regression=args.max_regression))
         for failure in failures:
@@ -931,24 +691,13 @@ def _cmd_bench(args):
     return 0
 
 
-def _cmd_snapshot(args):
-    if args.mode == "roundtrip":
-        return _cmd_snapshot_roundtrip(args)
-    if args.mode == "gc":
-        return _cmd_snapshot_gc(args)
-    return _cmd_snapshot_sweep(args)
-
-
+# ----------------------------------------------------------------------
+# snapshot modes
+# ----------------------------------------------------------------------
 def _cmd_snapshot_gc(args):
     """Prune old snapshots from the store, keeping pinned + the newest N."""
     from repro.snapshot.disk import SnapshotStore
 
-    if args.snapshot_dir is None:
-        print("error: gc needs --snapshot-dir", file=sys.stderr)
-        return 2
-    if args.keep_latest is None:
-        print("error: gc needs --keep-latest N", file=sys.stderr)
-        return 2
     store = SnapshotStore(args.snapshot_dir)
     before = len(store)
     report = store.prune(keep_latest=args.keep_latest, dry_run=args.dry_run)
@@ -961,15 +710,27 @@ def _cmd_snapshot_gc(args):
     return 0
 
 
+def _snapshot_knobs(args):
+    """The capture instant and horizon, resolved from the pulse rig's
+    declared defaults when not given."""
+    from repro.snapshot.scenario import KNOBS
+
+    at = args.at if args.at is not None else 120.0
+    horizon = (args.horizon if args.horizon is not None
+               else KNOBS["horizon"].default)
+    return at, horizon
+
+
 def _cmd_snapshot_roundtrip(args):
     """Fork-determinism check: capture mid-run, finish both, compare."""
     from repro.fleet.spec import canonical_json
     from repro.snapshot import Snapshot
     from repro.snapshot.scenario import build_pulse_scenario
 
-    kwargs = {"lookahead": args.lookahead, "horizon": args.horizon}
+    at, horizon = _snapshot_knobs(args)
+    kwargs = {"lookahead": args.lookahead, "horizon": horizon}
     reference = build_pulse_scenario(**kwargs).start().run()
-    interrupted = build_pulse_scenario(**kwargs).start().run(until=args.at)
+    interrupted = build_pulse_scenario(**kwargs).start().run(until=at)
     snap = Snapshot.capture(interrupted.sim)
     print(f"captured at t={snap.time:g}s ({len(snap.payload['events'])} "
           f"pending events, {len(snap.payload['states'])} objects)")
@@ -1007,17 +768,19 @@ def _cmd_snapshot_sweep(args):
     from repro.fleet.spec import canonical_json
     from repro.snapshot.warm import build_warm_campaign, pulse_goal_summary
 
+    at, horizon = _snapshot_knobs(args)
+    extensions = (args.extensions if args.extensions is not None
+                  else (0.0, 20.0, 40.0))
     axis = (False, True) if args.lookahead else (False,)
     warm = args.snapshot_dir is not None
     if not warm:
         print("no --snapshot-dir: running cold (no prefix reuse)")
     spec = build_warm_campaign(
-        extensions=tuple(args.extensions), lookahead_axis=axis,
-        extend_at=args.at, warm=warm, snapshot_dir=args.snapshot_dir,
-        horizon=args.horizon,
+        extensions=tuple(extensions), lookahead_axis=axis,
+        extend_at=at, warm=warm, snapshot_dir=args.snapshot_dir,
+        horizon=horizon,
     )
-    runner = FleetRunner(jobs=args.jobs if args.jobs is not None else 1)
-    result = runner.run(spec)
+    result = FleetRunner(jobs=args.jobs or 1).run(spec)
     rows = []
     for task, task_result in zip(spec.tasks, result.results):
         value = task_result.value
@@ -1037,19 +800,7 @@ def _cmd_snapshot_sweep(args):
          "prefix"],
         rows, title="goal-extension sweep",
     ))
-    print(result.telemetry.render())
-    if args.telemetry_out:
-        import json
-
-        with open(args.telemetry_out, "w", encoding="utf-8") as handle:
-            json.dump(result.telemetry.snapshot(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.telemetry_out}")
-    for failure in result.failures:
-        print(f"FAILED {failure.task_id} "
-              f"(attempts {failure.attempts}): {failure.error}")
-    code = 0 if result.ok else 1
+    code = _campaign_tail(args, result)
     if args.verify_cold and result.ok:
         strip = lambda s: {k: v for k, v in s.items()
                            if k != "snapshot_restored"}
@@ -1069,6 +820,34 @@ def _cmd_snapshot_sweep(args):
     return code
 
 
+_SNAPSHOT_MODES = {"roundtrip": _cmd_snapshot_roundtrip,
+                   "sweep": _cmd_snapshot_sweep, "gc": _cmd_snapshot_gc}
+
+
+# ----------------------------------------------------------------------
+# fleet campaigns: the fidelity sweep and the policy diff matrix
+# ----------------------------------------------------------------------
+def _print_failures(failures):
+    for failure in failures:
+        print(f"FAILED {failure.task_id} "
+              f"(attempts {failure.attempts}): {failure.error}")
+
+
+def _campaign_tail(args, result):
+    """Render a finished campaign's telemetry, write its results and
+    telemetry files, list its failures; 1 if any task failed."""
+    print(result.telemetry.render())
+    if getattr(args, "results_out", None):
+        from repro.service.jobs import results_document
+
+        _write(args.results_out,
+               results_document(result.spec.name, result.values))
+    if args.telemetry_out:
+        _write(args.telemetry_out, _json(result.telemetry.snapshot()))
+    _print_failures(result.failures)
+    return 0 if result.ok else 1
+
+
 def _matrix_spec(args):
     """Build the policy-matrix campaign a matrix-mode invocation names."""
     import itertools
@@ -1080,38 +859,41 @@ def _matrix_spec(args):
         policy_matrix_campaign,
     )
 
-    baseline = parse_policy_spec(args.diff_against)
-    scenario = parse_policy_spec(args.scenario or "",
-                                 allowed=SCENARIO_KEYS)
-    candidates = list(args.candidate or ())
-    if args.vary:
-        axes = []
-        for vary in args.vary:
-            key, sep, values = vary.partition("=")
-            if not sep or not values:
-                raise ValueError(f"malformed --vary {vary!r} "
-                                 f"(expected KEY=V1,V2,...)")
-            axes.append([(key.strip(), v.strip())
-                         for v in values.split(",") if v.strip()])
-        for combo in itertools.product(*axes):
-            candidates.append(",".join(f"{k}={v}" for k, v in combo))
-    if not candidates:
-        candidates = list(DEFAULT_GRID)
-    for candidate in candidates:
-        parse_policy_spec(candidate)  # fail fast on a bad spec
-    devices = None
-    if args.devices and args.fleet_size:
-        raise ValueError("--devices and --fleet-size are exclusive")
-    if args.devices:
-        from repro.devices import load_fleet
+    try:
+        baseline = parse_policy_spec(args.diff_against)
+        scenario = parse_policy_spec(args.scenario or "",
+                                     allowed=SCENARIO_KEYS)
+        candidates = list(args.candidate or ())
+        if args.vary:
+            axes = []
+            for vary in args.vary:
+                key, sep, values = vary.partition("=")
+                if not sep or not values:
+                    raise ValueError(f"malformed --vary {vary!r} "
+                                     f"(expected KEY=V1,V2,...)")
+                axes.append([(key.strip(), v.strip())
+                             for v in values.split(",") if v.strip()])
+            for combo in itertools.product(*axes):
+                candidates.append(",".join(f"{k}={v}" for k, v in combo))
+        if not candidates:
+            candidates = list(DEFAULT_GRID)
+        for candidate in candidates:
+            parse_policy_spec(candidate)  # fail fast on a bad spec
+        devices = None
+        if args.devices and args.fleet_size:
+            raise ValueError("--devices and --fleet-size are exclusive")
+        if args.devices:
+            from repro.devices import load_fleet
 
-        devices = load_fleet(args.devices)
-    elif args.fleet_size:
-        from repro.devices import generate_fleet
+            devices = load_fleet(args.devices)
+        elif args.fleet_size:
+            from repro.devices import generate_fleet
 
-        devices = generate_fleet(args.fleet_size, args.fleet_seed)
-    return policy_matrix_campaign(candidates, baseline=baseline,
-                                  scenario=scenario, devices=devices)
+            devices = generate_fleet(args.fleet_size, args.fleet_seed or 0)
+        return policy_matrix_campaign(candidates, baseline=baseline,
+                                      scenario=scenario, devices=devices)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(exc) from None
 
 
 def _matrix_finish(spec, values, args):
@@ -1120,14 +902,7 @@ def _matrix_finish(spec, values, args):
 
     matrix = matrix_from_values(spec, values)
     if args.matrix_out:
-        import os
-
-        out_dir = os.path.dirname(args.matrix_out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        with open(args.matrix_out, "w", encoding="utf-8") as handle:
-            handle.write(matrix.document())
-        print(f"wrote {args.matrix_out}")
+        _write(args.matrix_out, matrix.document(), mkdir=True)
     print(matrix.render())
     if args.fail_on_divergence:
         problems = matrix.violations(
@@ -1142,67 +917,40 @@ def _matrix_finish(spec, values, args):
     return 0
 
 
+def _sweep_fleet(args):
+    """The fleet options both ``sweep`` modes run under."""
+    from repro.fleet import ProgressPrinter
+
+    return dict(jobs=args.jobs, timeout_s=args.timeout, retries=args.retries,
+                cache=args.cache_dir, worker_trace=args.worker_trace,
+                progress=ProgressPrinter() if args.progress else None)
+
+
 def _cmd_sweep_matrix(args):
     """``repro sweep --diff-against``: the policy diff matrix."""
-    from repro.fleet import FleetRunner, ProgressPrinter
+    from repro.fleet import FleetRunner
 
-    try:
-        spec = _matrix_spec(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    printer = ProgressPrinter() if args.progress else None
-    runner = FleetRunner(
-        jobs=args.jobs, timeout_s=args.timeout, retries=args.retries,
-        cache=args.cache_dir, progress=printer,
-        worker_trace=args.worker_trace,
-    )
-    result = runner.run(spec)
-    if printer is not None:
-        printer.close()
+    spec = _matrix_spec(args)
+    fleet = _sweep_fleet(args)
+    result = FleetRunner(**fleet).run(spec)
+    if fleet["progress"] is not None:
+        fleet["progress"].close()
     code = _matrix_finish(spec, result.values, args)
-    print(result.telemetry.render())
-    if args.results_out:
-        from repro.service.jobs import results_document
-
-        with open(args.results_out, "w", encoding="utf-8") as handle:
-            handle.write(results_document(result.spec.name, result.values))
-        print(f"wrote {args.results_out}")
-    if args.telemetry_out:
-        import json
-
-        with open(args.telemetry_out, "w", encoding="utf-8") as handle:
-            json.dump(result.telemetry.snapshot(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.telemetry_out}")
-    for failure in result.failures:
-        print(f"FAILED {failure.task_id} "
-              f"(attempts {failure.attempts}): {failure.error}")
-    if not result.ok:
-        return 1
-    return code
+    return _campaign_tail(args, result) or code
 
 
 def _cmd_sweep(args):
-    from repro.fleet import ProgressPrinter, run_sweep
+    """``repro sweep``: the fidelity studies as one fleet campaign."""
+    from repro.fleet import run_sweep
 
     if args.diff_against is not None:
         return _cmd_sweep_matrix(args)
-    printer = ProgressPrinter() if args.progress else None
-    tables, result = run_sweep(
-        apps=args.apps,
-        jobs=args.jobs,
-        trials=args.trials,
-        think_time_s=args.think,
-        cache=args.cache_dir,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        progress=printer,
-        worker_trace=args.worker_trace,
-    )
-    if printer is not None:
-        printer.close()
+    trials = args.trials or 1
+    fleet = _sweep_fleet(args)
+    tables, result = run_sweep(apps=args.apps, trials=trials,
+                               think_time_s=args.think, **fleet)
+    if fleet["progress"] is not None:
+        fleet["progress"].close()
     for app, table in tables.items():
         # A partially failed campaign leaves holes in the table (failed
         # cells are omitted by tables_from_result); take the object set
@@ -1219,14 +967,11 @@ def _cmd_sweep(args):
             for config in table
         ]
         title = f"{app} energy (J)"
-        if args.trials > 1:
-            title += f" — mean ± 90% CI over {args.trials} trials"
+        if trials > 1:
+            title += f" — mean ± 90% CI over {trials} trials"
         print(render_table([f"{app} (J)"] + objects, rows, title=title))
         print()
         if args.csv_dir:
-            import os
-
-            os.makedirs(args.csv_dir, exist_ok=True)
             means = {
                 config: {
                     obj: (cell.mean if hasattr(cell, "mean") else cell)
@@ -1234,28 +979,30 @@ def _cmd_sweep(args):
                 }
                 for config, row in table.items()
             }
-            path = os.path.join(args.csv_dir, f"sweep_{app}.csv")
-            write_csv(path, energy_table_csv(means, objects))
-            print(f"wrote {path}")
-    print(result.telemetry.render())
-    if args.results_out:
-        from repro.service.jobs import results_document
+            _write(os.path.join(args.csv_dir, f"sweep_{app}.csv"),
+                   energy_table_csv(means, objects), mkdir=True)
+    return _campaign_tail(args, result)
 
-        with open(args.results_out, "w", encoding="utf-8") as handle:
-            handle.write(results_document(result.spec.name, result.values))
-        print(f"wrote {args.results_out}")
-    if args.telemetry_out:
-        import json
 
-        with open(args.telemetry_out, "w", encoding="utf-8") as handle:
-            json.dump(result.telemetry.snapshot(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.telemetry_out}")
-    for failure in result.failures:
-        print(f"FAILED {failure.task_id} "
-              f"(attempts {failure.attempts}): {failure.error}")
-    return 0 if result.ok else 1
+# ----------------------------------------------------------------------
+# campaign service
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def _service_errors():
+    """An unreachable service, a refused request or a wait that timed
+    out is a usage error."""
+    from repro.service import ServiceError
+
+    try:
+        yield
+    except (ServiceError, TimeoutError) as exc:
+        raise _UsageError(exc) from None
+
+
+def _service_client(args):
+    from repro.service import ServiceClient
+
+    return ServiceClient(args.endpoint)
 
 
 def _cmd_serve(args):
@@ -1294,11 +1041,12 @@ def _load_spec(args):
     from repro.fleet.spec import CampaignSpec
 
     if args.spec is not None:
-        import json
-
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            return CampaignSpec.from_dict(json.load(handle))
-    if getattr(args, "diff_against", None) is not None:
+        try:
+            with open(args.spec, "r", encoding="utf-8") as handle:
+                return CampaignSpec.from_dict(json.load(handle))
+        except (OSError, ValueError) as exc:
+            raise _UsageError(exc) from None
+    if args.diff_against is not None:
         # The same campaign `repro sweep --diff-against` runs, so the
         # folded matrix is byte-comparable with the one-shot path.
         return _matrix_spec(args)
@@ -1307,53 +1055,34 @@ def _load_spec(args):
     from repro.fleet.campaigns import sweep_campaign
 
     return sweep_campaign(apps=args.apps, think_time_s=args.think,
-                          trials=args.trials)
+                          trials=args.trials or 1)
 
 
-def _write_result_artifacts(payload, results_out=None, telemetry_out=None):
+def _job_outcome(payload, results_out, telemetry_out):
+    """Render a terminal job (submit --wait / result) and write its
+    results and telemetry files; 1 if any task failed."""
+    from types import SimpleNamespace
+
     from repro.service.jobs import results_document
 
-    if results_out:
-        with open(results_out, "w", encoding="utf-8") as handle:
-            handle.write(results_document(payload["campaign"],
-                                          payload["values"]))
-        print(f"wrote {results_out}")
-    if telemetry_out:
-        import json
-
-        with open(telemetry_out, "w", encoding="utf-8") as handle:
-            json.dump(payload["telemetry"], handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {telemetry_out}")
-
-
-def _print_job_outcome(payload):
-    """Common terminal-job rendering for submit --wait / result."""
     telemetry = payload["telemetry"]
     print(f"job {payload['job_id']} ({payload['campaign']}): "
           f"{payload['state']} — {telemetry['done']}/{telemetry['total']} "
           f"tasks, {telemetry['cached']} cached, "
           f"{telemetry['failed']} failed, wall {telemetry['wall_s']:.2f}s")
-    for failure in payload.get("failures", ()):
-        print(f"FAILED {failure['task_id']} "
-              f"(attempts {failure['attempts']}): {failure['error']}")
-
-
-def _service_client(args):
-    from repro.service import ServiceClient
-
-    return ServiceClient(args.endpoint)
+    _print_failures(SimpleNamespace(**failure)
+                    for failure in payload.get("failures", ()))
+    if results_out:
+        _write(results_out,
+               results_document(payload["campaign"], payload["values"]))
+    if telemetry_out:
+        _write(telemetry_out, _json(telemetry))
+    return 0 if payload["state"] == "done" else 1
 
 
 def _cmd_submit(args):
-    from repro.service import ServiceError, ServiceUnavailable
-
-    try:
-        try:
-            spec = _load_spec(args)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    spec = _load_spec(args)
+    with _service_errors():
         client = _service_client(args)
         job_id = client.submit(
             spec, queue=args.queue, priority=args.priority,
@@ -1366,35 +1095,17 @@ def _cmd_submit(args):
             return 0
         client.wait(job_id, timeout=args.wait_timeout)
         payload = client.result(job_id)
-    except ServiceUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TimeoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_job_outcome(payload)
-    _write_result_artifacts(payload, results_out=args.results_out,
-                            telemetry_out=args.telemetry_out)
-    matrix_code = 0
+    # Like `repro sweep`: any permanently failed task is a nonzero exit.
+    code = _job_outcome(payload, args.results_out, args.telemetry_out)
     if args.diff_against is not None:
         matrix_code = _matrix_finish(spec, payload["values"], args)
-    # Like `repro sweep`: any permanently failed task is a nonzero exit.
-    if payload["state"] != "done":
-        return 1
-    return matrix_code
+        code = code or matrix_code
+    return code
 
 
 def _cmd_status(args):
-    from repro.service import ServiceError
-
-    try:
+    with _service_errors():
         status = _service_client(args).status(args.job_id)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     telemetry = status["telemetry"]
     print(f"job {status['job_id']} ({status['campaign']}): "
           f"{status['state']}  queue={status['queue']} "
@@ -1413,29 +1124,16 @@ def _cmd_status(args):
 
 
 def _cmd_result(args):
-    from repro.service import ServiceError
-
-    try:
+    with _service_errors():
         payload = _service_client(args).result(args.job_id)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_job_outcome(payload)
-    _write_result_artifacts(payload, results_out=args.out,
-                            telemetry_out=args.telemetry_out)
-    return 0 if payload["state"] == "done" else 1
+    return _job_outcome(payload, args.out, args.telemetry_out)
 
 
 def _cmd_queues(args):
-    from repro.service import ServiceError
-
-    try:
+    with _service_errors():
         client = _service_client(args)
         queues = client.queues()
         workers = client.workers()
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if queues:
         rows = [
             [name, str(entry["jobs"]), str(entry["active_jobs"]),
@@ -1461,6 +1159,329 @@ def _cmd_queues(args):
     return 0
 
 
+# ----------------------------------------------------------------------
+# the parser
+# ----------------------------------------------------------------------
+def build_parser():
+    """Build the argparse parser for every subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduction of 'Energy-aware adaptation for mobile "
+                    "applications' (SOSP 1999).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, func, summary, **defaults):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func, **defaults)
+        return p
+
+    # Figures 6 and 8 simulate without think time; 10 and 13 take one.
+    for fig, app, label, think in (
+        ("fig06", "video", "Figure 6 — video energy by fidelity", False),
+        ("fig08", "speech", "Figure 8 — speech energy by strategy", False),
+        ("fig10", "map", "Figure 10 — map energy by fidelity", True),
+        ("fig13", "web", "Figure 13 — Web energy by JPEG quality", True),
+    ):
+        p = command(fig, _cmd_energy_table, label, app=app,
+                    title=f"Figure {int(fig[3:])} — {app}")
+        if think:
+            _add(p, "--think", help="think time in seconds (map/web only)")
+        _add(p, "--csv")
+        _add(p, "--jobs", help="run the table's cells on N fleet workers")
+        _add(p, *_OBS)
+
+    p = command("goal", _cmd_goal, "run one goal-directed experiment")
+    _add(p, "--energy", "--goal")
+    p.add_argument("--halflife", type=_positive_float, default=0.10,
+                   help="smoothing half-life fraction")
+    _add(p, "--csv", help="write the supply/demand/fidelity trace as CSV")
+    p.add_argument("--no-chart", action="store_true",
+                   help="skip the ASCII supply/demand chart")
+    _add(p, *_OBS)
+
+    p = command("profile", _cmd_profile,
+                "PowerScope profile of video playback")
+    _add(p, "--seconds")
+    p.add_argument("--rate", type=float, default=600.0,
+                   help="sampling rate in Hz")
+    p.add_argument("--no-pm", action="store_true",
+                   help="disable hardware power management")
+    _add(p, *_OBS)
+
+    p = command("trace", _cmd_trace,
+                "run one experiment under the tracer and export JSONL, "
+                "Chrome trace JSON, and a metrics snapshot")
+    p.add_argument("experiment", choices=("goal", "bursty", "video"),
+                   help="which experiment to trace")
+    _add(p, "--out", default="trace/run", metavar="PREFIX",
+         help="output prefix (default trace/run → trace/run.jsonl, "
+              "trace/run.trace.json, trace/run.metrics.json)")
+    p.add_argument("--ring", type=_positive_int, default=None,
+                   help="ring-buffer capacity (default: unbounded)")
+    p.add_argument("--categories", nargs="*", default=None,
+                   choices=("sim", "power", "core", "powerscope", "fleet",
+                            "branch", "service", "workload", "calibration"),
+                   help="restrict tracing to these categories")
+    _add(p, "--goal", help="goal seconds (goal/bursty; default 400, or 290 "
+                           "with --pulse/--lookahead)")
+    _add(p, "--energy", default=None,
+         help="initial energy in joules (goal; default 6000, or 2400 with "
+              "--pulse/--lookahead)")
+    p.add_argument("--pulse", action="store_true",
+                   help="run the snapshot-capable pulse scenario instead "
+                        "of the generator-based goal rig (goal only)")
+    _add(p, "--lookahead",
+         help="vet adaptation decisions with what-if branches (implies "
+              "--pulse); branch verdicts are traced on the 'branch' "
+              "category")
+    _add(p, "--horizon")
+    p.add_argument("--beam", type=_positive_int, default=None, metavar="W",
+                   help="beam-search adaptation schedules with width W "
+                        "(implies --lookahead); keeps the W best-margin "
+                        "schedules per stage")
+    p.add_argument("--depth", type=_positive_int, default=None,
+                   help="beam stages across the horizon (default 2; "
+                        "only with --beam)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="workload seed (bursty)")
+    _add(p, "--seconds", default=None, help="playback seconds (video)")
+    p.add_argument("--no-hysteresis", action="store_true",
+                   help="zero the upgrade hysteresis margins (goal); "
+                        "pair with a default run for `repro diff`")
+    p.add_argument("--learned-model", action="store_true",
+                   help="feed the controller a Sesame-style learned "
+                        "power model (SmartBattery gauge + online "
+                        "calibrator) instead of ground truth (implies "
+                        "--pulse; goal only); calibration events land "
+                        "on the 'calibration' category")
+    p.add_argument("--drift", default=None, metavar="AT:FACTOR",
+                   help="scale real component wattages by FACTOR at "
+                        "sim time AT (e.g. 60:1.25; implies --pulse)")
+    p.add_argument("--device-file", default=None, metavar="PATH",
+                   help="run the pulse scenario on the first device of "
+                        "this fleet file, or on DEVICE_ID with "
+                        "--device-id (implies --pulse; goal only)")
+    p.add_argument("--device-id", default=None, metavar="ID",
+                   help="pick a device from --device-file by id "
+                        "(needs --device-file)")
+    p.add_argument("--stream", action="store_true",
+                   help="stream events to PREFIX.jsonl as they are "
+                        "emitted (safe to combine with --ring: the "
+                        "file keeps the prefix the ring drops)")
+
+    p = command("calibrate", _cmd_calibrate,
+                "check headline savings percentages against the paper's "
+                "published bands; exits nonzero on any MISS")
+    _add(p, "--json", help="also write the structured report as JSON")
+
+    p = command("diff", _cmd_diff,
+                "align two traced runs on decision ids and report "
+                "divergence windows with attributed energy deltas")
+    p.add_argument("left", help="baseline trace (PREFIX.jsonl)")
+    p.add_argument("right", help="candidate trace (PREFIX.jsonl)")
+    _add(p, "--json")
+    p.add_argument("--gap", type=_nonnegative_int, default=0,
+                   help="merge divergence windows separated by at most "
+                        "this many matching decisions (default 0)")
+    _add(p, "--max-windows", type=_positive_int, default=10, metavar=None,
+         help="windows to show in the text report (default 10)")
+    _add(p, "--fail-on-divergence",
+         help="exit 1 if the decision spines differ (CI gate)")
+
+    p = command("verify-profile", _cmd_verify_profile,
+                "verify a traced run's per-phase energy signature against "
+                "a golden; exits 1 when behaviour matches but energy does "
+                "not (or 2 on unreadable inputs)")
+    p.add_argument("run", help="traced run to verify (PREFIX.jsonl)")
+    p.add_argument("--against", required=True, metavar="PATH",
+                   help="golden signature JSON (from regen_goldens.py "
+                        "--signatures or repro.obs.write_signature)")
+    p.add_argument("--tolerance", type=float, default=None, metavar="REL",
+                   help="relative per-phase tolerance (default: the "
+                        "golden's recorded band)")
+    p.add_argument("--abs-tolerance", type=float, default=None, metavar="J",
+                   help="absolute per-phase tolerance floor in joules "
+                        "(default: the golden's recorded band)")
+    _add(p, "--json",
+         help="also write the signature diff as deterministic JSON")
+    p.add_argument("--max-phases", type=_positive_int, default=10,
+                   help="out-of-band phases to show in the text report "
+                        "(default 10)")
+    p.add_argument("--fail-on-regression", action="store_true",
+                   help="explicit CI marker; regressions already exit 1")
+    _add(p, "--metrics-out", help="write the metrics snapshot (signature.* "
+                                  "series) as JSON")
+
+    p = command("export-figures", _cmd_export_figures,
+                "write every figure's plot data as CSV")
+    p.add_argument("directory", help="output directory")
+    p.add_argument("--figures", nargs="*", default=None,
+                   help="subset of figure ids (default: all)")
+    _add(p, "--jobs", help="regenerate figures on N fleet workers")
+    _add(p, "--cache-dir")
+
+    p = command("bench", _cmd_bench,
+                "micro-benchmarks of the engine/accounting/snapshot hot "
+                "paths")
+    p.add_argument("--quick", action="store_true",
+                   help="small workloads for CI smoke use")
+    _add(p, "--out", default="BENCH_core.json", metavar=None,
+         help="write results JSON here (default BENCH_core.json)")
+    p.add_argument("--compare", default=None, metavar="BASELINE",
+                   help="compare against a baseline results file; exit 1 on "
+                        "regression")
+    p.add_argument("--max-regression", type=float, default=0.25,
+                   help="allowed normalized slowdown vs baseline "
+                        "(default 0.25 = 25%%)")
+    p.add_argument("--confirm", type=_nonnegative_int, default=2,
+                   help="re-run regressed benchmarks up to N times before "
+                        "failing --compare, to reject scheduler noise "
+                        "(default 2; 0 disables)")
+    p.add_argument("--only", nargs="*", default=None, metavar="NAME",
+                   help="subset of benchmarks to run; each token matches "
+                        "by substring (e.g. 'snapshot' selects every "
+                        "snapshot_* bench)")
+    p.add_argument("--repeats", type=_positive_int, default=None,
+                   help="repeat count per benchmark (min is reported)")
+
+    p = command("report", _cmd_report,
+                "headline results across all experiments")
+    p.add_argument("--no-goal", action="store_true",
+                   help="skip the goal-directed experiments")
+    p.add_argument("--no-concurrency", action="store_true",
+                   help="skip the concurrency experiment")
+    _add(p, "--energy", help="initial energy for the goal experiments")
+    _add(p, "--jobs", help="run the fidelity tables on N fleet workers")
+    _add(p, *_OBS)
+
+    p = command("sweep", _cmd_sweep,
+                "run the fidelity studies as one parallel fleet campaign")
+    _add(p, "--apps", "--jobs", "--trials", "--think", "--cache-dir",
+         "--timeout", "--retries")
+    p.add_argument("--progress", action="store_true",
+                   help="print a line per finished task")
+    p.add_argument("--csv-dir", default=None,
+                   help="also write one CSV per application table")
+    _add(p, "--results-out", "--telemetry-out")
+    p.add_argument("--worker-trace", action="store_true",
+                   help="collect in-worker ring traces and merge them "
+                        "into the coordinator trace on per-task tracks "
+                        "(needs --trace)")
+    _add(p, *_MATRIX, *_OBS)
+
+    p = command("snapshot", lambda args: _SNAPSHOT_MODES[args.mode](args),
+                "checkpoint/fork the pulse scenario: determinism "
+                "roundtrip, a warm-started extension sweep, or store "
+                "pruning")
+    p.add_argument("mode", choices=tuple(_SNAPSHOT_MODES),
+                   help="roundtrip: capture mid-run, fork, verify the fork "
+                        "finishes byte-identical to an uninterrupted run; "
+                        "sweep: goal-extension campaign that restores the "
+                        "shared scenario prefix from --snapshot-dir; "
+                        "gc: prune old snapshots from --snapshot-dir")
+    p.add_argument("--keep-latest", type=_nonnegative_int, default=None,
+                   metavar="N",
+                   help="gc: keep only the N most recent snapshots "
+                        "(pinned snapshots always survive)")
+    p.add_argument("--dry-run", action="store_true",
+                   help="gc: report what would be deleted without deleting")
+    p.add_argument("--at", type=_nonnegative_float, default=None,
+                   help="capture / extension instant in sim seconds "
+                        "(default 120)")
+    _add(p, "--lookahead", "--horizon")
+    p.add_argument("--extensions", nargs="*", type=_nonnegative_float,
+                   default=None,
+                   help="goal extensions in seconds to sweep (default "
+                        "0 20 40)")
+    p.add_argument("--snapshot-dir", default=None, metavar="DIR",
+                   help="snapshot store directory; omitting it runs the "
+                        "sweep cold (every prefix re-simulated)")
+    _add(p, "--jobs", help="worker processes for the sweep (default: serial)")
+    p.add_argument("--verify-cold", action="store_true",
+                   help="re-run every sweep point cold and fail unless the "
+                        "warm results are identical")
+    _add(p, "--telemetry-out", *_OBS)
+
+    p = command("serve", _cmd_serve,
+                "start the persistent campaign service: a warm worker pool "
+                "serving submitted campaigns over local HTTP")
+    p.add_argument("--workers", type=_positive_int, default=2,
+                   help="warm pool size (default 2)")
+    _add(p, "--cache-dir", help="shared result cache directory (all clients "
+                                "benefit from each other's completed tasks)")
+    p.add_argument("--host", default="127.0.0.1",
+                   help="bind address (default 127.0.0.1)")
+    p.add_argument("--port", type=int, default=7341,
+                   help="listen port (default 7341; 0 picks a free port)")
+    _add(p, "--retries", help="default extra attempts per failing task")
+    _add(p, "--timeout", help="default per-task wall-clock budget in seconds")
+    p.add_argument("--heartbeat", type=float, default=0.2,
+                   help="worker heartbeat period in seconds (default 0.2)")
+    p.add_argument("--heartbeat-timeout", type=float, default=5.0,
+                   help="declare a worker dead after this long without a "
+                        "heartbeat (default 5.0)")
+    p.add_argument("--verbose", action="store_true",
+                   help="log every HTTP request")
+    _add(p, *_OBS)
+
+    p = command("submit", _cmd_submit,
+                "submit a campaign to a running service")
+    _add(p, "--endpoint")
+    p.add_argument("--sweep", action="store_true",
+                   help="submit the fidelity-study sweep campaign "
+                        "(the default; same campaign as `repro sweep`)")
+    p.add_argument("--spec", default=None, metavar="PATH",
+                   help="submit a campaign spec from a JSON file instead")
+    _add(p, "--apps", help="sweep: subset of applications")
+    _add(p, "--trials", help="sweep: jittered trials per cell")
+    _add(p, "--think", help="sweep: think time in seconds (map/web)")
+    p.add_argument("--queue", default="default",
+                   help="named queue to submit into (default 'default')")
+    p.add_argument("--priority", type=int, default=0,
+                   help="priority within the queue (higher runs first)")
+    p.add_argument("--client", default=None,
+                   help="client label recorded on the job")
+    _add(p, "--retries", default=None,
+         help="override the service's per-task retry budget")
+    _add(p, "--timeout", help="override the service's per-task timeout")
+    p.add_argument("--wait", action="store_true",
+                   help="block until the job is terminal; exit nonzero "
+                        "if any task permanently failed")
+    p.add_argument("--wait-timeout", type=_positive_float, default=None,
+                   help="give up waiting after this many seconds")
+    _add(p, "--results-out",
+         help="with --wait: write the raw task values as canonical JSON "
+              "(byte-comparable with `repro sweep --results-out`)")
+    _add(p, "--telemetry-out",
+         help="with --wait: write the job telemetry as JSON")
+    _add(p, *_MATRIX)
+
+    p = command("status", _cmd_status, "one job's state and progress")
+    p.add_argument("job_id")
+    _add(p, "--endpoint")
+
+    p = command("result", _cmd_result,
+                "fetch a terminal job's values and telemetry")
+    p.add_argument("job_id")
+    _add(p, "--endpoint", "--out")
+    _add(p, "--telemetry-out", help="write the job telemetry as JSON")
+
+    p = command("queues", _cmd_queues,
+                "per-queue depths and the worker table")
+    _add(p, "--endpoint")
+
+    for p in sub.choices.values():
+        # Each option's declared default: a flag is given when its value
+        # differs (see _given).
+        p.set_defaults(declared={
+            action.option_strings[-1]: (action.dest, action.default)
+            for action in p._actions
+            if action.option_strings and action.default != argparse.SUPPRESS
+        })
+    return parser
+
+
 def main(argv=None):
     """CLI entry point; returns a process exit code.
 
@@ -1476,8 +1497,6 @@ def main(argv=None):
     except BrokenPipeError:
         # Point stdout at /dev/null so the interpreter's flush at exit
         # does not fail on the closed pipe a second time.
-        import os
-
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -1486,107 +1505,41 @@ def main(argv=None):
 
 def _main(argv):
     args = build_parser().parse_args(argv)
-    trace_prefix = getattr(args, "trace", None)
-    if args.command != "trace" and trace_prefix:
-        import os
+    try:
+        _check_flags(args)
+        if getattr(args, "trace", None):
+            code = _traced(args)
+        else:
+            code = args.func(args)
+        if getattr(args, "metrics_out", None):
+            from repro.obs.export import write_metrics
+            from repro.obs.metrics import current_metrics
 
-        from repro.obs import Tracer, installed
-        from repro.obs.export import write_chrome_trace, write_events_jsonl
-
-        tracer = Tracer()
-        with installed(tracer):
-            code = _dispatch(args)
-            tracer.flush()
-        out_dir = os.path.dirname(trace_prefix)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        events = list(tracer.events)
-        write_events_jsonl(events, trace_prefix + ".jsonl")
-        write_chrome_trace(events, trace_prefix + ".trace.json")
-        print(f"wrote {trace_prefix}.jsonl and {trace_prefix}.trace.json "
-              f"({len(events)} events)")
-    else:
-        code = _dispatch(args)
-    if getattr(args, "metrics_out", None):
-        from repro.obs.export import write_metrics
-        from repro.obs.metrics import current_metrics
-
-        write_metrics(current_metrics(), args.metrics_out)
-        print(f"wrote {args.metrics_out}")
+            _write(args.metrics_out,
+                   lambda path: write_metrics(current_metrics(), path))
+    except _UsageError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return 2
     return code
 
 
-def _dispatch(args):
-    if args.command == "fig06":
-        from repro.experiments import video_energy_table
+def _traced(args):
+    """Run the command under a recording tracer and write ``--trace``
+    PREFIX.jsonl and PREFIX.trace.json."""
+    from repro.obs import Tracer, installed
+    from repro.obs.export import write_chrome_trace, write_events_jsonl
 
-        table_fn = lambda **kw: video_energy_table()
-        return _cmd_energy_table(args, table_fn, "Figure 6 — video",
-                                 app="video")
-    if args.command == "fig08":
-        from repro.experiments import speech_energy_table
-
-        table_fn = lambda **kw: speech_energy_table()
-        return _cmd_energy_table(args, table_fn, "Figure 8 — speech",
-                                 app="speech")
-    if args.command == "fig10":
-        from repro.experiments import map_energy_table
-
-        return _cmd_energy_table(args, map_energy_table, "Figure 10 — map",
-                                 app="map")
-    if args.command == "fig13":
-        from repro.experiments import web_energy_table
-
-        return _cmd_energy_table(args, web_energy_table, "Figure 13 — web",
-                                 app="web")
-    if args.command == "goal":
-        return _cmd_goal(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "calibrate":
-        return _cmd_calibrate(args)
-    if args.command == "diff":
-        return _cmd_diff(args)
-    if args.command == "verify-profile":
-        return _cmd_verify_profile(args)
-    if args.command == "export-figures":
-        from repro.experiments import export_figures
-
-        written = export_figures(args.directory, figures=args.figures,
-                                 jobs=args.jobs, cache=args.cache_dir)
-        for path in written:
-            print(f"wrote {path}")
-        return 0
-    if args.command == "report":
-        from repro.experiments import full_report, render_report
-
-        report = full_report(
-            include_concurrency=not args.no_concurrency,
-            include_goal=not args.no_goal,
-            goal_energy=args.energy,
-            jobs=args.jobs,
-        )
-        print(render_report(report))
-        return 0
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "snapshot":
-        return _cmd_snapshot(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "status":
-        return _cmd_status(args)
-    if args.command == "result":
-        return _cmd_result(args)
-    if args.command == "queues":
-        return _cmd_queues(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    tracer = Tracer()
+    with installed(tracer):
+        code = args.func(args)
+        tracer.flush()
+    events = list(tracer.events)
+    _write(args.trace + ".jsonl",
+           lambda path: write_events_jsonl(events, path),
+           f" ({len(events)} events)", mkdir=True)
+    _write(args.trace + ".trace.json",
+           lambda path: write_chrome_trace(events, path))
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -100,6 +100,9 @@ class TestCli:
         ["goal", "--halflife", "inf"],
         ["trace", "bursty", "--goal", "0"],
         ["trace", "goal", "--energy", "-1"],
+        ["sweep", "--apps", "map", "--timeout", "-1"],
+        ["submit", "--wait-timeout", "nan"],
+        ["report", "--energy", "-5"],
     ])
     def test_nonpositive_numbers_exit_2_with_one_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -120,6 +123,9 @@ class TestCli:
         (["snapshot", "sweep", "--at", "nan"], ">= 0"),
         (["snapshot", "sweep", "--extensions", "-5"], ">= 0"),
         (["snapshot", "sweep", "--extensions", "nan"], ">= 0"),
+        (["fig10", "--think", "nan"], ">= 0"),
+        (["fig10", "--think", "-5"], ">= 0"),
+        (["sweep", "--think", "inf"], ">= 0"),
     ])
     def test_bad_lookahead_and_snapshot_numbers_exit_2(self, argv, message,
                                                        capsys):
@@ -142,6 +148,8 @@ class TestCli:
         ["--device-id", "dev00"],
         ["--pulse", "--depth", "5"],
         ["--lookahead", "--depth", "3"],
+        ["--seed", "3"],
+        ["--seconds", "5"],
     ])
     def test_bad_trace_goal_input_exits_2_with_one_error(self, argv,
                                                          tmp_path, capsys):
@@ -169,6 +177,7 @@ class TestCli:
         ["--depth", "3"],
         ["--energy", "5"],
         ["--goal", "20", "--energy", "5"],
+        ["--seed", "3", "--seconds", "5"],
     ])
     def test_goal_only_flags_exit_2_on_other_experiments(
             self, experiment, argv, tmp_path, capsys):
@@ -188,6 +197,34 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: trace video does not take --goal\n")
         assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("figure", ["fig06", "fig08"])
+    def test_fig06_fig08_take_no_think_time(self, figure, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([figure, "--think", "5"])
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 2
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["repro: error: unrecognized arguments: --think 5"]
+
+    @pytest.mark.parametrize("argv,artifact", [
+        (["trace", "video", "--seconds", "1", "--out", "{new}/v"],
+         "v.trace.json"),
+        (["diff", "{log}", "{log}", "--json", "{new}/d.json"], "d.json"),
+        (["sweep", "--diff-against", "default", "--candidate",
+          "hysteresis=off", "--scenario", "goal_seconds=30,initial_energy=300",
+          "--jobs", "1", "--matrix-out", "{new}/m.json"], "m.json"),
+    ])
+    def test_output_flags_create_their_directory(self, argv, artifact,
+                                                 tmp_path, capsys):
+        log = tmp_path / "run"
+        assert main(["trace", "video", "--seconds", "1",
+                     "--out", str(log)]) == 0
+        new = tmp_path / "new" / "dir"
+        argv = [arg.format(new=new, log=f"{log}.jsonl") for arg in argv]
+        assert main(argv) == 0
+        assert (new / artifact).exists()
+        assert f"wrote {new / artifact}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("buffered", [True, False])
     def test_closed_stdout_exits_141_without_traceback(self, tmp_path,

@@ -187,6 +187,41 @@ BAD_INPUTS = {
             "devices": [{"battery_scale": 0.9}]})],
     "missing-submit-spec": lambda tmp: [
         "submit", "--spec", str(tmp / "missing.json")],
+    # A flag the chosen mode does not read, or one without the flag it
+    # needs, is refused before anything runs.
+    "snapshot-gc-with-sweep-flags": lambda tmp: [
+        "snapshot", "gc", "--snapshot-dir", str(tmp), "--keep-latest", "1",
+        "--lookahead", "--extensions", "5", "--jobs", "3", "--verify-cold"],
+    "snapshot-gc-without-store": lambda tmp: [
+        "snapshot", "gc", "--keep-latest", "1"],
+    "fidelity-sweep-with-matrix-flags": lambda tmp: [
+        "sweep", "--apps", "map", "--candidate", "lookahead=on",
+        "--fleet-size", "3", "--matrix-out", str(tmp / "m.json")],
+    "matrix-with-apps": lambda tmp: [
+        "sweep", "--diff-against", "default", "--apps", "map"],
+    "submit-results-out-without-wait": lambda tmp: [
+        "submit", "--results-out", str(tmp / "r.json")],
+    "submit-spec-with-sweep-flags": lambda tmp: [
+        "submit", "--spec", str(tmp / "missing.json"), "--trials", "2"],
+    "worker-trace-without-trace": lambda tmp: [
+        "sweep", "--apps", "map", "--worker-trace"],
+    "fleet-seed-without-fleet-size": lambda tmp: [
+        "sweep", "--diff-against", "default", "--fleet-seed", "3"],
+    "threshold-without-gate": lambda tmp: [
+        "sweep", "--diff-against", "default", "--max-delta-j", "5"],
+    "bench-confirm-without-compare": lambda tmp: [
+        "bench", "--confirm", "3"],
+    # An unwritable output path names the path, never a traceback.
+    "calibrate-json-to-missing-dir": lambda tmp: [
+        "calibrate", "--json", str(tmp / "missing" / "c.json")],
+    "results-out-to-missing-dir": lambda tmp: [
+        "sweep", "--apps", "map", "--jobs", "1",
+        "--results-out", str(tmp / "missing" / "r.json")],
+    "telemetry-out-to-missing-dir": lambda tmp: [
+        "sweep", "--apps", "map", "--jobs", "1",
+        "--telemetry-out", str(tmp / "missing" / "t.json")],
+    "metrics-out-to-missing-dir": lambda tmp: [
+        "fig10", "--metrics-out", str(tmp / "missing" / "m.json")],
 }
 
 
