@@ -355,13 +355,20 @@ class TestJoinSummary:
 # ----------------------------------------------------------------------
 # byte identity: pinned digests and the exporters' reference semantics
 # ----------------------------------------------------------------------
-#: sha256 of the JSONL and Chrome trace of a 30 s / 450 J goal run under
-#: a frozen wall clock.  The exporters may get faster; these bytes may
+#: sha256 of the JSONL and Chrome trace of each run under a frozen wall
+#: clock: a 30 s / 450 J goal run, whose events are nearly all compact
+#: kinds, and a beam 4x2 pulse run, a third of whose events are generic
+#: ``TraceEvent``s (358 ``beam.verdict`` events with list-valued
+#: ``schedule`` args).  The exporters may get faster; these bytes may
 #: not move (re-pin only for an intended format change).
 PINNED_GOAL_JSONL_SHA256 = (
     "c2358ce143537f6867157e6a5dd11bb6736747ce1f73d98e19964253a57aaf75")
 PINNED_GOAL_TRACE_SHA256 = (
     "9cc43bec007e667d5c57c2e9009061f44d4cccbc13373ddf63ff7372deca7bb7")
+PINNED_BEAM_JSONL_SHA256 = (
+    "331144cce1348262aeb52004f39b24591fffd4b7c1a435c37a2c6d1c72f78abb")
+PINNED_BEAM_TRACE_SHA256 = (
+    "2b8f7c22b0ce444dbcef264656d729cd06ac53740aec7b8c2e50fd5791b8c27a")
 
 
 def _sha256(path):
@@ -372,17 +379,28 @@ def _sha256(path):
 class TestPinnedBytes:
     def test_goal_run_exports_match_pinned_digests(self, tmp_path):
         from repro.experiments import run_goal_experiment
+        from repro.snapshot.scenario import run_pulse_goal
 
-        tracer = Tracer(clock=lambda: 0.0)
-        with installed(tracer):
-            run_goal_experiment(30.0, initial_energy=450.0)
-            tracer.flush()
-        jsonl = tmp_path / "goal.jsonl"
-        trace = tmp_path / "goal.trace.json"
-        write_events_jsonl(tracer.events, jsonl)
-        write_chrome_trace(tracer.events, trace)
-        assert _sha256(jsonl) == PINNED_GOAL_JSONL_SHA256
-        assert _sha256(trace) == PINNED_GOAL_TRACE_SHA256
+        runs = {
+            "goal": lambda: run_goal_experiment(30.0, initial_energy=450.0),
+            "beam": lambda: run_pulse_goal(lookahead=True, beam_width=4,
+                                           beam_depth=2),
+        }
+        digests = {}
+        for name, run in runs.items():
+            tracer = Tracer(clock=lambda: 0.0)
+            with installed(tracer):
+                run()
+                tracer.flush()
+            jsonl = tmp_path / f"{name}.jsonl"
+            trace = tmp_path / f"{name}.trace.json"
+            write_events_jsonl(tracer.events, jsonl)
+            write_chrome_trace(tracer.events, trace)
+            digests[name] = (_sha256(jsonl), _sha256(trace))
+        assert digests == {
+            "goal": (PINNED_GOAL_JSONL_SHA256, PINNED_GOAL_TRACE_SHA256),
+            "beam": (PINNED_BEAM_JSONL_SHA256, PINNED_BEAM_TRACE_SHA256),
+        }
 
 
 class TestRealClockJsonl:
