@@ -249,14 +249,16 @@ _MATRIX_NEEDS = {"--fleet-seed": ("--fleet-size",),
 
 #: Command -> (its mode label of the parsed flags, each flag not every
 #: mode reads -> the modes that read it, each flag or mode -> the flags
-#: it needs).  A command with no entry reads every flag it takes.
+#: it needs; a need written "A or B" is met by either).  A command with
+#: no entry reads every flag it takes.
 _MODES = {
     "trace": (
         lambda args: f"trace {args.experiment}",
         {"--goal": ("trace goal", "trace bursty"),
          "--seed": ("trace bursty",), "--seconds": ("trace video",),
          **_reads(("trace goal",), "--energy", *_PULSE)},
-        {"--device-id": ("--device-file",)},
+        {"--device-id": ("--device-file",),
+         "--horizon": ("--lookahead or --beam",)},
     ),
     "snapshot": (
         lambda args: f"snapshot {args.mode}",
@@ -266,7 +268,8 @@ _MODES = {
          **_reads(("snapshot sweep",), "--extensions", "--jobs",
                   "--verify-cold", "--telemetry-out"),
          "--snapshot-dir": ("snapshot sweep", "snapshot gc")},
-        {"snapshot gc": ("--snapshot-dir", "--keep-latest")},
+        {"snapshot gc": ("--snapshot-dir", "--keep-latest"),
+         "--horizon": ("--lookahead",)},
     ),
     "sweep": (
         lambda args: ("sweep --diff-against" if args.diff_against is not None
@@ -288,6 +291,10 @@ _MODES = {
     ),
     "bench": (None, {},
               _reads(("--compare",), "--max-regression", "--confirm")),
+    "report": (
+        lambda args: "report --no-goal" if args.no_goal else "report",
+        {"--energy": ("report",)}, {},
+    ),
 }
 
 
@@ -314,7 +321,8 @@ def _check_flags(args):
     if unread:
         raise _UsageError(f"{label} does not take {', '.join(unread)}")
     for key, needed in needs.items():
-        missing = [flag for flag in needed if flag not in given]
+        missing = [need for need in needed
+                   if not any(flag in given for flag in need.split(" or "))]
         if missing and (key == label or key in given):
             raise _UsageError(f"{key} needs {', '.join(missing)}")
 
@@ -415,12 +423,17 @@ def _cmd_profile(args):
 
 
 def _cmd_export_figures(args):
-    from repro.experiments import export_figures
+    from repro.experiments.figures import FIGURES, figure_tables
 
-    written = export_figures(args.directory, figures=args.figures,
-                             jobs=args.jobs, cache=args.cache_dir)
-    for path in written:
-        print(f"wrote {path}")
+    unknown = [name for name in args.figures or () if name not in FIGURES]
+    if unknown:
+        raise _UsageError(f"unknown figure {', '.join(unknown)}; available: "
+                          f"{', '.join(sorted(FIGURES))}")
+    with _writable(args.directory):
+        os.makedirs(args.directory, exist_ok=True)
+    for stem, text in figure_tables(args.figures, jobs=args.jobs,
+                                    cache=args.cache_dir):
+        _write(os.path.join(args.directory, f"{stem}.csv"), text)
     return 0
 
 

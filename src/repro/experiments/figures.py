@@ -34,7 +34,7 @@ from repro.experiments.zoned_study import (
 from repro.workloads import THINK_SWEEP_S, image_by_name, map_by_name
 from repro.workloads.videos import VideoClip
 
-__all__ = ["FIGURES", "export_figures"]
+__all__ = ["FIGURES", "figure_tables", "export_figures"]
 
 
 def figure_06():
@@ -140,14 +140,13 @@ FIGURES = {
 }
 
 
-def export_figures(directory, figures=None, jobs=None, cache=None):
-    """Write the selected figures' data bundles as CSV files.
-
-    Returns the list of file paths written.  With ``jobs > 1`` (or a
-    ``cache`` directory) each figure regenerates as one fleet task —
-    figures are independent, so they parallelize and cache whole.
+def figure_tables(figures=None, jobs=None, cache=None):
+    """``(stem, CSV text)`` of every table of the selected figures, in
+    order.  An unknown figure id raises :class:`KeyError` before any
+    figure runs.  With ``jobs > 1`` (or a ``cache`` directory) each
+    figure regenerates as one fleet task — figures are independent, so
+    they parallelize and cache whole.
     """
-    os.makedirs(directory, exist_ok=True)
     selected = figures or sorted(FIGURES)
     for name in selected:
         if name not in FIGURES:
@@ -158,13 +157,17 @@ def export_figures(directory, figures=None, jobs=None, cache=None):
         bundles = _figure_bundles_fleet(selected, jobs, cache)
     else:
         bundles = [(name, FIGURES[name]()) for name in selected]
-    written = []
-    for _name, bundle in bundles:
-        for stem, text in bundle.items():
-            path = os.path.join(directory, f"{stem}.csv")
-            write_csv(path, text)
-            written.append(path)
-    return written
+    return [item for _name, bundle in bundles for item in bundle.items()]
+
+
+def export_figures(directory, figures=None, jobs=None, cache=None):
+    """Write the selected figures' :func:`figure_tables` as CSV files.
+
+    Returns the list of file paths written.
+    """
+    os.makedirs(directory, exist_ok=True)
+    return [write_csv(os.path.join(directory, f"{stem}.csv"), text)
+            for stem, text in figure_tables(figures, jobs, cache)]
 
 
 def _figure_bundles_fleet(selected, jobs, cache):

@@ -28,36 +28,39 @@ correlation story applied to our own simulator.
 
 Render once per call
 --------------------
-A trace repeats itself: a goal run's spans share a few durations and a
-few component splits, and most float payload values recur.  Within one
-:func:`write_events_jsonl` or :func:`write_chrome_trace` call each such
-value is encoded once and its text reused:
+A goal trace is nearly all compact kinds (``DispatchEvent``,
+``WattsEvent`` and ``SpanEvent`` of :mod:`repro.obs.tracer`, 96% of
+its events), which build their ``args`` only when it is read.  Each
+writer therefore dispatches once on a record's type.  A record whose
+fields have their usual types renders from its kind's one constant
+line with the payload keys baked in, sorted for JSONL and in insertion
+order for Chrome.  A record holding any other value takes the generic
+path, so its bytes, and its errors, are those of the equal
+:class:`TraceEvent`.  Every other event takes the generic path: a line
+template per event shape, with its ``args`` through the writer's one C
+encoder.
 
-* floats by value: ``ts`` and ``dur`` (scaled for the Chrome trace) and
-  the float values of a payload.  Only exact, finite, nonzero floats are
-  remembered: ``0.0`` and ``-0.0`` are equal but print differently, and
-  ints and bools never enter the float memo.  ``wall`` stamps never
-  repeat and are printed directly.
-* nested payload dicts by identity.  The memo holds a reference to each
-  dict it encoded, so no other object can take its ``id`` during the
-  call.  Only exact ``dict`` values are memoized; a payload with a key
-  that is not a ``str`` or a value of another type keeps the plain
-  encoder and its errors.  Emitted payloads are read-only, so a shared
-  dict means the same text everywhere it appears.
-* the ``process`` and ``procedure`` labels of spans, by value.
+Within one :func:`write_events_jsonl` or :func:`write_chrome_trace`
+call, three things are rendered once and their text reused, each kept
+because switching it off was measured to cost time:
 
-The three compact kinds of :mod:`repro.obs.tracer` (``DispatchEvent``,
-``WattsEvent``, ``SpanEvent``) build their ``args`` only when it is
-read, so the writers and :func:`power_spans` dispatch once on a record's
-type instead.  A record whose fields have their usual types renders from
-its kind's one constant line with the payload keys baked in, sorted for
-JSONL and in insertion order for Chrome: only its field values go
-through the memos, and its ``components`` dict is the machine's shared
-one.  A record holding any other value takes the generic path, so its
-bytes, and its errors, are those of the equal :class:`TraceEvent`.
-Every other event keeps the generic path.
+* floats by value (:class:`_Reprs`): ``ts`` and ``dur`` (scaled for the
+  Chrome trace) and the compact kinds' values.  A run's stamps and
+  watts recur, so this saves most of the ``repr`` calls.  Only exact,
+  finite, nonzero floats are remembered: ``0.0`` and ``-0.0`` are equal
+  but print differently.  ``wall`` stamps never repeat and are printed
+  directly.
+* a span's ``components`` dict by identity.  It is the machine's shared
+  split, so a few dicts serve every span.  The memo holds a reference
+  to each dict it encoded, so no other object can take its ``id``
+  during the call; emitted payloads are read-only.
+* line templates by event shape (``_TEMPLATES`` for JSONL, one
+  :func:`_chrome_shape` per shape for Chrome), so labels and keys are
+  encoded once per shape.  They pay most on traces with many generic
+  events, such as a beam search's.
 
-The memos live for one call.  :func:`jsonl_line`, which the streaming
+The float and ``components`` memos live for one call, and a template
+holds only a shape's labels.  :func:`jsonl_line`, which the streaming
 :class:`~repro.obs.tracer.JsonlSink` calls per event, renders each
 event on its own, so streamed bytes never depend on an earlier event.
 """
@@ -93,11 +96,11 @@ _BODY_PHASES = frozenset("IBEXC")
 #: sort_keys=True)`` writes, for events the shape templates decline.
 JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
 
-#: ``args`` encoder of the template path, called as ``(args, 0)`` for
-#: the chunks: ``JSONL_ENCODER``'s settings in one C encoder built once,
-#: with no circular-reference markers.  A circular payload overflows the
-#: recursion limit here and is re-encoded by the fallback, which raises
-#: what ``json.dumps`` raises.
+#: ``args`` encoder of every JSONL template line, called as ``(args,
+#: 0)`` for the chunks: ``JSONL_ENCODER``'s settings in one C encoder
+#: built once, with no circular-reference markers.  A circular payload
+#: overflows the recursion limit here and is re-encoded by the fallback,
+#: which raises what ``json.dumps`` raises.
 _ARGS_ENCODER = (
     c_make_encoder(None, JSONL_ENCODER.default, encode_basestring_ascii,
                    None, ": ", ", ", True, False, True)
@@ -150,17 +153,6 @@ class _Reprs(dict):
         return text
 
 
-class _Quoted(dict):
-    """Per-call label memo: ``memo[text]`` is the JSON literal of the
-    exact ``str`` ``text``."""
-
-    __slots__ = ()
-
-    def __missing__(self, text):
-        quoted = self[text] = encode_basestring_ascii(text)
-        return quoted
-
-
 #: A span's payload keys in the order its ``args`` holds them; a
 #: branch's span adds ``branch`` last.
 _SPAN_KEYS = ("sid", "watts", "joules", "process", "procedure",
@@ -211,59 +203,14 @@ def _fallback_line(event):
     return JSONL_ENCODER.encode(record) + "\n"
 
 
-def _payload_text(items, floats, payloads, keys, encoder):
-    """The JSON object of a payload's ``(key, value)`` items, or
-    ``None`` unless every key is a ``str`` and every value a ``str``,
-    ``int``, ``bool``, ``None``, finite exact ``float`` or exact
-    ``dict``.  Floats are rendered through ``floats`` and nested dicts
-    (by ``encoder``) through ``payloads``: see "Render once per call"."""
-    parts = []
-    for key, value in items:
-        if type(key) is not str:
-            return None
-        prefix = keys.get(key)
-        if prefix is None:
-            prefix = keys[key] = encode_basestring_ascii(key) + ": "
-        kind = type(value)
-        if kind is float:
-            text = floats.get(value)
-            if text is None:
-                if not _NINF < value < _INF:
-                    return None
-                text = repr(value)
-                if value:
-                    floats[value] = text
-        elif kind is str:
-            text = encode_basestring_ascii(value)
-        elif kind is int:
-            text = repr(value)
-        elif kind is dict:
-            pinned = payloads.get(id(value))
-            if pinned is None:
-                text = "".join(encoder(value, 0))
-                payloads[id(value)] = (value, text)
-            else:
-                text = pinned[1]
-        elif value is None:
-            text = "null"
-        elif kind is bool:
-            text = "true" if value else "false"
-        else:
-            return None
-        parts.append(prefix + text)
-    return "{" + ", ".join(parts) + "}"
-
-
 def _jsonl_lines(events):
     """:func:`jsonl_line` of every event, in order, rendering each
-    repeated float, label and shared nested payload once.  A compact
-    record whose fields all have their usual types renders from its
-    kind's line; any other event, or a record holding an odd value,
-    takes the generic path."""
+    repeated float and ``components`` dict once.  A compact record whose
+    fields all have their usual types renders from its kind's line; any
+    other event, or a record holding an odd value, takes the generic
+    path."""
     floats = _Reprs()
-    labels = _Quoted()
-    payloads = {}  # id(nested dict) -> (the dict, its JSON)
-    keys = {}      # str payload key -> its JSON and ": "
+    splits = {}  # id(components dict) -> (the dict, its JSON)
     lines = []
     for event in events:
         kind = type(event)
@@ -281,14 +228,15 @@ def _jsonl_lines(events):
                         and type(process) is type(procedure) is str
                         and type(components) is dict
                         and (branch is None or type(branch) is int)):
-                    pinned = payloads.get(id(components))
+                    pinned = splits.get(id(components))
                     if pinned is None:
-                        pinned = payloads[id(components)] = (
+                        pinned = splits[id(components)] = (
                             components,
                             "".join(_ARGS_ENCODER(components, 0)))
-                    values = (pinned[1], floats[joules], labels[procedure],
-                              labels[process], sid, floats[watts],
-                              floats[dur], floats[ts], wall)
+                    values = (pinned[1], floats[joules],
+                              encode_basestring_ascii(procedure),
+                              encode_basestring_ascii(process), sid,
+                              floats[watts], floats[dur], floats[ts], wall)
                     lines.append(_SPAN_LINE % values if branch is None
                                  else _BRANCH_SPAN_LINE % ((branch,) + values))
                     continue
@@ -330,34 +278,14 @@ def _jsonl_lines(events):
         if template is None:
             lines.append(_fallback_line(event))
             continue
-        text = floats.get(ts)
-        if text is None:
-            text = repr(ts)
-            if ts:
-                floats[ts] = text
-        stamps = (text, wall)
-        if dur is not None:
-            text = floats.get(dur)
-            if text is None:
-                text = repr(dur)
-                if dur:
-                    floats[dur] = text
-            stamps = (text,) + stamps
+        stamps = ((floats[ts], wall) if dur is None
+                  else (floats[dur], floats[ts], wall))
         if args is not None:
-            text = None
-            if type(args) is dict:
-                try:
-                    text = _payload_text(sorted(args.items()), floats,
-                                         payloads, keys, _ARGS_ENCODER)
-                except (TypeError, ValueError, RecursionError):
-                    pass  # the encoder below renders it or says why not
-            if text is None:
-                try:
-                    text = "".join(_ARGS_ENCODER(args, 0))
-                except RecursionError:  # circular: let json.dumps say so
-                    lines.append(_fallback_line(event))
-                    continue
-            stamps = (text,) + stamps
+            try:
+                stamps = ("".join(_ARGS_ENCODER(args, 0)),) + stamps
+            except RecursionError:  # circular: let json.dumps say so
+                lines.append(_fallback_line(event))
+                continue
         lines.append(template % stamps)
     return lines
 
@@ -426,16 +354,20 @@ class _TraceLayout:
         self.threads = {}  # (cat, track) -> (pid, tid, bucket)
         self.tracks = {}   # cat -> its buckets, in tid order
 
-    def add_thread(self, key):
-        """Number the first-seen thread ``key``; returns ``(pid, tid,
-        bucket)``."""
-        cat = key[0]
-        buckets = self.tracks.setdefault(cat, [])
-        buckets.append([])
-        thread = self.threads[key] = (
-            self.pids.setdefault(cat, len(self.pids) + 1), len(buckets),
-            buckets[-1])
-        return thread
+    def thread(self, cat, track):
+        """``(cat, (pid, tid, bucket))`` of an event's thread: an unset
+        ``cat`` is ``"trace"`` and an unset ``track`` the category's own
+        thread.  A first-seen thread is numbered here."""
+        cat = cat or "trace"
+        key = (cat, track or cat)
+        thread = self.threads.get(key)
+        if thread is None:
+            buckets = self.tracks.setdefault(cat, [])
+            buckets.append([])
+            thread = self.threads[key] = (
+                self.pids.setdefault(cat, len(self.pids) + 1), len(buckets),
+                buckets[-1])
+        return cat, thread
 
     def metadata(self):
         """The ``M`` entries naming every process, then every thread."""
@@ -474,7 +406,6 @@ def chrome_trace(events):
     still satisfies per-track monotonicity.
     """
     layout = _TraceLayout()
-    threads = layout.threads
     for event in events:
         if isinstance(event, dict):
             get = event.get
@@ -485,12 +416,7 @@ def chrome_trace(events):
             name, ph, ts = event.name, event.ph, event.ts
             cat, track = event.cat, event.track
             dur, args = event.dur, event.args
-        cat = cat or "trace"
-        key = (cat, track or cat)
-        thread = threads.get(key)
-        if thread is None:
-            thread = layout.add_thread(key)
-        pid, tid, bucket = thread
+        cat, (pid, tid, bucket) = layout.thread(cat, track)
         # A bool stamp passes through unscaled for the validator to flag.
         entry = {"name": name, "cat": cat, "ph": ph,
                  "ts": ts if type(ts) is bool else ts * 1e6,
@@ -513,9 +439,7 @@ def _chrome_shape(layout, cat, track, name, ph, has_args, payload="%s"):
     fields; ``pid`` and ``tid`` are baked in."""
     if ph not in _BODY_PHASES:
         return None
-    cat = cat or "trace"
-    key = (cat, track or cat)
-    pid, tid, bucket = layout.threads.get(key) or layout.add_thread(key)
+    cat, (pid, tid, bucket) = layout.thread(cat, track)
     template = ('{"name": ' + _quoted(name) + ', "cat": ' + _quoted(cat)
                 + ', "ph": ' + _quoted(ph) + f', "ts": %s, "pid": {pid}, '
                 f'"tid": {tid}')
@@ -542,16 +466,14 @@ def _render_chrome(events):
     ``int``/``float`` scaling to finite values, ``dur >= 0``, and an
     ``args`` payload the encoder accepts.  The text is what
     ``json.dumps(chrome_trace(events)) + "\\n"`` writes.  Each repeated
-    float, label and shared nested payload is rendered once.  A compact
+    float and ``components`` dict is rendered once.  A compact
     record whose fields all have their usual types renders from its
     kind's template, compiled when the kind first appears; any other
     event takes the per-shape path."""
     layout = _TraceLayout()
     shapes = {}  # (cat, track, name, ph, has args) -> _chrome_shape
     floats = _Reprs()
-    labels = _Quoted()
-    payloads = {}  # id(nested dict) -> (the dict, its JSON)
-    keys = {}      # str payload key -> its JSON and ": "
+    splits = {}  # id(components dict) -> (the dict, its JSON)
     dispatch_shape = watts_shape = span_shape = branch_shape = None
     try:
         for event in events:
@@ -571,14 +493,15 @@ def _render_chrome(events):
                     # The sum is finite only if every term is.
                     if (_NINF < scaled + watts + joules < _INF
                             and 0.0 <= length < _INF):
-                        pinned = payloads.get(id(components))
+                        pinned = splits.get(id(components))
                         if pinned is None:
-                            pinned = payloads[id(components)] = (
+                            pinned = splits[id(components)] = (
                                 components,
                                 "".join(_CHROME_ARGS_ENCODER(components, 0)))
                         values = (floats[scaled], floats[length], sid,
                                   floats[watts], floats[joules],
-                                  labels[process], labels[procedure],
+                                  encode_basestring_ascii(process),
+                                  encode_basestring_ascii(procedure),
                                   pinned[1])
                         if branch is None:
                             if span_shape is None:
@@ -643,36 +566,18 @@ def _render_chrome(events):
             scaled = ts * 1e6
             if not _NINF < scaled < _INF:
                 return None
-            text = floats.get(scaled)
-            if text is None:
-                text = repr(scaled)
-                if scaled:
-                    floats[scaled] = text
             bucket, template, is_complete = shape
             if not is_complete:
-                stamps = (text,)
-            elif dur is None:
-                stamps = (text, "0.0")
-            elif type(dur) is float or type(dur) is int:
+                stamps = (floats[scaled],)
+            elif dur is None or type(dur) is float or type(dur) is int:
                 span = (dur or 0.0) * 1e6
                 if not 0.0 <= span < _INF:
                     return None
-                span_text = floats.get(span)
-                if span_text is None:
-                    span_text = repr(span)
-                    if span:
-                        floats[span] = span_text
-                stamps = (text, span_text)
+                stamps = (floats[scaled], floats[span])
             else:
                 return None
             if args is not None:
-                text = None
-                if type(args) is dict:
-                    text = _payload_text(args.items(), floats, payloads,
-                                         keys, _CHROME_ARGS_ENCODER)
-                if text is None:
-                    text = "".join(_CHROME_ARGS_ENCODER(args, 0))
-                stamps += (text,)
+                stamps += ("".join(_CHROME_ARGS_ENCODER(args, 0)),)
             bucket.append((ts, template % stamps))
         parts = [json.dumps(entry) for entry in layout.metadata()]
     except (AttributeError, TypeError, ValueError, OverflowError,

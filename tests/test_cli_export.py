@@ -150,6 +150,8 @@ class TestCli:
         ["--lookahead", "--depth", "3"],
         ["--seed", "3"],
         ["--seconds", "5"],
+        ["--horizon", "3"],
+        ["--pulse", "--horizon", "3"],
     ])
     def test_bad_trace_goal_input_exits_2_with_one_error(self, argv,
                                                          tmp_path, capsys):

@@ -211,6 +211,12 @@ BAD_INPUTS = {
         "sweep", "--diff-against", "default", "--max-delta-j", "5"],
     "bench-confirm-without-compare": lambda tmp: [
         "bench", "--confirm", "3"],
+    "snapshot-horizon-without-lookahead": lambda tmp: [
+        "snapshot", "roundtrip", "--horizon", "3"],
+    "report-without-goal-with-energy": lambda tmp: [
+        "report", "--no-goal", "--energy", "5"],
+    "export-figures-unknown-id": lambda tmp: [
+        "export-figures", str(tmp / "figures"), "--figures", "bogus"],
     # An unwritable output path names the path, never a traceback.
     "calibrate-json-to-missing-dir": lambda tmp: [
         "calibrate", "--json", str(tmp / "missing" / "c.json")],
@@ -222,6 +228,9 @@ BAD_INPUTS = {
         "--telemetry-out", str(tmp / "missing" / "t.json")],
     "metrics-out-to-missing-dir": lambda tmp: [
         "fig10", "--metrics-out", str(tmp / "missing" / "m.json")],
+    "export-figures-into-a-file": lambda tmp: [
+        "export-figures", write_json(tmp / "file.json", {}) + "/figures",
+        "--figures", "fig10"],
 }
 
 
