@@ -2,8 +2,10 @@
 
 from repro.analysis import summarize
 from repro.experiments import trial_costs
+from repro.experiments.calibration import band_text, claims
 
-__all__ = ["sweep_with_trials", "format_energy_table", "savings"]
+__all__ = ["sweep_with_trials", "format_energy_table", "savings",
+           "report_claims"]
 
 
 def sweep_with_trials(table_fn, trials=5, **kwargs):
@@ -42,3 +44,13 @@ def savings(stats, config, reference):
         obj: 1.0 - stats[config][obj].mean / stats[reference][obj].mean
         for obj in stats[reference]
     }
+
+
+def report_claims(report, stats, app):
+    """Print each of ``app``'s Section 3 claims (the rows of
+    ``repro.experiments.calibration.CLAIMS``) against the trial means."""
+    for claim in claims(app):
+        values = savings(stats, claim.config, claim.reference).values()
+        report(f"{claim.config + ' vs ' + claim.reference:34} "
+               f"{min(values):.1%}-{max(values):.1%}  "
+               f"(paper {band_text(claim.paper)})")

@@ -6,7 +6,12 @@ reduced window, and combined.  Five trials per cell with 90% CIs.
 """
 
 from conftest import run_once
-from tables_util import format_energy_table, savings, sweep_with_trials
+from tables_util import (
+    format_energy_table,
+    report_claims,
+    savings,
+    sweep_with_trials,
+)
 
 from repro.analysis import render_table
 from repro.experiments import video_energy_table
@@ -27,16 +32,8 @@ def test_fig06_video(benchmark, report):
         format_energy_table(stats, CONFIGS, CLIPS),
         title="Figure 6 — video energy by fidelity (mean ± 90% CI, 5 trials)",
     ))
-    hw = savings(stats, "hw-only", "baseline")
-    pc = savings(stats, "premiere-c", "hw-only")
-    rw = savings(stats, "reduced-window", "hw-only")
-    cb = savings(stats, "combined", "hw-only")
+    report_claims(report, stats, "video")
     cb_base = savings(stats, "combined", "baseline")
-    report(f"hw-only vs baseline:        {min(hw.values()):.1%}-{max(hw.values()):.1%}  (paper 9-10%)")
-    report(f"premiere-c vs hw-only:      {min(pc.values()):.1%}-{max(pc.values()):.1%}  (paper 16-17%)")
-    report(f"reduced-window vs hw-only:  {min(rw.values()):.1%}-{max(rw.values()):.1%}  (paper 19-20%)")
-    report(f"combined vs hw-only:        {min(cb.values()):.1%}-{max(cb.values()):.1%}  (paper 28-30%)")
-    report(f"combined vs baseline:       {min(cb_base.values()):.1%}-{max(cb_base.values()):.1%}  (paper ~35%)")
 
     # Shape assertions: orderings hold for every clip.
     for clip in CLIPS:

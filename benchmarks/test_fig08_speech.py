@@ -6,7 +6,12 @@ hybrid-reduced.
 """
 
 from conftest import run_once
-from tables_util import format_energy_table, savings, sweep_with_trials
+from tables_util import (
+    format_energy_table,
+    report_claims,
+    savings,
+    sweep_with_trials,
+)
 
 from repro.analysis import render_table
 from repro.experiments import speech_energy_table
@@ -27,23 +32,7 @@ def test_fig08_speech(benchmark, report):
         format_energy_table(stats, CONFIGS, UTTS),
         title="Figure 8 — speech energy by strategy (mean ± 90% CI, 5 trials)",
     ))
-    bands = {
-        "hw-only vs baseline (paper 33-34%)": savings(stats, "hw-only", "baseline"),
-        "reduced vs hw-only (paper 25-46%)": savings(stats, "reduced", "hw-only"),
-        "remote vs hw-only (paper 33-44%)": savings(stats, "remote", "hw-only"),
-        "hybrid vs hw-only (paper 47-55%)": savings(stats, "hybrid", "hw-only"),
-        "remote-reduced vs hw-only (paper 42-65%)": savings(
-            stats, "remote-reduced", "hw-only"
-        ),
-        "hybrid-reduced vs hw-only (paper 53-70%)": savings(
-            stats, "hybrid-reduced", "hw-only"
-        ),
-        "hybrid-reduced vs baseline (paper 69-80%)": savings(
-            stats, "hybrid-reduced", "baseline"
-        ),
-    }
-    for label, values in bands.items():
-        report(f"{label:44} measured {min(values.values()):.1%}-{max(values.values()):.1%}")
+    report_claims(report, stats, "speech")
 
     for utt in UTTS:
         assert stats["hw-only"][utt].mean < stats["baseline"][utt].mean

@@ -6,7 +6,12 @@ the two crop+filter combinations.
 """
 
 from conftest import run_once
-from tables_util import format_energy_table, savings, sweep_with_trials
+from tables_util import (
+    format_energy_table,
+    report_claims,
+    savings,
+    sweep_with_trials,
+)
 
 from repro.analysis import render_table
 from repro.experiments import map_energy_table
@@ -27,24 +32,7 @@ def test_fig10_map(benchmark, report):
         format_energy_table(stats, CONFIGS, CITIES),
         title="Figure 10 — map energy by fidelity, 5 s think time",
     ))
-    bands = {
-        "hw-only vs baseline (paper 9-19%)": savings(stats, "hw-only", "baseline"),
-        "minor filter vs hw-only (paper 6-51%)": savings(
-            stats, "minor-filter", "hw-only"
-        ),
-        "secondary filter vs hw-only (paper 23-55%)": savings(
-            stats, "secondary-filter", "hw-only"
-        ),
-        "cropped vs hw-only (paper 14-49%)": savings(stats, "cropped", "hw-only"),
-        "crop+secondary vs hw-only (paper 36-66%)": savings(
-            stats, "crop-secondary", "hw-only"
-        ),
-        "lowest vs baseline (paper 46-70%)": savings(
-            stats, "crop-secondary", "baseline"
-        ),
-    }
-    for label, values in bands.items():
-        report(f"{label:46} measured {min(values.values()):.1%}-{max(values.values()):.1%}")
+    report_claims(report, stats, "map")
 
     for city in CITIES:
         assert stats["hw-only"][city].mean < stats["baseline"][city].mean

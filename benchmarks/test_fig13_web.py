@@ -6,7 +6,12 @@ distillation.
 """
 
 from conftest import run_once
-from tables_util import format_energy_table, savings, sweep_with_trials
+from tables_util import (
+    format_energy_table,
+    report_claims,
+    savings,
+    sweep_with_trials,
+)
 
 from repro.analysis import render_table
 from repro.experiments import web_energy_table
@@ -24,12 +29,9 @@ def test_fig13_web(benchmark, report):
         format_energy_table(stats, CONFIGS, PICS),
         title="Figure 13 — Web energy by JPEG quality, 5 s think time",
     ))
+    report_claims(report, stats, "web")
     hw = savings(stats, "hw-only", "baseline")
     lowest = savings(stats, "jpeg-5", "hw-only")
-    lowest_base = savings(stats, "jpeg-5", "baseline")
-    report(f"hw-only vs baseline:  {min(hw.values()):.1%}-{max(hw.values()):.1%}  (paper 22-26%)")
-    report(f"jpeg-5 vs hw-only:    {min(lowest.values()):.1%}-{max(lowest.values()):.1%}  (paper 4-14%)")
-    report(f"jpeg-5 vs baseline:   {min(lowest_base.values()):.1%}-{max(lowest_base.values()):.1%}  (paper 29-34%)")
 
     for pic in PICS:
         assert stats["hw-only"][pic].mean < stats["baseline"][pic].mean

@@ -20,15 +20,6 @@ from repro.experiments import (
     web_energy_table,
 )
 
-# Paper Figure 16 cells: {(app, think): (hw_pm_range, combined_range)}.
-PAPER_BANDS = {
-    ("video", None): ((0.90, 0.91), (0.64, 0.66)),
-    ("speech", None): ((0.66, 0.67), (0.20, 0.31)),
-    ("map", 5.0): ((0.81, 0.91), (0.30, 0.54)),
-    ("web", 5.0): ((0.74, 0.78), (0.66, 0.71)),
-}
-
-
 def build_summary():
     """{(app, think): {config: Range}} for the summary's key columns."""
     summary = {}

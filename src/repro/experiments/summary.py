@@ -7,13 +7,8 @@ equivalent of EXPERIMENTS.md, used by ``python -m repro report``.
 
 from __future__ import annotations
 
+from repro.experiments.calibration import TABLES, band_text, headline, measure
 from repro.experiments.concurrency import concurrency_table
-from repro.experiments.fidelity_study import (
-    map_energy_table,
-    speech_energy_table,
-    video_energy_table,
-    web_energy_table,
-)
 from repro.experiments.goal_study import (
     derive_goals,
     fidelity_runtime_bounds,
@@ -22,39 +17,11 @@ from repro.experiments.goal_study import (
 
 __all__ = ["full_report", "render_report"]
 
-# Paper bands for the quick-look comparison column.
-PAPER_BANDS = {
-    ("video", "hw-only"): "9-10%",
-    ("video", "lowest"): "~35%",
-    ("speech", "hw-only"): "33-34%",
-    ("speech", "lowest"): "69-80%",
-    ("map", "hw-only"): "9-19%",
-    ("map", "lowest"): "46-70%",
-    ("web", "hw-only"): "22-26%",
-    ("web", "lowest"): "29-34%",
-}
-
-LOWEST_CONFIG = {
-    "video": "combined",
-    "speech": "hybrid-reduced",
-    "map": "crop-secondary",
-    "web": "jpeg-5",
-}
-
-TABLES = {
-    "video": video_energy_table,
-    "speech": speech_energy_table,
-    "map": map_energy_table,
-    "web": web_energy_table,
-}
-
-
-def _band(values):
-    return min(values), max(values)
-
 
 def fidelity_summary(jobs=None):
-    """Per-application hardware-PM and lowest-fidelity savings bands.
+    """Per-application hardware-PM and lowest-fidelity savings bands:
+    :func:`~repro.experiments.calibration.headline`'s two claims of
+    each app, measured.
 
     With ``jobs > 1`` the tables come from the fleet (same
     measurements, bit-identical values, parallel execution).
@@ -65,23 +32,12 @@ def fidelity_summary(jobs=None):
         runner = FleetRunner(jobs=jobs)
         tables = {app: energy_table(app, runner=runner) for app in TABLES}
     else:
-        tables = None
-    summary = {}
-    for app, table_fn in TABLES.items():
-        table = tables[app] if tables is not None else table_fn()
-        objects = list(table["baseline"])
-        hw = [
-            1 - table["hw-only"][o] / table["baseline"][o] for o in objects
-        ]
-        lowest = [
-            1 - table[LOWEST_CONFIG[app]][o] / table["baseline"][o]
-            for o in objects
-        ]
-        summary[app] = {
-            "hw-only": _band(hw),
-            "lowest": _band(lowest),
-        }
-    return summary
+        tables = {app: table_fn() for app, table_fn in TABLES.items()}
+    return {
+        app: {key: measure(claim, tables[app])
+              for key, claim in headline(app).items()}
+        for app in TABLES
+    }
 
 
 def goal_summary(initial_energy=6_000.0):
@@ -124,13 +80,15 @@ def render_report(report):
     lines = ["Reproduction headline report", "=" * 30, ""]
     lines.append("Fidelity savings vs baseline (min-max across objects):")
     for app, bands in report["fidelity"].items():
+        paper = {key: band_text(claim.paper)
+                 for key, claim in headline(app).items()}
         hw_lo, hw_hi = bands["hw-only"]
         low_lo, low_hi = bands["lowest"]
         lines.append(
             f"  {app:<7} hw-only {hw_lo:5.1%}-{hw_hi:5.1%} "
-            f"(paper {PAPER_BANDS[(app, 'hw-only')]})   "
+            f"(paper {paper['hw-only']})   "
             f"lowest {low_lo:5.1%}-{low_hi:5.1%} "
-            f"(paper {PAPER_BANDS[(app, 'lowest')]})"
+            f"(paper {paper['lowest']})"
         )
     if "concurrency" in report:
         lines.append("")

@@ -320,7 +320,8 @@ def policy_matrix_campaign(candidates, baseline=None, scenario=None,
     ``goal_seconds``/``initial_energy``).  Duplicate labels raise, as
     any duplicate task id does, and so does a row whose params (over
     ``scenario``) :func:`~repro.snapshot.scenario.pulse_params`
-    refuses: the :class:`ValueError` names the policy, and no row runs.
+    refuses, or that sets ``horizon`` without ``lookahead``: the
+    :class:`ValueError` names the policy, and no row runs.
 
     With ``devices`` (profiles or their dicts), the rows repeat per
     device under ids ``row/{device_id}/{label}``: device-major in the
@@ -339,8 +340,14 @@ def policy_matrix_campaign(candidates, baseline=None, scenario=None,
     rows = [(BASELINE_LABEL, dict(baseline))]
     rows.extend(_normalize_candidates(candidates))
     for label, params in rows:
+        knobs = dict(scenario, **params)
         try:
-            pulse_params(**dict(scenario, **params))
+            pulse_params(**knobs)
+            # Not in pulse_params: a what-if fork rebuilds its lookahead
+            # trunk's params, horizon included, with lookahead off.
+            if "horizon" in knobs and not knobs.get("lookahead"):
+                raise ValueError("horizon needs lookahead: only the "
+                                 "lookahead controller reads it")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"policy {label!r}: {exc}") from None
 

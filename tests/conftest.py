@@ -16,7 +16,7 @@ import pytest
 @pytest.fixture(scope="session")
 def section3_tables():
     """``{app: table}`` from each Section-3 table function's defaults."""
-    from repro.experiments.summary import TABLES
+    from repro.experiments.calibration import TABLES
 
     return {app: table_fn() for app, table_fn in TABLES.items()}
 
@@ -34,16 +34,16 @@ def _served(real, table):
 def _serving(tables):
     """Answer default-argument table calls from ``tables``.
 
-    Patches every binding the summary, the figure bundles and the CLI
-    read; calls with any argument still simulate.
+    Patches every binding the claims check, the summary, the figure
+    bundles and the CLI read; calls with any argument still simulate.
     """
     import repro.experiments
-    from repro.experiments import figures, summary
+    from repro.experiments import calibration, figures
 
     with pytest.MonkeyPatch.context() as patch:
-        for app, real in list(summary.TABLES.items()):
+        for app, real in list(calibration.TABLES.items()):
             served = _served(real, tables[app])
-            patch.setitem(summary.TABLES, app, served)
+            patch.setitem(calibration.TABLES, app, served)
             patch.setattr(repro.experiments, real.__name__, served)
             patch.setattr(figures, real.__name__, served)
         yield

@@ -213,6 +213,8 @@ BAD_INPUTS = {
         "bench", "--confirm", "3"],
     "snapshot-horizon-without-lookahead": lambda tmp: [
         "snapshot", "roundtrip", "--horizon", "3"],
+    "sweep-vary-horizon-without-lookahead": lambda tmp: [
+        "sweep", "--diff-against", "default", "--vary", "horizon=6,12"],
     "report-without-goal-with-energy": lambda tmp: [
         "report", "--no-goal", "--energy", "5"],
     "export-figures-unknown-id": lambda tmp: [
