@@ -8,8 +8,8 @@ calibrate``, ``repro report`` (:mod:`repro.experiments.summary`) and
 the figure benchmarks all read it, and :func:`measure` is the one
 evaluator: per-object ``1 - config/reference``, then min..max.
 
-A row the model cannot meet also records its measured range, at the
-0.1-point precision EXPERIMENTS.md prints, and the number of its
+A row the model cannot meet also holds its recorded measured range, at
+the 0.1-point precision EXPERIMENTS.md prints, and the number of its
 "Known deviation" there.  The check gives every row one status:
 
 - ``OK``: the measured range overlaps the paper's band;
@@ -62,7 +62,7 @@ class Claim(NamedTuple):
     config: str
     reference: str
     paper: Tuple[float, float]
-    measured: Optional[Tuple[float, float]] = None
+    recorded: Optional[Tuple[float, float]] = None
     deviation: Optional[int] = None
 
 
@@ -149,7 +149,7 @@ def _check(claim, table):
         "status": "OK" if ok else "MISS",
     }
     if claim.deviation is not None:
-        lo, hi = claim.measured
+        lo, hi = claim.recorded
         held = lo <= round(measured_lo, 3) and round(measured_hi, 3) <= hi
         band.update(deviation=claim.deviation, recorded_lo=lo,
                     recorded_hi=hi, status="DEV" if held else "MISS")
