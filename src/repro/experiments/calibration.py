@@ -156,14 +156,10 @@ def _check(claim, table):
     return band
 
 
-def calibration_report(tables=None):
-    """Check every claim; returns a JSON-shaped report.
-
-    ``tables`` maps each app to its energy table; by default every
-    table function of :data:`TABLES` runs at its defaults.
-    """
-    if tables is None:
-        tables = {app: table_fn() for app, table_fn in TABLES.items()}
+def calibration_report():
+    """Check every claim over each :data:`TABLES` table at its defaults;
+    returns a JSON-shaped report."""
+    tables = {app: table_fn() for app, table_fn in TABLES.items()}
     figures = [{
         "name": app,
         "figure": figure,

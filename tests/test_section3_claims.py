@@ -78,8 +78,9 @@ def test_fidelity_summary_equals_the_recorded_one(serial_fidelity_summary):
     assert serial_fidelity_summary == FIDELITY
 
 
-def test_claims_hold_and_only_the_known_deviations_miss(section3_tables):
-    report = calibration_report(section3_tables)
+def test_claims_hold_and_only_the_known_deviations_miss(
+        served_section3_tables):
+    report = calibration_report()
     assert report_ok(report)
     bands = [band for figure in report["figures"]
              for band in figure["bands"]]
