@@ -401,6 +401,10 @@ def _cmd_calibrate(args):
         report_ok,
     )
 
+    if args.json:
+        # Refuse a missing directory before simulating four tables.
+        with _writable(args.json):
+            os.scandir(os.path.dirname(args.json) or ".").close()
     report = calibration_report()
     print(render_report(report))
     if args.json:

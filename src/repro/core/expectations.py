@@ -132,7 +132,6 @@ class ExpectationMonitor:
         self.period = period
         self.checks = 0
         self._running = False
-        self._entry = None
         tracer = getattr(sim, "tracer", None)
         self._trace = tracer.gate("core") if tracer is not None else None
 
@@ -140,7 +139,7 @@ class ExpectationMonitor:
         if self._running:
             return
         self._running = True
-        self._entry = self.sim.schedule(self.period, self._tick)
+        self.sim.schedule(self.period, self._tick)
 
     def stop(self):
         self._running = False
@@ -163,44 +162,4 @@ class ExpectationMonitor:
                             "level": level,
                         },
                     )
-        self._entry = self.sim.schedule(self.period, self._tick)
-
-    # ------------------------------------------------------------------
-    # snapshot protocol (repro.snapshot)
-    # ------------------------------------------------------------------
-    def __snapshot__(self, ctx):
-        """Monitor loop + registry windows; upcall callables are not
-        serialized — the builder re-registers them, and restore only
-        re-applies the windows they had adapted to."""
-        ctx.claim(self._entry, "tick")
-        registry = self.registry
-        return {
-            "running": self._running,
-            "checks": self.checks,
-            "upcalls_delivered": registry.upcalls_delivered,
-            "expectations": [
-                [e.name, e.window.low, e.window.high, e.violations]
-                for e in registry._expectations.values()
-            ],
-        }
-
-    def __restore__(self, state, ctx):
-        self._running = bool(state["running"])
-        self.checks = int(state["checks"])
-        registry = self.registry
-        registry.upcalls_delivered = int(state["upcalls_delivered"])
-        for name, low, high, violations in state["expectations"]:
-            expectation = registry._expectations.get(name)
-            if expectation is None:
-                raise ExpectationError(
-                    f"snapshot expectation {name!r} not re-registered "
-                    f"by the builder"
-                )
-            expectation.window = ResourceWindow(low, high)
-            expectation.violations = int(violations)
-        for when, seq, kind in ctx.events():
-            if kind != "tick":
-                raise ExpectationError(
-                    f"unexpected expectation event kind {kind!r}"
-                )
-            self._entry = ctx.push(when, seq, self._tick)
+        self.sim.schedule(self.period, self._tick)

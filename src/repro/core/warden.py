@@ -36,11 +36,3 @@ class Warden:
 
     def __repr__(self):
         return f"<Warden {self.data_type} requests={self.requests}>"
-
-    def describe_fidelities(self):
-        """Names of the fidelity levels this warden's type supports.
-
-        Subclasses override; Odyssey allows each application to specify
-        the fidelity levels it currently supports (Section 2.2).
-        """
-        return []

@@ -106,14 +106,6 @@ class LearnedPowerModel:
             errors[name] = abs(self.multiplier(name) - true) / true
         return errors
 
-    def to_dict(self):
-        return {
-            "multipliers": {name: self.multipliers[name]
-                            for name in sorted(self.multipliers)},
-            "fitted_at": self.fitted_at,
-            "readings": self.readings,
-        }
-
 
 class OnlineCalibrator:
     """Regress gauge readings against journal-folded nominal utilization.

@@ -37,7 +37,6 @@ __all__ = [
     "run_figure",
     "seeded_value",
     "sleep_for",
-    "spin_for",
     "always_fail",
     "fail_until_marker",
     "die_once_then",
@@ -98,14 +97,6 @@ def seeded_value(seed, scale=1.0):
 def sleep_for(seconds, value=None):
     """Block for wall-clock ``seconds`` (I/O-shaped load); returns ``value``."""
     time.sleep(seconds)
-    return seconds if value is None else value
-
-
-def spin_for(seconds, value=None):
-    """Busy-loop for wall-clock ``seconds`` (CPU-shaped load)."""
-    deadline = time.perf_counter() + seconds
-    while time.perf_counter() < deadline:
-        pass
     return seconds if value is None else value
 
 

@@ -11,6 +11,10 @@ observable so failure handling can be exact:
   a time** — the coordinator always knows precisely which attempt a
   worker holds, so a dead worker's work can be requeued without
   guessing;
+* every worker reports on its **own one-way channel**, so no lock is
+  shared between processes: a worker that dies mid-report (``os._exit``,
+  a terminate) takes only its own channel with it, never a lock its
+  siblings' reports wait on;
 * workers **register** on startup and **heartbeat** on a side thread
   (so a worker busy simulating still beats); the coordinator treats a
   worker as dead when its process exits *or* its heartbeat goes stale —
@@ -34,9 +38,9 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import pickle
-import queue as queue_mod
 import threading
 import time
+from multiprocessing.connection import wait
 
 from repro.fleet.execution import describe_error
 from repro.fleet.worker import run_task
@@ -49,14 +53,25 @@ REGISTER, HEARTBEAT, START, DONE, ERROR = (
 )
 
 
-def _worker_main(worker_id, inbox, outbox, heartbeat_s):
-    """The loop a pool process runs: register, beat, execute, report."""
-    outbox.put((REGISTER, worker_id, multiprocessing.current_process().pid))
+def _worker_main(worker_id, inbox, channel, heartbeat_s):
+    """The loop a pool process runs: register, beat, execute, report.
+
+    Reports go down ``channel``, the write end of this worker's own
+    pipe; the main and heartbeat threads take turns on a process-local
+    lock.
+    """
+    send_lock = threading.Lock()
+
+    def send(*message):
+        with send_lock:
+            channel.send(message)
+
+    send(REGISTER, worker_id, multiprocessing.current_process().pid)
     stop_beating = threading.Event()
 
     def beat():
         while not stop_beating.wait(heartbeat_s):
-            outbox.put((HEARTBEAT, worker_id, time.monotonic()))
+            send(HEARTBEAT, worker_id, time.monotonic())
 
     beater = threading.Thread(target=beat, daemon=True)
     beater.start()
@@ -66,18 +81,17 @@ def _worker_main(worker_id, inbox, outbox, heartbeat_s):
             if item is None:
                 break
             job_id, task, attempt, timeout_s, collect_trace = item
-            outbox.put((START, worker_id, job_id, task.id, attempt))
+            send(START, worker_id, job_id, task.id, attempt)
             try:
-                # Pickled here, not by the queue's feeder thread, so an
-                # unpicklable value is reported instead of lost silently.
+                # Pickled inside the try, so an unpicklable value is
+                # reported as the task's error.
                 outcome = pickle.dumps(run_task(task, timeout_s,
                                                 collect_trace=collect_trace))
             except BaseException as exc:  # noqa: BLE001 — report, don't die
-                outbox.put((ERROR, worker_id, job_id, task.id, attempt,
-                            describe_error(exc)))
+                send(ERROR, worker_id, job_id, task.id, attempt,
+                     describe_error(exc))
             else:
-                outbox.put((DONE, worker_id, job_id, task.id, attempt,
-                            outcome))
+                send(DONE, worker_id, job_id, task.id, attempt, outcome)
     finally:
         stop_beating.set()
 
@@ -85,16 +99,23 @@ def _worker_main(worker_id, inbox, outbox, heartbeat_s):
 class WorkerHandle:
     """Coordinator-side view of one pool worker."""
 
-    def __init__(self, worker_id, process, inbox):
+    def __init__(self, worker_id, process, inbox, channel):
         self.id = worker_id
         self.process = process
         self.inbox = inbox
+        #: Read end of the worker's report pipe; ``None`` once it closed.
+        self.channel = channel
         self.pid = None
         self.registered = False
         self.last_beat = time.monotonic()
         #: ``(job_id, task, attempt)`` currently dispatched, or ``None``.
         self.current = None
         self.completed = 0
+
+    def close_channel(self):
+        if self.channel is not None:
+            self.channel.close()
+            self.channel = None
 
     @property
     def idle(self):
@@ -140,7 +161,6 @@ class WorkerPool:
         self.heartbeat_s = heartbeat_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self._ctx = multiprocessing.get_context()
-        self.outbox = self._ctx.Queue()
         self.workers = {}
         self._ids = itertools.count(1)
         self._started = False
@@ -161,14 +181,17 @@ class WorkerPool:
     def _spawn(self):
         worker_id = f"w{next(self._ids)}"
         inbox = self._ctx.Queue()
+        channel, writer = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, inbox, self.outbox, self.heartbeat_s),
+            args=(worker_id, inbox, writer, self.heartbeat_s),
             daemon=True,
             name=f"repro-pool-{worker_id}",
         )
         process.start()
-        handle = WorkerHandle(worker_id, process, inbox)
+        # The worker holds the only write end, so its exit reads as EOF.
+        writer.close()
+        handle = WorkerHandle(worker_id, process, inbox, channel)
         self.workers[worker_id] = handle
         return handle
 
@@ -185,6 +208,7 @@ class WorkerPool:
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(1.0)
+            handle.close_channel()
         self.workers.clear()
 
     # ------------------------------------------------------------------
@@ -207,41 +231,48 @@ class WorkerPool:
     def poll(self, timeout=0.05):
         """Drain worker messages; returns completed/errored attempts.
 
-        Registration and heartbeats are absorbed into worker handles;
-        ``start`` markers update ``current`` (a belt-and-braces echo of
-        :meth:`assign`).  Returns a list of
+        Waits up to ``timeout`` for the first message, then reads every
+        channel until none is ready.  Registration, heartbeats and
+        ``start`` markers are absorbed into worker handles; a channel at
+        EOF (its worker exited) is closed.  Returns a list of
         ``(kind, worker_id, job_id, task_id, attempt, payload)`` tuples
         for ``kind`` in ``{"done", "error"}``.
         """
         events = []
-        block = True
-        while True:
-            try:
-                message = self.outbox.get(timeout=timeout if block else 0.0)
-            except queue_mod.Empty:
-                break
-            block = False  # drain the rest without waiting
-            kind = message[0]
-            handle = self.workers.get(message[1])
-            if handle is None:
-                continue  # a message from an already-replaced worker
-            handle.last_beat = time.monotonic()
-            if kind == REGISTER:
-                handle.registered = True
-                handle.pid = message[2]
-            elif kind == HEARTBEAT:
-                pass  # the timestamp update above is the whole point
-            elif kind == START:
-                pass  # assign() already recorded handle.current
-            elif kind in (DONE, ERROR):
-                _, worker_id, job_id, task_id, attempt, payload = message
-                if kind == DONE:
-                    payload = pickle.loads(payload)
-                handle.current = None
-                handle.completed += 1
-                events.append((kind, worker_id, job_id, task_id, attempt,
-                               payload))
+        handles = {handle.channel: handle for handle in self.workers.values()
+                   if handle.channel is not None}
+        ready = wait(list(handles), timeout)
+        while ready:
+            for channel in ready:
+                handle = handles[channel]
+                try:
+                    message = channel.recv()
+                except (EOFError, OSError):
+                    # The worker is gone; reap_dead replaces it.
+                    del handles[channel]
+                    handle.close_channel()
+                    continue
+                self._absorb(handle, message, events)
+            ready = wait(list(handles), 0.0)  # drain without waiting
         return events
+
+    @staticmethod
+    def _absorb(handle, message, events):
+        kind = message[0]
+        # Every message is a sign of life; a heartbeat is only that, and
+        # a ``start`` echoes what assign() already recorded.
+        handle.last_beat = time.monotonic()
+        if kind == REGISTER:
+            handle.registered = True
+            handle.pid = message[2]
+        elif kind in (DONE, ERROR):
+            _, worker_id, job_id, task_id, attempt, payload = message
+            if kind == DONE:
+                payload = pickle.loads(payload)
+            handle.current = None
+            handle.completed += 1
+            events.append((kind, worker_id, job_id, task_id, attempt,
+                           payload))
 
     # ------------------------------------------------------------------
     # death
@@ -280,6 +311,7 @@ class WorkerPool:
             if handle.current is not None:
                 job_id, task, attempt = handle.current
                 reclaimed.append((job_id, task, attempt, reason))
+            handle.close_channel()
             del self.workers[worker_id]
             self.reclaimed_workers += 1
             self._spawn()

@@ -115,13 +115,6 @@ class Task:
             return None
         return task_key(self.fn, self.params)
 
-    def resolve(self):
-        return resolve_callable(self.fn)
-
-    def call(self):
-        """Execute in the current process (the serial path and workers)."""
-        return self.resolve()(*self.payload, **self.params)
-
     def to_dict(self):
         """Wire format for the campaign service; pure-data tasks only."""
         if self.payload:

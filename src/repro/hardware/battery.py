@@ -39,13 +39,6 @@ class ExternalSupply:
     def residual(self):
         return float("inf")
 
-    # snapshot protocol (repro.snapshot) — no heap entries to claim
-    def __snapshot__(self, ctx):
-        return {"drawn": self.drawn}
-
-    def __restore__(self, state, ctx):
-        self.drawn = state["drawn"]
-
 
 class Battery:
     """An ideal (voltage-flat, rate-independent) energy reservoir.

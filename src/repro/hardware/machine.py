@@ -359,14 +359,6 @@ class Machine:
         self.advance()
         self._power_dirty = True
 
-    def invalidate_power(self):
-        """Mark the cached power stale without integrating.
-
-        Prefer :meth:`power_will_change`; this exists for component
-        authors whose mutation already integrated through other means.
-        """
-        self._power_dirty = True
-
     # ------------------------------------------------------------------
     # execution context (who gets the energy)
     # ------------------------------------------------------------------
@@ -731,10 +723,6 @@ class Machine:
             yield from self.cpu_resource.use(
                 duration, owner=process, on_grant=on_grant, on_release=on_release
             )
-
-    def idle_for(self, duration):
-        """Generator: let simulated time pass with no activity."""
-        yield self.sim.timeout(duration)
 
     # ------------------------------------------------------------------
     # reporting

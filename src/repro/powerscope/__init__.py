@@ -33,8 +33,6 @@ __all__ = [
     "render_diff",
     "profile_run",
     "fold_phase_energy",
-    "machine_phase_energy",
-    "segments_from_journal",
     "spans_to_segments",
 ]
 
@@ -42,8 +40,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "diff": ("ProfileDelta", "diff_profiles", "render_diff"),
     "multimeter": ("Multimeter", "SystemMonitor"),
     "online": ("OnlinePowerMonitor",),
-    "phases": ("fold_phase_energy", "machine_phase_energy",
-               "segments_from_journal", "spans_to_segments"),
+    "phases": ("fold_phase_energy", "spans_to_segments"),
     "profile": ("EnergyProfile", "ProfileEntry"),
     "report": ("render_process_detail", "render_profile"),
     "samples": ("CurrentSample", "PcPidSample"),

@@ -15,8 +15,6 @@ from bisect import bisect_left, bisect_right
 
 __all__ = [
     "fold_phase_energy",
-    "machine_phase_energy",
-    "segments_from_journal",
     "spans_to_segments",
 ]
 
@@ -34,21 +32,6 @@ def spans_to_segments(spans):
         t1 = t0 + (span["dur"] or 0.0)
         segments.append((t0, t1, span["watts"] or 0.0, span.get("components")))
     segments.sort(key=lambda seg: (seg[0], seg[1]))
-    return segments
-
-
-def segments_from_journal(journal):
-    """Convert live machine journal segments to fold input.
-
-    The superlinear correction is credited to a synthetic
-    ``(superlinear)`` component row, matching the traced spans.
-    """
-    segments = []
-    for seg in journal:
-        components = dict(seg.comp_powers)
-        if seg.correction:
-            components["(superlinear)"] = seg.correction
-        segments.append((seg.t0, seg.t1, seg.power, components))
     return segments
 
 
@@ -95,16 +78,3 @@ def fold_phase_energy(segments, boundaries):
                 for name, comp_watts in components.items():
                     rows[name] = rows.get(name, 0.0) + comp_watts * overlap
     return phases
-
-
-def machine_phase_energy(machine, boundaries):
-    """Per-phase joules straight from a live machine's retained journal.
-
-    Requires the journal to be pinned (e.g. by an open snapshot scope)
-    or otherwise un-compacted back to ``boundaries[0]``; traced runs
-    should prefer folding the exported ``power/span`` events instead.
-    """
-    machine.advance()
-    return fold_phase_energy(
-        segments_from_journal(machine._journal), boundaries
-    )

@@ -17,10 +17,9 @@ The subsystem has four layers:
   side-by-side lanes over the trunk's schedule, or on forks where lanes
   cannot model the stack), and score predicted energy against the goal.
 
-:mod:`repro.snapshot.scenario` provides the snapshot-capable goal rigs
-(timer-driven apps — no generator processes; the Section 5 item rig is
-:mod:`repro.snapshot.workload`), and :mod:`repro.snapshot.warm` the
-warm-started fleet sweep built on the pulse rig.
+:mod:`repro.snapshot.scenario` provides the one snapshot-capable goal
+rig, the pulse rig (timer-driven apps, no generator processes), and
+:mod:`repro.snapshot.warm` the warm-started fleet sweep built on it.
 """
 
 from repro._lazy import lazy_exports

@@ -1,24 +1,17 @@
-"""The snapshot-capable goal rigs: timer-driven apps on one stack.
+"""The snapshot-capable goal rig: timer-driven apps on one stack.
 
 The generator-based applications in :mod:`repro.apps` cannot cross a
-snapshot boundary (live frames are not serializable), so these rigs are
-built *entirely* from timer-driven state machines.  :class:`TimedApp`
-is the one app state machine: work an item with the app's component at
-the current fidelity wattage, rest, repeat.  Two rigs share it and one
-stack assembly (``_assemble`` and ``_finish`` below, which also choose
-the controller):
+snapshot boundary (live frames are not serializable), so this rig is
+built *entirely* from timer-driven state machines.  Each
+:class:`PulsedApp` runs periodic bursts.  Pulse *timing* is
+fidelity-independent — adaptation changes joules, never the event
+timeline — which keeps decision instants aligned across policies and
+makes ``repro diff`` windows exact.
 
-* the pulse rig, :func:`build_pulse_scenario`: each :class:`PulsedApp`
-  runs periodic bursts.  Pulse *timing* is fidelity-independent —
-  adaptation changes joules, never the event timeline — which keeps
-  decision instants aligned across policies and makes ``repro diff``
-  windows exact;
-* the Section 5 item rig, :mod:`repro.snapshot.workload`.
-
-The pulse rig's scenario knobs are declared once, in :data:`KNOBS`:
-name, default, type and recording rule.  :func:`pulse_params` turns
-given knobs into the recorded params (the snapshot identity), and the
-builder builds from those alone.
+The rig's scenario knobs are declared once, in :data:`KNOBS`: name,
+default, type and recording rule.  :func:`pulse_params` turns given
+knobs into the recorded params (the snapshot identity), and
+:func:`build_pulse_scenario` builds from those alone.
 
 Every stateful object registers with the simulator under a stable key
 and the simulator carries a builder reference, so
@@ -41,7 +34,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 __all__ = [
-    "TimedApp",
     "PulsedApp",
     "PulseScenario",
     "build_pulse_scenario",
@@ -64,37 +56,42 @@ DEFAULT_INITIAL_ENERGY_J = 2_400.0
 PLATFORM_WATTS = 5.6
 
 
-class TimedApp:
+class PulsedApp:
     """An adaptive application as a timer-driven state machine.
 
-    Alternates work items and rests: each item pushes the app's
-    attribution context, raises its component to the wattage of the
-    current fidelity level for the item's duration, and drops both at
-    item end; the rest then spaces the next item.  Fidelity changes take
-    effect immediately (mid-item included) but never move an edge.
-
-    Subclasses supply the timing through two hooks: ``_next_item()``
-    returns ``(duration, context label)`` for the item about to begin,
-    and ``_rest()`` the delay from an item's end to the next begin.
+    Every ``period`` seconds the app works one burst of ``duty *
+    period`` seconds: it pushes its attribution context (procedure
+    ``"pulse"``) and raises its component to the wattage of the current
+    fidelity level, then drops both at the burst's end.  Fidelity
+    changes take effect immediately (mid-burst included) but never move
+    an edge.
 
     Implements the :class:`~repro.core.priority.PriorityLadder` protocol
     (``can_degrade``/``degrade``/...) and the snapshot protocol.
     """
 
     def __init__(self, sim, machine, name, component, levels, priority,
-                 offset=0.0):
+                 period, duty, offset=0.0):
+        if not 0.0 < duty < 1.0:
+            raise ValueError(f"{name}: duty {duty} outside (0, 1)")
         self.sim = sim
         self.machine = machine
         self.name = name
         self.component = component
         self.levels = [level for level, _watts in levels]
         self.priority = priority
+        self.period = period
+        self.duty = duty
         self.offset = offset
         self.level_index = 0
         self._started = False
         self._active = False
         self._token = None
         self._entry = None
+
+    @property
+    def burst(self):
+        return self.duty * self.period
 
     # ------------------------------------------------------------------
     # priority-ladder protocol
@@ -134,7 +131,7 @@ class TimedApp:
         return 1.0 - self.level_index / (len(self.levels) - 1)
 
     # ------------------------------------------------------------------
-    # item state machine
+    # pulse state machine
     # ------------------------------------------------------------------
     def start(self):
         if self._started:
@@ -143,25 +140,25 @@ class TimedApp:
         self._entry = self.sim.schedule(self.offset, self._begin)
 
     def _begin(self, _time):
-        duration, label = self._next_item()
         self._active = True
-        self._token = self.machine.push_context(self.name, label)
+        self._token = self.machine.push_context(self.name, "pulse")
         self.component.set_state(self.fidelity_level)
-        self._entry = self.sim.schedule(duration, self._end)
+        self._entry = self.sim.schedule(self.burst, self._end)
 
     def _end(self, _time):
         self.component.set_state("idle")
         self.machine.pop_context(self._token)
         self._token = None
         self._active = False
-        self._entry = self.sim.schedule(self._rest(), self._begin)
+        self._entry = self.sim.schedule(self.period - self.burst,
+                                        self._begin)
 
     # ------------------------------------------------------------------
     # snapshot protocol (repro.snapshot)
     # ------------------------------------------------------------------
     def __snapshot__(self, ctx):
-        # One pending transition at most: the item end while active,
-        # the next item begin while resting.
+        # One pending transition at most: the burst end while active,
+        # the next burst begin while resting.
         ctx.claim(self._entry, "end" if self._active else "begin")
         return {
             "started": self._started,
@@ -173,7 +170,7 @@ class TimedApp:
 
     def __restore__(self, state, ctx):
         # The component's power state is restored by the machine (the
-        # component is attached); only the item bookkeeping lives here.
+        # component is attached); only the pulse bookkeeping lives here.
         self._started = bool(state["started"])
         self._active = bool(state["active"])
         self.level_index = int(state["level_index"])
@@ -182,30 +179,6 @@ class TimedApp:
         for when, seq, kind in ctx.events():
             callback = {"begin": self._begin, "end": self._end}[kind]
             self._entry = ctx.push(when, seq, callback)
-
-
-class PulsedApp(TimedApp):
-    """A :class:`TimedApp` whose items are periodic pulses: one burst of
-    ``duty * period`` seconds, labelled ``"pulse"``, every ``period``."""
-
-    def __init__(self, sim, machine, name, component, levels, priority,
-                 period, duty, offset=0.0):
-        if not 0.0 < duty < 1.0:
-            raise ValueError(f"{name}: duty {duty} outside (0, 1)")
-        super().__init__(sim, machine, name, component, levels, priority,
-                         offset)
-        self.period = period
-        self.duty = duty
-
-    @property
-    def burst(self):
-        return self.duty * self.period
-
-    def _next_item(self):
-        return self.burst, "pulse"
-
-    def _rest(self):
-        return self.period - self.burst
 
 
 class PulseScenario:
@@ -307,7 +280,7 @@ class PulseScenario:
 
 
 class Knob(NamedTuple):
-    """One pulse-rig scenario knob: the one declaration the builders,
+    """One pulse-rig scenario knob: the one declaration the builder,
     the policy matrix and ``repro trace goal`` all read.
 
     ``kind`` is the value's type (the policy matrix parses spec text
@@ -428,7 +401,14 @@ def build_pulse_scenario(tracer=None, metrics=None, **knobs):
     model instead of ground truth, and ``drift`` scales the real
     wattages mid-run.
     """
+    from repro.core.goal import GoalDirectedController
+    from repro.core.viceroy import Viceroy
+    from repro.hardware.battery import Battery
     from repro.hardware.component import PowerComponent
+    from repro.hardware.machine import Machine
+    from repro.obs.metrics import MetricsRegistry
+    from repro.powerscope.online import OnlinePowerMonitor
+    from repro.sim import Simulator
 
     params = pulse_params(**knobs)
     profile = None
@@ -437,8 +417,15 @@ def build_pulse_scenario(tracer=None, metrics=None, **knobs):
 
         profile = DeviceProfile.from_dict(params["device"])
     battery_scale = profile.battery_scale if profile is not None else 1.0
-    sim, battery, machine = _assemble(
-        params["initial_energy"] * battery_scale, tracer, metrics, profile)
+    sim = Simulator(tracer=tracer)
+    battery = Battery(params["initial_energy"] * battery_scale)
+    # Without ``metrics`` the machine gets a fresh registry, which the
+    # viceroy (and calibrator) share.
+    machine = Machine(
+        sim, battery, profile=profile,
+        metrics=metrics if metrics is not None else MetricsRegistry(),
+    )
+    machine.attach(PowerComponent("platform", {"on": PLATFORM_WATTS}, "on"))
 
     # Nominal (believed) tables, held apart from the attached
     # components: Machine.attach rescales the component's own states
@@ -456,10 +443,10 @@ def build_pulse_scenario(tracer=None, metrics=None, **knobs):
                        priority=2, period=4.0, duty=0.6, offset=0.0)
     sync = PulsedApp(sim, machine, "sync", radio, radio_levels,
                      priority=1, period=6.0, duty=0.5, offset=1.0)
+    apps = [viewer, sync]
 
     gauge = None
     calibrator = None
-    monitor = None
     if "learned_model" in params:
         from repro.devices.calibrate import (CalibratedPowerFeed,
                                              OnlineCalibrator)
@@ -483,78 +470,36 @@ def build_pulse_scenario(tracer=None, metrics=None, **knobs):
         from repro.devices.calibrate import schedule_drift
 
         schedule_drift(sim, machine, *params["drift"], tracer=tracer)
-    return _finish(sim, BUILDER_PATH, params, machine, battery,
-                   [viewer, sync], monitor=monitor, gauge=gauge,
-                   calibrator=calibrator)
+    if calibrator is None:
+        monitor = OnlinePowerMonitor(machine, period=params["sample_period"])
 
-
-def _assemble(capacity, tracer, metrics, profile=None):
-    """Simulator, battery and machine, with the platform draw attached.
-
-    Without ``metrics`` the machine gets a fresh registry; the builders
-    hand ``machine.metrics`` on to the viceroy (and calibrator).
-    """
-    from repro.hardware.battery import Battery
-    from repro.hardware.component import PowerComponent
-    from repro.hardware.machine import Machine
-    from repro.obs.metrics import MetricsRegistry
-    from repro.sim import Simulator
-
-    sim = Simulator(tracer=tracer)
-    battery = Battery(capacity)
-    machine = Machine(
-        sim, battery, profile=profile,
-        metrics=metrics if metrics is not None else MetricsRegistry(),
-    )
-    machine.attach(PowerComponent("platform", {"on": PLATFORM_WATTS}, "on"))
-    return sim, battery, machine
-
-
-def _finish(sim, builder_path, params, machine, battery, apps, monitor=None,
-            gauge=None, calibrator=None):
-    """Add the viceroy and controller, register, stamp the builder, wrap.
-
-    The one place a rig's controller is chosen, from its recorded
-    params (a knob a rig does not record takes its :data:`KNOBS`
-    default): the beam planner when ``beam_width`` is recorded, the
-    two-branch lookahead under ``lookahead``, else the plain
-    goal-directed controller.  ``monitor`` defaults to the
-    ground-truth monitor sampling every ``sample_period``.
-
-    The registration order fixes the order of a payload's ``events``
-    and of restores, so it never changes.  The gauge/calibrator feed is
-    not snapshot-capable (and a learned model excludes lookahead); the
-    ground-truth monitor keeps its slot on every other build.
-    """
-    from repro.core.goal import GoalDirectedController
-    from repro.core.viceroy import Viceroy
-    from repro.powerscope.online import OnlinePowerMonitor
-
-    def knob(name):
-        return params.get(name, KNOBS[name].default)
-
-    if monitor is None:
-        monitor = OnlinePowerMonitor(machine, period=knob("sample_period"))
     viceroy = Viceroy(sim, machine=machine, metrics=machine.metrics)
     for app in apps:
         viceroy.register_application(app)
-    options = {name: knob(name) for name in (
+    # The controller: the beam planner when ``beam_width`` is recorded,
+    # the two-branch lookahead under ``lookahead``, else the plain
+    # goal-directed controller.
+    options = {name: params[name] for name in (
         "halflife_fraction", "decision_period", "upgrade_min_interval")}
     options.update((name, params[name]) for name in (
         "variable_fraction", "constant_fraction") if name in params)
     controller_cls = GoalDirectedController
-    if knob("lookahead"):
+    if params["lookahead"]:
         from repro.snapshot import lookahead
 
-        options["horizon"] = knob("horizon")
+        options["horizon"] = params["horizon"]
         controller_cls = lookahead.LookaheadGoalController
         if "beam_width" in params:
             options.update(beam_width=params["beam_width"],
                            beam_depth=params["beam_depth"])
             controller_cls = lookahead.BeamLookaheadController
-    controller = controller_cls(viceroy, monitor, knob("initial_energy"),
-                                knob("goal_seconds"), **options)
+    controller = controller_cls(viceroy, monitor, params["initial_energy"],
+                                params["goal_seconds"], **options)
 
+    # The registration order fixes the order of a payload's ``events``
+    # and of restores, so it never changes.  The gauge/calibrator feed
+    # is not snapshot-capable (and a learned model excludes lookahead);
+    # the ground-truth monitor keeps its slot on every other build.
     sim.register_snapshottable("machine", machine)
     sim.register_snapshottable("battery", battery)
     if calibrator is None:
@@ -563,7 +508,7 @@ def _finish(sim, builder_path, params, machine, battery, apps, monitor=None,
     sim.register_snapshottable("controller", controller)
     for app in apps:
         sim.register_snapshottable(f"app.{app.name}", app)
-    sim.snapshot_builder = (builder_path, params)
+    sim.snapshot_builder = (BUILDER_PATH, params)
     return PulseScenario(sim, machine, battery, monitor, viceroy, controller,
                          apps, params, gauge=gauge, calibrator=calibrator)
 

@@ -1,25 +1,16 @@
-"""The resumable-cursor protocol: ``__cursor__``/``__seek__``.
+"""Workload phase markers for energy signatures.
 
-Workload drivers (think-time models, bursty schedules, session traces)
-and workload-driving applications advance through *phases* — one video
-clip, one composite iteration, one active minute.  Two things need to
-observe that progress:
+Workload-driving applications advance through *phases* — one video
+clip, one composite iteration, one active minute.  A
+:class:`WorkloadCursor` counts them and emits ``phase.begin``/
+``phase.end`` instants on the ``workload`` trace category as it
+advances, giving :func:`repro.obs.signature.compute_signature` the
+workload-phase boundaries it segments the power journal along.
 
-* **Snapshots.**  A generator's frame cannot be serialized, but a
-  cursor can: ``__cursor__()`` returns a JSON-shaped dict of the
-  driver's position, and ``__seek__(state)`` restores a freshly built
-  driver to that position (replaying RNG draws where needed).  The
-  protocol sits beside ``__snapshot__``/``__restore__`` — an app's
-  ``__snapshot__`` embeds its drivers' cursor dicts in its own state.
-* **Energy signatures.**  :class:`WorkloadCursor` emits
-  ``phase.begin``/``phase.end`` instants on the ``workload`` trace
-  category as it advances, giving :func:`repro.obs.signature.
-  compute_signature` the workload-phase boundaries it segments the
-  power journal along.
-
-Both are pure observers: with no tracer installed (or the ``workload``
-category filtered) a cursored driver behaves byte-identically to the
-old generator path — the cursor never touches the simulator.
+The cursor is a pure observer: with no tracer installed (or the
+``workload`` category filtered) a cursored driver behaves
+byte-identically to one without it — the cursor never touches the
+simulator.
 """
 
 from __future__ import annotations
@@ -31,8 +22,7 @@ WORKLOAD_CATEGORY = "workload"
 
 
 class CursorError(Exception):
-    """Invalid cursor operation (nested begin, end outside a phase, seek
-    against a mismatched driver)."""
+    """Invalid cursor operation (nested begin, end outside a phase)."""
 
 
 class WorkloadCursor:
@@ -47,17 +37,13 @@ class WorkloadCursor:
         Optional simulator; binding resolves the ``workload`` trace
         gate (and the clock phase events are stamped with).  An unbound
         cursor still counts phases — it just emits nothing.
-    items:
-        Optional item-name cycle; :meth:`begin` with no explicit item
-        takes ``items[position % len(items)]``.
     """
 
-    __slots__ = ("workload", "items", "position", "in_phase",
-                 "current_item", "_sim", "_trace")
+    __slots__ = ("workload", "position", "in_phase", "current_item",
+                 "_sim", "_trace")
 
-    def __init__(self, workload, sim=None, items=None):
+    def __init__(self, workload, sim=None):
         self.workload = workload
-        self.items = tuple(items) if items else None
         self.position = 0
         self.in_phase = False
         self.current_item = None
@@ -72,24 +58,17 @@ class WorkloadCursor:
         self._trace = sim.tracer.gate(WORKLOAD_CATEGORY)
         return self
 
-    def item_at(self, index):
-        """Default item name for phase ``index``."""
-        if self.items:
-            return self.items[index % len(self.items)]
-        return f"item-{index}"
-
     # ------------------------------------------------------------------
     # phase boundaries
     # ------------------------------------------------------------------
-    def begin(self, item=None):
-        """Enter the next phase; emits ``phase.begin``; returns the item."""
+    def begin(self, item):
+        """Enter the next phase on ``item``; emits ``phase.begin``;
+        returns the item."""
         if self.in_phase:
             raise CursorError(
                 f"{self.workload}: begin() inside phase "
                 f"{self.current_item!r} (position {self.position})"
             )
-        if item is None:
-            item = self.item_at(self.position)
         self.in_phase = True
         self.current_item = item
         if self._trace is not None:
@@ -119,21 +98,6 @@ class WorkloadCursor:
         self.current_item = None
         self.position += 1
         return self.position
-
-    # ------------------------------------------------------------------
-    # resumable-cursor protocol
-    # ------------------------------------------------------------------
-    def __cursor__(self):
-        state = {"position": self.position, "in_phase": self.in_phase}
-        if self.current_item is not None:
-            state["item"] = self.current_item
-        return state
-
-    def __seek__(self, state):
-        self.position = int(state["position"])
-        self.in_phase = bool(state["in_phase"])
-        self.current_item = state.get("item")
-        return self
 
     def __repr__(self):
         where = f"in {self.current_item!r}" if self.in_phase else "between"

@@ -31,7 +31,6 @@ class BurstySchedule:
             if self._rng.random() >= self.STAY_PROBABILITY:
                 active = not active
         self.states = states
-        self.position = 0
 
     def __len__(self):
         return len(self.states)
@@ -41,24 +40,6 @@ class BurstySchedule:
         if not 0 <= minute < len(self.states):
             raise IndexError(f"minute {minute} outside schedule")
         return self.states[minute]
-
-    def next_minute(self):
-        """Consume the schedule in order: ``(minute, active)`` and advance."""
-        minute = self.position
-        active = self.active_in_minute(minute)
-        self.position += 1
-        return minute, active
-
-    # -- resumable-cursor protocol -------------------------------------
-    def __cursor__(self):
-        return {"position": self.position}
-
-    def __seek__(self, state):
-        position = int(state["position"])
-        if not 0 <= position <= len(self.states):
-            raise ValueError(f"cursor position {position} outside schedule")
-        self.position = position
-        return self
 
     @property
     def duty_cycle(self):

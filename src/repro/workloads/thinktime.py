@@ -24,20 +24,10 @@ class FixedThinkTime:
         if seconds < 0:
             raise ValueError(f"think time must be >= 0, got {seconds}")
         self.seconds = seconds
-        self.draws = 0
 
     def next(self):
         """Next think time (always the constant)."""
-        self.draws += 1
         return self.seconds
-
-    # -- resumable-cursor protocol -------------------------------------
-    def __cursor__(self):
-        return {"draws": self.draws}
-
-    def __seek__(self, state):
-        self.draws = int(state["draws"])
-        return self
 
 
 class RandomThinkTime:
@@ -49,30 +39,9 @@ class RandomThinkTime:
         self.mean = mean
         self.spread = spread
         self.seed = seed
-        self.draws = 0
         self._rng = random.Random(seed)
 
     def next(self):
         low = self.mean * (1 - self.spread)
         high = self.mean * (1 + self.spread)
-        self.draws += 1
         return self._rng.uniform(low, high)
-
-    # -- resumable-cursor protocol -------------------------------------
-    def __cursor__(self):
-        return {"seed": self.seed, "draws": self.draws}
-
-    def __seek__(self, state):
-        # Restoring the RNG stream by replay keeps the cursor JSON-shaped
-        # (no pickled Random state) at the cost of `draws` uniform calls —
-        # each next() consumes exactly one underlying random() draw.
-        if state["seed"] != self.seed:
-            raise ValueError(
-                f"cursor seed {state['seed']} does not match model seed "
-                f"{self.seed}"
-            )
-        self._rng = random.Random(self.seed)
-        self.draws = 0
-        for _ in range(int(state["draws"])):
-            self.next()
-        return self

@@ -142,27 +142,16 @@ class SessionTrace:
 
 
 class TraceCursor:
-    """Resumable position inside a :class:`SessionTrace` replay.
+    """Position inside a :class:`SessionTrace` replay.
 
-    ``index`` counts fully completed actions; seeking to it and calling
-    :meth:`replay` with the original anchor ``start`` resumes the
-    session exactly where it left off.
+    ``index`` counts fully completed actions; calling :meth:`replay`
+    again with the original anchor ``start`` resumes the session where
+    it left off.
     """
 
     def __init__(self, trace):
         self.trace = trace
         self.index = 0
-
-    # -- resumable-cursor protocol -------------------------------------
-    def __cursor__(self):
-        return {"index": self.index}
-
-    def __seek__(self, state):
-        index = int(state["index"])
-        if not 0 <= index <= len(self.trace.actions):
-            raise TraceError(f"cursor index {index} outside trace")
-        self.index = index
-        return self
 
     # ------------------------------------------------------------------
     @staticmethod

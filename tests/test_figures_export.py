@@ -58,6 +58,25 @@ class TestFigureBundles:
                                 "a846f31bcb20db30a459956cdc944c16",
         }
 
+    def test_cli_export_matches_pinned_digests(self, tmp_path):
+        """``repro export-figures`` writes these three figures' exact
+        bytes (sha256, as fig19's above)."""
+        code = main(["export-figures", str(tmp_path),
+                     "--figures", "fig08", "fig14", "fig18"])
+        assert code == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.iterdir())
+        }
+        assert digests == {
+            "fig08_speech.csv": "28befd05014b1f565d15d9fc6d6b4b07"
+                                "e280872c4e96c41fe80d14d30a5ee41d",
+            "fig14_web_thinktime.csv": "0a631f78f6b55fa2af61d7747b26046a"
+                                       "8855629e8865461c50562ad3cb2f90cb",
+            "fig18_zoned.csv": "b6c2bdb08fbe3f4959d298df662076bc"
+                               "453d923d4e20d2f3446ad0fa9a7d2275",
+        }
+
     def test_export_writes_files(self, tmp_path, served_section3_tables):
         written = export_figures(str(tmp_path), figures=["fig06"])
         assert len(written) == 1

@@ -2,6 +2,8 @@
 
 import os
 import pickle
+import sys
+import time
 
 import pytest
 
@@ -129,6 +131,22 @@ class TestWorker:
                     params={"seconds": 0.01}, timeout_s=5.0)
         out = run_task(task, timeout_s=0.001)  # task override wins
         assert out["value"] == 0.01
+
+
+def exit_holding_report_locks():
+    """Die the way a worker does when ``os._exit`` lands while a report
+    is being written: holding the write lock of every queue the worker
+    loop reports on (its inbox is the coordinator's to write)."""
+    from repro.fleet.pool import _worker_main
+
+    frame = sys._getframe()
+    while frame.f_code is not _worker_main.__code__:
+        frame = frame.f_back
+    for value in list(frame.f_locals.values()):
+        lock = getattr(value, "_wlock", None)
+        if lock is not None and value is not frame.f_locals["inbox"]:
+            lock.acquire()
+    os._exit(17)
 
 
 def _spec(*tasks, name="test"):
@@ -264,6 +282,37 @@ class TestRunnerPool:
         (failure,) = result.failures
         assert failure.task_id == "boom"
         assert "crash" in failure.error
+
+    def test_worker_dying_mid_report_spares_sibling_reports(self):
+        # A worker that exits holding a lock its reports take must not
+        # hold up any other worker's reports: the healthy task beside
+        # it is reported done, not reclaimed as stale.
+        from repro.fleet.pool import WorkerPool
+
+        pool = WorkerPool(2, heartbeat_s=0.05, heartbeat_timeout_s=2.0)
+        deadline = time.monotonic() + 15.0
+        done, reclaimed = [], []
+        try:
+            pool.start()
+            while (len(pool.idle_workers()) < 2
+                   and time.monotonic() < deadline):
+                pool.poll()
+            dying, healthy = pool.idle_workers()
+            pool.assign(dying, "j", Task(
+                id="dies", fn="tests.test_fleet:exit_holding_report_locks"),
+                1, None)
+            pool.assign(healthy, "j", Task(
+                id="fine", fn="repro.fleet.library:sleep_for",
+                params={"seconds": 0.5, "value": "ok"}), 1, None)
+            while not (done and reclaimed) and time.monotonic() < deadline:
+                done += [(event[3], event[5]["value"])
+                         for event in pool.poll() if event[0] == "done"]
+                reclaimed += [(task.id, reason)
+                              for _, task, _, reason in pool.reap_dead()]
+        finally:
+            pool.shutdown()
+        assert done == [("fine", "ok")]
+        assert reclaimed == [("dies", f"worker {dying.id} exited (code 17)")]
 
     def test_unpicklable_value_is_a_recorded_failure(self):
         # The worker pickles the value itself, so a value that cannot

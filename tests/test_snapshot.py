@@ -365,28 +365,13 @@ PAYLOAD_PINS = {
     "pulse-goal-int": (
         "e6edf4b4ec6de688b5313dc0f8dcba47cae3e1fe1537e0c3d022183917730e2a",
         "1e07a35165842d385db1418700e8d8c08b040bcb598dafaa4d4adf512158c78e"),
-    "workload-videos": (
-        "cc4ee92b9b9c7e0dc0566dca30490c43a440dec168fb8b956c42cb92494b1d3f",
-        "629debe99f4dbe460896b52b00d7c398c1fd07545aa6664b2ce6702110e14bf5"),
-    "workload-utterances": (
-        "99f22556f82a67d934e460091a707b36ef54370b827d674886c34741c1d09df5",
-        "e9454c08c533e1694b736b4d7c475c6767a1a2f7a89cf6d4c0e3ae2781e4537a"),
-    "workload-maps": (
-        "a498e3132ded744a1079b60518af2b5b2b46bceeda92c4f08bae16252665c81b",
-        "454ea6af99b9ef85a6db2d4c2bf883506e0b504c12b884df78e5cd851e6515e6"),
-    "workload-images": (
-        "3646fbaa69d1d9a1581a5372a63967cc08a018f81f0bc44a9b30ae000953ab63",
-        "337642eb13f95df99960f769502f30fe1945c52697bbd976d4867fe3b522614f"),
 }
 
 
 def _pinned_build(name):
     from repro.devices.profile import generate_device
-    from repro.snapshot.workload import build_workload_scenario
 
-    rig, _, variant = name.partition("-")
-    if rig == "workload":
-        return build_workload_scenario(workload=variant, think_jitter=0.3)
+    variant = name.partition("-")[2]
     kwargs = {
         "default": {},
         "lookahead": {"lookahead": True},

@@ -142,7 +142,8 @@ class TestSubmitExitCode:
         telemetry = json.loads(telemetry_path.read_text())
         assert telemetry["failed"] == 1
 
-    def test_successful_job_exits_zero(self, service_endpoint, tmp_path):
+    def test_successful_job_exits_zero(self, service_endpoint, tmp_path,
+                                       capsys):
         spec_path = self.write_spec(tmp_path, (
             Task(id="fine", fn="repro.fleet.library:seeded_value",
                  params={"seed": 4}),
@@ -155,6 +156,12 @@ class TestSubmitExitCode:
         assert code == 0
         document = json.loads(results_path.read_text())
         assert document["campaign"] == "cli-spec"
+        # `repro result` on the finished job writes the same bytes.
+        job_id = capsys.readouterr().out.split()[1]
+        fetched_path = tmp_path / "fetched.json"
+        assert cli.main(["result", job_id, "--endpoint", service_endpoint,
+                         "--out", str(fetched_path)]) == 0
+        assert fetched_path.read_bytes() == results_path.read_bytes()
 
     def test_unreachable_service_exits_two(self, tmp_path):
         spec_path = self.write_spec(tmp_path, (

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.obs import Tracer
+from repro.sim import Simulator
 from repro.workloads import (
     BurstySchedule,
+    CursorError,
     FixedThinkTime,
     IMAGES,
     MAPS,
@@ -11,6 +14,7 @@ from repro.workloads import (
     SPEECH_MODELS,
     UTTERANCES,
     VIDEO_CLIPS,
+    WorkloadCursor,
     clip_by_name,
     generate_schedules,
     image_by_name,
@@ -207,3 +211,39 @@ class TestBurstySchedule:
     def test_generate_schedules_apps_independent(self):
         schedules = generate_schedules(["a", "b"], minutes=200, seed=4)
         assert schedules["a"].states != schedules["b"].states
+
+
+class TestWorkloadCursor:
+    def test_counts_and_guards(self):
+        cursor = WorkloadCursor("w")
+        assert cursor.begin("a") == "a"
+        with pytest.raises(CursorError):
+            cursor.begin("b")
+        assert cursor.end() == 1
+        with pytest.raises(CursorError):
+            cursor.end()
+        assert cursor.begin("b") == "b"
+        cursor.end()
+        assert cursor.position == 2 and not cursor.in_phase
+
+    def test_emits_phase_instants(self):
+        """Each phase is one ``phase.begin``/``phase.end`` pair on the
+        ``workload`` category, stamped with simulated time."""
+        tracer = Tracer(categories={"workload"}, clock=lambda: 0.0)
+        sim = Simulator(tracer=tracer)
+        cursor = WorkloadCursor("maps", sim=sim)
+        for item in ("boston", "pittsburgh"):
+            cursor.begin(item)
+            sim.run(until=sim.now + 2.5)
+            cursor.end()
+        tracer.flush()
+        assert [(e.name, e.ts, e.track, e.args) for e in tracer.events] == [
+            ("phase.begin", 0.0, "maps",
+             {"workload": "maps", "item": "boston", "index": 0}),
+            ("phase.end", 2.5, "maps",
+             {"workload": "maps", "item": "boston", "index": 0}),
+            ("phase.begin", 2.5, "maps",
+             {"workload": "maps", "item": "pittsburgh", "index": 1}),
+            ("phase.end", 5.0, "maps",
+             {"workload": "maps", "item": "pittsburgh", "index": 1}),
+        ]
