@@ -1,250 +1,170 @@
-"""The resumable-cursor protocol: every workload snapshots mid-phase.
+"""Section 5 workloads stopped mid-phase resume byte-identically.
 
-The acceptance bar from the signature work: all four Section 5
-workloads must round-trip through snapshot capture/restore *mid-phase*
-with byte-identical traces.  Two levels of identity are checked:
+The paper's Section 5 objects (video clips, utterances, maps, web
+images) run in :mod:`repro.apps` as generator coroutines, which no
+snapshot can cross: the one snapshot rig is the pulse rig, whose forks
+``tests/test_snapshot_determinism.py`` checks.  A Section 5 run can
+still be stopped (``Simulator.run(until=...)`` plus the power-journal
+fold a capture or a report performs) and run on.  Here each workload's
+app works its objects in a cycle on the goal rig, every item marked by
+a :class:`~repro.workloads.cursor.WorkloadCursor`, toward a duration
+goal that forces adaptation; a run stopped and resumed must be the
+uninterrupted run:
 
-* **Payload identity** at item-begin instants — the machine advanced
-  at that exact instant, so the fork's energy accumulators replay the
-  parent's float additions term for term.
-* **Trace identity** at *arbitrary* capture instants — energy totals
-  may differ by float associativity (the parent's capture splits one
-  ``power += watts * dt`` addition in two), but every traced event is
-  reproduced byte for byte.
-
-Plus direct unit coverage of each ``__cursor__``/``__seek__`` carrier.
+* **Final state** when stopped at an item-begin instant (mid-phase: the
+  cursor is inside the item) — energy accounts, Figure 19 rows,
+  adaptation counts and cursor position, byte for byte.
+* **Trace** when stopped at an instant chosen with no regard for phase
+  alignment — every traced event, in stream order, byte for byte.
 """
 
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.experiments.goal_study import build_goal_rig
 from repro.fleet.spec import canonical_json
-from repro.obs import Tracer
-from repro.snapshot import Snapshot
-from repro.snapshot.workload import (
-    WORKLOAD_SCENARIOS,
-    build_workload_scenario,
-)
-from repro.workloads import CursorError, WorkloadCursor
-from repro.workloads.stochastic import BurstySchedule
-from repro.workloads.thinktime import FixedThinkTime, RandomThinkTime
-from repro.workloads.trace import SessionTrace, TraceError
+from repro.obs import NULL_TRACER, Tracer
+from repro.obs.tracer import installed
+from repro.snapshot import Snapshot, SnapshotError
+from repro.workloads import WorkloadCursor
+from repro.workloads.images import IMAGES
+from repro.workloads.maps import MAPS
+from repro.workloads.utterances import UTTERANCES
+from repro.workloads.videos import VIDEO_CLIPS
 
-CAPTURE_AT = 120.0
+GOAL_SECONDS = 240.0
+STOP_AT = 120.0
+THINK_S = 2.0
+CLIP_SECONDS = 20.0
 
-#: Jitter exercises the RandomThinkTime cursor (RNG replay on seek).
-JITTER = 0.3
+#: Initial energy per workload: a little under what the full-fidelity
+#: cycle draws over the goal, so the controller degrades and the goal
+#: is met.
+INITIAL_ENERGY_J = {"videos": 3400.0, "utterances": 3550.0,
+                    "maps": 2200.0, "images": 2040.0}
 
+WORKLOADS = tuple(INITIAL_ENERGY_J)
 
-def _build(workload, **overrides):
-    return build_workload_scenario(workload=workload, think_jitter=JITTER,
-                                   **overrides)
-
-
-def _final_payload(scenario):
-    return canonical_json(Snapshot.capture(scenario.sim).payload)
-
-
-def _dump(events):
-    return json.dumps([event.to_dict() for event in events])
+#: The goal rig's app that works each workload's objects.
+APP = {"videos": "video", "utterances": "speech", "maps": "map",
+       "images": "web"}
 
 
-def _run_to_item_begin(scenario, at):
-    """Step until the app begins a work item at or after ``at``."""
-    app = scenario.apps[0]
-    scenario.start()
+def _items(apps, workload):
+    """``(item, generator factory)`` pairs: one cycle of ``workload``."""
+    if workload == "videos":
+        return [(c.name, lambda c=c: apps["video"].play(
+            c, max_seconds=CLIP_SECONDS)) for c in VIDEO_CLIPS]
+    if workload == "utterances":
+        return [(u.name, lambda u=u: apps["speech"].recognize(u))
+                for u in UTTERANCES]
+    if workload == "maps":
+        return [(m.name, lambda m=m: apps["map"].view(m)) for m in MAPS]
+    return [(i.name, lambda i=i: apps["web"].browse(i)) for i in IMAGES]
+
+
+class _Run:
+    """One goal-directed run of a single Section 5 workload."""
+
+    def __init__(self, workload, tracer=None):
+        energy = INITIAL_ENERGY_J[workload]
+        with installed(tracer or NULL_TRACER):
+            self.rig, self.odyssey, self.battery = build_goal_rig(energy)
+        self.odyssey.set_goal(energy, GOAL_SECONDS)
+        sim = self.rig.sim
+        cursor = self.cursor = WorkloadCursor(workload, sim=sim)
+        items = _items(self.rig.apps, workload)
+
+        def main():
+            while True:
+                for item, work in items:
+                    cursor.begin(item)
+                    yield from work()
+                    cursor.end()
+                    yield sim.timeout(THINK_S)
+
+        sim.spawn(main(), name=workload)
+        self.odyssey.start()
+
+    def stop(self, at):
+        self.rig.sim.run(until=at)
+        self.rig.machine.advance()
+        return self
+
+    def finish(self):
+        """Step to the goal (or exhaustion), as the goal study does."""
+        sim = self.rig.sim
+        while (sim.now < GOAL_SECONDS and not self.battery.exhausted
+               and sim.step()):
+            pass
+        self.rig.machine.advance()
+        return self
+
+    def final_state(self):
+        machine = self.rig.machine
+        return canonical_json({
+            "now": self.rig.sim.now,
+            "residual_j": self.battery.residual,
+            "by_component": machine.energy_by_component,
+            "by_procedure": sorted(
+                [list(key), joules]
+                for key, joules in machine.energy_by_procedure.items()),
+            "adaptations": self.odyssey.viceroy.adaptation_counts(),
+            "rows": [list(row) for row in self.rig.sim.tracer.rows],
+            "position": self.cursor.position,
+        })
+
+
+def _item_begin_after(workload, at):
+    """The first instant at or after ``at`` where an item begins."""
+    run = _Run(workload)
+    sim = run.rig.sim
     while True:
-        was_in_phase = app.cursor.in_phase
-        scenario.sim.step()
-        if (scenario.sim.now >= at and app.cursor.in_phase
-                and not was_in_phase):
-            return scenario
+        was_in_phase = run.cursor.in_phase
+        sim.step()
+        if sim.now >= at and run.cursor.in_phase and not was_in_phase:
+            return sim.now
 
 
-# ----------------------------------------------------------------------
-# end-to-end: mid-phase snapshot round-trips
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("workload", WORKLOAD_SCENARIOS)
+def _traced(workload, stop_at=None):
+    tracer = Tracer(clock=lambda: 0.0)
+    run = _Run(workload, tracer)
+    if stop_at is not None:
+        run.stop(stop_at)
+    run.finish()
+    tracer.flush()
+    return json.dumps([event.to_dict() for event in tracer.events])
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_mid_phase_payload_byte_identical(workload):
-    """Captured at an item-begin instant (mid-phase: the cursor is
-    inside the item), the fork's final state is byte-identical to the
-    uninterrupted run's."""
-    reference = _build(workload).start().run()
-    parent = _run_to_item_begin(_build(workload), CAPTURE_AT)
-    snapshot = Snapshot.capture(parent.sim)
-    cursor_state = snapshot.payload["states"][f"app.{workload}"]["cursor"]
-    assert cursor_state["in_phase"], "capture must land inside an item"
-    fork = snapshot.fork().run()
-    assert _final_payload(fork) == _final_payload(reference)
+    """Stopped at an item-begin instant (mid-phase: the cursor is inside
+    the item), the resumed run's final state is byte-identical to the
+    uninterrupted run's, and the goal is met by adapting."""
+    reference = _Run(workload).finish()
+    assert not reference.battery.exhausted
+    assert reference.odyssey.viceroy.adaptation_counts()[APP[workload]] > 0
+    stopped = _Run(workload).stop(_item_begin_after(workload, STOP_AT))
+    assert stopped.cursor.in_phase, "the stop must land inside an item"
+    assert stopped.finish().final_state() == reference.final_state()
 
 
-@pytest.mark.parametrize("workload", WORKLOAD_SCENARIOS)
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_stitched_trace_byte_identical(workload):
-    """Prefix (parent) + suffix (fork) traces equal the uninterrupted
-    trace byte for byte, at a capture instant chosen with no regard
-    for phase alignment."""
-    tracer_ref = Tracer(clock=lambda: 0.0)
-    _build(workload, tracer=tracer_ref).start().run()
-    tracer_ref.flush()
-
-    tracer_prefix = Tracer(clock=lambda: 0.0)
-    parent = _build(workload, tracer=tracer_prefix).start()
-    parent.run(until=CAPTURE_AT)
-    snapshot = Snapshot.capture(parent.sim)
-    prefix_len = len(tracer_prefix.events)
-
-    tracer_suffix = Tracer(clock=lambda: 0.0)
-    fork = snapshot.fork(tracer=tracer_suffix)
-    # The fork's builder re-emits registration-time instants (fidelity
-    # announcements at ts 0.0); the real suffix starts after them.
-    skip = len(tracer_suffix.events)
-    fork.run()
-    tracer_suffix.flush()
-
-    stitched = (list(tracer_prefix.events)[:prefix_len]
-                + list(tracer_suffix.events)[skip:])
-    assert _dump(stitched) == _dump(tracer_ref.events)
-
-
-@settings(max_examples=5, deadline=None)
-@given(at=st.floats(min_value=5.0, max_value=80.0,
-                    allow_nan=False, allow_infinity=False))
-def test_stitched_trace_complete_at_any_instant(at):
-    """Property: at *arbitrary* capture instants the stitched trace
-    contains exactly the reference run's events — none lost, none
-    duplicated, none altered.  Strict stream order is not asserted
-    here: capture folds the power journal, so a closed-but-unemitted
-    span can surface at the capture point instead of at the parent's
-    next natural advance (same ts/dur/args, earlier stream position).
-    The pinned-instant test above keeps the byte-order bar."""
-    tracer_ref = Tracer(clock=lambda: 0.0)
-    _build("videos", goal_seconds=90.0, tracer=tracer_ref).start().run()
-    tracer_ref.flush()
-
-    tracer_prefix = Tracer(clock=lambda: 0.0)
-    parent = _build("videos", goal_seconds=90.0,
-                    tracer=tracer_prefix).start()
-    parent.run(until=at)
-    snapshot = Snapshot.capture(parent.sim)
-    prefix_len = len(tracer_prefix.events)
-
-    tracer_suffix = Tracer(clock=lambda: 0.0)
-    fork = snapshot.fork(tracer=tracer_suffix)
-    skip = len(tracer_suffix.events)
-    fork.run()
-    tracer_suffix.flush()
-
-    stitched = (list(tracer_prefix.events)[:prefix_len]
-                + list(tracer_suffix.events)[skip:])
-    stitched_sorted = sorted(
-        json.dumps(e.to_dict(), sort_keys=True) for e in stitched)
-    ref_sorted = sorted(
-        json.dumps(e.to_dict(), sort_keys=True) for e in tracer_ref.events)
-    assert stitched_sorted == ref_sorted
+    """The trace of a run stopped at an instant chosen with no regard
+    for phase alignment, then resumed, is the uninterrupted trace byte
+    for byte."""
+    assert _traced(workload, stop_at=STOP_AT) == _traced(workload)
 
 
 def test_capture_does_not_perturb_parent():
-    scenario = _build("utterances")
-    reference = _build("utterances").start().run()
-    parent = scenario.start().run(until=CAPTURE_AT)
-    Snapshot.capture(parent.sim)
-    parent.run()
-    assert canonical_json(parent.summary()) == canonical_json(
-        reference.summary())
-
-
-def test_workload_phase_instants_traced():
-    """The cursor emits phase.begin/phase.end on the workload category."""
-    tracer = Tracer(categories={"workload"}, clock=lambda: 0.0)
-    _build("maps", goal_seconds=60.0, tracer=tracer).start().run()
-    tracer.flush()
-    names = [event.name for event in tracer.events]
-    assert "phase.begin" in names and "phase.end" in names
-    begins = [e for e in tracer.events if e.name == "phase.begin"]
-    assert begins[0].args["workload"] == "maps"
-    assert begins[0].args["index"] == 0
-    assert begins[1].args["index"] == 1
-
-
-# ----------------------------------------------------------------------
-# unit: the cursor carriers
-# ----------------------------------------------------------------------
-def test_workload_cursor_counts_and_guards():
-    cursor = WorkloadCursor("w", items=["a", "b"])
-    assert cursor.begin() == "a"
-    with pytest.raises(CursorError):
-        cursor.begin()
-    cursor.end()
-    with pytest.raises(CursorError):
-        cursor.end()
-    assert cursor.begin() == "b"
-    cursor.end()
-    assert cursor.begin() == "a"  # cycles
-    assert cursor.position == 2
-
-
-def test_workload_cursor_seek_roundtrip():
-    cursor = WorkloadCursor("w", items=["a", "b", "c"])
-    cursor.begin()
-    cursor.end()
-    cursor.begin()
-    state = cursor.__cursor__()
-    other = WorkloadCursor("w", items=["a", "b", "c"]).__seek__(state)
-    assert other.position == 1 and other.in_phase
-    assert other.current_item == "b"
-
-
-def test_fixed_think_time_cursor():
-    think = FixedThinkTime(5.0)
-    think.next()
-    think.next()
-    resumed = FixedThinkTime(5.0)
-    resumed.__seek__(think.__cursor__())
-    assert resumed.draws == 2
-    assert resumed.next() == think.next()
-
-
-def test_random_think_time_cursor_replays_rng():
-    think = RandomThinkTime(mean=5.0, spread=0.4, seed=7)
-    for _ in range(5):
-        think.next()
-    resumed = RandomThinkTime(mean=5.0, spread=0.4, seed=7)
-    resumed.__seek__(think.__cursor__())
-    fresh = RandomThinkTime(mean=5.0, spread=0.4, seed=7)
-    continuation = [fresh.next() for _ in range(8)][5:]
-    assert [resumed.next() for _ in range(3)] == continuation
-
-
-def test_random_think_time_seed_mismatch_rejected():
-    think = RandomThinkTime(mean=5.0, spread=0.4, seed=7)
-    think.next()
-    other = RandomThinkTime(mean=5.0, spread=0.4, seed=8)
-    with pytest.raises(ValueError):
-        other.__seek__(think.__cursor__())
-
-
-def test_bursty_schedule_cursor():
-    schedule = BurstySchedule("speech", minutes=6, seed=3)
-    for _ in range(4):
-        schedule.next_minute()
-    resumed = BurstySchedule("speech", minutes=6, seed=3)
-    resumed.__seek__(schedule.__cursor__())
-    fresh = BurstySchedule("speech", minutes=6, seed=3)
-    rest = [fresh.next_minute() for _ in range(6)][4:]
-    assert [resumed.next_minute() for _ in range(2)] == rest
-    with pytest.raises(ValueError):
-        BurstySchedule("speech", minutes=6, seed=3).__seek__(
-            {"position": 99})
-
-
-def test_trace_cursor_bounds():
-    trace = SessionTrace.parse("0.0 idle 5\n10.0 idle 5\n")
-    cursor = trace.cursor()
-    assert cursor.__cursor__() == {"index": 0}
-    cursor.__seek__({"index": 2})
-    assert cursor.index == 2
-    with pytest.raises(TraceError):
-        cursor.__seek__({"index": 3})
+    """A Section 5 run is refused a snapshot (its apps are generator
+    coroutines), and neither the refused capture nor a mid-run energy
+    report moves the parent's final state."""
+    reference = _Run("utterances").finish()
+    parent = _Run("utterances").stop(STOP_AT)
+    with pytest.raises(SnapshotError, match="snapshot_builder"):
+        Snapshot.capture(parent.rig.sim)
+    parent.rig.machine.energy_report()
+    assert parent.finish().final_state() == reference.final_state()
