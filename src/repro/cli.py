@@ -193,7 +193,7 @@ _FLAGS = {
     "--vary": dict(action="append", default=None, metavar="KEY=V1,V2",
                    help="sweep a policy key over listed values; repeat "
                         "for a cross product (e.g. --vary "
-                        "hysteresis=on,off --vary horizon=6,12)"),
+                        "lookahead=on --vary horizon=6,12)"),
     "--scenario": dict(default=None, metavar="SPEC",
                        help="shared scenario params for every variant "
                             "(e.g. 'goal_seconds=120,initial_energy=1000')"),

@@ -55,9 +55,14 @@ class Rig:
         excluding whatever the event queue still holds (e.g. pending
         spin-down timers).
         """
-        while any(p.alive for p in processes):
-            if not self.sim.step():
-                raise RuntimeError("event queue drained with processes alive")
+        # A finished process stays finished, so stepping until each in
+        # turn is done stops at the same event as stepping until all are.
+        step = self.sim.step
+        for process in processes:
+            while process.alive:
+                if not step():
+                    raise RuntimeError(
+                        "event queue drained with processes alive")
         self.machine.advance()
         return self.machine.energy_total
 

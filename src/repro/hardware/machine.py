@@ -356,7 +356,8 @@ class Machine:
         any power-affecting mutation; the next :attr:`power` read — which
         necessarily happens after the mutation — recomputes the cache.
         """
-        self.advance()
+        if self.sim.now != self._last_update:
+            self.advance()
         self._power_dirty = True
 
     # ------------------------------------------------------------------
@@ -369,7 +370,8 @@ class Machine:
 
     def push_context(self, process, procedure="main"):
         """Enter an attribution context; returns a token for pop."""
-        self.advance()
+        if self.sim.now != self._last_update:
+            self.advance()
         token = self._next_context_token
         self._next_context_token = token + 1
         node = _ContextNode(token, process, procedure)
@@ -390,7 +392,8 @@ class Machine:
         node = self._ctx_nodes.get(token)
         if node is None:
             raise HardwareError("pop_context with unknown token")
-        self.advance()
+        if self.sim.now != self._last_update:
+            self.advance()
         del self._ctx_nodes[token]
         node.prev.next = node.next
         if node.next is not None:
@@ -414,7 +417,8 @@ class Machine:
         """
         if not 0.0 <= fraction <= 1.0:
             raise HardwareError(f"overlay fraction {fraction} outside [0, 1]")
-        self.advance()
+        if self.sim.now != self._last_update:
+            self.advance()
         handle = self._next_overlay_token
         self._next_overlay_token = handle + 1
         self._overlays[handle] = (fraction, process, procedure)
@@ -425,7 +429,8 @@ class Machine:
         """Remove an attribution overlay."""
         if handle not in self._overlays:
             raise HardwareError("remove_overlay with unknown handle")
-        self.advance()
+        if self.sim.now != self._last_update:
+            self.advance()
         del self._overlays[handle]
         self._overlays_snapshot = tuple(self._overlays.values())
 

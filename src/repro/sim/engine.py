@@ -16,7 +16,6 @@ random seed is exactly reproducible run-to-run.
 from __future__ import annotations
 
 import heapq
-import math
 
 from repro.obs.tracer import current_tracer
 from repro.sim.errors import ProcessError, SchedulingError
@@ -65,9 +64,14 @@ class Timeout(Waitable):
     __slots__ = ("delay",)
 
     def __init__(self, sim, delay):
-        if delay < 0 or math.isnan(delay):
+        # Waitable's fields set inline, and the NaN test as in
+        # Simulator.schedule: one Timeout per simulated wait.
+        if delay < 0 or delay != delay:
             raise SchedulingError(f"timeout delay must be >= 0, got {delay!r}")
-        super().__init__(sim)
+        self.sim = sim
+        self._callbacks = []
+        self.triggered = False
+        self.value = None
         self.delay = delay
         sim.schedule(delay, self.trigger)
 

@@ -45,7 +45,6 @@ class Process(Waitable):
         self.pid = Process._ids
         self.name = name or f"process-{self.pid}"
         self._generator = generator
-        self._waiting_on = None
         self._interrupt_pending = None
         self.alive = True
         self.failed = False
@@ -60,35 +59,42 @@ class Process(Waitable):
 
     # ------------------------------------------------------------------
     def _resume(self, value):
+        # A trampoline: a yielded waitable that has already fired (an
+        # uncontended grant, a finished child) resumes the generator in
+        # this loop rather than in a nested call from `subscribe`, so a
+        # run of them costs no stack depth.
         if not self.alive:
             return
-        self._waiting_on = None
-        try:
-            if self._interrupt_pending is not None:
-                cause, self._interrupt_pending = self._interrupt_pending, None
-                target = self._generator.throw(Interrupted(cause[0]))
-            else:
-                target = self._generator.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except Interrupted:
-            # Generator chose not to handle the interrupt: treat as exit.
-            self._finish(None)
-            return
-        except Exception as exc:  # propagate process crash to joiners
-            self.alive = False
-            self.failed = True
-            self.error = exc
-            raise
-        if not isinstance(target, Waitable):
-            self.alive = False
-            self.failed = True
-            raise ProcessError(
-                f"{self.name} yielded {target!r}; processes must yield Waitables"
-            )
-        self._waiting_on = target
-        target.subscribe(self._resume)
+        generator = self._generator
+        while True:
+            try:
+                if self._interrupt_pending is not None:
+                    cause, self._interrupt_pending = self._interrupt_pending, None
+                    target = generator.throw(Interrupted(cause[0]))
+                else:
+                    target = generator.send(value)
+            except StopIteration as stop:
+                self._finish(stop.value)
+                return
+            except Interrupted:
+                # Generator chose not to handle the interrupt: treat as exit.
+                self._finish(None)
+                return
+            except Exception as exc:  # propagate process crash to joiners
+                self.alive = False
+                self.failed = True
+                self.error = exc
+                raise
+            if not isinstance(target, Waitable):
+                self.alive = False
+                self.failed = True
+                raise ProcessError(
+                    f"{self.name} yielded {target!r}; processes must yield Waitables"
+                )
+            if not target.triggered:
+                target.subscribe(self._resume)
+                return
+            value = target.value
 
     def _finish(self, value):
         self.alive = False
@@ -110,7 +116,3 @@ class Process(Waitable):
     def _deliver_interrupt(self):
         if self.alive and self._interrupt_pending is not None:
             self._resume(None)
-
-    def join(self):
-        """Return a waitable that fires when this process completes."""
-        return self

@@ -28,7 +28,11 @@ class ResourceGrant(Waitable):
     __slots__ = ("resource", "owner")
 
     def __init__(self, resource, owner):
-        super().__init__(resource.sim)
+        # Waitable's fields set inline: its __init__ would also run the
+        # `value` setter below, and there is one grant per resource use.
+        self.sim = resource.sim
+        self._callbacks = []
+        self.triggered = False
         self.resource = resource
         self.owner = owner
 
@@ -89,7 +93,9 @@ class Resource:
         grant = ResourceGrant(self, owner)
         if len(self._holders) < self.capacity:
             self._holders.append(grant)
-            grant.trigger(grant)
+            # Nothing can have subscribed to a grant not yet returned,
+            # so firing it is just marking it fired.
+            grant.triggered = True
         else:
             self._queue.append(grant)
         return grant
@@ -113,7 +119,8 @@ class Resource:
         attribution contexts exactly while the resource is held.
         """
         grant = self.acquire(owner=owner)
-        yield grant
+        if not grant.triggered:
+            yield grant
         if on_grant is not None:
             on_grant()
         try:

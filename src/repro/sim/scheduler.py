@@ -39,16 +39,6 @@ class QuantumScheduler:
         self.slices_granted = 0
         self.preemptions = 0
 
-    @property
-    def queued(self):
-        """Processes waiting for a slice."""
-        return self._resource.queued
-
-    @property
-    def busy(self):
-        """True while a slice is executing."""
-        return self._resource.in_use > 0
-
     def run(self, duration, owner=None, on_slice_start=None, on_slice_end=None):
         """Generator: execute ``duration`` seconds of work in slices.
 
@@ -62,7 +52,8 @@ class QuantumScheduler:
         remaining = duration
         while remaining > 1e-12:
             grant = self._resource.acquire(owner=owner)
-            yield grant
+            if not grant.triggered:
+                yield grant
             slice_length = min(self.quantum, remaining)
             if on_slice_start is not None:
                 on_slice_start()

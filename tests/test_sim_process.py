@@ -140,6 +140,41 @@ class TestInterrupts:
         assert not process.alive
         assert not process.failed
 
+    def test_interrupt_set_while_running_raises_at_next_fired_yield(self):
+        # A's release grants B synchronously, inside A's own step; B
+        # interrupts A, and A's next yield is on an event that has
+        # already fired.  The interrupt is raised at that yield, once.
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        ready = sim.event()
+        ready.succeed("ready")
+        seen = []
+
+        def a():
+            grant = res.acquire()
+            yield grant
+            yield sim.timeout(1.0)
+            res.release(grant)
+            try:
+                value = yield ready
+            except Interrupted as exc:
+                seen.append(("a interrupted", exc.cause, sim.now))
+                return
+            seen.append(("a resumed", value))
+
+        def b():
+            grant = res.acquire()
+            yield grant
+            seen.append(("b granted", sim.now))
+            target.interrupt("from b")
+            res.release(grant)
+
+        target = sim.spawn(a())
+        sim.spawn(b())
+        sim.run()
+        assert seen == [("b granted", 1.0), ("a interrupted", "from b", 1.0)]
+        assert not target.alive and not target.failed
+
     def test_interrupting_finished_process_is_noop(self):
         sim = Simulator()
 
@@ -234,6 +269,25 @@ class TestResource:
         late = []
         g2.subscribe(late.append)
         assert late == [g2]
+
+    def test_many_fired_waits_in_one_instant_need_no_stack(self):
+        # Each yield on an uncontended grant resumes the process at
+        # once; thousands in one instant must not nest one call each.
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+
+        def worker():
+            for _ in range(5000):
+                grant = res.acquire()
+                yield grant
+                res.release(grant)
+            return "done"
+
+        process = sim.spawn(worker())
+        sim.run()
+        assert not process.alive and not process.failed
+        assert process.value == "done"
+        assert sim.now == 0.0 and res.in_use == 0
 
     def test_grants_need_no_cycle_collector(self):
         # A grant that stored itself as its value formed a reference
