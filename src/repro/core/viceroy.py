@@ -16,26 +16,6 @@ from repro.obs.metrics import current_metrics
 __all__ = ["Viceroy"]
 
 
-class _SharedUpcalls:
-    """Immutable view of the upcall log for the snapshot shared channel.
-
-    ``upcalls`` are the live frozen :class:`Upcall` objects; ``rows``
-    are their flat JSON rows, cached so on-disk materialization never
-    re-walks the log.
-    """
-
-    __slots__ = ("upcalls", "rows")
-
-    def __init__(self, upcalls, rows):
-        self.upcalls = upcalls
-        self.rows = rows
-
-    def materialize(self):
-        # Fresh lists: payload consumers may mutate what they get back,
-        # and the inner rows are shared with the viceroy's live cache.
-        return [list(row) for row in self.rows]
-
-
 class Viceroy:
     """Warden registry + application registry + upcall delivery.
 
@@ -51,9 +31,6 @@ class Viceroy:
         self.wardens = {}
         self.ladder = PriorityLadder()
         self.upcalls = []
-        # Flat-row cache for snapshot capture, grown lazily alongside
-        # the (append-only) upcall log.
-        self._upcall_rows = []
         tracer = getattr(sim, "tracer", None)
         self._trace = tracer.gate("core") if tracer is not None else None
         self.metrics = metrics if metrics is not None else current_metrics()
@@ -172,43 +149,22 @@ class Viceroy:
     # ------------------------------------------------------------------
     def __snapshot__(self, ctx):
         """Upcall history only; application fidelity state is owned by
-        the applications themselves (register each one separately).
-
-        The upcall log is append-only and every :class:`Upcall` frozen,
-        so capture shares the log by reference instead of re-serializing
-        it; the flat-row cache grows in step with the log, making the
-        per-capture cost O(upcalls since the last capture).
-        """
-        upcalls = self.upcalls
-        rows = self._upcall_rows
-        for u in upcalls[len(rows):]:
-            rows.append([u.time, u.kind, u.application, u.new_level])
-        shared = _SharedUpcalls(tuple(upcalls), tuple(rows))
+        the applications themselves (register each one separately)."""
         return {
-            "upcalls": ctx.share("upcalls", shared),
+            "upcalls": [
+                [u.time, u.kind, u.application, u.new_level]
+                for u in self.upcalls
+            ],
             "priorities": {
                 app.name: app.priority for app in self.ladder.applications
             },
         }
 
     def __restore__(self, state, ctx):
-        upcall_state = state["upcalls"]
-        if type(upcall_state) is dict:
-            shared = ctx.shared("upcalls")
-            if shared is None:
-                raise WardenError(
-                    "shared upcall-log marker without a live structure; "
-                    "flat restores must carry materialized rows"
-                )
-            # Upcall objects are frozen; only the list itself is private.
-            self.upcalls = list(shared.upcalls)
-            self._upcall_rows = list(shared.rows)
-        else:
-            self.upcalls = [
-                Upcall(time, kind, application, new_level)
-                for time, kind, application, new_level in upcall_state
-            ]
-            self._upcall_rows = [list(row) for row in upcall_state]
+        self.upcalls = [
+            Upcall(time, kind, application, new_level)
+            for time, kind, application, new_level in state["upcalls"]
+        ]
         for name, priority in state["priorities"].items():
             self.set_priority(name, priority)
 

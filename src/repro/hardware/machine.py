@@ -48,7 +48,6 @@ sampling, and tests assert the two agree.
 
 from __future__ import annotations
 
-import json
 import marshal
 
 from repro.hardware.battery import Battery, ExternalSupply
@@ -109,62 +108,6 @@ def _segment_row(s):
     return [s.t0, s.t1, s.power, list(s.context),
             [list(o) for o in s.overlays],
             [list(cp) for cp in s.comp_powers], s.correction, s.sid]
-
-
-class _SealedBlock:
-    """A run of closed journal segments, serialized exactly once.
-
-    Closed segments are immutable (``advance`` only ever touches the
-    open tail), so a block can be shared by reference between the live
-    machine, every snapshot taken after it was sealed, and every branch
-    restored from those snapshots.  ``rows`` caches the JSON rows and
-    ``nbytes`` their canonical encoding size — what a non-COW capture
-    would have re-serialized each time.
-    """
-
-    __slots__ = ("segments", "rows", "nbytes")
-
-    def __init__(self, segments, rows):
-        self.segments = segments
-        self.rows = rows
-        self.nbytes = len(json.dumps(rows, separators=(",", ":")))
-
-
-class _SharedJournal:
-    """One capture's copy-on-write view of a machine journal.
-
-    Holds the sealed-block tuple by reference plus a private copy of
-    the open tail (which the parent keeps mutating), so capturing is
-    O(new segments) instead of O(journal).  ``materialize()`` produces
-    the exact flat row list a non-sharing capture would have emitted —
-    the on-disk payload is byte-identical either way.
-    """
-
-    __slots__ = ("blocks", "flat", "flat_len", "suffix_segments",
-                 "suffix_rows", "sealed_bytes")
-
-    def __init__(self, blocks, flat, flat_len, suffix_segments, suffix_rows,
-                 sealed_bytes):
-        self.blocks = blocks
-        # The machine's live flat sealed list plus the length at capture
-        # time: later seals only append, so `flat[:flat_len]` is this
-        # capture's immutable prefix (a compaction swaps in a new list
-        # object, leaving this reference untouched).
-        self.flat = flat
-        self.flat_len = flat_len
-        self.suffix_segments = suffix_segments
-        self.suffix_rows = suffix_rows
-        self.sealed_bytes = sealed_bytes
-
-    def materialize(self):
-        rows = []
-        for block in self.blocks:
-            rows.extend(block.rows)
-        rows.extend(self.suffix_rows)
-        return rows
-
-    def shared_bytes(self):
-        return self.sealed_bytes
 
 
 class _ContextNode:
@@ -250,18 +193,6 @@ class Machine:
         self._journal_pins = 0
         self._folded_journal_energy = 0.0
         self._sid = 0  # last assigned segment id (1-based, monotonic)
-        # Copy-on-write capture state: journal[:_sealed_len] is covered
-        # by _sealed_blocks — closed, immutable, serialized once, and
-        # shared by reference with every snapshot taken since.
-        self._sealed_blocks = ()
-        self._sealed_len = 0
-        self._sealed_bytes = 0
-        # Flat view of the sealed prefix, grown in step with the blocks
-        # so restore adopts it with one slice instead of a block walk.
-        # Not "owned" after adopting a parent's list: the next seal
-        # copies before extending (the parent keeps growing it).
-        self._sealed_flat = []
-        self._sealed_flat_owned = True
 
         # Observability (repro.obs): the "power" trace gate emits one
         # complete-event per closed journal segment plus a watts
@@ -587,14 +518,6 @@ class Machine:
                 self._trace_segment(journal[self._fold_index - 1])
             del journal[:self._fold_index]
             self._fold_index = 0
-            # Sealed blocks indexed the pre-compaction prefix; drop
-            # them (snapshots holding references are unaffected) and
-            # let the next capture reseal the now-short journal.
-            self._sealed_blocks = ()
-            self._sealed_len = 0
-            self._sealed_bytes = 0
-            self._sealed_flat = []
-            self._sealed_flat_owned = True
 
     # ------------------------------------------------------------------
     # tracing (repro.obs)
@@ -748,29 +671,6 @@ class Machine:
     # ------------------------------------------------------------------
     # snapshot protocol (repro.snapshot)
     # ------------------------------------------------------------------
-    def _seal_closed(self):
-        """Extend the sealed-block cache over every closed segment.
-
-        Only the last journal entry can still mutate (``advance``
-        extends its ``t1`` in place), so everything before it is sealed:
-        serialized once, then shared by reference with every later
-        capture.  Amortized O(1) per segment over the machine's life.
-        """
-        journal = self._journal
-        closed = len(journal) - 1 if journal else 0
-        if closed > self._sealed_len:
-            segments = journal[self._sealed_len:closed]
-            block = _SealedBlock(
-                tuple(segments), [_segment_row(s) for s in segments],
-            )
-            self._sealed_blocks = self._sealed_blocks + (block,)
-            if not self._sealed_flat_owned:
-                self._sealed_flat = self._sealed_flat[:self._sealed_len]
-                self._sealed_flat_owned = True
-            self._sealed_flat.extend(segments)
-            self._sealed_len = closed
-            self._sealed_bytes += block.nbytes
-
     def __snapshot__(self, ctx):
         """Serialize the full accounting state, journal included.
 
@@ -781,30 +681,11 @@ class Machine:
         journal is serialized without folding — fold points are part of
         the replayable state.  The machine owns no heap entries, so it
         claims nothing.
-
-        The journal travels on the shared-structure channel: the state
-        dict carries a marker, the sealed prefix is shared by
-        reference, and only the open tail is copied — capture cost is
-        O(segments since the last capture), not O(journal).
         """
         if self._journal_pins:
             raise HardwareError(
                 "cannot snapshot a machine while its journal is pinned"
             )
-        self._seal_closed()
-        suffix = self._journal[self._sealed_len:]
-        journal_ref = ctx.share("journal", _SharedJournal(
-            self._sealed_blocks,
-            self._sealed_flat,
-            self._sealed_len,
-            tuple(
-                PowerSegment(s.t0, s.t1, s.power, s.context, s.overlays,
-                             s.comp_powers, s.correction, sid=s.sid)
-                for s in suffix
-            ),
-            [_segment_row(s) for s in suffix],
-            self._sealed_bytes,
-        ))
         stack = []
         node = self._ctx_bottom.next
         while node is not None:
@@ -826,7 +707,7 @@ class Machine:
             "correction_value": self._correction_value,
             "comp_powers": [list(cp) for cp in self._comp_powers],
             "power_dirty": self._power_dirty,
-            "journal": journal_ref,
+            "journal": [_segment_row(s) for s in self._journal],
             "fold_index": self._fold_index,
             "folded_journal_energy": self._folded_journal_energy,
             "sid": self._sid,
@@ -878,45 +759,16 @@ class Machine:
             (name, watts) for name, watts in state["comp_powers"]
         )
         self._power_dirty = bool(state["power_dirty"])
-        journal_state = state["journal"]
-        if type(journal_state) is dict:
-            # COW adoption: sealed blocks join by reference (closed
-            # segments are immutable), only the open tail is copied so
-            # this branch's extensions stay private.
-            shared = ctx.shared("journal")
-            if shared is None:
-                raise HardwareError(
-                    "shared journal marker without a live structure; "
-                    "flat restores must carry materialized rows"
-                )
-            journal = shared.flat[:shared.flat_len]
-            journal.extend(
-                PowerSegment(s.t0, s.t1, s.power, s.context, s.overlays,
-                             s.comp_powers, s.correction, sid=s.sid)
-                for s in shared.suffix_segments
+        self._journal = [
+            PowerSegment(
+                t0, t1, power, tuple(context),
+                tuple(tuple(o) for o in overlays),
+                tuple(tuple(cp) for cp in comp_powers),
+                correction, sid=sid,
             )
-            self._journal = journal
-            self._sealed_blocks = shared.blocks
-            self._sealed_len = shared.flat_len
-            self._sealed_bytes = shared.sealed_bytes
-            self._sealed_flat = shared.flat
-            self._sealed_flat_owned = False
-        else:
-            self._journal = [
-                PowerSegment(
-                    t0, t1, power, tuple(context),
-                    tuple(tuple(o) for o in overlays),
-                    tuple(tuple(cp) for cp in comp_powers),
-                    correction, sid=sid,
-                )
-                for t0, t1, power, context, overlays, comp_powers,
-                correction, sid in journal_state
-            ]
-            self._sealed_blocks = ()
-            self._sealed_len = 0
-            self._sealed_bytes = 0
-            self._sealed_flat = []
-            self._sealed_flat_owned = True
+            for t0, t1, power, context, overlays, comp_powers,
+            correction, sid in state["journal"]
+        ]
         # `advance` merges the open segment via identity (`is`) checks
         # on the context/overlays/component-power tuples, so wherever
         # the values still agree the open segment must share the

@@ -253,8 +253,9 @@ def bench_tracer_overhead(quick, repeats):
 def bench_snapshot_capture(quick, repeats):
     """Cost of checkpointing the whole pulse stack mid-run.
 
-    Capture is the hot half of lookahead (every non-hold proposal pays
-    one capture), so it must stay cheap relative to a decision period.
+    Capture serializes the full journal into the flat payload.  No
+    lookahead run captures (lanes fold every what-if without forking);
+    this times the `snapshot` CLI and the stacks lanes cannot model.
     """
     from repro.snapshot.scenario import build_pulse_scenario
     from repro.snapshot.state import Snapshot
@@ -284,8 +285,8 @@ def bench_snapshot_restore(quick, repeats):
     """Cost of rebuilding a full branch stack from one snapshot.
 
     Restore rebuilds the machine, journal, controller, and event heap
-    from the payload — the other half of every lookahead fork and the
-    warm-start path of fleet sweeps.
+    from the payload — every fork and every warm start from the disk
+    store.  Like capture, it is off the lookahead hot path.
     """
     from repro.snapshot.scenario import build_pulse_scenario
     from repro.snapshot.state import Snapshot
@@ -305,94 +306,6 @@ def bench_snapshot_restore(quick, repeats):
         "seconds": seconds,
         "restores": count,
         "restores_per_s": count / seconds if seconds else 0.0,
-    }
-
-
-@_bench("fork_branch", lambda m: f"{m['forks_per_s']:,.0f} pooled forks/s")
-def bench_fork_branch(quick, repeats):
-    """Pooled branch forking: the lookahead evaluator's steady state.
-
-    Captures once, then restores into a recycled scenario over and over
-    — no builder, no allocation churn.  This is the per-branch floor
-    the what-if evaluator and the beam planner pay.
-    """
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.tracer import NULL_TRACER
-    from repro.snapshot.scenario import build_pulse_scenario
-    from repro.snapshot.state import Snapshot
-
-    count = 500 if quick else 3_000
-    scenario = build_pulse_scenario().start().run(until=120.0)
-    snap = Snapshot.capture(scenario.sim)
-    pooled = snap.fork(lookahead=False, tracer=NULL_TRACER,
-                       metrics=MetricsRegistry())
-
-    def run():
-        for _ in range(count):
-            snap.fork(reuse=pooled)
-        return pooled
-
-    seconds, _ = _best_of(run, max(repeats, _MIN_CHEAP_REPEATS))
-    return {
-        "seconds": seconds,
-        "forks": count,
-        "forks_per_s": count / seconds if seconds else 0.0,
-    }
-
-
-@_bench("cow_capture_scaling", lambda m: (
-    f"{m['length_ratio']:.1f}x segments -> "
-    f"{m['scaling_ratio']:.2f}x capture time "
-    f"({m['long_segments']} segments, "
-    f"{m['long_capture_s'] * 1e6:.0f} us/capture)"))
-def bench_cow_capture_scaling(quick, repeats):
-    """Capture cost vs journal length: the copy-on-write contract.
-
-    Builds two machines whose journals differ ~8x in segment count and
-    times repeated captures of each.  With the sealed-prefix journal
-    the first capture pays O(journal) once to seal it; every later
-    capture copies only the open tail, so the per-capture ratio between
-    the two journals should sit near 1.0 (sublinear in length), where a
-    full-copy capture would sit near 8.
-    """
-    from repro.snapshot.scenario import build_pulse_scenario
-    from repro.snapshot.state import Snapshot
-
-    captures = 200 if quick else 1_000
-    short_until, long_until = (30.0, 240.0) if quick else (30.0, 250.0)
-
-    def timed_captures(until):
-        scenario = build_pulse_scenario(
-            goal_seconds=300.0, initial_energy=20_000.0,
-        ).start().run(until=until)
-        segments = len(scenario.machine._journal)
-        # First capture seals the closed prefix (the one-time O(n)).
-        Snapshot.capture(scenario.sim)
-
-        def run():
-            snap = None
-            for _ in range(captures):
-                snap = Snapshot.capture(scenario.sim)
-            return snap
-
-        seconds, _ = _best_of(run, max(repeats, _MIN_CHEAP_REPEATS))
-        return seconds / captures, segments
-
-    short_s, short_segments = timed_captures(short_until)
-    long_s, long_segments = timed_captures(long_until)
-    ratio = long_s / short_s if short_s else 0.0
-    return {
-        # `seconds` is the long-journal per-capture time — the one the
-        # COW change is supposed to keep flat.
-        "seconds": long_s,
-        "short_segments": short_segments,
-        "long_segments": long_segments,
-        "short_capture_s": short_s,
-        "long_capture_s": long_s,
-        "scaling_ratio": ratio,
-        "length_ratio": (
-            long_segments / short_segments if short_segments else 0.0
-        ),
     }
 
 

@@ -28,13 +28,12 @@ __all__ = [
     "SchedulingError",
     "ProcessError",
     "ResourceError",
-    "Interrupted",
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     "engine": ("Event", "Simulator", "Timeout", "Waitable"),
-    "errors": ("Interrupted", "ProcessError", "ResourceError",
-               "SchedulingError", "SimulationError"),
+    "errors": ("ProcessError", "ResourceError", "SchedulingError",
+               "SimulationError"),
     "process": ("Process",),
     "resources": ("Resource", "ResourceGrant"),
     "scheduler": ("QuantumScheduler",),

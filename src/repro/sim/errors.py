@@ -15,15 +15,3 @@ class ProcessError(SimulationError):
 
 class ResourceError(SimulationError):
     """Invalid resource operation (e.g. releasing a resource not held)."""
-
-
-class Interrupted(SimulationError):
-    """Raised inside a process when another process interrupts it.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.process.Process.interrupt`.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(f"process interrupted: {cause!r}")
-        self.cause = cause

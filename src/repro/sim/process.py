@@ -15,7 +15,7 @@ from __future__ import annotations
 import types
 
 from repro.sim.engine import Waitable
-from repro.sim.errors import Interrupted, ProcessError
+from repro.sim.errors import ProcessError
 
 __all__ = ["Process"]
 
@@ -45,7 +45,6 @@ class Process(Waitable):
         self.pid = Process._ids
         self.name = name or f"process-{self.pid}"
         self._generator = generator
-        self._interrupt_pending = None
         self.alive = True
         self.failed = False
         self.error = None
@@ -68,17 +67,9 @@ class Process(Waitable):
         generator = self._generator
         while True:
             try:
-                if self._interrupt_pending is not None:
-                    cause, self._interrupt_pending = self._interrupt_pending, None
-                    target = generator.throw(Interrupted(cause[0]))
-                else:
-                    target = generator.send(value)
+                target = generator.send(value)
             except StopIteration as stop:
                 self._finish(stop.value)
-                return
-            except Interrupted:
-                # Generator chose not to handle the interrupt: treat as exit.
-                self._finish(None)
                 return
             except Exception as exc:  # propagate process crash to joiners
                 self.alive = False
@@ -99,20 +90,3 @@ class Process(Waitable):
     def _finish(self, value):
         self.alive = False
         self.trigger(value)
-
-    # ------------------------------------------------------------------
-    def interrupt(self, cause=None):
-        """Raise :class:`~repro.sim.errors.Interrupted` inside the process.
-
-        Delivery happens at the current instant, replacing whatever the
-        process was waiting on.  Interrupting a finished process is a
-        no-op.
-        """
-        if not self.alive:
-            return
-        self._interrupt_pending = (cause,)
-        self.sim.schedule(0.0, lambda _t: self._deliver_interrupt())
-
-    def _deliver_interrupt(self):
-        if self.alive and self._interrupt_pending is not None:
-            self._resume(None)

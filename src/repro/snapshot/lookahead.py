@@ -444,10 +444,6 @@ class WhatIfEvaluator:
     """Measure candidate adaptation actions over a horizon: side by side
     as lanes when the stack runs open-loop, on forks otherwise."""
 
-    #: Fork scenarios retained for reuse; forks run sequentially, so a
-    #: couple cover the steady state (beam stages briefly spike).
-    POOL_MAX = 4
-
     def __init__(self, sim, horizon=12.0):
         if not horizon > 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
@@ -456,11 +452,8 @@ class WhatIfEvaluator:
         self.evaluations = 0
         self.branches_run = 0
         # Forks share one registry (never read; a fresh one per fork
-        # would just burn construction time) and recycle built
-        # scenarios through Snapshot.restore(reuse=...) — the builder
-        # is ~half the cost of a cold fork.
+        # would just burn construction time).
         self._branch_metrics = MetricsRegistry()
-        self._branch_pool = []
         self._plan = None
 
     def start(self):
@@ -618,10 +611,8 @@ class WhatIfEvaluator:
         # private: an explicit null tracer keeps the fork from resolving
         # the process-installed tracer, and the evaluator-private
         # registry keeps its counters out of the parent's metrics.
-        reuse = self._branch_pool.pop() if self._branch_pool else None
         scenario = snapshot.fork(
-            reuse=reuse, tracer=NULL_TRACER, metrics=self._branch_metrics,
-            **PLAIN_POLICY,
+            tracer=NULL_TRACER, metrics=self._branch_metrics, **PLAIN_POLICY,
         )
         # Stamp the fork's machine so its power/span stream disentangles
         # from the trunk's if the fork is ever run under a real tracer
@@ -632,20 +623,16 @@ class WhatIfEvaluator:
             applied = scenario.viceroy.degrade_once(decision_id=did) is not None
         elif action == UPGRADE:
             applied = scenario.viceroy.upgrade_once(decision_id=did) is not None
-        measured = None
-        if applied or not stage:
-            machine = scenario.machine
-            sim = scenario.sim
-            t0 = sim.now
-            start_energy = machine.finish()
-            sim.run(until=t0 + seconds)
-            energy = machine.finish() - start_energy
-            stage_snapshot = Snapshot.capture(sim) if stage else None
-            self.branches_run += 1
-            measured = (energy, stage_snapshot)
-        if len(self._branch_pool) < self.POOL_MAX:
-            self._branch_pool.append(scenario)
-        return measured
+        if stage and not applied:
+            return None
+        machine = scenario.machine
+        sim = scenario.sim
+        t0 = sim.now
+        start_energy = machine.finish()
+        sim.run(until=t0 + seconds)
+        energy = machine.finish() - start_energy
+        self.branches_run += 1
+        return energy, Snapshot.capture(sim) if stage else None
 
 
 class LookaheadGoalController(GoalDirectedController):

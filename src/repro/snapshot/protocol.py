@@ -23,21 +23,11 @@ methods:
     same-instant FIFO ties break exactly as in the parent.
 
 Both dicts must round-trip through JSON unchanged (``repr`` float
-round-tripping is exact in Python, so float state is safe).
-
-Shared-structure channel
-------------------------
-Heavy state that is immutable once written (a sealed power-journal
-prefix, an append-only upcall log) can opt out of per-capture copying:
-``__snapshot__`` calls :meth:`CaptureContext.share` with an object
-exposing ``materialize()`` and places the returned marker in its state
-dict instead of the flat rows.  An in-memory fork's ``__restore__``
-gets the live object back from :meth:`RestoreContext.shared` and adopts
-it by reference; a flat restore (disk store, JSON round-trip) sees the
-materialized rows instead, because :class:`repro.snapshot.state.
-Snapshot` expands every marker when its ``payload`` is first read.  The
-flat payload is byte-identical to what a non-sharing capture would have
-produced, so the on-disk format and every golden stay unchanged.
+round-tripping is exact in Python, so float state is safe).  The dicts
+an in-memory fork restores from are the captured ones themselves, so
+``__snapshot__`` must copy whatever the live object keeps mutating and
+``__restore__`` must copy whatever it keeps: one snapshot seeds any
+number of branches, and none of them may reach another's state.
 """
 
 from __future__ import annotations
@@ -55,7 +45,6 @@ class CaptureContext:
     def __init__(self, sim):
         self.sim = sim
         self.events = []  # [(when, seq, key, kind)] in claim order
-        self.shared = {}  # marker key -> shared object (materialize())
         self._live = {entry[1] for entry in sim.live_entries()}
         self._claimed = set()
         self._current_key = None
@@ -85,22 +74,6 @@ class CaptureContext:
         finally:
             self._current_key = None
 
-    def share(self, name, obj):
-        """Register ``obj`` on the shared-structure channel.
-
-        ``obj`` must expose ``materialize()`` returning the JSON-shaped
-        value a non-sharing capture would have emitted, and must never
-        be mutated after this call (share copies nothing).  Returns the
-        marker dict to place in the state dict where the flat value
-        would have gone.  The marker is keyed per owner, so two
-        registered objects can both share a field called ``journal``.
-        """
-        key = f"{self._current_key}/{name}"
-        if key in self.shared:
-            raise SnapshotError(f"duplicate shared-structure key {key!r}")
-        self.shared[key] = obj
-        return {"__shared__": key}
-
     def unclaimed(self):
         """Live heap entries no owner claimed (capture-blocking)."""
         return [e for e in self.sim.live_entries()
@@ -110,12 +83,11 @@ class CaptureContext:
 class RestoreContext:
     """Hands claimed events back to their owners during restore."""
 
-    def __init__(self, sim, events, shared=None):
+    def __init__(self, sim, events):
         self.sim = sim
         self._by_key = {}
         for when, seq, key, kind in events:
             self._by_key.setdefault(key, []).append((when, seq, kind))
-        self._shared = shared if shared is not None else {}
         self._current_key = None
         self._pushed = 0
         self._total = len(events)
@@ -128,17 +100,6 @@ class RestoreContext:
         """Re-push one claimed event with its original stamps."""
         self._pushed += 1
         return self.sim.restore_entry(when, seq, callback)
-
-    def shared(self, name):
-        """The live shared object behind this owner's marker, if any.
-
-        Returns ``None`` on a flat restore (disk store, rehydrated
-        JSON), where the marker was already expanded to plain rows and
-        the owner never sees it — callers only reach for this after
-        finding a marker in their state dict, and must treat the
-        returned structure as immutable.
-        """
-        return self._shared.get(f"{self._current_key}/{name}")
 
     def restore(self, key, obj, state):
         """Run one object's ``__restore__`` under its registry key."""

@@ -246,19 +246,6 @@ class PulseScenario:
         self.machine.advance()
         return self
 
-    def prepare_reuse(self):
-        """Reset run-level state so :meth:`Snapshot.restore` can reuse
-        this scenario in place of a fresh build (branch pooling).
-
-        Only clears what ``__restore__`` does not overwrite: the event
-        heap (restore re-pushes every claimed entry), its tombstones,
-        and the exhaustion flag.
-        """
-        sim = self.sim
-        sim._heap.clear()
-        sim._cancelled.clear()
-        self.failed_at = None
-
     def summary(self):
         """JSON-shaped outcome record (the fleet task return value)."""
         record = dict(self.controller.summary())

@@ -7,18 +7,6 @@ and :meth:`Snapshot.restore` share one code path: every branch is built
 from the payload, so the in-memory fork and the on-disk warm start are
 the same operation and the determinism tests cover both.
 
-Copy-on-write capture
----------------------
-State dicts may carry shared-structure markers instead of flat rows
-(see :mod:`repro.snapshot.protocol`): capture then stores a *reference*
-to an immutable structure — a sealed journal prefix, an append-only
-log — instead of serializing it, which is what makes capture and fork
-O(changes) rather than O(simulated time).  The flat JSON ``payload`` is
-materialized lazily, only when something actually needs it (the disk
-store, a ``--out`` dump, the byte-identity tests); it is byte-identical
-to what a non-sharing capture would have produced, so on-disk
-snapshots, warm starts, and every golden are unaffected.
-
 Determinism contract
 --------------------
 Capturing is side-effect free for the parent (the integer sequence
@@ -49,18 +37,11 @@ _SNAPSHOT_TIME_BUCKETS = (
 )
 
 
-def _is_marker(value):
-    return type(value) is dict and len(value) == 1 and "__shared__" in value
-
-
 class Snapshot:
     """One captured state of a snapshot-capable stack."""
 
-    def __init__(self, payload, shared=None):
-        self._raw = payload
-        self._shared = dict(shared) if shared else {}
-        # Without shared structures the raw payload already is flat.
-        self._flat = None if self._shared else payload
+    def __init__(self, payload):
+        self.payload = payload
 
     # ------------------------------------------------------------------
     @classmethod
@@ -103,51 +84,13 @@ class Snapshot:
             "states": states,
             "events": [list(e) for e in ctx.events],
         }
-        snapshot = cls(payload, shared=ctx.shared)
-        metrics = current_metrics()
-        metrics.histogram(
+        current_metrics().histogram(
             "snapshot.capture_s", _SNAPSHOT_TIME_BUCKETS
         ).observe(perf_counter() - start)
-        saved = 0
-        for obj in ctx.shared.values():
-            size = getattr(obj, "shared_bytes", None)
-            if size is not None:
-                saved += size() if callable(size) else size
-        if saved:
-            metrics.counter("snapshot.shared_bytes_saved").inc(saved)
-        return snapshot
+        return cls(payload)
 
     # ------------------------------------------------------------------
-    @property
-    def payload(self):
-        """The flat JSON payload, materializing shared structures.
-
-        Expanding a marker asks the shared object for the exact rows a
-        non-sharing capture would have emitted, so this payload is
-        byte-identical to the pre-COW format; it is cached after the
-        first access.  Forking does not touch it — in-memory branches
-        restore straight from the raw payload plus live references.
-        """
-        if self._flat is None:
-            self._flat = self._materialize()
-        return self._flat
-
-    def _materialize(self):
-        states = {}
-        for key, state in self._raw["states"].items():
-            out = state
-            for field, value in state.items():
-                if _is_marker(value):
-                    if out is state:
-                        out = dict(state)
-                    out[field] = self._shared[value["__shared__"]].materialize()
-            states[key] = out
-        flat = dict(self._raw)
-        flat["states"] = states
-        return flat
-
-    # ------------------------------------------------------------------
-    def restore(self, reuse=None, **builder_overrides):
+    def restore(self, **builder_overrides):
         """Build a fresh stack from the payload and apply the state.
 
         ``builder_overrides`` are merged over the captured params —
@@ -155,46 +98,23 @@ class Snapshot:
         the lookahead evaluator switches the branch controller back to
         the plain policy).  Returns whatever the builder returns (the
         scenario object owning the new simulator).
-
-        ``reuse`` recycles a scenario this snapshot (or a compatible
-        one: same builder, same params) previously returned, skipping
-        the builder entirely: the scenario's ``prepare_reuse()`` hook
-        clears the event heap and run-level flags, then every
-        ``__restore__`` overwrites the stale state.  The lookahead
-        evaluator pools branch scenarios this way; results are
-        byte-identical to a fresh build (see the COW property tests).
         """
         start = perf_counter()
-        payload = self._raw
-        # Validate against the materialized dict when one exists: it is
-        # what callers see (and may have edited); the two only diverge
-        # through such edits.
-        header = self._flat if self._flat is not None else payload
-        if header.get("version") != PAYLOAD_VERSION:
+        payload = self.payload
+        if payload.get("version") != PAYLOAD_VERSION:
             raise SnapshotError(
-                f"snapshot payload version {header.get('version')!r} != "
+                f"snapshot payload version {payload.get('version')!r} != "
                 f"supported {PAYLOAD_VERSION}"
             )
-        if reuse is None:
-            params = dict(payload["params"])
-            params.update(builder_overrides)
-            scenario = resolve_callable(payload["builder"])(**params)
-            sim = scenario.sim
-            if sim.live_entries():
-                raise SnapshotError(
-                    "snapshot builder scheduled events before restore; "
-                    "builders must return a never-started stack"
-                )
-        else:
-            scenario = reuse
-            sim = scenario.sim
-            prepare = getattr(scenario, "prepare_reuse", None)
-            if prepare is None:
-                raise SnapshotError(
-                    f"{type(scenario).__name__} does not support reuse "
-                    f"(no prepare_reuse hook)"
-                )
-            prepare()
+        params = dict(payload["params"])
+        params.update(builder_overrides)
+        scenario = resolve_callable(payload["builder"])(**params)
+        sim = scenario.sim
+        if sim.live_entries():
+            raise SnapshotError(
+                "snapshot builder scheduled events before restore; "
+                "builders must return a never-started stack"
+            )
         sim.now = float(payload["sim"]["now"])
         sim._next_seq = int(payload["sim"]["next_seq"])
         states = payload["states"]
@@ -204,7 +124,7 @@ class Snapshot:
             raise SnapshotError(
                 f"builder did not register snapshottable(s): {missing}"
             )
-        ctx = RestoreContext(sim, payload["events"], shared=self._shared)
+        ctx = RestoreContext(sim, payload["events"])
         for key, obj in registered.items():
             if key in states:
                 ctx.restore(key, obj, states[key])
@@ -214,23 +134,23 @@ class Snapshot:
         ).observe(perf_counter() - start)
         return scenario
 
-    def fork(self, reuse=None, **builder_overrides):
+    def fork(self, **builder_overrides):
         """Alias for :meth:`restore`: yield an independent branch."""
-        return self.restore(reuse=reuse, **builder_overrides)
+        return self.restore(**builder_overrides)
 
     # ------------------------------------------------------------------
     @property
     def time(self):
-        return self._raw["sim"]["now"]
+        return self.payload["sim"]["now"]
 
     @property
     def builder(self):
-        return self._raw["builder"]
+        return self.payload["builder"]
 
     @property
     def params(self):
-        return dict(self._raw["params"])
+        return dict(self.payload["params"])
 
     def __repr__(self):
         return (f"<Snapshot t={self.time:g} builder={self.builder} "
-                f"events={len(self._raw['events'])}>")
+                f"events={len(self.payload['events'])}>")

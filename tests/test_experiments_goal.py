@@ -22,6 +22,14 @@ def bounds():
     return fidelity_runtime_bounds(ENERGY)
 
 
+@pytest.fixture(scope="module")
+def goal_runs(bounds):
+    """``run_goal_experiment(goal, initial_energy=ENERGY)`` for each
+    derived goal, run once and read by every test that checks them."""
+    return [run_goal_experiment(goal, initial_energy=ENERGY)
+            for goal in derive_goals(*bounds)]
+
+
 class TestRuntimeBounds:
     def test_lowest_fidelity_outlasts_highest(self, bounds):
         t_hi, t_lo = bounds
@@ -41,24 +49,21 @@ class TestRuntimeBounds:
 
 
 class TestGoalDirectedAdaptation:
-    def test_every_derived_goal_is_met(self, bounds):
+    def test_every_derived_goal_is_met(self, bounds, goal_runs):
         """The paper's headline: the desired goal was met in every trial."""
         goals = derive_goals(*bounds)
-        for goal in goals:
-            result = run_goal_experiment(goal, initial_energy=ENERGY)
+        for goal, result in zip(goals, goal_runs):
             assert result.goal_met, f"missed goal {goal:.0f}s"
 
-    def test_residual_energy_is_small(self, bounds):
+    def test_residual_energy_is_small(self, goal_runs):
         """Paper: largest residue was ~1-2% of the initial energy."""
-        goals = derive_goals(*bounds)
-        result = run_goal_experiment(goals[1], initial_energy=ENERGY)
+        result = goal_runs[1]
         assert result.goal_met
         assert result.residual_energy < 0.08 * ENERGY
 
-    def test_low_priority_apps_degrade_first(self, bounds):
+    def test_low_priority_apps_degrade_first(self, goal_runs):
         """Figure 19: web stays near max fidelity; speech near min."""
-        goals = derive_goals(*bounds)
-        result = run_goal_experiment(goals[0], initial_energy=ENERGY)
+        result = goal_runs[0]
         fidelity = {}
         for _t, category, app, _level, normalized in result.series:
             if category == "fidelity":
@@ -66,10 +71,9 @@ class TestGoalDirectedAdaptation:
         assert result.goal_met
         assert fidelity["web"] >= fidelity["speech"]
 
-    def test_demand_tracks_supply(self, bounds):
+    def test_demand_tracks_supply(self, goal_runs):
         """Figure 19 top graph: estimated demand tracks supply closely."""
-        goals = derive_goals(*bounds)
-        result = run_goal_experiment(goals[1], initial_energy=ENERGY)
+        result = goal_runs[1]
         supply = [row[3] for row in result.series if row[2] == "supply"]
         demand = [row[3] for row in result.series if row[2] == "demand"]
         # Compare trailing halves (the estimator needs warm-up).
@@ -122,9 +126,8 @@ class TestGoalDirectedAdaptation:
         assert traced == [(row[0], row[3]) for row in rows
                           if row[2] == "supply"]
 
-    def test_adaptation_counts_by_app(self, bounds):
-        goals = derive_goals(*bounds)
-        result = run_goal_experiment(goals[0], initial_energy=ENERGY)
+    def test_adaptation_counts_by_app(self, goal_runs):
+        result = goal_runs[0]
         assert set(result.adaptations) == {"speech", "video", "map", "web"}
         assert result.total_adaptations > 0
 

@@ -306,6 +306,30 @@ def test_lookahead_branches_do_not_tick(monkeypatch):
     assert not any(fired)
 
 
+@pytest.mark.parametrize("params", [{}, {"beam_width": 3}],
+                         ids=["lookahead", "beam3"])
+def test_pulse_lookahead_builds_never_fork(monkeypatch, params):
+    """Lanes cover every what-if of the pulse stack on a generated
+    device: the whole run neither captures nor restores a snapshot."""
+    calls = []
+    capture, restore = Snapshot.capture.__func__, Snapshot.restore
+
+    def counting_capture(cls, sim):
+        calls.append("capture")
+        return capture(cls, sim)
+
+    def counting_restore(self, **overrides):
+        calls.append("restore")
+        return restore(self, **overrides)
+
+    monkeypatch.setattr(Snapshot, "capture", classmethod(counting_capture))
+    monkeypatch.setattr(Snapshot, "restore", counting_restore)
+    device = generate_fleet(2, 7)[1].to_dict()
+    summary = run_pulse_goal(lookahead=True, device=device, **params)
+    assert summary["lookahead"]["branches_run"] > 0
+    assert calls == []
+
+
 def test_branch_with_pending_decision_keeps_ticking(monkeypatch):
     """Captured outside a decision callback, the branch still decides,
     so its samples matter and it must tick."""

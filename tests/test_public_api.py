@@ -14,7 +14,7 @@ SURFACES = {
     "repro.sim": [
         "Simulator", "Timeout", "Event", "Waitable", "Process", "Resource",
         "QuantumScheduler", "SimulationError",
-        "SchedulingError", "ProcessError", "ResourceError", "Interrupted",
+        "SchedulingError", "ProcessError", "ResourceError",
     ],
     "repro.hardware": [
         "Battery", "ExternalSupply", "PeukertBattery", "RecoveryBattery",

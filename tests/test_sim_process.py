@@ -5,7 +5,6 @@ import gc
 import pytest
 
 from repro.sim import (
-    Interrupted,
     ProcessError,
     Resource,
     ResourceError,
@@ -110,82 +109,6 @@ class TestProcessLifecycle:
         assert a.name == "alpha"
         assert a.pid != b.pid
         assert sim.processes == (a, b)
-
-
-class TestInterrupts:
-    def test_interrupt_raises_inside_process(self):
-        sim = Simulator()
-        caught = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupted as exc:
-                caught.append(exc.cause)
-
-        process = sim.spawn(sleeper())
-        sim.schedule(5.0, lambda t: process.interrupt("wakeup"))
-        sim.run()
-        assert caught == ["wakeup"]
-
-    def test_unhandled_interrupt_terminates_quietly(self):
-        sim = Simulator()
-
-        def sleeper():
-            yield sim.timeout(100.0)
-
-        process = sim.spawn(sleeper())
-        sim.schedule(1.0, lambda t: process.interrupt())
-        sim.run()
-        assert not process.alive
-        assert not process.failed
-
-    def test_interrupt_set_while_running_raises_at_next_fired_yield(self):
-        # A's release grants B synchronously, inside A's own step; B
-        # interrupts A, and A's next yield is on an event that has
-        # already fired.  The interrupt is raised at that yield, once.
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        ready = sim.event()
-        ready.succeed("ready")
-        seen = []
-
-        def a():
-            grant = res.acquire()
-            yield grant
-            yield sim.timeout(1.0)
-            res.release(grant)
-            try:
-                value = yield ready
-            except Interrupted as exc:
-                seen.append(("a interrupted", exc.cause, sim.now))
-                return
-            seen.append(("a resumed", value))
-
-        def b():
-            grant = res.acquire()
-            yield grant
-            seen.append(("b granted", sim.now))
-            target.interrupt("from b")
-            res.release(grant)
-
-        target = sim.spawn(a())
-        sim.spawn(b())
-        sim.run()
-        assert seen == [("b granted", 1.0), ("a interrupted", "from b", 1.0)]
-        assert not target.alive and not target.failed
-
-    def test_interrupting_finished_process_is_noop(self):
-        sim = Simulator()
-
-        def quick():
-            yield sim.timeout(1.0)
-
-        process = sim.spawn(quick())
-        sim.run()
-        process.interrupt("too late")
-        sim.run()
-        assert not process.failed
 
 
 class TestResource:

@@ -1,18 +1,16 @@
-"""Copy-on-write snapshot isolation properties.
+"""Snapshot isolation properties.
 
-The machine journal and the viceroy upcall log travel on the snapshot
-shared-structure channel: a capture holds the sealed prefix by
-reference instead of copying it, and a restored branch adopts those
-references.  These tests pin the contract that makes that safe —
-mutating a fork never bleeds into the parent, mutating the parent
-never bleeds into an already-taken snapshot, and the materialized
-payload stays byte-identical to a non-sharing capture.
+A capture is a flat payload and every fork is built from it, so one
+snapshot can seed many branches while the parent keeps running.  These
+tests pin the contract that makes that safe: mutating a fork never
+bleeds into the parent, mutating the parent never bleeds into an
+already-taken snapshot or a restored branch, and a branch's own
+captures leave its ancestors alone.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.hardware.machine as machine_module
 from repro.fleet.spec import canonical_json
 from repro.hardware.machine import _segment_row
 from repro.snapshot import Snapshot
@@ -75,13 +73,13 @@ def test_fork_mutation_never_changes_parent_outcome():
 # parent mutation must never reach a taken snapshot
 # ----------------------------------------------------------------------
 def test_parent_mutation_never_touches_snapshot_payload():
-    """The payload materializes lazily from structures the live parent
-    keeps appending to; materializing *after* the parent ran to
-    completion must still yield the rows from capture time."""
+    """Reading the payload *after* the parent ran to completion must
+    still yield the rows from capture time: capture copies, it does not
+    alias the journal the live parent keeps appending to."""
     parent = build_pulse_scenario().start()
     parent.run(until=60.0)
     snapshot = Snapshot.capture(parent.sim)
-    parent.run()  # seals more blocks, grows the shared flat list
+    parent.run()  # grows and compacts the parent's journal
 
     control = build_pulse_scenario().start()
     control.run(until=60.0)
@@ -98,7 +96,7 @@ def test_parent_mutation_never_touches_restored_branch():
     branch_rows = _journal_rows(branch.machine)
     branch_upcalls = _upcall_rows(branch.viceroy)
 
-    parent.run()  # parent seals past the branch's adopted prefix
+    parent.run()  # the parent's journal grows past the branch's
 
     assert _journal_rows(branch.machine) == branch_rows
     assert _upcall_rows(branch.viceroy) == branch_upcalls
@@ -139,89 +137,18 @@ def test_three_deep_fork_chain_isolation():
     assert canonical_json(g3.summary()) == canonical_json(control.summary())
 
 
-def test_sealed_blocks_shared_by_reference_across_captures():
-    """The COW point itself: a later capture reuses the earlier
-    capture's sealed blocks by identity instead of re-serializing."""
-    scenario = build_pulse_scenario().start()
-    scenario.run(until=60.0)
-    s1 = Snapshot.capture(scenario.sim)
-    scenario.run(until=120.0)
-    s2 = Snapshot.capture(scenario.sim)
-
-    blocks1 = s1._shared["machine/journal"].blocks
-    blocks2 = s2._shared["machine/journal"].blocks
-    assert len(blocks2) > len(blocks1)
-    for early, late in zip(blocks1, blocks2):
-        assert early is late
-
-
 def test_branch_seal_does_not_corrupt_parent():
-    """A restored branch adopts the parent's flat sealed list without
-    owning it; the branch's own first seal must copy, not append into
-    the parent's list."""
+    """A branch that runs on and captures itself leaves the parent's
+    future untouched: the parent still finishes as a twin that never
+    forked."""
     parent = build_pulse_scenario().start()
     parent.run(until=60.0)
     snapshot = Snapshot.capture(parent.sim)
 
     branch = snapshot.fork()
     branch.run(until=120.0)
-    Snapshot.capture(branch.sim)  # forces the branch to seal
+    Snapshot.capture(branch.sim)
 
     control = build_pulse_scenario().start().run()
     parent.run()
     assert canonical_json(parent.summary()) == canonical_json(control.summary())
-
-
-# ----------------------------------------------------------------------
-# pooled restores
-# ----------------------------------------------------------------------
-def test_pooled_fork_matches_fresh_fork():
-    """Restoring into a reused scenario object (the lookahead branch
-    pool) is indistinguishable from building a fresh stack."""
-    parent = build_pulse_scenario().start()
-    parent.run(until=DEFAULT_GOAL_SECONDS / 2)
-    snapshot = Snapshot.capture(parent.sim)
-
-    fresh = snapshot.fork()
-    fresh.run()
-    pooled_target = snapshot.fork()
-    reused = snapshot.fork(reuse=pooled_target)
-    reused.run()
-    assert canonical_json(reused.summary()) == canonical_json(fresh.summary())
-
-
-# ----------------------------------------------------------------------
-# capture cost is the open tail, not the journal
-# ----------------------------------------------------------------------
-def test_repeated_captures_serialize_only_the_open_tail(monkeypatch):
-    """Once the first capture has sealed the journal, every later capture
-    serializes the same rows — the open tail only — on a 30 s journal
-    and on a 240 s one: a row count, where a timing would be noise."""
-    rows = []
-
-    def counting_row(segment):
-        rows.append(segment.sid)
-        return _segment_row(segment)
-
-    monkeypatch.setattr(machine_module, "_segment_row", counting_row)
-    captures = 10
-    counts = {}
-    for until in (30.0, 240.0):
-        scenario = build_pulse_scenario(
-            goal_seconds=300.0, initial_energy=20_000.0,
-        ).start().run(until=until)
-        journal = len(scenario.machine._journal)
-        Snapshot.capture(scenario.sim)
-        sealing = len(rows)
-        rows.clear()
-        for _ in range(captures):
-            Snapshot.capture(scenario.sim)
-        counts[until] = (journal, sealing, len(rows))
-        rows.clear()
-    (short, short_seal, short_rows), (long, long_seal, long_rows) = (
-        counts[30.0], counts[240.0])
-    assert long >= 4 * short
-    # The first capture serializes the whole journal once...
-    assert (short_seal, long_seal) == (short, long)
-    # ...and every later one only the open segment.
-    assert short_rows == long_rows == captures

@@ -13,6 +13,7 @@ trace up to the capture plus the fork's trace after it must be the
 uninterrupted run's trace.
 """
 
+import functools
 import json
 
 import pytest
@@ -161,6 +162,30 @@ def test_stitched_trace_byte_identical(knobs):
     byte for byte, in stream order, at an unaligned instant."""
     stitched = _stitched_run(UNALIGNED_AT, **knobs)
     assert _dump(stitched) == _dump(_traced_run(**knobs))
+
+
+BEAMS = {
+    "beam3": {"lookahead": True, "beam_width": 3},
+    "beam4x2": {"lookahead": True, "beam_width": 4, "beam_depth": 2},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _uninterrupted_payload(beam):
+    return _final_payload(build_pulse_scenario(**BEAMS[beam]).start().run())
+
+
+@pytest.mark.parametrize("at", [60.0, UNALIGNED_AT, 200.0])
+@pytest.mark.parametrize("beam", sorted(BEAMS))
+def test_beam_fork_full_state_byte_identical(beam, at):
+    """The beam planner's state round-trips too: forked at ``at``, the
+    fork and the resumed parent both end in the uninterrupted run's
+    exact final state."""
+    parent = build_pulse_scenario(**BEAMS[beam]).start().run(until=at)
+    fork = Snapshot.capture(parent.sim).fork().run()
+    parent.run()
+    assert _final_payload(fork) == _uninterrupted_payload(beam)
+    assert _final_payload(parent) == _uninterrupted_payload(beam)
 
 
 @settings(max_examples=5, deadline=None)
