@@ -204,8 +204,8 @@ class GoalDirectedController:
 
         The base policy is the paper's hysteresis trigger; subclasses
         (:class:`repro.snapshot.lookahead.LookaheadGoalController`)
-        override this to vet the trigger's proposal against forked
-        what-if branches.
+        override this to vet the trigger's proposal against what-if
+        branches.
         """
         return self.trigger.decide(demand, residual)
 

@@ -203,10 +203,6 @@ class Machine:
         # The one components payload per exact component split; see
         # _trace_segment.
         self._span_components = {}
-        # Branch identity: lookahead evaluators stamp forked machines so
-        # their power/span events disentangle from the trunk's (see
-        # repro.obs.export.power_spans).  None = the trunk.
-        self.branch_id = None
         if self._trace is not None:
             self._trace.add_flush_hook(self.trace_flush)
         self.metrics = metrics if metrics is not None else current_metrics()
@@ -557,11 +553,9 @@ class Machine:
                 components["(superlinear)"] = segment.correction
             if key is not None:
                 self._span_components[key] = components
-        # branch_id is None on the trunk, whose span payloads (and the
-        # goldens pinned to them) carry no "branch" key.
         self._trace.span(segment.t0, dur, segment.sid, segment.power,
                          segment.power * dur, process, procedure,
-                         components, self.branch_id)
+                         components)
 
     def power_span_id(self):
         """The journal span id covering the current instant.

@@ -153,8 +153,7 @@ class _Reprs(dict):
         return text
 
 
-#: A span's payload keys in the order its ``args`` holds them; a
-#: branch's span adds ``branch`` last.
+#: A span's payload keys in the order its ``args`` holds them.
 _SPAN_KEYS = ("sid", "watts", "joules", "process", "procedure",
               "components")
 
@@ -192,10 +191,8 @@ def _compact_line(kind, keys, has_dur=False):
 _DISPATCH_LINE = _compact_line(DispatchEvent, ("seq",))
 _WATTS_LINE = _compact_line(WattsEvent, ("value",))
 #: Sorted, a span's payload keys run components, joules, procedure,
-#: process, sid, watts; a branch's ``branch`` sorts first.
+#: process, sid, watts.
 _SPAN_LINE = _compact_line(SpanEvent, _SPAN_KEYS, has_dur=True)
-_BRANCH_SPAN_LINE = _compact_line(SpanEvent, _SPAN_KEYS + ("branch",),
-                                  has_dur=True)
 
 
 def _fallback_line(event):
@@ -219,15 +216,14 @@ def _jsonl_lines(events):
                 ts, wall, dur, sid = event.ts, event.wall, event.dur, event.sid
                 watts, joules = event.watts, event.joules
                 process, procedure = event.process, event.procedure
-                components, branch = event.components, event.branch
+                components = event.components
                 # The sum is finite only if every term is.
                 if (type(ts) is type(wall) is type(dur) is type(watts)
                         is type(joules) is float
                         and _NINF < ts + wall + dur + watts + joules < _INF
                         and type(sid) is int
                         and type(process) is type(procedure) is str
-                        and type(components) is dict
-                        and (branch is None or type(branch) is int)):
+                        and type(components) is dict):
                     pinned = splits.get(id(components))
                     if pinned is None:
                         pinned = splits[id(components)] = (
@@ -237,8 +233,7 @@ def _jsonl_lines(events):
                               encode_basestring_ascii(procedure),
                               encode_basestring_ascii(process), sid,
                               floats[watts], floats[dur], floats[ts], wall)
-                    lines.append(_SPAN_LINE % values if branch is None
-                                 else _BRANCH_SPAN_LINE % ((branch,) + values))
+                    lines.append(_SPAN_LINE % values)
                     continue
             elif kind is DispatchEvent:
                 ts, wall, seq = event.ts, event.wall, event.seq
@@ -474,7 +469,7 @@ def _render_chrome(events):
     shapes = {}  # (cat, track, name, ph, has args) -> _chrome_shape
     floats = _Reprs()
     splits = {}  # id(components dict) -> (the dict, its JSON)
-    dispatch_shape = watts_shape = span_shape = branch_shape = None
+    dispatch_shape = watts_shape = span_shape = None
     try:
         for event in events:
             kind = type(event)
@@ -482,13 +477,12 @@ def _render_chrome(events):
                 ts, dur, sid = event.ts, event.dur, event.sid
                 watts, joules = event.watts, event.joules
                 process, procedure = event.process, event.procedure
-                components, branch = event.components, event.branch
+                components = event.components
                 if (type(ts) is type(dur) is type(watts) is type(joules)
                         is float
                         and type(sid) is int
                         and type(process) is type(procedure) is str
-                        and type(components) is dict
-                        and (branch is None or type(branch) is int)):
+                        and type(components) is dict):
                     scaled, length = ts * 1e6, (dur or 0.0) * 1e6
                     # The sum is finite only if every term is.
                     if (_NINF < scaled + watts + joules < _INF
@@ -503,19 +497,10 @@ def _render_chrome(events):
                                   encode_basestring_ascii(process),
                                   encode_basestring_ascii(procedure),
                                   pinned[1])
-                        if branch is None:
-                            if span_shape is None:
-                                span_shape = _compact_shape(
-                                    layout, SpanEvent, _SPAN_KEYS)
-                            span_shape[0].append(
-                                (ts, span_shape[1] % values))
-                        else:
-                            if branch_shape is None:
-                                branch_shape = _compact_shape(
-                                    layout, SpanEvent,
-                                    _SPAN_KEYS + ("branch",))
-                            branch_shape[0].append(
-                                (ts, branch_shape[1] % (values + (branch,))))
+                        if span_shape is None:
+                            span_shape = _compact_shape(
+                                layout, SpanEvent, _SPAN_KEYS)
+                        span_shape[0].append((ts, span_shape[1] % values))
                         continue
             elif kind is DispatchEvent:
                 ts, seq = event.ts, event.seq
@@ -726,19 +711,12 @@ def write_metrics(registry_or_snapshot, path):
 # ----------------------------------------------------------------------
 # the event↔energy join
 # ----------------------------------------------------------------------
-def power_spans(events, branch=None):
+def power_spans(events):
     """Index the machine's journal-span events by segment id.
 
     Returns ``{sid: {"t0", "dur", "watts", "joules", "process",
     "procedure", "components"}}`` built from the ``power/span``
-    complete-events the machine emits as journal segments close.
-
-    ``branch`` selects whose spans are indexed: ``None`` (the default)
-    keeps only trunk spans — segments stamped with a ``branch`` id by a
-    lookahead fork's machine are skipped, so a trace that interleaves
-    branch journals with the trunk's still folds to trunk-only energy
-    (and branch sids can never collide into the trunk index).  Pass a
-    branch id to index that branch's spans instead.  A
+    complete-events the machine emits as journal segments close.  A
     :class:`~repro.obs.tracer.SpanEvent`'s fields are read directly,
     without building its ``args``.
     """
@@ -747,7 +725,7 @@ def power_spans(events, branch=None):
         kind = type(event)
         if kind is SpanEvent:
             sid = event.sid
-            if event.branch != branch or sid is None:
+            if sid is None:
                 continue
             dur = event.dur
             spans[sid] = {
@@ -773,8 +751,6 @@ def power_spans(events, branch=None):
                 dur = 0.0
             args = event.args or {}
         else:
-            continue
-        if args.get("branch") != branch:
             continue
         sid = args.get("sid")
         if sid is None:

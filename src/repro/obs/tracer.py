@@ -199,17 +199,16 @@ class SpanEvent(_CompactEvent):
     It holds the segment's values, never the segment itself: the
     machine's fold rewrites its journal.  ``args`` is built each time it
     is read, in the order ``sid``, ``watts``, ``joules``, ``process``,
-    ``procedure``, ``components`` and, on a lookahead branch's machine
-    only, ``branch``.  ``components`` is the machine's one shared dict
-    for the segment's exact component split (read-only).
+    ``procedure`` and ``components``.  ``components`` is the machine's
+    one shared dict for the segment's exact component split (read-only).
     """
 
     __slots__ = ("ts", "wall", "dur", "sid", "watts", "joules", "process",
-                 "procedure", "components", "branch")
+                 "procedure", "components")
     cat, name, ph, track = "power", "span", COMPLETE, "machine"
 
     def __init__(self, ts, wall, dur, sid, watts, joules, process,
-                 procedure, components, branch):
+                 procedure, components):
         self.ts = ts
         self.wall = wall
         self.dur = dur
@@ -219,16 +218,12 @@ class SpanEvent(_CompactEvent):
         self.process = process
         self.procedure = procedure
         self.components = components
-        self.branch = branch
 
     @property
     def args(self):
-        args = {"sid": self.sid, "watts": self.watts, "joules": self.joules,
+        return {"sid": self.sid, "watts": self.watts, "joules": self.joules,
                 "process": self.process, "procedure": self.procedure,
                 "components": self.components}
-        if self.branch is not None:
-            args["branch"] = self.branch
-        return args
 
 
 #: The compact record types; see "Compact kinds" in the module docstring.
@@ -405,12 +400,12 @@ class Tracer:
         return event
 
     def span(self, ts, dur, sid, watts, joules, process, procedure,
-             components, branch=None):
+             components):
         """Record a closed journal segment (a ``power/span``
         complete-event on the ``machine`` track); see
         :class:`SpanEvent`."""
         event = SpanEvent(ts, self._clock() - self.t0_wall, dur, sid, watts,
-                          joules, process, procedure, components, branch)
+                          joules, process, procedure, components)
         self._append(event)
         return event
 

@@ -255,7 +255,7 @@ def bench_snapshot_capture(quick, repeats):
 
     Capture serializes the full journal into the flat payload.  No
     lookahead run captures (lanes fold every what-if without forking);
-    this times the `snapshot` CLI and the stacks lanes cannot model.
+    this times the `snapshot` CLI and warm-started sweeps.
     """
     from repro.snapshot.scenario import build_pulse_scenario
     from repro.snapshot.state import Snapshot

@@ -13,9 +13,9 @@ The subsystem has four layers:
   sha256-addressed on-disk format fleet campaigns warm-start from.
 * :mod:`repro.snapshot.lookahead` — :class:`WhatIfEvaluator` and
   :class:`LookaheadGoalController`: measure a branch per candidate
-  fidelity action at each adaptation decision over a horizon (as
-  side-by-side lanes over the trunk's schedule, or on forks where lanes
-  cannot model the stack), and score predicted energy against the goal.
+  fidelity action at each adaptation decision over a horizon, as
+  side-by-side lanes over the trunk's schedule, and score predicted
+  energy against the goal.
 
 :mod:`repro.snapshot.scenario` provides the one snapshot-capable goal
 rig, the pulse rig (timer-driven apps, no generator processes), and

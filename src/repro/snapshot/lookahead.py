@@ -85,18 +85,13 @@ The two-branch evaluator folds hold and the proposal over one pass of
 the plan; a beam stage folds one candidate and hands on its lane, whose
 next stage starts at its place in the same plan.
 
-A stack lanes cannot model is still forked (:meth:`Snapshot.fork`) and
-run with its ticks: one with a live pending controller decision (a
-what-if asked outside the decision callback, which must decide), an
-app that is not a ``PulsedApp`` (or drives a component that is not a
-plain ``PowerComponent``), a machine or monitor of another type, a
-supply with ``note_power``/``recover`` hooks, a non-default
-correction, or any other pending event.  Forks run under a private null tracer and registry, and each
-forked machine is stamped with a branch id (``did<n>.<action>``) that
-rides on its ``power/span`` args, so even a fork run under a *real*
-tracer cannot pollute the trunk's energy fold —
-:func:`repro.obs.export.power_spans` indexes trunk spans only unless a
-branch is named explicitly.
+A stack lanes cannot model is refused with a :class:`SnapshotError`
+naming the failed condition: a live pending controller decision (a
+what-if asked outside the decision callback, which must decide) or any
+other pending event, an app that is not a ``PulsedApp`` (or drives a
+component that is not a plain ``PowerComponent``), a machine or
+monitor of another type, a supply with ``note_power``/``recover``
+hooks, or a non-default correction.
 
 Beam search
 -----------
@@ -104,10 +99,10 @@ Beam search
 to *schedules*: the horizon is split into ``beam_depth`` stages, each
 stage expands every surviving branch with the feasible actions (hold,
 degrade, upgrade), and only the ``beam_width`` best-margin branches
-survive to the next stage.  Each stage carries its lane state (or, for
-a forked stack, a re-capture of the fork) to the next.  The chosen
-schedule's *first* action is what the parent actually takes; the rest
-is lookahead scaffolding, re-planned at the next trigger.
+survive to the next stage.  Each stage carries its lane state to the
+next.  The chosen schedule's *first* action is what the parent actually
+takes; the rest is lookahead scaffolding, re-planned at the next
+trigger.
 """
 
 from __future__ import annotations
@@ -119,11 +114,9 @@ from repro.core.goal import GoalDirectedController
 from repro.core.hysteresis import DEGRADE, HOLD, UPGRADE
 from repro.hardware.component import PowerComponent
 from repro.hardware.machine import Machine, zero_correction
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
 from repro.powerscope.online import OnlinePowerMonitor
-from repro.snapshot.scenario import PLAIN_POLICY, PulsedApp
-from repro.snapshot.state import Snapshot
+from repro.snapshot.protocol import SnapshotError
+from repro.snapshot.scenario import PulsedApp
 
 __all__ = [
     "WhatIfEvaluator",
@@ -440,31 +433,26 @@ def _fold(state, lanes, until):
 _TRIM_AT = 256
 
 
+def _refuse(why):
+    raise SnapshotError(f"lookahead lanes cannot model this stack: {why}")
+
+
 class WhatIfEvaluator:
-    """Measure candidate adaptation actions over a horizon: side by side
-    as lanes when the stack runs open-loop, on forks otherwise."""
+    """Measure candidate adaptation actions over a horizon, side by side
+    as lanes folded over the trunk's open-loop future."""
 
     def __init__(self, sim, horizon=12.0):
         if not horizon > 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         self.sim = sim
         self.horizon = horizon
-        self.evaluations = 0
         self.branches_run = 0
-        # Forks share one registry (never read; a fresh one per fork
-        # would just burn construction time).
-        self._branch_metrics = MetricsRegistry()
         self._plan = None
 
     def start(self):
-        """Where the trunk's branches start: a lane state, or a
-        :class:`Snapshot` to fork when lanes cannot model the stack."""
-        return self._lane_start() or Snapshot.capture(self.sim)
-
-    def _lane_start(self):
         """The trunk's open-loop future as a lane on the evaluator's
-        plan, or None if a lane cannot model it (see "Open-loop lanes"
-        above)."""
+        plan (see "Open-loop lanes" above); raises :class:`SnapshotError`
+        naming what fails when lanes cannot model the stack."""
         sim = self.sim
         objects = sim._snapshottables
         machine = objects.get("machine")
@@ -472,24 +460,30 @@ class WhatIfEvaluator:
         viceroy = objects.get("viceroy")
         if (type(machine) is not Machine
                 or type(monitor) is not OnlinePowerMonitor
-                or monitor.machine is not machine or viceroy is None
-                or machine.correction is not zero_correction
-                or machine._supply_note_power is not None
+                or monitor.machine is not machine):
+            _refuse("no OnlinePowerMonitor samples a Machine")
+        if viceroy is None:
+            _refuse("no viceroy is registered")
+        if machine.correction is not zero_correction:
+            _refuse("the machine's power correction is not the default")
+        if (machine._supply_note_power is not None
                 or machine._supply_recover is not None):
-            return None
+            _refuse("the supply has note_power/recover hooks")
         apps = viceroy.ladder.applications
         plan = self._plan
         if plan is not None and plan.model.matches(machine, monitor, apps):
             model = plan.model
-        elif all(type(app) is PulsedApp
-                 and type(app.component) is PowerComponent for app in apps):
+        else:
+            for app in apps:
+                if (type(app) is not PulsedApp
+                        or type(app.component) is not PowerComponent):
+                    _refuse(f"app {app.name!r} is not a PulsedApp driving "
+                            f"a PowerComponent")
             plan = None
             model = _LaneModel(machine, monitor, viceroy.ladder)
-        else:
-            return None
 
         cancelled = sim._cancelled
-        live = {seq for _when, seq, _callback in sim._heap
+        live = {seq: callback for _when, seq, callback in sim._heap
                 if seq not in cancelled}
         expected = set()
         grid = None
@@ -506,9 +500,10 @@ class WhatIfEvaluator:
                 when = entry[0]
             pulses.append((when, None if app._active
                            else app.component.power))
-        if live != expected:
-            # A pending decision (or anything else) would act mid-horizon.
-            return None
+        others = sorted(getattr(cb, "__qualname__", repr(cb))
+                        for seq, cb in live.items() if seq not in expected)
+        if others:
+            _refuse(f"pending events would act mid-horizon: {others}")
         pulses = tuple(pulses)
 
         # The plan still describes the trunk if, once the events at
@@ -540,29 +535,24 @@ class WhatIfEvaluator:
         return _LaneState(plan, index, now, energy, levels)
 
     def evaluate(self, actions, residual, remaining, did=None, trace=None):
-        """Measure one branch per action; return ``{action: verdict}``.
+        """Measure one lane per action; return ``{action: verdict}``.
 
-        Each verdict carries the branch's measured joules over the
+        Each verdict carries the lane's measured joules over the
         (goal-clamped) horizon and the projected margin at the goal.
-        A branch whose action cannot apply measures holding, which is
+        A lane whose action cannot apply measures holding, which is
         what would happen.
         """
         horizon = min(self.horizon, remaining)
-        self.evaluations += 1
         t0 = self.sim.now
         start = self.start()
-        if type(start) is _LaneState:
-            model = start.plan.model
-            lanes = [model.act(start.levels, action) or start.levels
-                     for action in actions]
-            ends, _end = _fold(start, lanes, t0 + horizon)
-            measured = [end - start.energy for end in ends]
-            self.branches_run += len(lanes)
-        else:
-            measured = [self._fork(start, action, horizon, did)[0]
-                        for action in actions]
+        model = start.plan.model
+        lanes = [model.act(start.levels, action) or start.levels
+                 for action in actions]
+        ends, _end = _fold(start, lanes, t0 + horizon)
+        self.branches_run += len(lanes)
         verdicts = {}
-        for action, energy in zip(actions, measured):
+        for action, end in zip(actions, ends):
+            energy = end - start.energy
             rate = energy / horizon if horizon > 0 else 0.0
             margin = ((residual - energy)
                       - rate * max(0.0, remaining - horizon))
@@ -579,60 +569,23 @@ class WhatIfEvaluator:
             verdicts[action] = verdict
         return verdicts
 
-    def expand(self, snapshot, action, stage_s, did=None):
-        """Apply ``action``, advance one beam stage from ``snapshot``.
+    def expand(self, state, action, stage_s):
+        """Apply ``action``, advance one beam stage from ``state``.
 
-        ``snapshot`` is what :meth:`start` or a previous ``expand``
+        ``state`` is what :meth:`start` or a previous ``expand``
         returned.  Returns ``(energy_j, next)``, where ``next`` starts
-        the following stage, or ``None`` when the branch cannot perform
+        the following stage, or ``None`` when the lane cannot perform
         ``action`` (ladder exhausted in that direction).
         """
-        if type(snapshot) is not _LaneState:
-            return self._fork(snapshot, action, stage_s, did, stage=True)
-        levels = snapshot.plan.model.act(snapshot.levels, action)
+        levels = state.plan.model.act(state.levels, action)
         if levels is None:
             return None
-        until = snapshot.now + stage_s
-        (energy,), index = _fold(snapshot, [levels], until)
+        until = state.now + stage_s
+        (energy,), index = _fold(state, [levels], until)
         self.branches_run += 1
-        return energy - snapshot.energy, _LaneState(
-            snapshot.plan, index, until, energy, levels,
+        return energy - state.energy, _LaneState(
+            state.plan, index, until, energy, levels,
         )
-
-    def _fork(self, snapshot, action, seconds, did, stage=False):
-        """Fork ``snapshot``, apply ``action``, run ``seconds`` ahead.
-
-        Returns ``(joules spent, stage snapshot)``.  A beam
-        ``stage`` is re-captured at its end and skipped (``None``) when
-        the action cannot apply; a plain branch runs regardless, and
-        then measures holding.
-        """
-        # Forks are plain-policy (no nested lookahead, no beam) and
-        # private: an explicit null tracer keeps the fork from resolving
-        # the process-installed tracer, and the evaluator-private
-        # registry keeps its counters out of the parent's metrics.
-        scenario = snapshot.fork(
-            tracer=NULL_TRACER, metrics=self._branch_metrics, **PLAIN_POLICY,
-        )
-        # Stamp the fork's machine so its power/span stream disentangles
-        # from the trunk's if the fork is ever run under a real tracer
-        # (power_spans indexes trunk spans only by default).
-        scenario.machine.branch_id = f"did{did}.{action}"
-        applied = True
-        if action == DEGRADE:
-            applied = scenario.viceroy.degrade_once(decision_id=did) is not None
-        elif action == UPGRADE:
-            applied = scenario.viceroy.upgrade_once(decision_id=did) is not None
-        if stage and not applied:
-            return None
-        machine = scenario.machine
-        sim = scenario.sim
-        t0 = sim.now
-        start_energy = machine.finish()
-        sim.run(until=t0 + seconds)
-        energy = machine.finish() - start_energy
-        self.branches_run += 1
-        return energy, Snapshot.capture(sim) if stage else None
 
 
 class LookaheadGoalController(GoalDirectedController):
@@ -660,7 +613,7 @@ class LookaheadGoalController(GoalDirectedController):
 
     def _choose_action(self, now, did, demand, residual):
         proposal = self.trigger.decide(demand, residual)
-        if proposal == HOLD or self.sim.snapshot_builder is None:
+        if proposal == HOLD:
             return proposal
         if proposal == UPGRADE and not self._upgrade_allowed(now):
             # The rate limit will veto it anyway; don't pay for branches.
@@ -714,13 +667,10 @@ class LookaheadGoalController(GoalDirectedController):
 
     def __restore__(self, state, ctx):
         super().__restore__(state, ctx)
-        # Absent when restoring a plain-policy capture into a lookahead
-        # stack; counters then start fresh, which is the honest reading.
-        extra = state.get("lookahead")
-        if extra:
-            self.lookahead_evaluations = int(extra["evaluations"])
-            self.overrides = int(extra["overrides"])
-            self.evaluator.branches_run = int(extra["branches_run"])
+        extra = state["lookahead"]
+        self.lookahead_evaluations = int(extra["evaluations"])
+        self.overrides = int(extra["overrides"])
+        self.evaluator.branches_run = int(extra["branches_run"])
 
 
 class BeamLookaheadController(LookaheadGoalController):
@@ -760,7 +710,7 @@ class BeamLookaheadController(LookaheadGoalController):
 
     def _choose_action(self, now, did, demand, residual):
         proposal = self.trigger.decide(demand, residual)
-        if proposal == HOLD or self.sim.snapshot_builder is None:
+        if proposal == HOLD:
             return proposal
         if proposal == UPGRADE and not self._upgrade_allowed(now):
             # The rate limit will veto it anyway; don't pay for branches.
@@ -769,7 +719,7 @@ class BeamLookaheadController(LookaheadGoalController):
         horizon = min(self.horizon, remaining)
         if horizon <= self.decision_period:
             return proposal
-        best = self._beam_plan(now, did, residual, remaining, horizon)
+        best = self._beam_plan(now, residual, remaining, horizon)
         self.lookahead_evaluations += 1
         chosen = best["schedule"][0]
         if chosen != proposal:
@@ -789,7 +739,7 @@ class BeamLookaheadController(LookaheadGoalController):
             )
         return chosen
 
-    def _beam_plan(self, now, did, residual, remaining, horizon):
+    def _beam_plan(self, now, residual, remaining, horizon):
         """Run the beam search; returns the winning candidate dict."""
         self.beam_plans += 1
         stage_s = horizon / self.beam_depth
@@ -809,9 +759,8 @@ class BeamLookaheadController(LookaheadGoalController):
                     if (first and action == UPGRADE
                             and not self._upgrade_allowed(now)):
                         continue
-                    expanded = evaluator.expand(
-                        item["state"], action, stage_s, did=did,
-                    )
+                    expanded = evaluator.expand(item["state"], action,
+                                                stage_s)
                     if expanded is None:
                         continue
                     self.beam_expansions += 1
@@ -867,7 +816,6 @@ class BeamLookaheadController(LookaheadGoalController):
 
     def __restore__(self, state, ctx):
         super().__restore__(state, ctx)
-        beam = (state.get("lookahead") or {}).get("beam")
-        if beam:
-            self.beam_plans = int(beam["plans"])
-            self.beam_expansions = int(beam["expansions"])
+        beam = state["lookahead"]["beam"]
+        self.beam_plans = int(beam["plans"])
+        self.beam_expansions = int(beam["expansions"])

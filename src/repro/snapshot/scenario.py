@@ -17,9 +17,9 @@ Every stateful object registers with the simulator under a stable key
 and the simulator carries a builder reference, so
 :meth:`repro.snapshot.state.Snapshot.capture` can checkpoint the whole
 stack at any instant and :meth:`~repro.snapshot.state.Snapshot.fork`
-can branch it — the substrate for lookahead what-if evaluation
-(:mod:`repro.snapshot.lookahead`) and warm-started fleet sweeps
-(:mod:`repro.snapshot.warm`).
+can branch it — the substrate for warm-started fleet sweeps
+(:mod:`repro.snapshot.warm`).  Lookahead what-if evaluation
+(:mod:`repro.snapshot.lookahead`) reads the live stack instead.
 
 Sizing
 ------
@@ -40,7 +40,6 @@ __all__ = [
     "pulse_params",
     "Knob",
     "KNOBS",
-    "PLAIN_POLICY",
     "run_pulse_goal",
     "BUILDER_PATH",
     "DEFAULT_GOAL_SECONDS",
@@ -243,7 +242,10 @@ class PulseScenario:
             sim._fuse_until = previous
         if self.failed_at is None:
             sim.run(until=target)
-        self.machine.advance()
+        if until is None:
+            # A stop leaves the span since the last event to the resumed
+            # run, which adds it as the uninterrupted run does.
+            self.machine.advance()
         return self
 
     def summary(self):
@@ -322,11 +324,6 @@ KNOBS = {knob.name: knob for knob in (
     Knob("drift", None, list, "device", canon=_drift_record),
 )}
 
-#: Builder overrides for the plain policy (no lookahead, no beam): what
-#: a what-if fork runs.
-PLAIN_POLICY = {name: KNOBS[name].default
-                for name in ("lookahead", "beam_width", "beam_depth")}
-
 
 def pulse_params(**knobs):
     """The recorded params of a pulse build: its snapshot identity.
@@ -343,8 +340,8 @@ def pulse_params(**knobs):
     Raises :class:`TypeError` on an unknown knob and
     :class:`ValueError` on params the rig cannot build: a dependent
     knob set without the knob it needs, a beam without ``lookahead``,
-    or ``learned_model``/``drift`` with it (neither the gauge and
-    calibrator nor the drift event is snapshot-capable).
+    or ``learned_model``/``drift`` with it (lookahead lanes model
+    neither the gauge and calibrator nor the drift event).
     """
     unknown = knobs.keys() - KNOBS.keys()
     if unknown:
@@ -361,10 +358,10 @@ def pulse_params(**knobs):
     if "beam_width" in params and not params["lookahead"]:
         raise ValueError("beam_width needs lookahead: the beam planner is "
                          "a lookahead controller")
-    for name, why in (("learned_model", "the gauge/calibrator stack is "
-                                        "not snapshot-capable"),
-                      ("drift", "the scheduled drift event is not "
-                                "snapshot-claimable")):
+    for name, why in (("learned_model", "lanes cannot model the "
+                                        "gauge/calibrator stack"),
+                      ("drift", "lanes cannot model the scheduled drift "
+                                "event")):
         if name in params and params["lookahead"]:
             raise ValueError(f"{name} does not combine with lookahead: "
                              f"{why}")

@@ -90,14 +90,13 @@ class Snapshot:
         return cls(payload)
 
     # ------------------------------------------------------------------
-    def restore(self, **builder_overrides):
+    def restore(self, tracer=None):
         """Build a fresh stack from the payload and apply the state.
 
-        ``builder_overrides`` are merged over the captured params —
-        branch builds pass a private ``tracer``/``metrics`` here (and
-        the lookahead evaluator switches the branch controller back to
-        the plain policy).  Returns whatever the builder returns (the
-        scenario object owning the new simulator).
+        The builder gets the captured params and ``tracer``, which is
+        runtime environment, not identity (None resolves the installed
+        tracer, as a plain build does).  Returns whatever the builder
+        returns (the scenario object owning the new simulator).
         """
         start = perf_counter()
         payload = self.payload
@@ -106,9 +105,8 @@ class Snapshot:
                 f"snapshot payload version {payload.get('version')!r} != "
                 f"supported {PAYLOAD_VERSION}"
             )
-        params = dict(payload["params"])
-        params.update(builder_overrides)
-        scenario = resolve_callable(payload["builder"])(**params)
+        scenario = resolve_callable(payload["builder"])(
+            tracer=tracer, **payload["params"])
         sim = scenario.sim
         if sim.live_entries():
             raise SnapshotError(
@@ -134,9 +132,9 @@ class Snapshot:
         ).observe(perf_counter() - start)
         return scenario
 
-    def fork(self, **builder_overrides):
+    def fork(self, tracer=None):
         """Alias for :meth:`restore`: yield an independent branch."""
-        return self.restore(**builder_overrides)
+        return self.restore(tracer=tracer)
 
     # ------------------------------------------------------------------
     @property

@@ -20,8 +20,8 @@ from repro.devices import generate_fleet
 from repro.devices.calibrate import schedule_drift
 from repro.obs import Tracer, installed
 from repro.powerscope.online import OnlinePowerMonitor
-from repro.snapshot import Snapshot
-from repro.snapshot.lookahead import WhatIfEvaluator
+from repro.snapshot import Snapshot, SnapshotError
+from repro.snapshot.lookahead import BeamLookaheadController, WhatIfEvaluator
 from repro.snapshot.scenario import (PulsedApp, build_pulse_scenario,
                                      run_pulse_goal)
 
@@ -126,7 +126,6 @@ def _verdict_rows(evaluator, residual, remaining, stage_s):
     for _stage in range(2):
         grown = []
         for state in frontier:
-            assert not isinstance(state, Snapshot)
             for action in (HOLD, DEGRADE, UPGRADE):
                 expanded = evaluator.expand(state, action, stage_s)
                 rows.append(None if expanded is None
@@ -238,7 +237,6 @@ def test_lanes_follow_trunk_changes(change):
             if trunk.sim.now == CHANGE_AT:
                 change(trunk)
             trunk.sim.run(until=until)
-        assert not isinstance(evaluator.start(), Snapshot)
         verdicts = evaluator.evaluate((HOLD, DEGRADE), residual=1000.0,
                                       remaining=1e9)
         for action in (HOLD, DEGRADE):
@@ -265,45 +263,66 @@ def _supply_hook(scenario):
     scenario.machine._supply_note_power = lambda watts: None
 
 
+#: Each perturbation, and what the refusal names.
+_UNMODELLED = {
+    _subclass_app: "app 'viewer' is not a PulsedApp",
+    _custom_correction: "power correction is not the default",
+    _supply_hook: "note_power/recover hooks",
+}
+
+
 @pytest.mark.parametrize("perturb, params", [
     pytest.param(perturb, params, id=perturb.__name__ + suffix)
     for suffix, params in (("", {}),
                            ("-beam", {"lookahead": True, "beam_width": 3}))
-    for perturb in (_subclass_app, _custom_correction, _supply_hook)
+    for perturb in _UNMODELLED
 ])
-def test_stacks_lanes_cannot_model_are_forked(perturb, params):
-    """A fork runs the plain policy, whatever the trunk's controller."""
+def test_stacks_lanes_cannot_model_are_refused(perturb, params):
+    """Whatever the trunk's controller, the evaluator that modelled the
+    stack refuses it once perturbed, naming the failed condition, and
+    measures nothing."""
     scenario = _drop_decision(build_pulse_scenario(**params).start())
     scenario.sim.run(until=30.0)
     evaluator = WhatIfEvaluator(scenario.sim)
-    assert not isinstance(evaluator.start(), Snapshot)
+    evaluator.start()
     perturb(scenario)
-    start = evaluator.start()
-    assert isinstance(start, Snapshot)
-    energy_j, stage = evaluator.expand(start, HOLD, 2.0)
-    assert energy_j > 0.0 and isinstance(stage, Snapshot)
-
-
-def _count_branch_ticks(monkeypatch):
-    """Record, per tick, whether it fired on a branch machine."""
-    fired = []
-    tick = OnlinePowerMonitor._tick
-
-    def counting_tick(self, time):
-        fired.append(self.machine.branch_id is not None)
-        return tick(self, time)
-
-    monkeypatch.setattr(OnlinePowerMonitor, "_tick", counting_tick)
-    return fired
+    with pytest.raises(SnapshotError, match=_UNMODELLED[perturb]):
+        evaluator.evaluate((HOLD,), residual=1000.0, remaining=200.0)
+    assert evaluator.branches_run == 0
 
 
 def test_lookahead_branches_do_not_tick(monkeypatch):
-    fired = _count_branch_ticks(monkeypatch)
-    summary = run_pulse_goal(lookahead=True, goal_seconds=90.0,
-                             initial_energy=780.0)
+    """Every monitor tick of a lookahead run fires on the trunk's own
+    machine: no branch ever ticks."""
+    scenario = build_pulse_scenario(lookahead=True, goal_seconds=90.0,
+                                    initial_energy=780.0)
+    machines = []
+    tick = OnlinePowerMonitor._tick
+
+    def counting_tick(self, time):
+        machines.append(self.machine)
+        return tick(self, time)
+
+    monkeypatch.setattr(OnlinePowerMonitor, "_tick", counting_tick)
+    summary = scenario.start().run().summary()
     assert summary["lookahead"]["branches_run"] > 0
-    assert any(not on_branch for on_branch in fired)
-    assert not any(fired)
+    assert machines
+    assert all(machine is scenario.machine for machine in machines)
+
+
+def test_lookahead_needs_no_snapshot_builder():
+    """Lanes read the live trunk: a stack without a snapshot builder
+    still vets its proposals, exactly as with one."""
+    def summary(builder):
+        scenario = build_pulse_scenario(lookahead=True, goal_seconds=90.0,
+                                        initial_energy=780.0)
+        if not builder:
+            scenario.sim.snapshot_builder = None
+        return scenario.start().run().summary()
+
+    bare = summary(builder=False)
+    assert bare["lookahead"]["branches_run"] > 0
+    assert bare == summary(builder=True)
 
 
 @pytest.mark.parametrize("params", [{}, {"beam_width": 3}],
@@ -330,16 +349,16 @@ def test_pulse_lookahead_builds_never_fork(monkeypatch, params):
     assert calls == []
 
 
-def test_branch_with_pending_decision_keeps_ticking(monkeypatch):
-    """Captured outside a decision callback, the branch still decides,
-    so its samples matter and it must tick."""
+def test_branch_with_pending_decision_keeps_ticking():
+    """Asked outside a decision callback, a branch would still decide,
+    so it would have to keep ticking: lanes cannot model that, and the
+    evaluator refuses, naming the pending decision."""
     scenario = build_pulse_scenario().start()
     scenario.sim.run(until=30.0)
-    fired = _count_branch_ticks(monkeypatch)
     evaluator = WhatIfEvaluator(scenario.sim, horizon=5.0)
-    evaluator.evaluate((HOLD,), residual=1000.0, remaining=200.0, did=0)
-    assert evaluator.branches_run == 1
-    assert any(fired)
+    with pytest.raises(SnapshotError, match="_decide"):
+        evaluator.evaluate((HOLD,), residual=1000.0, remaining=200.0, did=0)
+    assert evaluator.branches_run == 0
 
 
 # ----------------------------------------------------------------------
@@ -398,14 +417,22 @@ def test_beam_branch_verdicts_pinned(monkeypatch):
     ``(did, action, repr(energy_j), None)`` row per expansion, then one
     ``(did, chosen, None, repr(margin_j))`` row per beam verdict."""
     rows = []
+    deciding = [None]
+    choose = BeamLookaheadController._choose_action
     expand = WhatIfEvaluator.expand
 
-    def recording_expand(self, snapshot, action, stage_s, did=None):
-        out = expand(self, snapshot, action, stage_s, did=did)
-        rows.append((did, action, repr(None if out is None else out[0]),
-                     None))
+    def recording_choose(self, now, did, demand, residual):
+        deciding[0] = did
+        return choose(self, now, did, demand, residual)
+
+    def recording_expand(self, state, action, stage_s):
+        out = expand(self, state, action, stage_s)
+        rows.append((deciding[0], action,
+                     repr(None if out is None else out[0]), None))
         return out
 
+    monkeypatch.setattr(BeamLookaheadController, "_choose_action",
+                        recording_choose)
     monkeypatch.setattr(WhatIfEvaluator, "expand", recording_expand)
     tracer = Tracer(clock=lambda: 0.0)
     with installed(tracer):

@@ -498,8 +498,6 @@ def _power_args(sid, kind, value=None, split=None):
                 "process": "Idle"}
     if kind == "split-span":
         return {"sid": sid, "watts": value, "components": split}
-    if kind == "branch-span":
-        return {"sid": sid, "watts": 7.0, "joules": 1.0, "branch": 1}
     if kind == "ref":
         return {"power_span": sid}
     if kind == "value":
@@ -563,12 +561,12 @@ def _event_streams(draw, odd_stamps=False):
         ph = pick("ph", "IBEXC")
         ts = pick("ts", [0.0, -0.0, 0.5, 1.0, 1.0, 2.25, 3.0])
         dur = pick("dur", [None, 0.0, -0.0, 0.75])
-        kind = draw(st.sampled_from(["span", "split-span", "branch-span",
-                                     "ref", "value", None]))
+        kind = draw(st.sampled_from(["span", "split-span", "ref", "value",
+                                     None]))
         sid = draw(st.integers(min_value=1, max_value=4))
         value = draw(st.sampled_from(_LOOKALIKE_VALUES))
         split = draw(st.sampled_from(splits))
-        if kind in ("span", "split-span", "branch-span"):
+        if kind in ("span", "split-span"):
             cat, ph, name = "power", "X", "span"
         else:
             name = pick("name", [f"e{index}" + label
@@ -660,8 +658,6 @@ class TestExportProperties:
     def test_join_is_indifferent_to_input_shape(self, events):
         records = _dicts(events)
         assert power_spans(events) == power_spans(records)
-        assert power_spans(events, branch=1) == power_spans(records,
-                                                            branch=1)
         assert join_power(events) == join_power(records)
 
 
@@ -680,7 +676,6 @@ _COMPACT_VALUES = {
     "sid": [1, 2, 3],
     "label": ["Idle", "_kernel_idle", "xanim", "100%", 'say "hi"',
               "énergie", None, 7],
-    "branch": [None, None, 1, 2],
     "seq": [1, 7, 12],
 }
 #: Odd values ``_compact_streams(odd=True)`` puts in about one field in
@@ -728,7 +723,7 @@ def _compact_streams(draw, odd=False):
             record = SpanEvent(pick("ts"), pick("wall"), pick("dur"),
                                pick("sid"), pick("watts"), pick("joules"),
                                pick("label"), pick("label"),
-                               draw(st.sampled_from(splits)), pick("branch"))
+                               draw(st.sampled_from(splits)))
         elif kind == "dispatch":
             record = DispatchEvent(pick("ts"), pick("wall"), pick("seq"))
         else:
@@ -770,9 +765,7 @@ class TestCompactKinds:
             assert jsonl_line(record) == jsonl_line(twin)
         for write in (write_events_jsonl, write_chrome_trace):
             assert _written(write, records) == _written(write, twins)
-        for branch in (None, 1, 2):
-            assert (power_spans(records, branch=branch)
-                    == power_spans(twins, branch=branch))
+        assert power_spans(records) == power_spans(twins)
         assert join_power(records) == join_power(twins)
 
     def test_spans_share_the_machine_components_dict(self):
@@ -780,9 +773,8 @@ class TestCompactKinds:
 
         split = {"cpu": 1.5}
         record = SpanEvent(0.0, 0.0, 1.0, 1, 1.5, 1.5, "Idle", "idle",
-                           split, None)
+                           split)
         assert record.args["components"] is split
-        assert "branch" not in record.args
         assert power_spans([record])[1]["components"] is split
 
     def test_ring_tracer_and_sink_see_every_record(self, tmp_path):
@@ -800,8 +792,7 @@ class TestCompactKinds:
                     tracer.dispatch(ts, k)
                     tracer.watts(ts, 4.5 - k)
                     tracer.span(ts, 0.5, k + 1, 4.5 - k, (4.5 - k) * 0.5,
-                                "Idle", "_kernel_idle", split,
-                                None if k % 3 else 2)
+                                "Idle", "_kernel_idle", split)
                     continue
                 tracer.instant(ts, "sim", "dispatch", track="engine",
                                args={"seq": k})
@@ -809,8 +800,6 @@ class TestCompactKinds:
                 args = {"sid": k + 1, "watts": 4.5 - k,
                         "joules": (4.5 - k) * 0.5, "process": "Idle",
                         "procedure": "_kernel_idle", "components": split}
-                if not k % 3:
-                    args["branch"] = 2
                 tracer.complete(ts, "power", "span", 0.5, track="machine",
                                 args=args)
 

@@ -247,61 +247,6 @@ def test_lookahead_branches_are_invisible_to_parent_spine():
         [e for e in events if e.cat == "core"]))
 
 
-def test_branch_spans_carry_branch_id_and_fold_separately():
-    """A fork run under a *real* tracer stamps its power spans with its
-    branch id, and ``power_spans`` folds trunk and branch separately —
-    the belt-and-braces guarantee behind the lookahead signature."""
-    from repro.obs import Tracer
-    from repro.obs.export import power_spans
-
-    tracer = Tracer(categories={"core", "power"})
-    parent = build_pulse_scenario(tracer=tracer).start()
-    parent.run(until=20.0)
-    snapshot = Snapshot.capture(parent.sim)
-    fork = snapshot.fork(tracer=tracer)
-    fork.machine.branch_id = "did9.degrade"
-    fork.run(until=30.0)
-    parent.run(until=30.0)
-    tracer.flush()
-    events = [e.to_dict() for e in tracer.events]
-    stamped = [e for e in events
-               if e.get("name") == "span"
-               and e.get("args", {}).get("branch") == "did9.degrade"]
-    assert stamped, "forked machine emitted no branch-stamped spans"
-    trunk = power_spans(events)
-    branch = power_spans(events, branch="did9.degrade")
-    assert len(branch) == len(stamped), "branch fold missed spans"
-    # The trunk fold is exactly the fold of the unstamped spans: a
-    # branch span can never leak into trunk energy.
-    unstamped = [e for e in events if e not in stamped]
-    assert trunk == power_spans(unstamped)
-    assert all("branch" not in (e.get("args") or {})
-               for e in unstamped if e.get("name") == "span"
-               and e.get("cat") == "power")
-
-
-def test_trunk_spans_unchanged_by_traced_branch():
-    """Folding the trunk from a trace polluted by a traced branch gives
-    the same spans as a run that never forked at all."""
-    from repro.obs import Tracer
-    from repro.obs.export import power_spans
-
-    def run(with_fork):
-        tracer = Tracer(categories={"core", "power"})
-        parent = build_pulse_scenario(tracer=tracer).start()
-        parent.run(until=20.0)
-        if with_fork:
-            snapshot = Snapshot.capture(parent.sim)
-            fork = snapshot.fork(tracer=tracer)
-            fork.machine.branch_id = "b"
-            fork.run(until=26.0)
-        parent.run(until=30.0)
-        tracer.flush()
-        return power_spans([e.to_dict() for e in tracer.events])
-
-    assert run(with_fork=True) == run(with_fork=False)
-
-
 def test_lookahead_changes_the_decision_spine():
     """The whole point: vetoing transient-driven adaptations must
     actually alter behaviour vs the plain hysteresis policy."""

@@ -7,26 +7,36 @@ same accumulated energy, down to float representation.  These tests
 enforce the contract end-to-end on the pulse scenario; the snapshot
 CLI's ``roundtrip`` mode runs the same check in CI.
 
-Beyond final state, the traced run is checked at capture instants
-chosen with no regard for pulse or decision alignment: the parent's
-trace up to the capture plus the fork's trace after it must be the
-uninterrupted run's trace.
+Beyond final state, the traced run is checked at stop and capture
+instants chosen with no regard for pulse or decision alignment: a run
+stopped there and resumed, and the parent's trace up to a capture there
+plus the fork's trace after it, must each be the uninterrupted run's
+trace.
 """
 
 import functools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.fleet.spec import canonical_json
 from repro.obs import Tracer
 from repro.obs.diff import decision_spine, diff_spines, diff_traces
 from repro.snapshot import Snapshot
-from repro.snapshot.scenario import build_pulse_scenario
+from repro.snapshot.scenario import DEFAULT_GOAL_SECONDS, build_pulse_scenario
 
 CAPTURE_AT = 120.0
+
+#: The pulse builds a stop or a fork must leave unchanged.
+BUILDS = {
+    "plain": {},
+    "lookahead": {"lookahead": True},
+    "beam3": {"lookahead": True, "beam_width": 3},
+    "beam4x2": {"lookahead": True, "beam_width": 4, "beam_depth": 2},
+}
+BEAMS = {name: BUILDS[name] for name in ("beam3", "beam4x2")}
 
 
 def _final_payload(scenario):
@@ -130,11 +140,19 @@ def _dump(events):
     return json.dumps([event.to_dict() for event in events])
 
 
-def _traced_run(**knobs):
+def _traced_run(stop_at=None, **knobs):
     tracer = Tracer(clock=lambda: 0.0)
-    build_pulse_scenario(tracer=tracer, **knobs).start().run()
+    scenario = build_pulse_scenario(tracer=tracer, **knobs).start()
+    if stop_at is not None:
+        scenario.run(until=stop_at)
+    scenario.run()
     tracer.flush()
     return list(tracer.events)
+
+
+@functools.lru_cache(maxsize=None)
+def _uninterrupted_dump(build):
+    return _dump(_traced_run(**BUILDS[build]))
 
 
 def _stitched_run(at, **knobs):
@@ -155,19 +173,35 @@ def _stitched_run(at, **knobs):
     return prefix + list(tracer_suffix.events)[skip:]
 
 
-@pytest.mark.parametrize("knobs", [{}, {"lookahead": True}],
-                         ids=["plain", "lookahead"])
-def test_stitched_trace_byte_identical(knobs):
+@pytest.mark.parametrize("build", list(BUILDS))
+def test_stitched_trace_byte_identical(build):
     """Prefix (parent) + suffix (fork) equals the uninterrupted trace
     byte for byte, in stream order, at an unaligned instant."""
-    stitched = _stitched_run(UNALIGNED_AT, **knobs)
-    assert _dump(stitched) == _dump(_traced_run(**knobs))
+    stitched = _stitched_run(UNALIGNED_AT, **BUILDS[build])
+    assert _dump(stitched) == _uninterrupted_dump(build)
 
 
-BEAMS = {
-    "beam3": {"lookahead": True, "beam_width": 3},
-    "beam4x2": {"lookahead": True, "beam_width": 4, "beam_depth": 2},
-}
+#: Stop instants: quarter-second multiples include pulse edges and
+#: decision and sample instants; arbitrary floats fall between.
+stop_instants = st.one_of(
+    st.integers(1, int(DEFAULT_GOAL_SECONDS * 4) - 1).map(lambda k: k / 4),
+    st.floats(0.05, DEFAULT_GOAL_SECONDS - 0.05, allow_nan=False),
+)
+
+
+# Each example is two whole runs, so a failure is reported as found,
+# unshrunk: any failing stop instant is as telling as a smaller one.
+@settings(max_examples=24, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(build=st.sampled_from(list(BUILDS)), at=stop_instants)
+def test_stop_never_moves_the_trace(build, at):
+    """Property: stopped at any instant and resumed, a run traces
+    exactly what the uninterrupted run traces, byte for byte and in
+    stream order; so does the parent's prefix plus its fork's suffix
+    at that instant."""
+    reference = _uninterrupted_dump(build)
+    assert _dump(_traced_run(stop_at=at, **BUILDS[build])) == reference
+    assert _dump(_stitched_run(at, **BUILDS[build])) == reference
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,13 +226,10 @@ def test_beam_fork_full_state_byte_identical(beam, at):
 @given(at=st.floats(min_value=5.0, max_value=80.0,
                     allow_nan=False, allow_infinity=False))
 def test_stitched_trace_complete_at_any_instant(at):
-    """Property: at *arbitrary* capture instants the stitched trace
-    contains exactly the reference run's events — none lost, none
-    duplicated, none altered.  Strict stream order is not asserted
-    here: capture folds the power journal, so a closed-but-unemitted
-    span can surface at the capture point instead of at the parent's
-    next natural advance (same ts/dur/args, earlier stream position).
-    The pinned-instant test above keeps the byte-order bar."""
+    """Property: at *arbitrary* capture instants on a 90 s goal the
+    stitched trace contains exactly the reference run's events — none
+    lost, none duplicated, none altered.  Stream order is asserted by
+    ``test_stop_never_moves_the_trace`` above."""
     def multiset(events):
         return sorted(json.dumps(e.to_dict(), sort_keys=True)
                       for e in events)
