@@ -345,15 +345,11 @@ def schedule_drift(sim, machine, at, factor, components=None, tracer=None):
     gate = tracer.gate("calibration") if tracer is not None else None
 
     def _apply(_time):
-        machine.power_will_change()
         names = []
         for name, component in machine.components.items():
             if components is not None and name not in components:
                 continue
-            component.states = {
-                state: watts * factor
-                for state, watts in component.states.items()
-            }
+            component.scale(factor)
             names.append(name)
         if gate is not None:
             gate.instant(

@@ -10,14 +10,16 @@ Components must notify the machine *before* changing state so that the
 energy consumed in the outgoing state is integrated at the old power
 level — state changes are edges in a piecewise-constant power signal.
 
-The notification hook (``_pre_change``, pointed by ``Machine.attach``
-at :meth:`~repro.hardware.machine.Machine.power_will_change`) also
-invalidates the machine's cached instantaneous power, so authors of
-component subclasses that mutate power through paths other than
-:meth:`PowerComponent.set_state` (e.g. zoned displays re-lighting
-individual zones) MUST call ``self._pre_change()`` before every
-power-affecting mutation.  Skipping it silently corrupts both the
-energy integral and the cache; see docs/architecture.md ("Performance").
+Each component keeps its current draw in a plain ``watts`` attribute,
+which the machine sums.  The contract for component authors is
+``_pre_change`` before, ``watts`` refreshed after: the hook (pointed by
+``Machine.attach`` at
+:meth:`~repro.hardware.machine.Machine.power_will_change`) integrates
+at the old power and invalidates the machine's cached total, and
+:meth:`PowerComponent._refresh_watts` recomputes the draw.  Mutate
+through ``set_state``, ``ZonedDisplay.set_zone`` or ``scale``; a path
+that skips either half corrupts the energy integral or the cached
+total.  See docs/architecture.md ("Performance").
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ class PowerComponent:
         self.state = initial
         self._pre_change = None  # set by Machine.attach
         self._observers = []
+        self._refresh_watts()
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name} state={self.state} {self.power:.2f}W>"
@@ -71,22 +74,37 @@ class PowerComponent:
     @property
     def power(self):
         """Watts drawn in the current state."""
-        return self.states[self.state]
+        return self.watts
+
+    def _refresh_watts(self):
+        """Recompute :attr:`watts` after a power-affecting mutation."""
+        self.watts = self.states[self.state]
+
+    def _unknown_state(self, state):
+        return HardwareError(f"{self.name}: unknown state {state!r} "
+                             f"(valid: {sorted(self.states)})")
 
     def set_state(self, state):
         """Transition to ``state``, integrating energy up to this instant."""
         if state not in self.states:
-            raise HardwareError(
-                f"{self.name}: unknown state {state!r} "
-                f"(valid: {sorted(self.states)})"
-            )
+            raise self._unknown_state(state)
         if state == self.state:
             return
         if self._pre_change is not None:
             self._pre_change()
         old, self.state = self.state, state
+        self._refresh_watts()
         for observer in self._observers:
             observer(self, old, state)
+
+    def scale(self, factor):
+        """Multiply every state's watts by ``factor`` (a device profile
+        or a drift), integrating energy up to this instant first."""
+        if self._pre_change is not None:
+            self._pre_change()
+        self.states = {state: watts * factor
+                       for state, watts in self.states.items()}
+        self._refresh_watts()
 
     def observe(self, callback):
         """Register ``callback(component, old_state, new_state)``."""
@@ -94,4 +112,4 @@ class PowerComponent:
 
     def is_off(self):
         """True when the component draws no power at all."""
-        return self.power == 0.0
+        return self.watts == 0.0

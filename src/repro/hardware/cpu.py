@@ -45,11 +45,6 @@ class Cpu(PowerComponent):
         )
         self._resting_state = self.HALT
 
-    @property
-    def resting_state(self):
-        """Idle state adopted when no burst is executing (halt or poll)."""
-        return self._resting_state
-
     def set_resting_state(self, state):
         """Select the idle policy (power management chooses halt)."""
         if state not in (self.HALT, self.POLL):
@@ -59,10 +54,22 @@ class Cpu(PowerComponent):
             self.set_state(state)
 
     def set_state(self, state):
-        # Resolve the generic "idle" request to the configured policy.
+        # Resolve the generic "idle" request to the configured policy,
+        # then transition inline: every compute burst makes two CPU
+        # transitions, so each takes one Python call, not two.
         if state == self.IDLE:
             state = self._resting_state
-        super().set_state(state)
+        states = self.states
+        if state not in states:
+            raise self._unknown_state(state)
+        if state == self.state:
+            return
+        if self._pre_change is not None:
+            self._pre_change()
+        old, self.state = self.state, state
+        self.watts = states[state]
+        for observer in self._observers:
+            observer(self, old, state)
 
     def busy(self):
         """Enter the busy state (a compute burst is executing)."""

@@ -97,7 +97,7 @@ class ZonedDisplay(Display):
         self.cols = cols
         self.zone_levels = [self.BRIGHT] * (rows * cols)
         # Initialise the underlying Display after zone bookkeeping exists
-        # because `power` consults zone_levels.
+        # because `watts` sums zone_levels.
         super().__init__(bright_watts, dim_watts, name=name,
                          width=width, height=height)
 
@@ -121,8 +121,7 @@ class ZonedDisplay(Display):
         return [i for i in range(self.zones) if rect.intersects(self.zone_rect(i))]
 
     # -- power ----------------------------------------------------------
-    @property
-    def power(self):
+    def _refresh_watts(self):
         per_zone = {
             self.BRIGHT: self.states[self.BRIGHT] / self.zones,
             self.DIM: self.states[self.DIM] / self.zones,
@@ -131,8 +130,9 @@ class ZonedDisplay(Display):
         # The component's own `state` acts as a master switch: when the
         # whole display is off, zones draw nothing regardless of level.
         if self.state == self.OFF:
-            return 0.0
-        return sum(per_zone[level] for level in self.zone_levels)
+            self.watts = 0.0
+        else:
+            self.watts = sum(per_zone[level] for level in self.zone_levels)
 
     # -- zone control ---------------------------------------------------
     def set_zone(self, index, level):
@@ -146,6 +146,7 @@ class ZonedDisplay(Display):
         if self._pre_change is not None:
             self._pre_change()
         self.zone_levels[index] = level
+        self._refresh_watts()
 
     def set_all_zones(self, level):
         """Set every zone to ``level``."""

@@ -15,8 +15,10 @@ instantaneous total (and the correction, computed once per refresh) and
 invalidates the cache only when a component is about to change state —
 components announce changes through their ``_pre_change`` hook, which
 :meth:`Machine.attach` points at :meth:`Machine.power_will_change`.
-Component authors adding new power-affecting mutations must call that
-hook *before* mutating; see docs/architecture.md ("Performance").
+A refresh sums each component's ``watts`` attribute in attach order.
+The contract for component authors is ``_pre_change`` before, ``watts``
+refreshed after: mutate through ``set_state``, ``set_zone`` or
+``scale``; see docs/architecture.md ("Performance").
 
 Segment journal
 ---------------
@@ -233,10 +235,7 @@ class Machine:
         if self.profile is not None:
             factor = self.profile.multiplier(component.name)
             if factor != 1.0:
-                component.states = {
-                    state: watts * factor
-                    for state, watts in component.states.items()
-                }
+                component.scale(factor)
         self.components[component.name] = component
         component._pre_change = self.power_will_change
         self._power_dirty = True
@@ -256,7 +255,7 @@ class Machine:
         total = 0.0
         comp_powers = []
         for name, component in self.components.items():
-            watts = component.power
+            watts = component.watts
             comp_powers.append((name, watts))
             total += watts
         self._comp_powers = tuple(comp_powers)
@@ -624,6 +623,23 @@ class Machine:
         power state and attribution handled per slice.
         """
         cpu = self.components.get("cpu")
+        if self.scheduler is None:
+            # Resource.use's order, inline: one generator frame per burst.
+            resource = self.cpu_resource
+            grant = resource.acquire(owner=process)
+            if not grant.triggered:
+                yield grant
+            token = self.push_context(process, procedure)
+            if cpu is not None:
+                cpu.set_state("busy")
+            try:
+                yield self.sim.timeout(duration)
+            finally:
+                if cpu is not None:
+                    cpu.set_state("idle")
+                self.pop_context(token)
+                resource.release(grant)
+            return
         token_box = []
 
         def on_grant():
@@ -636,15 +652,10 @@ class Machine:
                 cpu.set_state("idle")
             self.pop_context(token_box.pop())
 
-        if self.scheduler is not None:
-            yield from self.scheduler.run(
-                duration, owner=process,
-                on_slice_start=on_grant, on_slice_end=on_release,
-            )
-        else:
-            yield from self.cpu_resource.use(
-                duration, owner=process, on_grant=on_grant, on_release=on_release
-            )
+        yield from self.scheduler.run(
+            duration, owner=process,
+            on_slice_start=on_grant, on_slice_end=on_release,
+        )
 
     # ------------------------------------------------------------------
     # reporting
@@ -730,6 +741,7 @@ class Machine:
                     f"{name}: snapshot state {comp_state!r} unknown"
                 )
             component.state = comp_state
+            component._refresh_watts()
         self._ctx_nodes = {}
         self._ctx_top = self._ctx_bottom
         self._ctx_bottom.next = None

@@ -190,6 +190,48 @@ def bench_machine_advance(quick, repeats):
     }
 
 
+@_bench("machine_compute",
+        lambda m: f"{m['bursts_per_s']:,.0f} bursts/s")
+def bench_machine_compute(quick, repeats):
+    """CPU bursts through the engine on the calibrated 560X.
+
+    Two processes run FIFO compute bursts with think time between, so
+    some grants queue and some are immediate.  Every burst pushes and
+    pops its context and turns the CPU busy and idle, each change
+    re-summing five components and the superlinear correction.  As on
+    the figures workload, every advance opens a new segment; none
+    extends one (``machine_advance`` times that merge).
+    """
+    from repro.hardware.thinkpad560x import build_machine
+    from repro.sim.engine import Simulator
+
+    bursts = 2_000 if quick else 16_000
+
+    def run():
+        sim = Simulator()
+        machine = build_machine(sim)
+
+        def worker(process, think):
+            for k in range(bursts // 2):
+                yield from machine.compute(0.002 + 0.001 * (k % 3), process)
+                yield sim.timeout(think)
+
+        sim.spawn(worker("app-a", 0.003))
+        sim.spawn(worker("app-b", 0.0045))
+        sim.run()
+        return machine.finish(), machine.power_span_id()
+
+    seconds, (energy_total, segments) = _best_of(
+        run, max(repeats, _MIN_CHEAP_REPEATS))
+    return {
+        "seconds": seconds,
+        "bursts": bursts,
+        "bursts_per_s": bursts / seconds if seconds else 0.0,
+        "segments": segments,
+        "energy_total": energy_total,
+    }
+
+
 @_bench("tracer_overhead", lambda m: (
     f"disabled {m['disabled_s']:.3f}s / enabled {m['enabled_s']:.3f}s "
     f"({m['enabled_ratio']:.2f}x when recording)"))

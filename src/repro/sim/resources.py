@@ -115,8 +115,9 @@ class Resource:
 
         ``on_grant``/``on_release`` are optional zero-argument callbacks
         invoked when the resource is actually granted/released — the
-        hardware layer uses them to flip device power states and
-        attribution contexts exactly while the resource is held.
+        network link uses them to wake the NIC and add its interrupt
+        overlay exactly while the link is held.  ``Machine.compute``
+        inlines this same order for its FIFO CPU bursts.
         """
         grant = self.acquire(owner=owner)
         if not grant.triggered:

@@ -83,6 +83,14 @@ class TestRunner:
         assert metrics["advances"] == 5_000
         assert metrics["energy_total"] > 0
 
+    def test_machine_compute_bench_runs(self):
+        results = run_benchmarks(quick=True, only=["machine_compute"])
+        metrics = results["benches"]["machine_compute"]
+        assert metrics["bursts"] == 2_000
+        # Every burst opens a busy segment; idle gaps open more.
+        assert metrics["segments"] > metrics["bursts"]
+        assert metrics["energy_total"] > 0
+
     def test_trace_export_bench_runs(self):
         results = run_benchmarks(quick=True, only=["trace_export"])
         metrics = results["benches"]["trace_export"]

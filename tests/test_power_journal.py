@@ -6,16 +6,22 @@ dictionaries, and an exact-integral invariant (journal energy equals
 the eagerly integrated total) that a property test hammers.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import (
+    Cpu,
     ExternalSupply,
     HardwareError,
     Machine,
     PowerComponent,
+    Rect,
+    ZonedDisplay,
 )
+from repro.hardware.thinkpad560x import build_machine
 from repro.sim import Simulator
 
 
@@ -251,3 +257,94 @@ def test_journal_energy_equals_total_for_any_schedule(script):
     assert sum(machine.energy_by_process.values()) == pytest.approx(
         machine.energy_total, rel=1e-9, abs=1e-12
     )
+
+
+def _reference_watts(component):
+    """A component's draw from scratch: ``states[state]``, or the zone
+    sum of a zoned display, as ``power`` computed it on every read
+    before components kept their ``watts``."""
+    if isinstance(component, ZonedDisplay):
+        if component.state == ZonedDisplay.OFF:
+            return 0.0
+        per_zone = {
+            ZonedDisplay.BRIGHT:
+                component.states[ZonedDisplay.BRIGHT] / component.zones,
+            ZonedDisplay.DIM:
+                component.states[ZonedDisplay.DIM] / component.zones,
+            ZonedDisplay.OFF: 0.0,
+        }
+        return sum(per_zone[level] for level in component.zone_levels)
+    return component.states[component.state]
+
+
+def _random_set_state(data, machine):
+    component = data.draw(st.sampled_from(list(machine.components.values())))
+    states = sorted(component.states)
+    if isinstance(component, Cpu):
+        states.append(Cpu.IDLE)
+    component.set_state(data.draw(st.sampled_from(states)))
+
+
+def _cache_step(data, machine, op):
+    cpu = machine["cpu"]
+    display = machine["display"]
+    levels = [ZonedDisplay.BRIGHT, ZonedDisplay.DIM, ZonedDisplay.OFF]
+    if op == "set_state":
+        _random_set_state(data, machine)
+    elif op == "cpu":
+        action = data.draw(st.sampled_from(["busy", "idle", "halt", "poll"]))
+        if action == "busy":
+            cpu.busy()
+        elif action == "idle":
+            cpu.idle()
+        else:
+            cpu.set_resting_state(action)
+    elif op == "zone" and isinstance(display, ZonedDisplay):
+        display.set_zone(data.draw(st.integers(0, display.zones - 1)),
+                         data.draw(st.sampled_from(levels)))
+    elif op == "illuminate" and isinstance(display, ZonedDisplay):
+        corner = st.integers(0, 799), st.integers(0, 599)
+        rects = data.draw(st.lists(
+            st.builds(Rect, *corner, st.integers(1, 400), st.integers(1, 300)),
+            max_size=3))
+        display.illuminate(rects, level=data.draw(st.sampled_from(levels)),
+                           background=data.draw(st.sampled_from(levels)))
+    elif op == "scale":
+        component = data.draw(
+            st.sampled_from(list(machine.components.values())))
+        component.scale(data.draw(st.sampled_from([0.5, 0.8, 1.1, 1.25, 3.0])))
+    elif op == "snapshot":
+        # Capture, change states at the same instant, restore: the
+        # restore must leave every `watts` matching the restored state.
+        captured = json.loads(json.dumps(machine.__snapshot__(None)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            _random_set_state(data, machine)
+        machine.__restore__(captured, None)
+
+
+@pytest.mark.parametrize("zoned", [None, (2, 2), (2, 4)],
+                         ids=["stock", "zoned2x2", "zoned2x4"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_component_watts_stay_coherent(zoned, data):
+    """After every mutation each component's ``watts`` equals its
+    from-scratch draw bit for bit, and the machine's cached power
+    equals a from-scratch sum in attach order plus the correction."""
+    sim = Simulator()
+    machine = build_machine(sim, zoned=zoned)
+    ops = st.sampled_from(["set_state", "cpu", "zone", "illuminate",
+                           "scale", "snapshot"])
+    for _ in range(data.draw(st.integers(1, 25))):
+        sim.run(until=sim.now + data.draw(st.sampled_from([0.0, 0.25, 1.5])))
+        _cache_step(data, machine, data.draw(ops))
+        expected = 0.0
+        for component in machine.components.values():
+            watts = _reference_watts(component)
+            assert component.watts.hex() == watts.hex(), component.name
+            assert component.power.hex() == watts.hex(), component.name
+            expected += watts
+        expected += machine.correction(machine)
+        assert machine.power.hex() == expected.hex()
+    total = machine.finish()
+    assert machine.journal_energy() == pytest.approx(total, rel=1e-9,
+                                                     abs=1e-12)
